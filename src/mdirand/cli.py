@@ -532,6 +532,8 @@ def cmd_sweep(args) -> int:
     spec = load_scenario_spec(args.scenario)
     if args.steps < 1:
         raise SchemaError("--steps: need at least one grid point")
+    if args.jobs is not None and args.jobs < 1:
+        raise SchemaError("--jobs: need at least one worker process")
     if args.param == "alpha" and spec.source_kind != "angle":
         raise SchemaError("--param alpha: scenario source must have kind 'angle'")
     if args.param in ("eta",) and spec.statistics is not None:
@@ -539,8 +541,8 @@ def cmd_sweep(args) -> int:
     opts = _solver_options(args)
     grid = [float(g) for g in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(spec, args.param, g, opts) for g in grid]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(args.jobs or len(tasks), len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
     else:

@@ -16,7 +16,6 @@ class Tolerances:
     jacobi_off: float = 1e-12       # Jacobi sweep target for off-diagonal norm
     eig_abs: float = 1e-10          # absolute eigenvalue accuracy contract
     cholesky_residual: float = 1e-10  # ||L L^T - m|| <= tol * (1 + ||m||)
-    rank: float = 1e-9              # row dedup: keep iff residual > rank tol
     consistency: float = 1e-8       # |b_dropped - reconstruction| allowed
     psd: float = 1e-10              # min eigenvalue >= -psd for PSD checks
     trace: float = 1e-10            # |trace - 1| for density matrices

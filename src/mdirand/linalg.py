@@ -217,38 +217,55 @@ def cholesky_spd(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("not positive definite") from exc
 
 
-def row_space_basis(
-    rows: np.ndarray,
-    tol: float = DEFAULT_TOLS.rank,
-) -> tuple[list[int], dict[int, np.ndarray]]:
-    """Select a maximal independent subset of rows, scanning in order.
+def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Select a maximal independent subset of rows from their Gram matrix.
 
-    A row is kept iff its residual after projection onto the span of the
-    rows kept so far exceeds tol (modified Gram-Schmidt with one
-    re-orthogonalization pass). Returns the kept indices and, for every
-    dropped row, its expansion coefficients over the kept rows.
+    Scans the rows in order with a left-looking panel Cholesky of gram.
+    Row i is kept iff its Schur-complement pivot (the squared norm of its
+    residual after projection onto the rows kept so far) exceeds
+    1e-12 * gram[i, i], i.e. its residual norm exceeds about 1e-6 of its
+    own norm; an exact dependency collapses the pivot to accumulation
+    noise ~ m * eps * gram[i, i]. Returns the kept indices, the dropped
+    indices and the lower Cholesky factor l_kept of gram[kept][:, kept].
+    A dropped row i equals c @ rows[kept] with
+    c = cho_solve((l_kept, True), gram[kept, i]).
     """
-    r = np.asarray(rows, dtype=float)
-    if r.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
+    g = np.asarray(gram, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError("expected a square Gram matrix")
+    m = g.shape[0]
+    thresh = np.maximum(1e-12 * np.diag(g), 1e-20)
     kept: list[int] = []
-    basis: list[np.ndarray] = []
     dropped: list[int] = []
-    for i in range(r.shape[0]):
-        v = r[i].copy()
-        for _ in range(2):
-            for q in basis:
-                v -= (q @ v) * q
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
+    # per panel: its first row and the factor columns of its kept rows, from
+    # that row down (the rows above are zero), so no m x m factor is stored
+    panels: list[tuple[int, np.ndarray]] = []
+    panel = 256
+    for start in range(0, m, panel):
+        stop = min(m, start + panel)
+        cols = g[start:, start:stop].copy()
+        for first, blk in panels:
+            cols -= blk[start - first:] @ blk[start - first:stop - first].T
+        cur = np.zeros((m - start, stop - start))
+        n = 0
+        for i in range(start, stop):
+            r = i - start
+            ci = cols[:, r]
+            if n:
+                ci = ci - cur[:, :n] @ cur[r, :n]
+            d = float(ci[r])
+            if d <= thresh[i]:
+                dropped.append(i)
+                continue
+            cur[r:, n] = ci[r:] / np.sqrt(d)
             kept.append(i)
-            basis.append(v / norm)
-        else:
-            dropped.append(i)
-    coeffs: dict[int, np.ndarray] = {}
-    if dropped:
-        kept_rows = r[kept]
-        for i in dropped:
-            c, *_ = np.linalg.lstsq(kept_rows.T, r[i], rcond=None)
-            coeffs[i] = c
-    return kept, coeffs
+            n += 1
+        panels.append((start, cur[:, :n]))
+    rows = np.array(kept, dtype=np.intp)
+    l_kept = np.zeros((len(kept), len(kept)))
+    col = 0
+    for first, blk in panels:
+        below = rows >= first
+        l_kept[below, col:col + blk.shape[1]] = blk[rows[below] - first]
+        col += blk.shape[1]
+    return kept, dropped, l_kept

@@ -178,6 +178,12 @@ def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
     * otherwise, every exactly-zero entry P(x|a) forces N_x to annihilate
       the support of state a, so V_x spans the common kernel.
 
+    The spanning test is the row selection of row_space_basis on the
+    states' Gram matrix, so a state counts as independent only if its
+    residual exceeds about 1e-6 of its norm. A near-degenerate ensemble
+    can therefore fall back to the zero-pattern faces; those are valid for
+    every ensemble, so the rate is unchanged in exact arithmetic.
+
     Restricting block (a,x,e) to V_x S V_x^dag is an exact reparametrization
     of the feasible set (eigenvalues are only cut at the 1e-11 noise floor,
     far below every reported tolerance). Statistics that force a negative
@@ -189,7 +195,7 @@ def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
     rhos = [s.mat for s in scenario.ensemble.states]
     cond = scenario.observed.conditionals
     span_rows = np.stack([real_embed(r).reshape(-1) for r in rhos])
-    kept, _ = row_space_basis(span_rows, tol=1e-10)
+    kept, _, _ = row_space_basis(span_rows @ span_rows.T)
     faces: list[np.ndarray] = []
     if len(kept) == d * d:
         basis = _hermitian_basis(d)
@@ -404,8 +410,6 @@ def _classical_bound(scenario: Scenario) -> float:
     if scenario.mode == MODE_FINITE_Q:
         return classical_min_entropy(scenario.observed)
     # vanishing test fraction: only the generation state contributes
-    point = np.zeros(scenario.n_states)
-    point[scenario.generation_index - 1] = 1.0
     return -math.log2(float(np.max(
         scenario.observed.conditionals[scenario.generation_index - 1]
     )))

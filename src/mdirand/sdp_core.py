@@ -147,20 +147,6 @@ class PreprocessReport:
     notes: list[str] = field(default_factory=list)
 
 
-# Dense-row materialization limit for the exact row_space_basis path; above
-# it the Gram-matrix route is used (same greedy order, no dense rows).
-_DENSE_ENTRY_LIMIT = 20_000_000
-
-
-def _flat_rows(p: SdpProblem) -> np.ndarray:
-    offsets = np.concatenate([[0], np.cumsum([s * s for s in p.block_dims])])
-    rows = np.zeros((p.n_constraints, offsets[-1]))
-    for i, blk_map in enumerate(p.constraints):
-        for k, m in blk_map.items():
-            rows[i, offsets[k]:offsets[k + 1]] = m.reshape(-1)
-    return rows
-
-
 def _gram_matrix(p: SdpProblem) -> np.ndarray:
     m = p.n_constraints
     g = np.zeros((m, m))
@@ -169,53 +155,11 @@ def _gram_matrix(p: SdpProblem) -> np.ndarray:
         for k in blk_map:
             touching.setdefault(k, []).append(i)
     for k, rows in touching.items():
-        s = p.block_dims[k]
         flat = np.stack([p.constraints[i][k].reshape(-1) for i in rows])
-        g[np.ix_(rows, rows)] += flat @ flat.T
-    return 0.5 * (g + g.T)
-
-
-def _select_rows_gram(g: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
-    """Order-preserving greedy selection from the Gram matrix.
-
-    Left-looking Cholesky that skips rows whose Schur-complement diagonal
-    falls below the float-noise threshold (these are numerically dependent
-    on the kept rows). Returns kept indices, dropped indices and the lower
-    factor of the kept-row Gram matrix.
-    """
-    m = g.shape[0]
-    diag = np.diag(g).copy()
-    # exact dependencies collapse the pivot to accumulation noise ~ m*eps*G_ii
-    thresh = np.maximum(1e-12 * diag, 1e-20)
-    left = np.zeros((m, m))
-    kept: list[int] = []
-    dropped: list[int] = []
-    panel = 256
-    n_kept_applied = 0
-    for start in range(0, m, panel):
-        stop = min(m, start + panel)
-        cols = g[:, start:stop].copy()
-        if kept:
-            lk = left[:, :len(kept)]
-            cols -= lk @ lk[start:stop, :].T
-        local: list[int] = []
-        for i in range(start, stop):
-            ci = cols[:, i - start]
-            if local:
-                lp = left[:, len(kept):len(kept) + len(local)]
-                ci = ci - lp @ lp[i, :]
-            d = float(ci[i])
-            if d <= thresh[i]:
-                dropped.append(i)
-                continue
-            col = np.zeros(m)
-            col[i:] = ci[i:] / np.sqrt(d)
-            left[:, len(kept) + len(local)] = col
-            local.append(i)
-        kept.extend(local)
-        n_kept_applied = len(kept)
-    l_kept = left[np.ix_(kept, range(n_kept_applied))]
-    return kept, dropped, l_kept
+        gk = flat @ flat.T
+        # symmetrized per block: no m x m temporaries
+        g[np.ix_(rows, rows)] += 0.5 * (gk + gk.T)
+    return g
 
 
 def preprocess(
@@ -224,6 +168,7 @@ def preprocess(
 ) -> tuple[SdpProblem, PreprocessReport]:
     """Drop dependent constraint rows, check consistency, rescale.
 
+    Rows are selected in order from their Gram matrix by row_space_basis.
     Dependent rows must be reproducible from kept rows with matching b
     (residual below the consistency tolerance), otherwise the problem is
     inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
@@ -234,89 +179,50 @@ def preprocess(
     if p.preprocessed:
         return p, PreprocessReport(p.n_constraints, list(range(p.n_constraints)), [], 0.0, 0.0)
     m = p.n_constraints
-    total_entries = m * sum(s * s for s in p.block_dims)
     notes: list[str] = []
-
-    if total_entries <= _DENSE_ENTRY_LIMIT:
-        rows = _flat_rows(p)
-        kept, coeff_map = row_space_basis(rows, tols.rank)
-        dropped = sorted(coeff_map)
-        coeffs = {i: coeff_map[i] for i in dropped}
-        l_kept = None
-    else:
-        notes.append("gram-matrix row selection (dense rows too large)")
-        g = _gram_matrix(p)
-        kept, dropped, l_kept = _select_rows_gram(g)
-        gram_kept = g[np.ix_(kept, kept)]
-        coeffs = {}
-        if dropped:
-            rhs = g[np.ix_(kept, dropped)]
-            sol = sla.cho_solve((l_kept, True), rhs, check_finite=False)
-            for j, i in enumerate(dropped):
-                coeffs[i] = sol[:, j]
-
+    g = _gram_matrix(p)
+    kept, dropped, l_kept = row_space_basis(g)
     b_kept = p.b[kept]
+
     max_resid = 0.0
-    for i in dropped:
-        resid = abs(p.b[i] - float(coeffs[i] @ b_kept))
-        max_resid = max(max_resid, resid)
-        if resid > tols.consistency:
+    if dropped:
+        coeffs = sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)], check_finite=False)
+        resid = np.abs(p.b[dropped] - b_kept @ coeffs)
+        max_resid = float(np.max(resid))
+        if max_resid > tols.consistency:
+            j = int(np.argmax(resid > tols.consistency))
             raise InfeasibleProblemError(
-                f"constraint {i} contradicts the rows it depends on "
-                f"(residual {resid:.3e})"
+                f"constraint {dropped[j]} contradicts the rows it depends on "
+                f"(residual {resid[j]:.3e})"
             )
 
+    scales = np.sqrt(np.diag(g)[kept])
+    new_constraints = [
+        {k: mm / scale for k, mm in p.constraints[i].items()}
+        for i, scale in zip(kept, scales)
+    ]
+
     # certificate direction u with sum_i u_i A_i = identity, if attainable
-    u = None
-    if kept:
-        try:
-            if l_kept is None:
-                offsets = np.concatenate([[0], np.cumsum([s * s for s in p.block_dims])])
-                id_vec = np.zeros(offsets[-1])
-                for k, s in enumerate(p.block_dims):
-                    id_vec[offsets[k]:offsets[k + 1]] = np.eye(s).reshape(-1)
-                u, *_ = np.linalg.lstsq(rows[kept].T, id_vec, rcond=None)
-            else:
-                trace_kept = np.array(
-                    [sum(float(np.trace(mm)) for mm in p.constraints[i].values())
-                     for i in kept]
-                )
-                u = sla.cho_solve((l_kept, True), trace_kept, check_finite=False)
-        except np.linalg.LinAlgError:
-            u = None
-
-    scales = np.empty(len(kept))
-    new_constraints: list[BlockMap] = []
-    for j, i in enumerate(kept):
-        norm = np.sqrt(sum(float(np.sum(mm * mm)) for mm in p.constraints[i].values()))
-        scales[j] = norm
-        new_constraints.append({k: mm / norm for k, mm in p.constraints[i].items()})
-    new_b = b_kept / scales
-
+    identity = [np.eye(s) for s in p.block_dims]
+    u = sla.cho_solve((l_kept, True), p.apply_constraints(identity)[kept], check_finite=False)
+    u_raw = np.zeros(m)
+    u_raw[kept] = u
+    cert_residual = max(
+        float(np.max(np.abs(a - e))) for a, e in zip(p.adjoint(u_raw), identity)
+    )
     cert_vector = None
     cert_b = float("nan")
-    cert_residual = float("inf")
-    if u is not None:
-        resid = 0.0
-        for k, s in enumerate(p.block_dims):
-            acc = -np.eye(s)
-            for j, i in enumerate(kept):
-                mk = p.constraints[i].get(k)
-                if mk is not None:
-                    acc = acc + u[j] * mk
-            resid = max(resid, float(np.max(np.abs(acc))))
-        cert_residual = resid
-        if resid < 1e-9:
-            cert_vector = u * scales  # valid for the rescaled rows
-            cert_b = float(b_kept @ u)
-        else:
-            notes.append("identity not in constraint row space; no certificate shift")
+    if cert_residual < 1e-9:
+        cert_vector = u * scales  # valid for the rescaled rows
+        cert_b = float(b_kept @ u)
+    else:
+        notes.append("identity not in constraint row space; no certificate shift")
 
     out = SdpProblem(
         block_dims=p.block_dims,
         objective={k: mm.copy() for k, mm in p.objective.items()},
         constraints=new_constraints,
-        b=new_b,
+        b=b_kept / scales,
         preprocessed=True,
         cert_vector=cert_vector,
         cert_b=cert_b,
@@ -324,7 +230,7 @@ def preprocess(
     report = PreprocessReport(
         n_raw=m,
         kept_rows=kept,
-        dropped_rows=list(dropped),
+        dropped_rows=dropped,
         max_consistency_residual=max_resid,
         cert_residual=cert_residual,
         notes=notes,

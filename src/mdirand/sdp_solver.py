@@ -16,6 +16,7 @@ value is what certified_upper_bound reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,7 +359,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             print(
                 f"iter {it:3d}  mu {mu:9.2e}  gap {rel_gap:9.2e}  "
                 f"rp {rp_inf:9.2e}  rd {rd_norm:9.2e}  pobj {pobj:+.9e}  "
-                f"dobj {dobj:+.9e}  cert {cand:+.9e}"
+                f"dobj {dobj:+.9e}  cert {cand:+.9e}",
+                file=sys.stderr,
             )
 
         def _early_status() -> str:

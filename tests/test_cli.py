@@ -167,6 +167,15 @@ def test_density_matrix_source_parses_and_runs(tmp_path, capsys):
     assert record["status"] in ("optimal", "near-optimal")
 
 
+def test_rate_json_verbose_keeps_stdout_parseable(capsys):
+    code = cli.main(["rate", "fig3-green", "--json", "--verbose"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["status"] == "optimal"
+    assert "iter" in captured.err
+
+
 def test_sweep_csv_shape_and_monotone_eta(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli.main([
@@ -196,6 +205,34 @@ def test_sweep_is_byte_deterministic_across_runs_and_jobs(tmp_path, capsys):
         outs.append(path.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_sweep_jobs_validated_and_capped(monkeypatch, capsys):
+    argv = ["sweep", "fig3-green", "--param", "eta", "--from", "0.9", "--to", "1.0"]
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.main(argv + ["--steps", "2", "--jobs", "64"]) == 0
+    assert cli.main(argv + ["--steps", "6", "--jobs", "64"]) == 0
+    assert pools == [2, 4]
+    for jobs in ("0", "-3"):
+        assert cli.main(argv + ["--steps", "2", "--jobs", jobs]) == cli.EXIT_SCHEMA
+        assert "--jobs" in capsys.readouterr().err
+    assert pools == [2, 4]
 
 
 def test_sweep_records_per_point_errors_and_continues(tmp_path, capsys):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mdirand import mdi
+from mdirand import cli, mdi
+from mdirand.linalg import row_space_basis
 from mdirand.quantum import (
     ObservedStatistics,
     StateEnsemble,
     bloch_to_density,
+    double_ensemble,
+    double_statistics,
     extremal4,
     honest_statistics,
     povm_from_bloch,
@@ -106,6 +109,42 @@ def test_face_bases_noiseless_rank_one():
     for scen in (_fig3_blue(eta=1.0), _fig3_red(eta=1.0)):
         faces = mdi.face_bases(scen)
         assert all(v.shape == (2, 1) for v in faces)
+
+
+def _tomographic_doubled(eta):
+    single = _fig3_red(eta)
+    return mdi.Scenario(double_ensemble(single.ensemble), double_statistics(single.observed))
+
+
+def _preset(name):
+    return lambda eta: cli.realize(cli.load_scenario_spec(name), eta=eta)
+
+
+@pytest.mark.parametrize("make, spanning, ranks_noiseless", [
+    (_fig3_red, True, [1, 1]),
+    (_tomographic_doubled, True, [1, 1, 1, 1]),
+    (_preset("fig6-2s-m1"), False, [2, 1]),
+    (_preset("fig6-2s-m2"), False, [4, 2, 2, 1]),
+], ids=["tomographic", "tomographic-doubled", "fig6-2s-m1", "fig6-2s-m2"])
+def test_face_bases_spanning_and_zero_pattern_routes(make, spanning, ranks_noiseless,
+                                                     monkeypatch):
+    # spanning ensembles read the faces off the unique marginals N_x; the
+    # two-state sources fall back to the common kernel of zero-probability
+    # states. Ranks at eta = 1 pin the faces of either route; at eta = 0.9
+    # every face is full.
+    n_kept = []
+
+    def spy(gram):
+        out = row_space_basis(gram)
+        n_kept.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(mdi, "row_space_basis", spy)
+    for eta, ranks in ((0.9, None), (1.0, ranks_noiseless)):
+        scen = make(eta)
+        faces = mdi.face_bases(scen)
+        assert (n_kept[-1] == scen.dim ** 2) is spanning
+        assert [v.shape[1] for v in faces] == (ranks or [scen.dim] * len(faces))
 
 
 def test_face_bases_zero_probability_outcome_dropped():

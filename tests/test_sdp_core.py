@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mdirand import sdp_core as core
-from mdirand import mdi
+from mdirand import cli, mdi
 from mdirand.quantum import extremal4, povm_from_bloch, sigma_z_povm, tomographic_set
 
 
@@ -196,29 +197,42 @@ def test_preprocess_is_idempotent():
     assert rep.dropped_rows == []
 
 
-def test_gram_path_matches_dense_path(monkeypatch):
-    rng = np.random.default_rng(6)
-    p = _random_problem(rng, dims=(3, 2), m=5)
-    cons = list(p.constraints) + [{k: p.constraints[2][k] for k in range(p.n_blocks)}]
-    b = np.concatenate([p.b, [p.b[2]]])
-    raw1 = core.SdpProblem(p.block_dims, p.objective, cons, b)
-    raw2 = core.SdpProblem(
-        p.block_dims,
-        p.objective,
-        [{k: mm.copy() for k, mm in blk.items()} for blk in cons],
-        b.copy(),
-    )
-    dense_out, dense_rep = core.preprocess(raw1)
-    monkeypatch.setattr(core, "_DENSE_ENTRY_LIMIT", 0)
-    gram_out, gram_rep = core.preprocess(raw2)
-    assert any("gram" in n for n in gram_rep.notes)
-    assert gram_rep.kept_rows == dense_rep.kept_rows
-    assert gram_rep.dropped_rows == dense_rep.dropped_rows
-    assert np.allclose(gram_out.b, dense_out.b, atol=1e-12)
-    for blk_g, blk_d in zip(gram_out.constraints, dense_out.constraints):
-        assert sorted(blk_g) == sorted(blk_d)
-        for k in blk_g:
-            assert np.allclose(blk_g[k], blk_d[k], atol=1e-12)
+# every bundled preset whose raw SDP has at most about 130 rows
+SMALL_PRESETS = ["fig3-blue", "fig3-green", "fig3-red", "fig4", "fig5",
+                 "fig6-2s-m1", "fig6-4s-m1", "fig7-3o", "fig7-proj"]
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_row_selection_matches_dense_rank_oracle(name, monkeypatch):
+    raws = []
+
+    def capture(p, *args, **kwargs):
+        raws.append(p)
+        return core.preprocess(p, *args, **kwargs)
+
+    monkeypatch.setattr(mdi, "preprocess", capture)
+    _, rep = mdi.build_sdp(cli.realize(cli.load_scenario_spec(name)))
+    raw = raws[0]
+    assert rep.n_raw == raw.n_constraints <= 130
+    rows = _dense_rows(raw)
+    # project onto the row space once: every subset keeps its singular values
+    _, _, vt = np.linalg.svd(rows, full_matrices=False)
+    rows_c = rows @ vt.T
+    kept_before: list[int] = []
+    for i in range(raw.n_constraints):
+        with_i = np.linalg.matrix_rank(rows_c[kept_before + [i]], tol=1e-9)
+        without = np.linalg.matrix_rank(rows_c[kept_before], tol=1e-9) if kept_before else 0
+        if with_i > without:
+            kept_before.append(i)
+    assert rep.kept_rows == kept_before
+    g = core._gram_matrix(raw)
+    kept, dropped, l_kept = core.row_space_basis(g)
+    assert (kept, dropped) == (rep.kept_rows, rep.dropped_rows)
+    if dropped:
+        coeffs = sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)])
+        for j, i in enumerate(dropped):
+            resid = np.linalg.norm(rows[i] - coeffs[:, j] @ rows[kept])
+            assert resid < 1e-9 * max(1.0, np.linalg.norm(rows[i]))
 
 
 def test_dump_problem_format_and_determinism():
