@@ -12,10 +12,16 @@ Two accounting modes:
 
 * ``finite-q``: every round both generates and tests; the objective weights
   each input by its probability p_a and the classical side information cost
-  is the Shannon entropy of p_a.
+  is the Shannon entropy of p_a. The SDP keeps one operator family per
+  input, tied together by the input-independence constraints.
 * ``asymptotic``: vanishing test fraction; statistics constrain the device
   for every input but the objective only sees the generation state, and the
-  input cost is zero in the limit.
+  input cost is zero in the limit. The SDP has a single family M_{x,e}
+  that must reproduce every input's statistics. This is exact: input
+  independence makes every input's outcome marginal the same operator, so
+  the generation input's family of any feasible per-input strategy meets
+  all statistics with the same objective, and copying one family to every
+  input gives a feasible per-input strategy back.
 """
 from __future__ import annotations
 
@@ -236,20 +242,30 @@ def build_sdp(
 ) -> tuple[SdpProblem, PreprocessReport]:
     """Assemble and preprocess the guessing-probability SDP.
 
-    One PSD block per (input a, outcome x, guess e). Each block is first
-    compressed onto the certified range V_x of its outcome marginal (see
-    face_bases; the generic full-rank case keeps the full dimension d),
-    then embedded as a real block of twice the compressed size. Constraint
-    families, in order:
+    One PSD block per (family f, outcome x, guess e). ``finite-q`` keeps
+    one family M_{x,e|a} per input a, because its objective weighs every
+    input's guess. ``asymptotic`` uses a single family M_{x,e}: its
+    objective reads only the generation input, and with family iii every
+    input's outcome marginal is the same operator, so the generation
+    family of any feasible point meets every statistics row with the same
+    objective; conversely, copying one family to every input satisfies
+    i-iv. Both problems therefore have the same optimum.
 
-    i.   normalization: sum_{x,e} M_{x,e|a} = identity, d^2 rows per a;
-    ii.  guess-marginal proportionality: sum_x M_{x,e|a} is a multiple of
+    Each block is first compressed onto the certified range V_x of its
+    outcome marginal (see face_bases; the generic full-rank case keeps the
+    full dimension d), then embedded as a real block of twice the
+    compressed size. Constraint families, in order:
+
+    i.   normalization: sum_{x,e} M_{x,e|f} = identity, d^2 rows per f;
+    ii.  guess-marginal proportionality: sum_x M_{x,e|f} is a multiple of
          the identity (off-diagonals vanish, diagonals equal the first),
-         d^2 - 1 rows per (a, e);
-    iii. input independence of the outcome marginal: sum_e M_{x,e|a}
-         equals its a=1 counterpart, d^2 rows per (x, a > 1);
-    iv.  observed statistics, one row per (a, x); with relax > 0 each row
-         is widened to a +-relax band via three 1x1 slack blocks.
+         d^2 - 1 rows per (f, e);
+    iii. input independence of the outcome marginal (``finite-q`` only):
+         sum_e M_{x,e|a} equals its a=1 counterpart, d^2 rows per
+         (x, a > 1);
+    iv.  observed statistics, one row per (a, x) on input a's family; with
+         relax > 0 each row is widened to a +-relax band via three 1x1
+         slack blocks.
 
     Rows whose reduced coefficients all vanish are emitted only if their
     target is (numerically) zero; a nonzero target on an impossible
@@ -258,18 +274,20 @@ def build_sdp(
     d = scenario.dim
     n_s = scenario.n_states
     n_o = scenario.n_outcomes
+    finite_q = scenario.mode == MODE_FINITE_Q
+    n_fam = n_s if finite_q else 1
 
     faces = face_bases(scenario)
     r_dims = [v.shape[1] for v in faces]
 
     index: dict[tuple[int, int, int], int] = {}
     block_dims: list[int] = []
-    for a in range(n_s):
+    for f in range(n_fam):
         for x in range(n_o):
             if r_dims[x] == 0:
                 continue
             for e in range(n_o):
-                index[(a, x, e)] = len(block_dims)
+                index[(f, x, e)] = len(block_dims)
                 block_dims.append(2 * r_dims[x])
 
     basis = _hermitian_basis(d)
@@ -300,25 +318,25 @@ def build_sdp(
                 "constraint places a nonzero value on an impossible outcome"
             )
 
-    # i. normalization per input
-    for a in range(n_s):
+    # i. normalization per family
+    for f in range(n_fam):
         for j, h in enumerate(basis):
             push(
-                {index[(a, x, e)]: basis_x[x][j] for x in live for e in range(n_o)},
+                {index[(f, x, e)]: basis_x[x][j] for x in live for e in range(n_o)},
                 float(np.trace(h).real),
             )
 
     # ii. guess marginals proportional to the identity
-    for a in range(n_s):
+    for f in range(n_fam):
         for e in range(n_o):
             for j in range(len(traceless)):
-                push({index[(a, x, e)]: traceless_x[x][j] for x in live}, 0.0)
+                push({index[(f, x, e)]: traceless_x[x][j] for x in live}, 0.0)
 
-    # iii. outcome marginals independent of the input
-    for a in range(1, n_s):
+    # iii. outcome marginals independent of the input (per-input families only)
+    for f in range(1, n_fam):
         for x in live:
             for j in range(len(basis)):
-                row = {index[(a, x, e)]: basis_x[x][j] for e in range(n_o)}
+                row = {index[(f, x, e)]: basis_x[x][j] for e in range(n_o)}
                 for e in range(n_o):
                     row[index[(0, x, e)]] = -basis_x[x][j]
                 push(row, 0.0)
@@ -330,7 +348,8 @@ def build_sdp(
     one = np.ones((1, 1))
     n_main = len(block_dims)
     for a in range(n_s):
-        weight = float(probs[a]) if scenario.mode == MODE_FINITE_Q else 1.0
+        f = a if finite_q else 0
+        weight = float(probs[a]) if finite_q else 1.0
         for x in range(n_o):
             target = weight * float(cond[a, x])
             if x not in live:
@@ -339,7 +358,7 @@ def build_sdp(
                         "constraint places a nonzero value on an impossible outcome"
                     )
                 continue
-            row = {index[(a, x, e)]: weight * rho_x[x][a] for e in range(n_o)}
+            row = {index[(f, x, e)]: weight * rho_x[x][a] for e in range(n_o)}
             if relax > 0.0:
                 u = n_main + len(slack_dims)
                 slack_dims.extend([1, 1, 1])
@@ -354,14 +373,14 @@ def build_sdp(
     block_dims.extend(slack_dims)
 
     objective: dict[int, np.ndarray] = {}
-    if scenario.mode == MODE_FINITE_Q:
+    if finite_q:
         for a in range(n_s):
             if probs[a] > 0.0:
                 for x in live:
                     objective[index[(a, x, x)]] = float(probs[a]) * rho_x[x][a]
     else:
         for x in live:
-            objective[index[(gen, x, x)]] = rho_x[x][gen]
+            objective[index[(0, x, x)]] = rho_x[x][gen]
 
     raw = SdpProblem(
         block_dims=tuple(block_dims),
@@ -539,14 +558,16 @@ class EffectiveStrategy:
 
         Re-derives the outcome faces from the scenario (build_sdp is
         deterministic), de-embeds each compressed block and expands it back
-        to the full space as V S V^dag.
+        to the full space as V S V^dag. In asymptotic mode the SDP holds a
+        single family, which is copied to every input.
         """
         d = scenario.dim
         n_s, n_o = scenario.n_states, scenario.n_outcomes
+        n_fam = n_s if scenario.mode == MODE_FINITE_Q else 1
         faces = face_bases(scenario)
-        ops = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
+        ops = np.zeros((n_fam, n_o, n_o, d, d), dtype=complex)
         i = 0
-        for a in range(n_s):
+        for f in range(n_fam):
             for x in range(n_o):
                 v = faces[x]
                 r = v.shape[1]
@@ -559,8 +580,8 @@ class EffectiveStrategy:
                     im = 0.5 * (yb[r:, :r] - yb[:r, r:])
                     s = re + 1.0j * im
                     s = 0.5 * (s + s.conj().T)
-                    ops[a, x, e] = v @ s @ v.conj().T
-        return cls(ops)
+                    ops[f, x, e] = v @ s @ v.conj().T
+        return cls(np.broadcast_to(ops, (n_s,) + ops.shape[1:]).copy())
 
     def objective_value(self, scenario: Scenario) -> float:
         rho = [s.mat for s in scenario.ensemble.states]

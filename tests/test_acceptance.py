@@ -84,13 +84,10 @@ def test_6_two_copy_attack_never_beats_independent_attacks():
         for eta in (0.80, 0.85, 0.90, 0.95, 1.00):
             scen = mdi.honest_scenario(tomographic_set(), povm, eta=eta)
             assert mdi.two_copy_delta(scen) >= -1e-6, (povm.n_outcomes, eta)
-        assert time.monotonic() - t0 < 600.0
+        assert time.monotonic() - t0 < 120.0
 
 
 def test_7_per_qubit_rate_ordering_under_doubling():
-    # three-copy instances exceed the default constraint cap and run long;
-    # they are exercised manually via the fig6-2s-m3 preset with
-    # MDIRAND_MAX_CONSTRAINTS raised, not in this gate.
     povm = sigma_z_povm()
     four = tomographic_set()
     two = StateEnsemble(
@@ -105,6 +102,10 @@ def test_7_per_qubit_rate_ordering_under_doubling():
             assert m2 >= m1 - 1e-3
         else:
             assert m2 <= m1 + 1e-3
+    # the two-state source (the last pass above) keeps losing per-qubit
+    # rate at three copies
+    m3 = _rate(tensor_ensemble(two, 3), tensor_povm(povm, 3), eta=eta).rate_per_qubit
+    assert m3 <= m2 + 1e-3
 
 
 def _reference_optimum(problem):
