@@ -14,8 +14,6 @@ class Tolerances:
 
     hermitian: float = 1e-12        # max |h - h^dagger| entry allowed
     jacobi_off: float = 1e-12       # Jacobi sweep target for off-diagonal norm
-    eig_abs: float = 1e-10          # absolute eigenvalue accuracy contract
-    cholesky_residual: float = 1e-10  # ||L L^T - m|| <= tol * (1 + ||m||)
     consistency: float = 1e-8       # |b_dropped - reconstruction| allowed
     psd: float = 1e-10              # min eigenvalue >= -psd for PSD checks
     trace: float = 1e-10            # |trace - 1| for density matrices

@@ -9,6 +9,11 @@ Constraints and objective are block-sparse: dict mapping block index to a
 dense symmetric matrix. Complex Hermitian blocks enter through the real
 embedding with every matrix divided by 2 once at assembly, so b values and
 objective keep their complex-side meaning.
+
+SdpProblem holds the one representation of the constraint map A that
+preprocessing, the solver and the certificate all use: per block, the
+indices of the rows touching it and their coefficient matrices stacked.
+apply_constraints and adjoint are A and A* over those stacks.
 """
 from __future__ import annotations
 
@@ -49,8 +54,23 @@ class InfeasibleProblemError(ValueError):
 BlockMap = dict[int, np.ndarray]
 
 
+def _asymmetric(stack: np.ndarray) -> bool:
+    """True if some matrix m of the (n, s, s) stack has an entry of
+    |m - m^T| above 1e-12 * max(1, max|m|)."""
+    asym = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    return bool(np.any(asym > 1e-12 * scale))
+
+
 @dataclass
 class SdpProblem:
+    """Block SDP data; block_rows[k] and block_stacks[k] are built once.
+
+    block_rows[k] lists, in increasing order, the constraints that touch
+    block k, and block_stacks[k] stacks their coefficient matrices into an
+    (n_k, s_k, s_k) array (n_k may be 0).
+    """
+
     block_dims: tuple[int, ...]
     objective: BlockMap
     constraints: list[BlockMap]
@@ -58,6 +78,8 @@ class SdpProblem:
     preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
+    block_rows: list[np.ndarray] = field(init=False, repr=False)
+    block_stacks: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.b = np.asarray(self.b, dtype=float)
@@ -68,8 +90,18 @@ class SdpProblem:
                 s = self.block_dims[k]
                 if m.shape != (s, s):
                     raise ValueError("constraint block has wrong shape")
-                if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-                    raise ValueError("constraint blocks must be symmetric")
+        rows: list[list[int]] = [[] for _ in self.block_dims]
+        for i, blk_map in enumerate(self.constraints):
+            for k in blk_map:
+                rows[k].append(i)
+        self.block_rows = [np.array(r, dtype=np.intp) for r in rows]
+        self.block_stacks = [
+            np.stack([self.constraints[i][k] for i in r]) if r else np.zeros((0, s, s))
+            for k, (r, s) in enumerate(zip(rows, self.block_dims))
+        ]
+        objective = [m[None] for m in self.objective.values()]
+        if any(_asymmetric(st) for st in [*objective, *self.block_stacks]):
+            raise ValueError("constraint blocks must be symmetric")
 
     @property
     def n_constraints(self) -> int:
@@ -82,22 +114,16 @@ class SdpProblem:
     def apply_constraints(self, x_blocks: list[np.ndarray]) -> np.ndarray:
         """Evaluate the constraint map A(X)."""
         out = np.zeros(self.n_constraints)
-        for i, blk_map in enumerate(self.constraints):
-            out[i] = sum(float(np.sum(m * x_blocks[k])) for k, m in blk_map.items())
+        for idx, st, x in zip(self.block_rows, self.block_stacks, x_blocks):
+            out[idx] += st.reshape(len(idx), x.size) @ x.reshape(-1)
         return out
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
         """Evaluate the adjoint map A*(y) as dense blocks."""
-        out = [np.zeros((s, s)) for s in self.block_dims]
-        for i, blk_map in enumerate(self.constraints):
-            yi = y[i]
-            if yi != 0.0:
-                for k, m in blk_map.items():
-                    out[k] += yi * m
-        return out
-
-    def objective_value(self, x_blocks: list[np.ndarray]) -> float:
-        return sum(float(np.sum(m * x_blocks[k])) for k, m in self.objective.items())
+        return [
+            (y[idx] @ st.reshape(len(idx), s * s)).reshape(s, s)
+            for idx, st, s in zip(self.block_rows, self.block_stacks, self.block_dims)
+        ]
 
 
 @dataclass
@@ -148,17 +174,12 @@ class PreprocessReport:
 
 
 def _gram_matrix(p: SdpProblem) -> np.ndarray:
-    m = p.n_constraints
-    g = np.zeros((m, m))
-    touching: dict[int, list[int]] = {}
-    for i, blk_map in enumerate(p.constraints):
-        for k in blk_map:
-            touching.setdefault(k, []).append(i)
-    for k, rows in touching.items():
-        flat = np.stack([p.constraints[i][k].reshape(-1) for i in rows])
+    g = np.zeros((p.n_constraints, p.n_constraints))
+    for idx, st, s in zip(p.block_rows, p.block_stacks, p.block_dims):
+        flat = st.reshape(len(idx), s * s)
         gk = flat @ flat.T
         # symmetrized per block: no m x m temporaries
-        g[np.ix_(rows, rows)] += 0.5 * (gk + gk.T)
+        g[np.ix_(idx, idx)] += 0.5 * (gk + gk.T)
     return g
 
 

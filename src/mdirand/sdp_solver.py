@@ -3,7 +3,8 @@
 Infeasible-start path following with Mehrotra predictor-corrector steps in
 the HKM scaling. The Schur complement system is formed densely per
 iteration and factored by Cholesky; step lengths use fraction-to-boundary
-0.98 with bisection on Cholesky feasibility probes. Deterministic: fixed
+0.98 of the exact step to the PSD boundary, read off one batched
+eigenvalue call per block-size group. Deterministic: fixed
 initialization, fixed reduction order, no randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
@@ -71,163 +72,74 @@ class SolverOptions:
             raise ValueError("relax must be non-negative")
 
 
-class _Structure:
-    """Static per-block constraint stacks for fast operator evaluation."""
+def _min_eig_floor(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
+    """Estimate of min(0, smallest eigenvalue over all blocks); nan if not finite.
 
-    def __init__(self, p: SdpProblem) -> None:
-        self.dims = p.block_dims
-        self.n_blocks = len(p.block_dims)
-        self.rows: list[np.ndarray] = []
-        self.stacks: list[np.ndarray] = []
-        self.flats: list[np.ndarray] = []
-        touching: dict[int, list[int]] = {k: [] for k in range(self.n_blocks)}
-        for i, blk_map in enumerate(p.constraints):
-            for k in blk_map:
-                touching[k].append(i)
-        for k in range(self.n_blocks):
-            idx = np.array(touching[k], dtype=np.intp)
-            s = p.block_dims[k]
-            stack = np.stack(
-                [p.constraints[i][k] for i in touching[k]]
-            ) if touching[k] else np.zeros((0, s, s))
-            self.rows.append(idx)
-            self.stacks.append(stack)
-            self.flats.append(stack.reshape(len(idx), s * s))
-        self.size_groups: dict[int, list[int]] = {}
-        for k, s in enumerate(p.block_dims):
-            self.size_groups.setdefault(s, []).append(k)
-
-    def apply_a(self, blocks: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-        out.fill(0.0)
-        for k in range(self.n_blocks):
-            if len(self.rows[k]):
-                out[self.rows[k]] += self.flats[k] @ blocks[k].reshape(-1)
-        return out
-
-    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for k in range(self.n_blocks):
-            s = self.dims[k]
-            if len(self.rows[k]):
-                out.append((y[self.rows[k]] @ self.flats[k]).reshape(s, s))
-            else:
-                out.append(np.zeros((s, s)))
-        return out
-
-
-def _blocks_psd(struct: _Structure, blocks: list[np.ndarray]) -> bool:
-    for s, idxs in struct.size_groups.items():
-        batch = np.stack([blocks[k] for k in idxs])
-        try:
-            np.linalg.cholesky(batch)
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
-def _stack_by_size(struct: _Structure, blocks: list[np.ndarray]) -> dict[int, np.ndarray]:
-    return {
-        s: np.stack([blocks[k] for k in idxs])
-        for s, idxs in struct.size_groups.items()
-    }
-
-
-def _stacks_psd(stacks: dict[int, np.ndarray], shift: float = 0.0) -> bool:
-    for s, batch in stacks.items():
-        trial = batch if shift == 0.0 else batch - shift * np.eye(s)
-        try:
-            np.linalg.cholesky(trial)
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
-def _certified_min_eig_floor(stacks: dict[int, np.ndarray]) -> float:
-    """Lower bound on the smallest eigenvalue over all blocks.
-
-    A successful Cholesky of (block - t*I) certifies lambda_min > t, so the
-    returned value is sound by construction. Bisection starts from the
-    Gershgorin floor; 0.0 means all blocks are PSD as given.
+    One batched eigvalsh per block-size group. Not a certified bound: it
+    only steers the iterate choice, stall and infeasibility detection; the
+    reported bound is re-derived by the Jacobi certificate at the end.
     """
-    if _stacks_psd(stacks):
-        return 0.0
-    lo = 0.0
-    for batch in stacks.values():
-        diag = np.diagonal(batch, axis1=1, axis2=2)
-        radius = np.sum(np.abs(batch), axis=2) - np.abs(diag)
-        lo = min(lo, float(np.min(diag - radius)))
-    if lo >= 0.0:
-        lo = -1e-15
-    for _ in range(4):
-        if _stacks_psd(stacks, lo):
-            break
-        lo *= 4.0
-    else:
-        return -math.inf
-    hi = 0.0
-    for _ in range(26):
-        mid = 0.5 * (lo + hi)
-        if _stacks_psd(stacks, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    try:
+        lam = np.min([
+            np.min(np.linalg.eigvalsh(np.stack([blocks[k] for k in g]))) for g in groups
+        ])
+    except np.linalg.LinAlgError:  # non-finite entries
+        return math.nan
+    return float(np.minimum(0.0, lam))  # nan stays nan
 
 
 def _step_length(
-    struct: _Structure,
+    groups: list[list[int]],
     blocks: list[np.ndarray],
     deltas: list[np.ndarray],
     fraction: float,
 ) -> float:
-    """min(1, fraction * alpha_max) with alpha_max found by Cholesky probes."""
+    """min(1, fraction * alpha_max), alpha_max the largest step keeping
+    blocks + alpha_max * deltas PSD.
 
-    def probe(alpha: float) -> bool:
-        trial = [blocks[k] + alpha * deltas[k] for k in range(len(blocks))]
-        return _blocks_psd(struct, trial)
-
-    hi = 1.0 / fraction
-    if probe(hi):
-        return 1.0
-    lo = 0.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return max(fraction * lo, 0.0)
+    With L = chol(X), alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-T));
+    one batched Cholesky and one batched eigvalsh per block-size group.
+    Returns 0.0 when a block is not numerically positive definite or the
+    direction is not finite.
+    """
+    lams = []
+    try:
+        for g in groups:
+            l_inv = np.linalg.inv(np.linalg.cholesky(np.stack([blocks[k] for k in g])))
+            d = np.stack([deltas[k] for k in g])
+            lams.append(np.min(np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1))))
+        lam = float(np.min(lams))
+    except np.linalg.LinAlgError:
+        lam = math.nan
+    if math.isnan(lam):
+        return 0.0
+    return min(1.0, fraction / -lam) if lam < 0.0 else 1.0
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _min_slack_eigenvalue(slack_blocks: list[np.ndarray]) -> float:
-    val = math.inf
-    for blk in slack_blocks:
-        if blk.shape[0] == 1:
-            val = min(val, float(blk[0, 0]))
-        else:
-            val = min(val, float(jacobi_eigvalsh(blk)[0]))
-    return val
+def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """The true slack A*(y) - C and its smallest eigenvalue, by Jacobi."""
+    slack = [
+        a - p.objective[k] if k in p.objective else a
+        for k, a in enumerate(p.adjoint(y))
+    ]
+    min_eig = min(
+        float(blk[0, 0]) if blk.shape[0] == 1 else float(jacobi_eigvalsh(blk)[0])
+        for blk in slack
+    )
+    return slack, min_eig
 
 
-def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
-    """Hard upper bound on the primal optimum from the dual iterate of sol.
+def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
+    """Upper bound from a dual value b.y and its slack's smallest eigenvalue.
 
-    Recomputes the true slack A*(y) - C; if its smallest eigenvalue is
-    -eps < 0, the multipliers of the identity-reproducing direction are
-    shifted by eps, which is only possible when preprocessing found that
-    direction. Refuses when eps > 1e-4.
+    If min_eig is -eps < 0, the multipliers of the identity-reproducing
+    direction are shifted by eps, which is only possible when
+    preprocessing found that direction. Refuses when eps > 1e-4.
     """
-    adj = p.adjoint(sol.y)
-    slack = []
-    for k in range(p.n_blocks):
-        c_k = p.objective.get(k)
-        slack.append(adj[k] - c_k if c_k is not None else adj[k])
-    min_eig = _min_slack_eigenvalue(slack)
-    dual = float(p.b @ sol.y)
     eps = max(0.0, -min_eig)
     if eps == 0.0:
         return dual
@@ -240,6 +152,16 @@ def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
             "identity direction unavailable; cannot repair dual infeasibility"
         )
     return dual + eps * p.cert_b
+
+
+def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
+    """Hard upper bound on the primal optimum from the dual iterate of sol.
+
+    Recomputes the true slack A*(y) - C and shifts b.y along the identity
+    direction by its negative part, as solve does for its own bound.
+    """
+    _, min_eig = _dual_slack(p, sol.y)
+    return _shifted_bound(p, float(p.b @ sol.y), min_eig)
 
 
 def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
@@ -262,7 +184,12 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     if max(p.block_dims) > opts.max_block_dim:
         raise ValueError("a block exceeds the solver dimension cap")
 
-    struct = _Structure(p)
+    # block indices grouped by block size, for batched linear algebra
+    by_size: dict[int, list[int]] = {}
+    for k, s in enumerate(p.block_dims):
+        by_size.setdefault(s, []).append(k)
+    groups = list(by_size.values())
+    n_blocks = p.n_blocks
     m = p.n_constraints
     n_total = float(sum(p.block_dims))
     c_blocks = [
@@ -278,8 +205,6 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     c_scale = 1.0 + max(float(np.linalg.norm(c)) for c in c_blocks)
 
     schur = np.empty((m, m))
-    ax = np.empty(m)
-    work = np.empty(m)
     log: list[IterationRecord] = []
     best: dict | None = None
     bound_best: dict | None = None
@@ -302,18 +227,17 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             }
 
     for it in range(opts.max_iter + 1):
-        struct.apply_a(x, ax)
-        rp = p.b - ax
-        adj = struct.adjoint(y)
-        rd = [c_blocks[k] - adj[k] + z[k] for k in range(struct.n_blocks)]
-        pobj = sum(float(np.sum(c_blocks[k] * x[k])) for k in range(struct.n_blocks))
+        rp = p.b - p.apply_constraints(x)
+        adj = p.adjoint(y)
+        rd = [c_blocks[k] - adj[k] + z[k] for k in range(n_blocks)]
+        pobj = sum(float(np.sum(c_blocks[k] * x[k])) for k in range(n_blocks))
         dobj = float(p.b @ y)
-        compl = sum(float(np.sum(x[k] * z[k])) for k in range(struct.n_blocks))
+        compl = sum(float(np.sum(x[k] * z[k])) for k in range(n_blocks))
         mu = compl / n_total
         denom = 1.0 + abs(pobj) + abs(dobj)
         rel_gap = max(compl, abs(dobj - pobj)) / denom
         rp_inf = float(np.max(np.abs(rp)))
-        rd_norm = max(float(np.linalg.norm(rd[k])) for k in range(struct.n_blocks))
+        rd_norm = max(float(np.linalg.norm(rd[k])) for k in range(n_blocks))
 
         if not (math.isfinite(pobj) and math.isfinite(dobj) and math.isfinite(compl)):
             status = NUMERICAL_FAILURE
@@ -322,14 +246,14 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         score = max(rel_gap / opts.gap_tol, rp_inf / opts.feas_tol, rd_norm / opts.feas_tol)
         record_best(score)
 
-        # weak-duality certificate for this iterate: A*(y) - C = Z - Rd exactly,
-        # so a certified eigenvalue floor turns b.y into a hard upper bound
-        slack_now = [z[k] - rd[k] for k in range(struct.n_blocks)]
-        floor = _certified_min_eig_floor(_stack_by_size(struct, slack_now))
+        # weak-duality estimate for this iterate: A*(y) - C = Z - Rd exactly,
+        # so the slack's eigenvalue floor turns b.y into an upper bound
+        slack_now = [z[k] - rd[k] for k in range(n_blocks)]
+        floor = _min_eig_floor(groups, slack_now)
         cand = math.nan
         if floor == 0.0:
             cand = dobj
-        elif math.isfinite(floor) and -floor <= 1e-4 and p.cert_vector is not None:
+        elif -floor <= 1e-4 and p.cert_vector is not None:
             cand = dobj - floor * p.cert_b
         bound_progress = False
         if math.isfinite(cand):
@@ -351,7 +275,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             dual_residual=rd_norm,
             step_primal=0.0,
             step_dual=0.0,
-            x_norm=max(float(np.linalg.norm(x[k])) for k in range(struct.n_blocks)),
+            x_norm=max(float(np.linalg.norm(x[k])) for k in range(n_blocks)),
             y_norm=float(np.linalg.norm(y)),
             certified_bound=cand,
         ))
@@ -375,7 +299,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             status = INFEASIBLE
             break
         if math.isfinite(cand) and cand < -1e10 * c_scale * max(1.0, b_scale):
-            # certified dual objective diverging below any plausible optimum:
+            # dual bound estimate diverging below any plausible optimum:
             # the dual is following an unbounded improving ray, the standard
             # signature of an infeasible primal
             status = INFEASIBLE
@@ -394,17 +318,16 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
 
         # factor Z blocks and assemble the Schur complement S_ij = tr(A_i X A_j Z^-1)
         try:
-            zinv = [_sym(np.linalg.inv(z[k])) for k in range(struct.n_blocks)]
+            zinv = [_sym(np.linalg.inv(z[k])) for k in range(n_blocks)]
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
         schur.fill(0.0)
-        for k in range(struct.n_blocks):
-            idx = struct.rows[k]
+        for k, (idx, st) in enumerate(zip(p.block_rows, p.block_stacks)):
             if not len(idx):
                 continue
-            w = x[k] @ struct.stacks[k] @ zinv[k]
-            schur[np.ix_(idx, idx)] += struct.flats[k] @ w.reshape(len(idx), -1).T
+            w = x[k] @ st @ zinv[k]
+            schur[np.ix_(idx, idx)] += st.reshape(len(idx), -1) @ w.reshape(len(idx), -1).T
         schur_sym = _sym(schur)
         factor = None
         jitter = 0.0
@@ -433,27 +356,21 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             return dy
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
-        work.fill(0.0)
-        for k in range(struct.n_blocks):
-            idx = struct.rows[k]
-            if len(idx):
-                t = x[k] @ rd[k] @ zinv[k]
-                work[idx] += struct.flats[k] @ t.reshape(-1)
-        hxrz = work.copy()
+        hxrz = p.apply_constraints([x[k] @ rd[k] @ zinv[k] for k in range(n_blocks)])
 
         # predictor: affine direction (target nu = 0, Rc = -X)
         rhs_aff = hxrz - p.b
         dy_aff = _solve_schur(rhs_aff)
-        adj_aff = struct.adjoint(dy_aff)
-        dz_aff = [adj_aff[k] - rd[k] for k in range(struct.n_blocks)]
+        adj_aff = p.adjoint(dy_aff)
+        dz_aff = [adj_aff[k] - rd[k] for k in range(n_blocks)]
         dx_aff = [
-            -x[k] - _sym(x[k] @ dz_aff[k] @ zinv[k]) for k in range(struct.n_blocks)
+            -x[k] - _sym(x[k] @ dz_aff[k] @ zinv[k]) for k in range(n_blocks)
         ]
-        ap_aff = _step_length(struct, x, dx_aff, opts.step_fraction)
-        ad_aff = _step_length(struct, z, dz_aff, opts.step_fraction)
+        ap_aff = _step_length(groups, x, dx_aff, opts.step_fraction)
+        ad_aff = _step_length(groups, z, dz_aff, opts.step_fraction)
         mu_aff = sum(
             float(np.sum((x[k] + ap_aff * dx_aff[k]) * (z[k] + ad_aff * dz_aff[k])))
-            for k in range(struct.n_blocks)
+            for k in range(n_blocks)
         ) / n_total
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 1e-8
         # late-stage safeguard: keep the barrier from collapsing while the
@@ -470,22 +387,21 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         # corrector with Mehrotra second-order term
         rc = [
             nu * zinv[k] - x[k] - _sym(dx_aff[k] @ dz_aff[k] @ zinv[k])
-            for k in range(struct.n_blocks)
+            for k in range(n_blocks)
         ]
-        struct.apply_a(rc, work)
-        rhs = work + hxrz - rp
+        rhs = p.apply_constraints(rc) + hxrz - rp
         dy = _solve_schur(rhs)
-        adj_c = struct.adjoint(dy)
-        dz = [adj_c[k] - rd[k] for k in range(struct.n_blocks)]
-        dx = [rc[k] - _sym(x[k] @ dz[k] @ zinv[k]) for k in range(struct.n_blocks)]
-        alpha_p = _step_length(struct, x, dx, opts.step_fraction)
-        alpha_d = _step_length(struct, z, dz, opts.step_fraction)
+        adj_c = p.adjoint(dy)
+        dz = [adj_c[k] - rd[k] for k in range(n_blocks)]
+        dx = [rc[k] - _sym(x[k] @ dz[k] @ zinv[k]) for k in range(n_blocks)]
+        alpha_p = _step_length(groups, x, dx, opts.step_fraction)
+        alpha_d = _step_length(groups, z, dz, opts.step_fraction)
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             status = _early_status()
             break
         log[-1].step_primal = alpha_p
         log[-1].step_dual = alpha_d
-        for k in range(struct.n_blocks):
+        for k in range(n_blocks):
             x[k] = _sym(x[k] + alpha_p * dx[k])
             z[k] = _sym(z[k] + alpha_d * dz[k])
         y = y + alpha_d * dy
@@ -493,22 +409,15 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     assert best is not None
     x_best = best["x"]
     y_out = bound_best["y"] if bound_best is not None else best["y"]
-    adj = p.adjoint(y_out)
-    slack = [
-        adj[k] - c_blocks[k] for k in range(struct.n_blocks)
-    ]
-    # the official certificate re-derives the eigenvalue floor with the
-    # deterministic Jacobi routine rather than the in-loop Cholesky probes
-    min_eig = _min_slack_eigenvalue(slack)
+    # the official certificate re-derives the eigenvalue with the
+    # deterministic Jacobi routine rather than the in-loop estimate
+    slack, min_eig = _dual_slack(p, y_out)
     dual_out = float(p.b @ y_out)
     certified = math.nan
     if status != INFEASIBLE:
-        eps = max(0.0, -min_eig)
-        if eps == 0.0:
-            certified = dual_out
-        elif eps <= 1e-4 and p.cert_vector is not None:
-            certified = dual_out + eps * p.cert_b
-        else:
+        try:
+            certified = _shifted_bound(p, dual_out, min_eig)
+        except CertificationError:
             status = NUMERICAL_FAILURE
 
     return SdpSolution(

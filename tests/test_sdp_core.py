@@ -38,9 +38,11 @@ def test_problem_rejects_wrong_block_shape():
 
 
 def test_problem_rejects_asymmetric_constraint():
+    # an asymmetric constraint block, then an asymmetric objective block
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        core.SdpProblem((2,), {0: np.eye(2)}, [{0: a}], np.array([1.0]))
+    for objective, constraint in ((np.eye(2), a), (a, np.eye(2))):
+        with pytest.raises(ValueError, match="symmetric"):
+            core.SdpProblem((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
 def test_problem_rejects_b_length_mismatch():
@@ -49,15 +51,25 @@ def test_problem_rejects_b_length_mismatch():
 
 
 def test_adjoint_is_adjoint_of_constraint_map():
-    # <A(X), y> = <X, A*(y)> is the defining identity; random data
+    # <A(X), y> = <X, A*(y)> is the defining identity; random data, then
+    # the same with a third block that no constraint touches
     rng = np.random.default_rng(7)
     p = _random_problem(rng)
-    xs = [_sym(rng.standard_normal((s, s))) for s in p.block_dims]
-    y = rng.standard_normal(p.n_constraints)
-    lhs = float(p.apply_constraints(xs) @ y)
-    adj = p.adjoint(y)
-    rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(p.n_blocks))
-    assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
+    untouched = core.SdpProblem(p.block_dims + (2,), p.objective, p.constraints, p.b)
+    assert len(untouched.block_rows[2]) == 0
+    for q in (p, untouched):
+        xs = [_sym(rng.standard_normal((s, s))) for s in q.block_dims]
+        y = rng.standard_normal(q.n_constraints)
+        rows = _dense_rows(q)
+        ax = q.apply_constraints(xs)
+        assert np.allclose(ax, rows @ np.concatenate([x.reshape(-1) for x in xs]),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(core._gram_matrix(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
+        lhs = float(ax @ y)
+        adj = q.adjoint(y)
+        rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(q.n_blocks))
+        assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
+    assert np.array_equal(untouched.adjoint(y)[2], np.zeros((2, 2)))
 
 
 def test_duplicate_constraint_removed_and_reported():

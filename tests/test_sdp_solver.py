@@ -8,6 +8,7 @@ from mdirand import sdp_core as core
 from mdirand.sdp_solver import (
     CertificationError,
     SolverOptions,
+    _step_length,
     certify_upper_bound,
     solve,
 )
@@ -147,6 +148,37 @@ def test_certify_refuses_without_identity_direction():
     bad = dataclasses.replace(sol, y=np.array([math.sqrt(2.0) * (1.0 + 1e-5)]))
     with pytest.raises(CertificationError):
         certify_upper_bound(p, bad)
+
+
+def _min_eig(blocks):
+    return min(float(np.linalg.eigvalsh(blk)[0]) for blk in blocks)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_step_length_matches_eigvalsh_oracle(seed):
+    # random PD blocks of mixed sizes (1x1 included), grouped by size as the
+    # solver groups them, against numpy.linalg.eigvalsh on each trial point
+    rng = np.random.default_rng(300 + seed)
+    dims = [3, 1, 4, 3, 1, 2]
+    groups = [[0, 3], [1, 4], [2], [5]]
+    fraction = 0.98
+    xs = []
+    for s in dims:
+        r = rng.standard_normal((s, s))
+        xs.append(r @ r.T + 0.1 * np.eye(s))
+    x_norm = max(np.linalg.norm(x, 2) for x in xs)
+    for scale in (0.05, 0.5, 5.0):
+        ds = [scale * _sym(rng.standard_normal((s, s))) for s in dims]
+        alpha = _step_length(groups, xs, ds, fraction)
+        assert 0.0 < alpha <= 1.0
+        assert _min_eig([x + alpha * d for x, d in zip(xs, ds)]) > 0.0
+        if alpha == 1.0:
+            assert _min_eig([x + d / fraction for x, d in zip(xs, ds)]) > 0.0
+        else:
+            edge = [x + (alpha / fraction) * d for x, d in zip(xs, ds)]
+            assert abs(_min_eig(edge)) <= 1e-9 * x_norm
+    psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
+    assert _step_length(groups, xs, psd, fraction) == 1.0
 
 
 def test_weak_duality_on_logged_iterates():
