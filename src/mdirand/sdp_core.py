@@ -64,11 +64,13 @@ def _asymmetric(stack: np.ndarray) -> bool:
 
 @dataclass
 class SdpProblem:
-    """Block SDP data; block_rows[k] and block_stacks[k] are built once.
+    """Block SDP data; block_rows, block_stacks and size_groups are built once.
 
     block_rows[k] lists, in increasing order, the constraints that touch
     block k, and block_stacks[k] stacks their coefficient matrices into an
-    (n_k, s_k, s_k) array (n_k may be 0).
+    (n_k, s_k, s_k) array (n_k may be 0). size_groups lists the block
+    indices of each block size, sizes in order of first appearance, for
+    batched linear algebra over equal-size blocks.
     """
 
     block_dims: tuple[int, ...]
@@ -80,6 +82,7 @@ class SdpProblem:
     cert_b: float = float("nan")           # b . w
     block_rows: list[np.ndarray] = field(init=False, repr=False)
     block_stacks: list[np.ndarray] = field(init=False, repr=False)
+    size_groups: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.b = np.asarray(self.b, dtype=float)
@@ -99,6 +102,10 @@ class SdpProblem:
             np.stack([self.constraints[i][k] for i in r]) if r else np.zeros((0, s, s))
             for k, (r, s) in enumerate(zip(rows, self.block_dims))
         ]
+        by_size: dict[int, list[int]] = {}
+        for k, s in enumerate(self.block_dims):
+            by_size.setdefault(s, []).append(k)
+        self.size_groups = list(by_size.values())
         objective = [m[None] for m in self.objective.values()]
         if any(_asymmetric(st) for st in [*objective, *self.block_stacks]):
             raise ValueError("constraint blocks must be symmetric")
@@ -128,6 +135,16 @@ class SdpProblem:
 
 @dataclass
 class IterationRecord:
+    """One interior-point iteration as logged by solve.
+
+    certified_bound is an estimate, not a certificate: b.y shifted along
+    the identity direction by an eigvalsh estimate of the floor of Z - Rd
+    (which equals A*(y) - C up to rounding); nan when that floor is not
+    finite, below -1e-4, or negative with no identity direction.
+    Only SdpSolution.certified_upper_bound is recomputed from the slack
+    A*(y) - C itself.
+    """
+
     iteration: int
     mu: float
     primal_objective: float

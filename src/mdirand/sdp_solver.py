@@ -8,11 +8,15 @@ eigenvalue call per block-size group. Deterministic: fixed
 initialization, fixed reduction order, no randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
-primal optimum. When the final slack has a small negative eigenvalue -eps,
-adding eps times the certificate direction (multipliers that reproduce the
-identity on every block) restores dual feasibility, so
-b.y + eps * (b . w_identity) is still a hard upper bound. That shifted
-value is what certified_upper_bound reports.
+primal optimum (weak duality). At the end the slack is recomputed from y
+and its smallest eigenvalue read with one batched LAPACK eigvalsh per
+block-size group. When that eigenvalue is -eps < 0, adding eps times the
+certificate direction (multipliers that reproduce the identity on every
+block) restores dual feasibility, so b.y + eps * (b . w_identity) is still
+an upper bound. That shifted value is what certified_upper_bound reports.
+It rests on a backward-stable floating-point eigenvalue, not a verified
+one; an exact verifier is still open (see ROADMAP.md). The per-iteration
+bounds in the log are estimates read from Z - Rd, not from A*(y) - C.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import DEFAULT_TOLS
-from .linalg import jacobi_eigvalsh
+from .linalg import jacobi_eigvalsh  # noqa: F401  not called; perfbench/spans.py wraps this name
 from .sdp_core import (
     INFEASIBLE,
     NEAR_OPTIMAL,
@@ -72,20 +76,28 @@ class SolverOptions:
             raise ValueError("relax must be non-negative")
 
 
+def _min_eigenvalue(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
+    """Smallest eigenvalue over all blocks; nan if an entry is not finite.
+
+    One batched LAPACK eigvalsh per block-size group; each matrix is read
+    from its lower triangle.
+    """
+    try:
+        return float(np.min([
+            np.min(np.linalg.eigvalsh(np.stack([blocks[k] for k in g]))) for g in groups
+        ]))
+    except np.linalg.LinAlgError:  # non-finite entries
+        return math.nan
+
+
 def _min_eig_floor(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
     """Estimate of min(0, smallest eigenvalue over all blocks); nan if not finite.
 
-    One batched eigvalsh per block-size group. Not a certified bound: it
-    only steers the iterate choice, stall and infeasibility detection; the
-    reported bound is re-derived by the Jacobi certificate at the end.
+    Used on Z - Rd inside the loop, where it only steers the iterate
+    choice, stall and infeasibility detection; the reported bound is
+    re-derived from the recomputed slack A*(y) - C at the end.
     """
-    try:
-        lam = np.min([
-            np.min(np.linalg.eigvalsh(np.stack([blocks[k] for k in g]))) for g in groups
-        ])
-    except np.linalg.LinAlgError:  # non-finite entries
-        return math.nan
-    return float(np.minimum(0.0, lam))  # nan stays nan
+    return float(np.minimum(0.0, _min_eigenvalue(groups, blocks)))  # nan stays nan
 
 
 def _step_length(
@@ -121,16 +133,20 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The true slack A*(y) - C and its smallest eigenvalue, by Jacobi."""
+    """The true slack A*(y) - C, symmetrized, and its smallest eigenvalue.
+
+    The eigenvalue comes from _min_eigenvalue over p.size_groups. LAPACK's
+    eigvalsh is backward stable: its eigenvalues are exact for some S + E
+    with ||E||_2 of order n * u * ||S||_2 (u = 2**-53, n the block size).
+    That is no weaker than linalg's cyclic Jacobi routine, whose stopping
+    rule (off-diagonal norm <= 1e-12 * max(1, ||S||_F)) only guarantees
+    its eigenvalues to that size. Neither is a verified bound.
+    """
     slack = [
-        a - p.objective[k] if k in p.objective else a
+        _sym(a - p.objective[k] if k in p.objective else a)
         for k, a in enumerate(p.adjoint(y))
     ]
-    min_eig = min(
-        float(blk[0, 0]) if blk.shape[0] == 1 else float(jacobi_eigvalsh(blk)[0])
-        for blk in slack
-    )
-    return slack, min_eig
+    return slack, _min_eigenvalue(p.size_groups, slack)
 
 
 def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
@@ -138,8 +154,13 @@ def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
 
     If min_eig is -eps < 0, the multipliers of the identity-reproducing
     direction are shifted by eps, which is only possible when
-    preprocessing found that direction. Refuses when eps > 1e-4.
+    preprocessing found that direction. Refuses when eps > 1e-4 or when
+    b.y or min_eig is not finite.
     """
+    if not (math.isfinite(dual) and math.isfinite(min_eig)):
+        raise CertificationError(
+            f"cannot certify dual value {dual} with slack eigenvalue {min_eig}"
+        )
     eps = max(0.0, -min_eig)
     if eps == 0.0:
         return dual
@@ -184,11 +205,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     if max(p.block_dims) > opts.max_block_dim:
         raise ValueError("a block exceeds the solver dimension cap")
 
-    # block indices grouped by block size, for batched linear algebra
-    by_size: dict[int, list[int]] = {}
-    for k, s in enumerate(p.block_dims):
-        by_size.setdefault(s, []).append(k)
-    groups = list(by_size.values())
+    groups = p.size_groups
     n_blocks = p.n_blocks
     m = p.n_constraints
     n_total = float(sum(p.block_dims))
@@ -246,8 +263,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         score = max(rel_gap / opts.gap_tol, rp_inf / opts.feas_tol, rd_norm / opts.feas_tol)
         record_best(score)
 
-        # weak-duality estimate for this iterate: A*(y) - C = Z - Rd exactly,
-        # so the slack's eigenvalue floor turns b.y into an upper bound
+        # weak-duality estimate for this iterate: A*(y) - C = Z - Rd up to
+        # rounding, so the floor of Z - Rd turns b.y into an estimated bound
         slack_now = [z[k] - rd[k] for k in range(n_blocks)]
         floor = _min_eig_floor(groups, slack_now)
         cand = math.nan
@@ -283,7 +300,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             print(
                 f"iter {it:3d}  mu {mu:9.2e}  gap {rel_gap:9.2e}  "
                 f"rp {rp_inf:9.2e}  rd {rd_norm:9.2e}  pobj {pobj:+.9e}  "
-                f"dobj {dobj:+.9e}  cert {cand:+.9e}",
+                f"dobj {dobj:+.9e}  est {cand:+.9e}",
                 file=sys.stderr,
             )
 
@@ -409,8 +426,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     assert best is not None
     x_best = best["x"]
     y_out = bound_best["y"] if bound_best is not None else best["y"]
-    # the official certificate re-derives the eigenvalue with the
-    # deterministic Jacobi routine rather than the in-loop estimate
+    # the reported bound recomputes the slack A*(y) - C from y rather than
+    # trusting the in-loop Z - Rd; same eigenvalue kernel as the loop
     slack, min_eig = _dual_slack(p, y_out)
     dual_out = float(p.b @ y_out)
     certified = math.nan

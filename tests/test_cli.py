@@ -1,7 +1,9 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,9 +340,13 @@ def test_invalid_solver_flag_is_schema_error(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child process imports the same mdirand as this one, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mdirand", "rate", "fig3-green", "--json"],
         capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "optimal"

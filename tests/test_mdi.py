@@ -366,3 +366,20 @@ def test_single_family_matches_per_input_doubled_rates(name):
     detail = mdi.two_copy_detail(cli.realize(cli.load_scenario_spec(name)))
     assert detail.doubled.ok
     assert abs(detail.doubled.rate_bits - PER_INPUT_DOUBLED_RATES[name]) <= 1e-7
+
+
+@pytest.mark.parametrize("name", cli.preset_names())
+def test_recovered_strategy_brackets_certified_bound(name):
+    # a check that needs no reference solver: the strategy read back from
+    # the primal blocks is feasible at the default tolerance, so its value
+    # lower-bounds the optimum that the certified bound sits above
+    from mdirand.sdp_solver import solve
+
+    scen = cli.realize(cli.load_scenario_spec(name))
+    prob, _ = mdi.build_sdp(scen)
+    sol = solve(prob)
+    strat = mdi.EffectiveStrategy.from_solution(scen, sol)
+    strat.validate(scen)
+    lower = strat.objective_value(scen)
+    assert lower <= sol.certified_upper_bound + 1e-9
+    assert sol.certified_upper_bound - lower <= 1e-6

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from mdirand import cli, mdi
 from mdirand import sdp_core as core
+from mdirand.linalg import jacobi_eigvalsh
+from mdirand.quantum import double_ensemble, double_statistics
 from mdirand.sdp_solver import (
     CertificationError,
     SolverOptions,
+    _dual_slack,
+    _min_eigenvalue,
     _step_length,
     certify_upper_bound,
     solve,
@@ -148,6 +153,66 @@ def test_certify_refuses_without_identity_direction():
     bad = dataclasses.replace(sol, y=np.array([math.sqrt(2.0) * (1.0 + 1e-5)]))
     with pytest.raises(CertificationError):
         certify_upper_bound(p, bad)
+
+
+@pytest.mark.parametrize("y", [[1e308, -math.inf], [math.nan, math.nan]])
+def test_certify_refuses_non_finite_dual(y):
+    # b.y is -inf or nan and the slack has nan entries: max(0, -nan) is 0,
+    # so without a finiteness guard this would pass as "no shift needed"
+    p = _prep((2,), {0: np.diag([1.0, 2.0])},
+              [{0: np.eye(2)}, {0: np.diag([1.0, 0.0])}], [2.0, 0.5])
+    sol = solve(p)
+    with np.errstate(invalid="ignore"), pytest.raises(CertificationError):
+        certify_upper_bound(p, dataclasses.replace(sol, y=np.array(y)))
+
+
+def _jacobi_min(blocks):
+    return min(float(jacobi_eigvalsh(blk)[0]) for blk in blocks)
+
+
+def _doubled(scen):
+    g = scen.generation_index - 1
+    return mdi.Scenario(double_ensemble(scen.ensemble), double_statistics(scen.observed),
+                        mode=scen.mode, generation_index=g * scen.n_states + g + 1)
+
+
+@pytest.mark.parametrize("name, doubled", [
+    ("fig3-blue", False), ("fig6-2s-m2", False), ("fig6-4s-m2", False), ("fig7-3o", True),
+])
+def test_slack_eigenvalue_matches_jacobi_on_presets(name, doubled):
+    # the batched LAPACK minimum over the final slack agrees with the
+    # per-block cyclic Jacobi minimum to Jacobi's own stopping tolerance
+    scen = cli.realize(cli.load_scenario_spec(name))
+    p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    sol = solve(p)
+    slack = sol.slack_blocks
+    lam = _min_eigenvalue(p.size_groups, slack)
+    scale = max(1.0, max(float(np.linalg.norm(blk)) for blk in slack))
+    assert abs(lam - _jacobi_min(slack)) <= 1e-12 * scale
+    assert sol.dual_min_eigenvalue == lam
+    assert certify_upper_bound(p, sol) == sol.certified_upper_bound
+
+
+@pytest.mark.parametrize("worst", [2, 3, 4])
+def test_slack_eigenvalue_reads_every_size_group(worst):
+    # sizes (1, 3, 2, 3, 1) group as [0, 4], [1, 3], [2]; the most negative
+    # slack eigenvalue sits in block `worst`: the later size-2 group, the
+    # second block of the size-3 group, or the second 1x1 block
+    dims = (1, 3, 2, 3, 1)
+    rng = np.random.default_rng(50 + worst)
+    obj = {}
+    for k, s in enumerate(dims):
+        q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+        top = 1.0 + 1e-6 if k == worst else 0.9 - 0.1 * k
+        obj[k] = _sym(q @ np.diag(np.linspace(top, top - 1.0, s)) @ q.T)
+    p = _prep(dims, obj, [{k: np.eye(s) for k, s in enumerate(dims)}], [1.0])
+    assert p.size_groups == [[0, 4], [1, 3], [2]]
+    # y = w makes A*(y) the identity, so the slack is I - C with floor -1e-6
+    slack, lam = _dual_slack(p, p.cert_vector)
+    assert abs(lam + 1e-6) <= 1e-12
+    assert abs(lam - _jacobi_min(slack)) <= 1e-12
+    sol = dataclasses.replace(solve(p), y=p.cert_vector)
+    assert certify_upper_bound(p, sol) == float(p.b @ p.cert_vector) - lam * p.cert_b
 
 
 def _min_eig(blocks):
