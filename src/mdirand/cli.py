@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import Pool
 from pathlib import Path

@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerances for validation and factorization routines.
+    """Numeric tolerances of the validation and preprocessing checks.
 
-    One instance with the library defaults is exposed as DEFAULT_TOLS;
-    functions accept an override where behaviour should be tunable.
+    A record of constants: the one instance DEFAULT_TOLS is what the
+    library reads, so each value is named and set in one place.
     """
 
     hermitian: float = 1e-12        # max |h - h^dagger| entry allowed
-    jacobi_off: float = 1e-12       # Jacobi sweep target for off-diagonal norm
     consistency: float = 1e-8       # |b_dropped - reconstruction| allowed
     psd: float = 1e-10              # min eigenvalue >= -psd for PSD checks
     trace: float = 1e-10            # |trace - 1| for density matrices

@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels for small Hermitian problems.
 
 Pure functions; inputs are never mutated. Matrices are plain numpy arrays
-(complex Hermitian or real symmetric), kept small by design (dim <= 32 on
-the complex side, 64 after real embedding).
+(complex Hermitian or real symmetric), kept small by design (dim <= 32).
+Every eigenvalue and eigenvector the library uses comes from LAPACK;
+jacobi_eigvalsh is a pure-Python reference that only the tests call.
 """
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ from .config import DEFAULT_TOLS
 
 __all__ = [
     "NotHermitianError",
-    "NotPositiveDefiniteError",
     "ConvergenceError",
-    "kron",
     "is_hermitian",
     "require_hermitian",
     "real_embed",
     "jacobi_eigvalsh",
-    "jacobi_eigh",
     "eigh_hermitian",
     "min_eigenvalue",
-    "cholesky_spd",
     "row_space_basis",
 ]
 
@@ -33,17 +30,8 @@ class NotHermitianError(ValueError):
     pass
 
 
-class NotPositiveDefiniteError(ValueError):
-    pass
-
-
 class ConvergenceError(RuntimeError):
     pass
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> bool:
@@ -75,12 +63,18 @@ def real_embed(h: np.ndarray) -> np.ndarray:
     return np.block([[a, -b], [b, a]])
 
 
-def _jacobi_core(
+def jacobi_eigvalsh(
     a: np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    want_vectors: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    tol: float = 1e-12,
+    max_sweeps: int = 100,
+) -> np.ndarray:
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi sweeps.
+
+    Deterministic row-cyclic pivot order; converges when the off-diagonal
+    Frobenius norm drops below tol * max(1, ||a||_F). Returns eigenvalues
+    sorted ascending. Nothing in the library calls it: the tests keep it as
+    a reference independent of LAPACK.
+    """
     m = np.array(a, dtype=float, copy=True)
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
@@ -88,17 +82,14 @@ def _jacobi_core(
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.max(np.abs(m), initial=0.0)):
         raise ValueError("matrix is not symmetric")
     m = 0.5 * (m + m.T)
-    vecs = np.eye(n) if want_vectors else None
     if n == 1:
-        return m[0, :1].copy(), vecs
+        return m[0, :1].copy()
     scale = max(1.0, float(np.linalg.norm(m)))
     offdiag = ~np.eye(n, dtype=bool)
     for _ in range(max_sweeps):
         off = float(np.linalg.norm(m[offdiag]))
         if off <= tol * scale:
-            order = np.argsort(np.diag(m), kind="stable")
-            vals = np.diag(m)[order]
-            return vals, (vecs[:, order] if vecs is not None else None)
+            return np.sort(np.diag(m), kind="stable")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = m[p, q]
@@ -121,100 +112,30 @@ def _jacobi_core(
                 m[q, :] = s * row_p + c * row_q
                 m[p, q] = 0.0
                 m[q, p] = 0.0
-                if vecs is not None:
-                    v_p = vecs[:, p].copy()
-                    v_q = vecs[:, q].copy()
-                    vecs[:, p] = c * v_p - s * v_q
-                    vecs[:, q] = s * v_p + c * v_q
     raise ConvergenceError("jacobi sweeps did not converge")
 
 
-def jacobi_eigvalsh(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOLS.jacobi_off,
-    max_sweeps: int = 100,
-) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi sweeps.
+def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK eigh.
 
-    Deterministic row-cyclic pivot order; converges when the off-diagonal
-    Frobenius norm drops below tol * max(1, ||a||_F). Returns eigenvalues
-    sorted ascending.
-    """
-    vals, _ = _jacobi_core(a, tol, max_sweeps, want_vectors=False)
-    return vals
-
-
-def jacobi_eigh(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOLS.jacobi_off,
-    max_sweeps: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a real symmetric matrix.
-
-    Same cyclic Jacobi iteration as jacobi_eigvalsh with the rotations
-    accumulated; column k of the returned matrix belongs to eigenvalue k,
-    ascending. The vectors are orthonormal by construction.
-    """
-    vals, vecs = _jacobi_core(a, tol, max_sweeps, want_vectors=True)
-    assert vecs is not None
-    return vals, vecs
-
-
-def eigh_hermitian(
-    h: np.ndarray,
-    tol: float = DEFAULT_TOLS.jacobi_off,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix.
-
-    Runs Jacobi on the real embedding, where every eigenvalue appears twice
-    (an eigenvector u and its phase partner i*u embed to orthogonal real
-    vectors). The duplicates are collapsed by a greedy complex
-    Gram-Schmidt pass over the embedded eigenvectors in ascending order.
+    Returns ascending eigenvalues and orthonormal eigenvectors as complex
+    columns. If every imaginary entry is at most 1e-12 * max(1, ||h||_F),
+    i.e. rounding noise on a real operator, the real solver runs on h.real,
+    so the eigenvectors come out exactly real; the complex solver would
+    return them with arbitrary phases.
     """
     h = require_hermitian(h)
-    if not np.iscomplexobj(h) or np.max(np.abs(np.imag(h))) == 0.0:
-        vals, vecs = jacobi_eigh(np.real(h).astype(float), tol=tol)
+    scale = max(1.0, float(np.linalg.norm(h)))
+    if np.max(np.abs(np.imag(h)), initial=0.0) <= 1e-12 * scale:
+        vals, vecs = np.linalg.eigh(np.real(h))
         return vals, vecs.astype(complex)
-    d = h.shape[0]
-    vals2, vecs2 = jacobi_eigh(real_embed(h), tol=tol)
-    kept_vals: list[float] = []
-    kept_vecs: list[np.ndarray] = []
-    for j in range(2 * d):
-        u = vecs2[:d, j] + 1j * vecs2[d:, j]
-        for w in kept_vecs:
-            u = u - np.vdot(w, u) * w
-        nrm = float(np.linalg.norm(u))
-        if nrm > 0.5:
-            kept_vals.append(float(vals2[j]))
-            kept_vecs.append(u / nrm)
-    if len(kept_vals) != d:
-        raise ConvergenceError("embedded eigenvector pairing failed")
-    return np.array(kept_vals), np.column_stack(kept_vecs)
+    return np.linalg.eigh(h)
 
 
 def min_eigenvalue(h: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Complex input is reduced to the real symmetric embedding first (the
-    embedding doubles multiplicities, leaving the minimum unchanged).
-    """
+    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh)."""
     h = require_hermitian(h, tol)
-    if np.iscomplexobj(h) and np.max(np.abs(np.imag(h))) > 0.0:
-        m = real_embed(h)
-    else:
-        m = np.real(h).astype(float)
-    return float(jacobi_eigvalsh(m)[0])
-
-
-def cholesky_spd(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    try:
-        return np.linalg.cholesky(0.5 * (m + m.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("not positive definite") from exc
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:

@@ -47,7 +47,6 @@ from .sdp_core import (
     INFEASIBLE,
     NEAR_OPTIMAL,
     OPTIMAL,
-    NUMERICAL_FAILURE,
     InfeasibleProblemError,
     PreprocessReport,
     SdpProblem,
@@ -144,26 +143,6 @@ def _hermitian_basis(d: int) -> list[np.ndarray]:
             a[l, k] = -1.0j
             basis.append(a)
     return basis
-
-
-def _traceless_basis(d: int) -> list[np.ndarray]:
-    """Span of deviations from multiples of the identity: d^2 - 1 elements."""
-    out = []
-    for k in range(d):
-        for l in range(k + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[k, l] = s[l, k] = 1.0
-            out.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[k, l] = 1.0j
-            a[l, k] = -1.0j
-            out.append(a)
-    for k in range(1, d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        e[0, 0] = -1.0
-        out.append(e)
-    return out
 
 
 def _emb(h: np.ndarray) -> np.ndarray:
@@ -291,7 +270,9 @@ def build_sdp(
                 block_dims.append(2 * r_dims[x])
 
     basis = _hermitian_basis(d)
-    traceless = _traceless_basis(d)
+    # deviations from multiples of the identity: off-diagonal elements and
+    # e_kk - e_00, d^2 - 1 of them
+    traceless = basis[d:] + [basis[k] - basis[0] for k in range(1, d)]
     rhos = [s.mat for s in scenario.ensemble.states]
     probs = scenario.ensemble.probs
     cond = scenario.observed.conditionals

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from . import linalg
 
 __all__ = [
@@ -347,7 +347,7 @@ def tensor_ensemble(base: StateEnsemble, copies: int) -> StateEnsemble:
         m = base.states[combo[0]].mat
         p = float(base.probs[combo[0]])
         for a in combo[1:]:
-            m = linalg.kron(m, base.states[a].mat)
+            m = np.kron(m, base.states[a].mat)
             p *= float(base.probs[a])
         states.append(DensityMatrix(m))
         probs.append(p)
@@ -364,7 +364,7 @@ def tensor_povm(base: Povm, copies: int) -> Povm:
     for combo in itertools.product(range(base.n_outcomes), repeat=copies):
         e = base.elements[combo[0]]
         for x in combo[1:]:
-            e = linalg.kron(e, base.elements[x])
+            e = np.kron(e, base.elements[x])
         elems.append(e)
     return Povm(tuple(elems))
 

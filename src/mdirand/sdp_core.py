@@ -1,4 +1,4 @@
-"""Block-diagonal SDP container, preprocessing and debug dump.
+"""Block-diagonal SDP container and preprocessing.
 
 Problems are stated over real symmetric block variables:
 
@@ -17,14 +17,13 @@ apply_constraints and adjoint are A and A* over those stacks.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .linalg import row_space_basis
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "IterationRecord",
     "PreprocessReport",
     "preprocess",
-    "dump_problem",
 ]
 
 OPTIMAL = "optimal"
@@ -200,10 +198,7 @@ def _gram_matrix(p: SdpProblem) -> np.ndarray:
     return g
 
 
-def preprocess(
-    p: SdpProblem,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[SdpProblem, PreprocessReport]:
+def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop dependent constraint rows, check consistency, rescale.
 
     Rows are selected in order from their Gram matrix by row_space_basis.
@@ -227,8 +222,8 @@ def preprocess(
         coeffs = sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)], check_finite=False)
         resid = np.abs(p.b[dropped] - b_kept @ coeffs)
         max_resid = float(np.max(resid))
-        if max_resid > tols.consistency:
-            j = int(np.argmax(resid > tols.consistency))
+        if max_resid > DEFAULT_TOLS.consistency:
+            j = int(np.argmax(resid > DEFAULT_TOLS.consistency))
             raise InfeasibleProblemError(
                 f"constraint {dropped[j]} contradicts the rows it depends on "
                 f"(residual {resid[j]:.3e})"
@@ -275,26 +270,3 @@ def preprocess(
     )
     return out, report
 
-
-def dump_problem(p: SdpProblem, fp=None) -> str:
-    """Readable text dump (block sizes, b, dense objective and constraints)."""
-    buf = io.StringIO()
-    buf.write("sdp-problem\n")
-    buf.write("block_dims: " + " ".join(str(s) for s in p.block_dims) + "\n")
-    buf.write(f"n_constraints: {p.n_constraints}\n")
-
-    def write_blocks(blk_map: BlockMap) -> None:
-        for k in sorted(blk_map):
-            buf.write(f"  block {k}\n")
-            for row in blk_map[k]:
-                buf.write("    " + " ".join(format(v, ".17g") for v in row) + "\n")
-
-    buf.write("objective\n")
-    write_blocks(p.objective)
-    for i, blk_map in enumerate(p.constraints):
-        buf.write(f"constraint {i} b {format(p.b[i], '.17g')}\n")
-        write_blocks(blk_map)
-    text = buf.getvalue()
-    if fp is not None:
-        fp.write(text)
-    return text

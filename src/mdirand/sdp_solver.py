@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT_TOLS
-from .linalg import jacobi_eigvalsh  # noqa: F401  not called; perfbench/spans.py wraps this name
+# not called: the benchmark traces this name; the import goes when
+# ROADMAP item 1 drops that span target
+from .linalg import jacobi_eigvalsh  # noqa: F401
 from .sdp_core import (
     INFEASIBLE,
     NEAR_OPTIMAL,

@@ -2,38 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mdirand import linalg
 from mdirand.linalg import (
     ConvergenceError,
     NotHermitianError,
-    NotPositiveDefiniteError,
-    cholesky_spd,
+    eigh_hermitian,
     jacobi_eigvalsh,
-    kron,
     min_eigenvalue,
     real_embed,
     row_space_basis,
 )
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
-
-
-def test_kron_sigma_z_pair_matches_sign_table():
-    # oracle: enumerate <ab| sz (x) sz |ab> = (-1)^(a+b) by hand
-    t = kron(SZ, SZ)
-    expected = np.diag([1.0, -1.0, -1.0, 1.0])
-    assert np.array_equal(t, expected.astype(complex))
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b, c, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4))
-        lhs = kron(a @ c, b @ d)
-        rhs = kron(a, b) @ kron(c, d)
-        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_min_eigenvalue_qubit_state_spectrum():
@@ -53,6 +33,27 @@ def test_min_eigenvalue_agrees_with_lapack_oracle():
             assert min_eigenvalue(h) == pytest.approx(
                 float(np.linalg.eigvalsh(h)[0]), abs=1e-10
             )
+
+
+def test_eigh_hermitian_matches_lapack_oracle():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4, 8):
+        for _ in range(5):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = a + a.conj().T
+            vals, vecs = eigh_hermitian(h)
+            assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
+            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) < 1e-12
+            assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h)) < 1e-12
+            # a real operator, exact or with rounding noise in its imaginary
+            # part, gets exactly real eigenvectors
+            s = h.real
+            b = rng.standard_normal((n, n))
+            for real_op in (s, s + 1e-16j * (b - b.T)):
+                vals, vecs = eigh_hermitian(real_op)
+                assert np.all(vecs.imag == 0.0)
+                assert np.max(np.abs(vals - np.linalg.eigvalsh(s))) < 1e-12
+                assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - s)) < 1e-12
 
 
 def test_min_eigenvalue_rejects_non_hermitian():
@@ -128,25 +129,6 @@ def test_real_embed_psd_iff_complex_psd():
         assert np.linalg.eigvalsh(real_embed(g))[0] >= -1e-10
 
 
-def test_cholesky_spd_worked_example():
-    l = cholesky_spd(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    assert np.allclose(l, np.array([[2.0, 0.0], [1.0, 2.0]]), atol=1e-12)
-
-
-def test_cholesky_spd_hilbert_roundtrip():
-    n = 4
-    h = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
-    l = cholesky_spd(h)
-    assert np.tril(l).tolist() == l.tolist()
-    resid = np.max(np.abs(l @ l.T - h))
-    assert resid < 1e-10 * (1.0 + np.linalg.norm(h))
-
-
-def test_cholesky_spd_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-        cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 def _dropped_coeffs(rows, kept, dropped, l_kept):
     g = rows @ rows.T
     return sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)])
@@ -212,9 +194,11 @@ def test_linalg_functions_do_not_mutate_inputs():
     a = rng.standard_normal((4, 4))
     s = a + a.T
     snap = s.copy()
-    jacobi_eigvalsh(s)
-    assert np.array_equal(s, snap)
-    spd = s @ s.T + 5 * np.eye(4)
-    snap2 = spd.copy()
-    cholesky_spd(spd)
-    assert np.array_equal(spd, snap2)
+    h = s + 1j * (a - a.T)
+    snap_h = h.copy()
+    for fn in (jacobi_eigvalsh, eigh_hermitian, min_eigenvalue):
+        fn(s)
+        assert np.array_equal(s, snap)
+    for fn in (eigh_hermitian, min_eigenvalue):
+        fn(h)
+        assert np.array_equal(h, snap_h)

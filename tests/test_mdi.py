@@ -383,3 +383,35 @@ def test_recovered_strategy_brackets_certified_bound(name):
     lower = strat.objective_value(scen)
     assert lower <= sol.certified_upper_bound + 1e-9
     assert sol.certified_upper_bound - lower <= 1e-6
+
+
+def test_production_paths_call_no_jacobi(monkeypatch):
+    # every eigenvalue and face comes from LAPACK: the Jacobi kernels stay
+    # only as a test reference, so the pipeline must run with them broken
+    from mdirand import linalg, sdp_solver
+    from mdirand.sdp_solver import solve
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a production path called a Jacobi kernel")
+
+    for module in (linalg, sdp_solver):
+        for attr in list(vars(module)):
+            if attr.startswith(("jacobi", "_jacobi")):
+                monkeypatch.setattr(module, attr, boom)
+    for name in ("fig3-blue", "fig3-red", "fig6-4s-m2"):
+        scen = cli.realize(cli.load_scenario_spec(name))
+        assert mdi.guessing_probability(scen).ok
+    scen = cli.realize(cli.load_scenario_spec("fig3-blue"))
+    prob, _ = mdi.build_sdp(scen)
+    mdi.EffectiveStrategy.from_solution(scen, solve(prob)).validate(scen)
+
+
+@pytest.mark.parametrize("name", [
+    "fig3-green", "fig3-red", "fig4", "fig5", "fig6-2s-m1", "fig6-2s-m2",
+    "fig6-2s-m3", "fig6-4s-m1", "fig6-4s-m2", "fig7-proj",
+])
+def test_real_scenarios_get_exactly_real_faces(name):
+    # these scenarios have real marginals N_x (up to lstsq rounding), so
+    # each face must be exactly real, as a real-block SDP needs
+    faces = mdi.face_bases(cli.realize(cli.load_scenario_spec(name)))
+    assert all(np.all(v.imag == 0.0) for v in faces)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -246,21 +244,3 @@ def test_row_selection_matches_dense_rank_oracle(name, monkeypatch):
         for j, i in enumerate(dropped):
             resid = np.linalg.norm(rows[i] - coeffs[:, j] @ rows[kept])
             assert resid < 1e-9 * max(1.0, np.linalg.norm(rows[i]))
-
-
-def test_dump_problem_format_and_determinism():
-    rng = np.random.default_rng(8)
-    p, _ = core.preprocess(_random_problem(rng, dims=(2,), m=2))
-    text = core.dump_problem(p)
-    assert text.startswith("sdp-problem\n")
-    assert "block_dims: 2" in text
-    assert "n_constraints: 2" in text
-    assert "objective" in text and "constraint 0 b " in text
-    assert core.dump_problem(p) == text
-    buf = io.StringIO()
-    assert core.dump_problem(p, buf) == buf.getvalue() == text
-    # every printed number must round-trip through float()
-    for line in text.splitlines():
-        if line.startswith("    "):
-            for tok in line.split():
-                float(tok)
