@@ -71,7 +71,6 @@ _ENV_FIELDS = {
     "max_iter": int,
     "relax": float,
     "max_constraints": int,
-    "max_block_dim": int,
 }
 
 
@@ -448,10 +447,9 @@ def _solver_options(args) -> SolverOptions:
             val = _env_override(field)
         if val is not None:
             kwargs[field] = val
-    for field in ("max_constraints", "max_block_dim"):
-        val = _env_override(field)
-        if val is not None:
-            kwargs[field] = val
+    val = _env_override("max_constraints")
+    if val is not None:
+        kwargs["max_constraints"] = val
     if getattr(args, "verbose", False):
         kwargs["verbose"] = True
     try:
@@ -629,16 +627,10 @@ def _validate_report(spec: ScenarioSpec) -> list[tuple[str, str, str]]:
     def stats_ok():
         if spec.statistics is None:
             raise SkipCheck("honest device generates the table")
+        # the table rule of realize; the input distribution has its own check
         table = np.array(_untup(spec.statistics), dtype=float)
-        if table.ndim != 2:
-            raise ValueError("conditionals must form a 2-d table")
-        if np.any(table < -1e-12) or np.any(table > 1.0 + 1e-12):
-            raise ValueError("entries must lie in [0, 1]")
-        sums = table.sum(axis=1)
-        bad = np.argmax(np.abs(sums - 1.0))
-        if abs(sums[bad] - 1.0) > 1e-9:
-            raise ValueError(f"row {bad} sums to {sums[bad]:.6g}, not 1")
-        return f"{table.shape[0]} rows, {table.shape[1]} outcomes"
+        obs = ObservedStatistics(table, np.full(len(table), 1.0 / len(table)))
+        return f"{obs.n_states} rows, {obs.n_outcomes} outcomes"
 
     def build_ok():
         scen = realize(spec)

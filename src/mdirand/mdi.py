@@ -77,6 +77,9 @@ __all__ = [
 MODE_ASYMPTOTIC = "asymptotic"
 MODE_FINITE_Q = "finite-q"
 
+# face eigenvalues at or below this times max(1, lambda_max) count as zero
+FACE_TOL_ZERO = 1e-11
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -150,7 +153,7 @@ def _emb(h: np.ndarray) -> np.ndarray:
     return 0.5 * real_embed(h)
 
 
-def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
+def face_bases(scenario: Scenario) -> list[np.ndarray]:
     """Range certificates V_x for the effective measurement operators.
 
     Every feasible family satisfies M_{x,e|a} <= N_x where N_x is the
@@ -159,7 +162,7 @@ def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
 
     * spanning ensemble (states span the Hermitian space): N_x is the
       unique operator reproducing column x, and its eigenvectors with
-      eigenvalue above tol_zero * max(1, lambda_max) form V_x;
+      eigenvalue above FACE_TOL_ZERO * max(1, lambda_max) form V_x;
     * otherwise, every exactly-zero entry P(x|a) forces N_x to annihilate
       the support of state a, so V_x spans the common kernel.
 
@@ -201,7 +204,7 @@ def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
                     f"outcome {x}: statistics force a marginal with "
                     f"eigenvalue {vals[0]:.3e}"
                 )
-            cut = tol_zero * max(1.0, float(vals[-1]))
+            cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
             faces.append(vecs[:, vals > cut])
     else:
         for x in range(n_o):
@@ -211,7 +214,7 @@ def face_bases(scenario: Scenario, tol_zero: float = 1e-11) -> list[np.ndarray]:
                 continue
             f = sum(rhos[a] for a in zeros)
             vals, vecs = eigh_hermitian(f)
-            cut = tol_zero * max(1.0, float(vals[-1]))
+            cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
             faces.append(vecs[:, vals <= cut])
     return faces
 
@@ -243,8 +246,8 @@ def build_sdp(
          sum_e M_{x,e|a} equals its a=1 counterpart, d^2 rows per
          (x, a > 1);
     iv.  observed statistics, one row per (a, x) on input a's family; with
-         relax > 0 each row is widened to a +-relax band via three 1x1
-         slack blocks.
+         relax > 0 each row is widened to a +-relax band by two 1x1 slack
+         blocks t, t': stat + t = target + relax and t + t' = 2 relax.
 
     Rows whose reduced coefficients all vanish are emitted only if their
     target is (numerically) zero; a nonzero target on an impossible
@@ -342,11 +345,11 @@ def build_sdp(
             row = {index[(f, x, e)]: weight * rho_x[x][a] for e in range(n_o)}
             if relax > 0.0:
                 u = n_main + len(slack_dims)
-                slack_dims.extend([1, 1, 1])
-                row[u] = -one
-                row[u + 1] = one
-                slack_rows.append({u: one, u + 1: one, u + 2: one})
-                slack_b.append(relax)
+                slack_dims.extend([1, 1])
+                row[u] = one
+                target += relax
+                slack_rows.append({u: one, u + 1: one})
+                slack_b.append(2.0 * relax)
             constraints.append(row)
             b_vals.append(target)
     constraints.extend(slack_rows)

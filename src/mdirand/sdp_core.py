@@ -135,12 +135,11 @@ class SdpProblem:
 class IterationRecord:
     """One interior-point iteration as logged by solve.
 
-    certified_bound is an estimate, not a certificate: b.y shifted along
-    the identity direction by an eigvalsh estimate of the floor of Z - Rd
-    (which equals A*(y) - C up to rounding); nan when that floor is not
-    finite, below -1e-4, or negative with no identity direction.
-    Only SdpSolution.certified_upper_bound is recomputed from the slack
-    A*(y) - C itself.
+    certified_bound is the certificate of this iterate's y: b.y shifted
+    along the identity direction by the negative part of the smallest
+    eigenvalue of the recomputed slack A*(y) - C; nan when that eigenvalue
+    is not finite, below -1e-4, or negative with no identity direction.
+    SdpSolution.certified_upper_bound is the smallest of them.
     """
 
     iteration: int

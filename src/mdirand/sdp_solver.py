@@ -3,20 +3,21 @@
 Infeasible-start path following with Mehrotra predictor-corrector steps in
 the HKM scaling. The Schur complement system is formed densely per
 iteration and factored by Cholesky; step lengths use fraction-to-boundary
-0.98 of the exact step to the PSD boundary, read off one batched
+STEP_FRACTION of the exact step to the PSD boundary, read off one batched
 eigenvalue call per block-size group. Deterministic: fixed
 initialization, fixed reduction order, no randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
-primal optimum (weak duality). At the end the slack is recomputed from y
+primal optimum (weak duality). Every iterate's slack is recomputed from y
 and its smallest eigenvalue read with one batched LAPACK eigvalsh per
 block-size group. When that eigenvalue is -eps < 0, adding eps times the
 certificate direction (multipliers that reproduce the identity on every
 block) restores dual feasibility, so b.y + eps * (b . w_identity) is still
-an upper bound. That shifted value is what certified_upper_bound reports.
-It rests on a backward-stable floating-point eigenvalue, not a verified
-one; an exact verifier is still open (see ROADMAP.md). The per-iteration
-bounds in the log are estimates read from Z - Rd, not from A*(y) - C.
+an upper bound (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
+That one rule gives each logged bound and certified_upper_bound, the
+smallest of them. It rests on a backward-stable floating-point
+eigenvalue, not a verified one; an exact verifier is still open (see
+ROADMAP.md).
 """
 from __future__ import annotations
 
@@ -57,20 +58,19 @@ class CertificationError(SolverError):
     pass
 
 
+STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
     relax: float = 0.0          # half-width of the statistics band, 0 = exact
-    max_block_dim: int = 1024
     max_constraints: int = 5000
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
         if self.gap_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.relax < 0:
@@ -89,16 +89,6 @@ def _min_eigenvalue(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
         ]))
     except np.linalg.LinAlgError:  # non-finite entries
         return math.nan
-
-
-def _min_eig_floor(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
-    """Estimate of min(0, smallest eigenvalue over all blocks); nan if not finite.
-
-    Used on Z - Rd inside the loop, where it only steers the iterate
-    choice, stall and infeasibility detection; the reported bound is
-    re-derived from the recomputed slack A*(y) - C at the end.
-    """
-    return float(np.minimum(0.0, _min_eigenvalue(groups, blocks)))  # nan stays nan
 
 
 def _step_length(
@@ -139,9 +129,7 @@ def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
     The eigenvalue comes from _min_eigenvalue over p.size_groups. LAPACK's
     eigvalsh is backward stable: its eigenvalues are exact for some S + E
     with ||E||_2 of order n * u * ||S||_2 (u = 2**-53, n the block size).
-    That is no weaker than linalg's cyclic Jacobi routine, whose stopping
-    rule (off-diagonal norm <= 1e-12 * max(1, ||S||_F)) only guarantees
-    its eigenvalues to that size. Neither is a verified bound.
+    That is not a verified bound.
     """
     slack = [
         _sym(a - p.objective[k] if k in p.objective else a)
@@ -180,7 +168,7 @@ def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
     """Hard upper bound on the primal optimum from the dual iterate of sol.
 
     Recomputes the true slack A*(y) - C and shifts b.y along the identity
-    direction by its negative part, as solve does for its own bound.
+    direction by its negative part, as solve does for every iterate.
     """
     _, min_eig = _dual_slack(p, sol.y)
     return _shifted_bound(p, float(p.b @ sol.y), min_eig)
@@ -189,7 +177,8 @@ def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
 def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Maximize the problem objective; always returns a solution record.
 
-    The returned certified_upper_bound is valid whenever finite, regardless
+    The returned y is the iterate with the smallest certified bound, and
+    certified_upper_bound is that bound, valid whenever finite regardless
     of termination status (it only depends on weak duality plus the
     identity-shift repair). Status reports iterate quality: optimal when
     gap and residuals meet the tolerances, near-optimal within 100x.
@@ -203,8 +192,6 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         raise ValueError(
             f"{p.n_constraints} constraints exceed the cap {opts.max_constraints}"
         )
-    if max(p.block_dims) > opts.max_block_dim:
-        raise ValueError("a block exceeds the solver dimension cap")
 
     groups = p.size_groups
     n_blocks = p.n_blocks
@@ -238,7 +225,6 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 "x": [b.copy() for b in x],
                 "y": y.copy(),
                 "pobj": pobj,
-                "dobj": dobj,
                 "rp": rp_inf,
                 "rd": rd_norm,
                 "gap": dobj - pobj,
@@ -246,8 +232,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
 
     for it in range(opts.max_iter + 1):
         rp = p.b - p.apply_constraints(x)
-        adj = p.adjoint(y)
-        rd = [c_blocks[k] - adj[k] + z[k] for k in range(n_blocks)]
+        slack, min_eig = _dual_slack(p, y)
+        rd = [z[k] - slack[k] for k in range(n_blocks)]
         pobj = sum(float(np.sum(c_blocks[k] * x[k])) for k in range(n_blocks))
         dobj = float(p.b @ y)
         compl = sum(float(np.sum(x[k] * z[k])) for k in range(n_blocks))
@@ -264,23 +250,18 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         score = max(rel_gap / opts.gap_tol, rp_inf / opts.feas_tol, rd_norm / opts.feas_tol)
         record_best(score)
 
-        # weak-duality estimate for this iterate: A*(y) - C = Z - Rd up to
-        # rounding, so the floor of Z - Rd turns b.y into an estimated bound
-        slack_now = [z[k] - rd[k] for k in range(n_blocks)]
-        floor = _min_eig_floor(groups, slack_now)
-        cand = math.nan
-        if floor == 0.0:
-            cand = dobj
-        elif -floor <= 1e-4 and p.cert_vector is not None:
-            cand = dobj - floor * p.cert_b
+        try:
+            bound = _shifted_bound(p, dobj, min_eig)
+        except CertificationError:
+            bound = math.nan
         bound_progress = False
-        if math.isfinite(cand):
-            if bound_best is None or cand < bound_best["value"] - max(
-                1e-10, 1e-9 * (1.0 + abs(cand))
+        if math.isfinite(bound):
+            if bound_best is None or bound < bound_best["value"] - max(
+                1e-10, 1e-9 * (1.0 + abs(bound))
             ):
                 bound_progress = True
-            if bound_best is None or cand < bound_best["value"]:
-                bound_best = {"value": cand, "y": y.copy(), "dobj": dobj}
+            if bound_best is None or bound < bound_best["value"]:
+                bound_best = {"value": bound, "y": y.copy()}
 
         log.append(IterationRecord(
             iteration=it,
@@ -295,13 +276,13 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             step_dual=0.0,
             x_norm=max(float(np.linalg.norm(x[k])) for k in range(n_blocks)),
             y_norm=float(np.linalg.norm(y)),
-            certified_bound=cand,
+            certified_bound=bound,
         ))
         if opts.verbose:
             print(
                 f"iter {it:3d}  mu {mu:9.2e}  gap {rel_gap:9.2e}  "
                 f"rp {rp_inf:9.2e}  rd {rd_norm:9.2e}  pobj {pobj:+.9e}  "
-                f"dobj {dobj:+.9e}  est {cand:+.9e}",
+                f"dobj {dobj:+.9e}  cert {bound:+.9e}",
                 file=sys.stderr,
             )
 
@@ -316,9 +297,9 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         if rp_inf > 1e8 * b_scale:
             status = INFEASIBLE
             break
-        if math.isfinite(cand) and cand < -1e10 * c_scale * max(1.0, b_scale):
-            # dual bound estimate diverging below any plausible optimum:
-            # the dual is following an unbounded improving ray, the standard
+        if math.isfinite(bound) and bound < -1e10 * c_scale * max(1.0, b_scale):
+            # certified bound diverging below any plausible optimum: the
+            # dual is following an unbounded improving ray, the standard
             # signature of an infeasible primal
             status = INFEASIBLE
             break
@@ -384,8 +365,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         dx_aff = [
             -x[k] - _sym(x[k] @ dz_aff[k] @ zinv[k]) for k in range(n_blocks)
         ]
-        ap_aff = _step_length(groups, x, dx_aff, opts.step_fraction)
-        ad_aff = _step_length(groups, z, dz_aff, opts.step_fraction)
+        ap_aff = _step_length(groups, x, dx_aff, STEP_FRACTION)
+        ad_aff = _step_length(groups, z, dz_aff, STEP_FRACTION)
         mu_aff = sum(
             float(np.sum((x[k] + ap_aff * dx_aff[k]) * (z[k] + ad_aff * dz_aff[k])))
             for k in range(n_blocks)
@@ -412,8 +393,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         adj_c = p.adjoint(dy)
         dz = [adj_c[k] - rd[k] for k in range(n_blocks)]
         dx = [rc[k] - _sym(x[k] @ dz[k] @ zinv[k]) for k in range(n_blocks)]
-        alpha_p = _step_length(groups, x, dx, opts.step_fraction)
-        alpha_d = _step_length(groups, z, dz, opts.step_fraction)
+        alpha_p = _step_length(groups, x, dx, STEP_FRACTION)
+        alpha_d = _step_length(groups, z, dz, STEP_FRACTION)
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             status = _early_status()
             break
@@ -427,8 +408,6 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     assert best is not None
     x_best = best["x"]
     y_out = bound_best["y"] if bound_best is not None else best["y"]
-    # the reported bound recomputes the slack A*(y) - C from y rather than
-    # trusting the in-loop Z - Rd; same eigenvalue kernel as the loop
     slack, min_eig = _dual_slack(p, y_out)
     dual_out = float(p.b @ y_out)
     certified = math.nan

@@ -307,6 +307,25 @@ def test_validate_bad_bloch_norm_reports_state_failure(tmp_path, capsys):
     assert "check(s) failed" in out
 
 
+def test_validate_statistics_uses_the_rate_rule(tmp_path, capsys):
+    # a row off 1 by 5e-10 is inside a 1e-9 tolerance but outside the
+    # 1e-10 that ObservedStatistics, and so rate, allows
+    scen = {
+        "schema_version": 1,
+        "mode": "asymptotic",
+        "source": {"kind": "bloch", "vectors": [[0.0, 0.0, 1.0]]},
+        "statistics": {"conditionals": [[0.5, 0.5000000005]]},
+    }
+    path = tmp_path / "offsum.json"
+    path.write_text(json.dumps(scen))
+    assert cli.main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "statistics table: FAIL" in out
+    assert "scenario build: FAIL" in out
+    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
+    capsys.readouterr()
+
+
 def test_validate_extremal4_preset_all_pass(capsys):
     assert cli.main(["validate", "fig3-blue"]) == 0
     out = capsys.readouterr().out

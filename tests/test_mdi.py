@@ -323,9 +323,9 @@ def test_relaxation_band_widens_feasible_set():
     assert relaxed.p_guess_upper >= exact.p_guess_upper - 1e-9
     prob_exact, rep_exact = mdi.build_sdp(scen)
     prob_rel, rep_rel = mdi.build_sdp(scen, relax=1e-3)
-    # one extra row and three 1x1 slack blocks per statistics constraint
+    # one extra row and two 1x1 slack blocks per statistics constraint
     assert rep_rel.n_raw == rep_exact.n_raw + 16
-    assert prob_rel.n_blocks == prob_exact.n_blocks + 3 * 16
+    assert prob_rel.n_blocks == prob_exact.n_blocks + 2 * 16
 
 
 # rate_bits of the per-input asymptotic formulation (one family per input,
