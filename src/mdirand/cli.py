@@ -581,9 +581,10 @@ def _validate_report(spec: ScenarioSpec) -> list[tuple[str, str, str]]:
     def probs_ok():
         if spec.probs is None:
             return "uniform (default)"
-        p = np.array(spec.probs)
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be non-negative and sum to 1")
+        # the distribution rule of realize, on 1x1 placeholder states so
+        # that a bad state fails only the state check
+        p = np.array(spec.probs, dtype=float)
+        StateEnsemble((DensityMatrix(np.eye(1)),) * p.size, p)
         return f"{p.size} entries"
 
     def povm_ok():

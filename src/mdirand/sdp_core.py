@@ -10,10 +10,16 @@ dense symmetric matrix. Complex Hermitian blocks enter through the real
 embedding with every matrix divided by 2 once at assembly, so b values and
 objective keep their complex-side meaning.
 
-SdpProblem holds the one representation of the constraint map A that
-preprocessing, the solver and the certificate all use: per block, the
-indices of the rows touching it and their coefficient matrices stacked.
-apply_constraints and adjoint are A and A* over those stacks.
+SdpProblem holds the one copy of the constraint map A that preprocessing,
+the solver and the certificate all use, laid out per block-size group:
+for the n_g blocks of size s in group g, an (n_g, r_g) array of the rows
+touching each block and an (n_g, r_g, s, s) stack of their coefficient
+matrices, r_g the largest row count in the group. Blocks touched by fewer
+rows are padded with the dummy row index m and zero matrices, so one
+batched product per group evaluates A, and one bincount over m + 1 bins
+(the last one dropped) scatters it back to rows. apply_constraints and
+adjoint take and return block variables in the same layout: one
+(n_g, s, s) stack per group.
 """
 from __future__ import annotations
 
@@ -62,13 +68,15 @@ def _asymmetric(stack: np.ndarray) -> bool:
 
 @dataclass
 class SdpProblem:
-    """Block SDP data; block_rows, block_stacks and size_groups are built once.
+    """Block SDP data; the group layout of A and C is built once.
 
     block_rows[k] lists, in increasing order, the constraints that touch
-    block k, and block_stacks[k] stacks their coefficient matrices into an
-    (n_k, s_k, s_k) array (n_k may be 0). size_groups lists the block
-    indices of each block size, sizes in order of first appearance, for
-    batched linear algebra over equal-size blocks.
+    block k. size_groups lists the block indices of each block size,
+    sizes in order of first appearance. For group g, group_rows[g] is the
+    (n_g, r_g) array whose row j holds block_rows[size_groups[g][j]]
+    padded with the dummy index m = n_constraints, and group_stacks[g] the
+    (n_g, r_g, s, s) stack of the matching coefficient matrices, zero in
+    the padding. objective_stacks[g] is the (n_g, s, s) stack of C.
     """
 
     block_dims: tuple[int, ...]
@@ -79,8 +87,10 @@ class SdpProblem:
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
     block_rows: list[np.ndarray] = field(init=False, repr=False)
-    block_stacks: list[np.ndarray] = field(init=False, repr=False)
     size_groups: list[list[int]] = field(init=False, repr=False)
+    group_rows: list[np.ndarray] = field(init=False, repr=False)
+    group_stacks: list[np.ndarray] = field(init=False, repr=False)
+    objective_stacks: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.b = np.asarray(self.b, dtype=float)
@@ -96,16 +106,29 @@ class SdpProblem:
             for k in blk_map:
                 rows[k].append(i)
         self.block_rows = [np.array(r, dtype=np.intp) for r in rows]
-        self.block_stacks = [
-            np.stack([self.constraints[i][k] for i in r]) if r else np.zeros((0, s, s))
-            for k, (r, s) in enumerate(zip(rows, self.block_dims))
-        ]
         by_size: dict[int, list[int]] = {}
         for k, s in enumerate(self.block_dims):
             by_size.setdefault(s, []).append(k)
         self.size_groups = list(by_size.values())
-        objective = [m[None] for m in self.objective.values()]
-        if any(_asymmetric(st) for st in [*objective, *self.block_stacks]):
+        self.group_rows, self.group_stacks = [], []
+        for g in self.size_groups:
+            s = self.block_dims[g[0]]
+            width = max(len(rows[k]) for k in g)
+            idx = np.full((len(g), width), self.n_constraints, dtype=np.intp)
+            st = np.zeros((len(g), width, s, s))
+            for j, k in enumerate(g):
+                idx[j, :len(rows[k])] = rows[k]
+                for t, i in enumerate(rows[k]):
+                    st[j, t] = self.constraints[i][k]
+            self.group_rows.append(idx)
+            self.group_stacks.append(st)
+        self.objective_stacks = self.stack_groups([
+            self.objective.get(k, np.zeros((s, s))).astype(float)
+            for k, s in enumerate(self.block_dims)
+        ])
+        # per block: whole-group temporaries would set the peak memory
+        stacks = [*self.group_stacks, *(o[:, None] for o in self.objective_stacks)]
+        if any(_asymmetric(st) for group in stacks for st in group):
             raise ValueError("constraint blocks must be symmetric")
 
     @property
@@ -116,19 +139,36 @@ class SdpProblem:
     def n_blocks(self) -> int:
         return len(self.block_dims)
 
-    def apply_constraints(self, x_blocks: list[np.ndarray]) -> np.ndarray:
-        """Evaluate the constraint map A(X)."""
-        out = np.zeros(self.n_constraints)
-        for idx, st, x in zip(self.block_rows, self.block_stacks, x_blocks):
-            out[idx] += st.reshape(len(idx), x.size) @ x.reshape(-1)
+    def stack_groups(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-block list -> one (n_g, s, s) stack per size group."""
+        return [np.stack([blocks[k] for k in g]) for g in self.size_groups]
+
+    def unstack_groups(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
+        """One stack per size group -> per-block list, in block order."""
+        out: list[np.ndarray] = [np.empty(0)] * self.n_blocks
+        for g, st in zip(self.size_groups, stacks):
+            for j, k in enumerate(g):
+                out[k] = st[j]
         return out
 
+    def apply_constraints(self, xs: list[np.ndarray]) -> np.ndarray:
+        """Evaluate the constraint map A(X) on group stacks."""
+        idx, vals = [], []
+        for rows, st, x in zip(self.group_rows, self.group_stacks, xs):
+            n, r, s, _ = st.shape
+            vals.append((st.reshape(n, r, s * s) @ x.reshape(n, s * s, 1)).reshape(-1))
+            idx.append(rows.reshape(-1))
+        m = self.n_constraints
+        return np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=m + 1)[:m]
+
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """Evaluate the adjoint map A*(y) as dense blocks."""
-        return [
-            (y[idx] @ st.reshape(len(idx), s * s)).reshape(s, s)
-            for idx, st, s in zip(self.block_rows, self.block_stacks, self.block_dims)
-        ]
+        """Evaluate the adjoint map A*(y) as group stacks."""
+        ye = np.append(y, 0.0)
+        out = []
+        for rows, st in zip(self.group_rows, self.group_stacks):
+            n, r, s, _ = st.shape
+            out.append((ye[rows][:, None, :] @ st.reshape(n, r, s * s)).reshape(n, s, s))
+        return out
 
 
 @dataclass
@@ -189,11 +229,14 @@ class PreprocessReport:
 
 def _gram_matrix(p: SdpProblem) -> np.ndarray:
     g = np.zeros((p.n_constraints, p.n_constraints))
-    for idx, st, s in zip(p.block_rows, p.block_stacks, p.block_dims):
-        flat = st.reshape(len(idx), s * s)
-        gk = flat @ flat.T
-        # symmetrized per block: no m x m temporaries
-        g[np.ix_(idx, idx)] += 0.5 * (gk + gk.T)
+    # per block: whole-group temporaries would set the peak memory
+    for group, stacks in zip(p.size_groups, p.group_stacks):
+        for k, st in zip(group, stacks):
+            idx = p.block_rows[k]
+            flat = st[:len(idx)].reshape(len(idx), p.block_dims[k] ** 2)
+            gk = flat @ flat.T
+            # symmetrized per block: no m x m temporaries
+            g[np.ix_(idx, idx)] += 0.5 * (gk + gk.T)
     return g
 
 
@@ -235,7 +278,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     ]
 
     # certificate direction u with sum_i u_i A_i = identity, if attainable
-    identity = [np.eye(s) for s in p.block_dims]
+    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
     u = sla.cho_solve((l_kept, True), p.apply_constraints(identity)[kept], check_finite=False)
     u_raw = np.zeros(m)
     u_raw[kept] = u

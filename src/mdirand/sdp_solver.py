@@ -1,10 +1,17 @@
 """Primal-dual interior-point solver for small block-diagonal SDPs.
 
 Infeasible-start path following with Mehrotra predictor-corrector steps in
-the HKM scaling. The Schur complement system is formed densely per
-iteration and factored by Cholesky; step lengths use fraction-to-boundary
-STEP_FRACTION of the exact step to the PSD boundary, read off one batched
-eigenvalue call per block-size group. Deterministic: fixed
+the HKM scaling. The iterates X, Z and every direction are held as one
+(n_g, s, s) stack per block-size group of the problem, so each step of an
+iteration is a few batched numpy/LAPACK calls per group, not one call per
+block. The Schur complement S_ij = tr(A_i X A_j Z^-1) is formed densely
+from the per-block products F_k (X_k (x) Z_k^-1) F_k^T, which exploit
+block sparsity (Fujisawa, Kojima and Nakata, Math. Program. 79, 1997),
+batched over chunks of at most SCHUR_CHUNK float64 elements per
+temporary: a whole group at once would hold n_g * r_g * s^2 elements and
+set the peak memory. S is factored by Cholesky; step lengths use
+fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
+read off one batched eigenvalue call per group. Deterministic: fixed
 initialization, fixed reduction order, no randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
@@ -59,6 +66,7 @@ class CertificationError(SolverError):
 
 
 STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
+SCHUR_CHUNK = 2**15   # float64 elements per batched Schur temporary
 
 
 @dataclass(frozen=True)
@@ -77,39 +85,32 @@ class SolverOptions:
             raise ValueError("relax must be non-negative")
 
 
-def _min_eigenvalue(groups: list[list[int]], blocks: list[np.ndarray]) -> float:
-    """Smallest eigenvalue over all blocks; nan if an entry is not finite.
+def _min_eigenvalue(stacks: list[np.ndarray]) -> float:
+    """Smallest eigenvalue over all group stacks; nan if an entry is not
+    finite.
 
-    One batched LAPACK eigvalsh per block-size group; each matrix is read
-    from its lower triangle.
+    One batched LAPACK eigvalsh per stack; each matrix is read from its
+    lower triangle.
     """
     try:
-        return float(np.min([
-            np.min(np.linalg.eigvalsh(np.stack([blocks[k] for k in g]))) for g in groups
-        ]))
+        return float(np.min([np.min(np.linalg.eigvalsh(st)) for st in stacks]))
     except np.linalg.LinAlgError:  # non-finite entries
         return math.nan
 
 
-def _step_length(
-    groups: list[list[int]],
-    blocks: list[np.ndarray],
-    deltas: list[np.ndarray],
-    fraction: float,
-) -> float:
+def _step_length(xs: list[np.ndarray], ds: list[np.ndarray], fraction: float) -> float:
     """min(1, fraction * alpha_max), alpha_max the largest step keeping
-    blocks + alpha_max * deltas PSD.
+    every xs + alpha_max * ds PSD.
 
     With L = chol(X), alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-T));
-    one batched Cholesky and one batched eigvalsh per block-size group.
+    one batched Cholesky and one batched eigvalsh per group stack.
     Returns 0.0 when a block is not numerically positive definite or the
     direction is not finite.
     """
-    lams = []
     try:
-        for g in groups:
-            l_inv = np.linalg.inv(np.linalg.cholesky(np.stack([blocks[k] for k in g])))
-            d = np.stack([deltas[k] for k in g])
+        lams = []
+        for x, d in zip(xs, ds):
+            l_inv = np.linalg.inv(np.linalg.cholesky(x))
             lams.append(np.min(np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1))))
         lam = float(np.min(lams))
     except np.linalg.LinAlgError:
@@ -120,22 +121,53 @@ def _step_length(
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> float:
+    """Trace inner product summed over group stacks."""
+    return sum(float(np.vdot(ag, bg)) for ag, bg in zip(a, b))
+
+
+def _max_norm(stacks: list[np.ndarray]) -> float:
+    """Largest Frobenius norm of any block."""
+    return max(float(np.linalg.norm(st, axis=(1, 2)).max()) for st in stacks)
 
 
 def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The true slack A*(y) - C, symmetrized, and its smallest eigenvalue.
+    """The true slack A*(y) - C as group stacks, symmetrized, and its
+    smallest eigenvalue.
 
-    The eigenvalue comes from _min_eigenvalue over p.size_groups. LAPACK's
-    eigvalsh is backward stable: its eigenvalues are exact for some S + E
-    with ||E||_2 of order n * u * ||S||_2 (u = 2**-53, n the block size).
+    The eigenvalue comes from _min_eigenvalue. LAPACK's eigvalsh is
+    backward stable: its eigenvalues are exact for some S + E with
+    ||E||_2 of order n * u * ||S||_2 (u = 2**-53, n the block size).
     That is not a verified bound.
     """
-    slack = [
-        _sym(a - p.objective[k] if k in p.objective else a)
-        for k, a in enumerate(p.adjoint(y))
-    ]
-    return slack, _min_eigenvalue(p.size_groups, slack)
+    slack = [_sym(a - c) for a, c in zip(p.adjoint(y), p.objective_stacks)]
+    return slack, _min_eigenvalue(slack)
+
+
+def _schur_matrix(p: SdpProblem, x: list[np.ndarray], zinv: list[np.ndarray]) -> np.ndarray:
+    """S_ij = tr(A_i X A_j Z^-1) summed over blocks, unsymmetrized.
+
+    Per chunk of blocks of one group, W = X P Z^-1 for the stack P of the
+    block's coefficient matrices and S_k = P W^T over flattened matrices;
+    one bincount scatters the chunk into (m + 1)^2 bins, the padding row
+    and column m falling into the dropped last bin of each axis.
+    """
+    m = p.n_constraints
+    out = np.zeros((m + 1) * (m + 1))
+    for rows, st, xg, zg in zip(p.group_rows, p.group_stacks, x, zinv):
+        n, r, s, _ = st.shape
+        step = max(1, SCHUR_CHUNK // max(1, r * max(r, s * s)))
+        for lo in range(0, n, step):
+            sl = slice(lo, lo + step)
+            pk = st[sl]
+            w = (xg[sl, None] @ pk @ zg[sl, None]).reshape(len(pk), r, s * s)
+            sk = pk.reshape(len(pk), r, s * s) @ w.transpose(0, 2, 1)
+            flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
+            out += np.bincount(flat.reshape(-1), sk.reshape(-1), minlength=out.size)
+    return out.reshape(m + 1, m + 1)[:m, :m]
 
 
 def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
@@ -193,23 +225,17 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             f"{p.n_constraints} constraints exceed the cap {opts.max_constraints}"
         )
 
-    groups = p.size_groups
-    n_blocks = p.n_blocks
     m = p.n_constraints
     n_total = float(sum(p.block_dims))
-    c_blocks = [
-        p.objective.get(k, np.zeros((s, s))).astype(float)
-        for k, s in enumerate(p.block_dims)
-    ]
+    c = p.objective_stacks
 
     tau = 1.0 + float(np.max(np.abs(p.b)))
-    x = [tau * np.eye(s) for s in p.block_dims]
-    z = [tau * np.eye(s) for s in p.block_dims]
+    x = [tau * np.broadcast_to(np.eye(st.shape[1]), st.shape) for st in c]
+    z = [xg.copy() for xg in x]
     y = np.zeros(m)
     b_scale = 1.0 + float(np.max(np.abs(p.b)))
-    c_scale = 1.0 + max(float(np.linalg.norm(c)) for c in c_blocks)
+    c_scale = 1.0 + _max_norm(c)
 
-    schur = np.empty((m, m))
     log: list[IterationRecord] = []
     best: dict | None = None
     bound_best: dict | None = None
@@ -222,7 +248,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         if best is None or score < best["score"]:
             best = {
                 "score": score,
-                "x": [b.copy() for b in x],
+                "x": x,  # iterates are rebound each step, never written in place
                 "y": y.copy(),
                 "pobj": pobj,
                 "rp": rp_inf,
@@ -233,15 +259,15 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     for it in range(opts.max_iter + 1):
         rp = p.b - p.apply_constraints(x)
         slack, min_eig = _dual_slack(p, y)
-        rd = [z[k] - slack[k] for k in range(n_blocks)]
-        pobj = sum(float(np.sum(c_blocks[k] * x[k])) for k in range(n_blocks))
+        rd = [zg - sg for zg, sg in zip(z, slack)]
+        pobj = _inner(c, x)
         dobj = float(p.b @ y)
-        compl = sum(float(np.sum(x[k] * z[k])) for k in range(n_blocks))
+        compl = _inner(x, z)
         mu = compl / n_total
         denom = 1.0 + abs(pobj) + abs(dobj)
         rel_gap = max(compl, abs(dobj - pobj)) / denom
         rp_inf = float(np.max(np.abs(rp)))
-        rd_norm = max(float(np.linalg.norm(rd[k])) for k in range(n_blocks))
+        rd_norm = _max_norm(rd)
 
         if not (math.isfinite(pobj) and math.isfinite(dobj) and math.isfinite(compl)):
             status = NUMERICAL_FAILURE
@@ -274,7 +300,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             dual_residual=rd_norm,
             step_primal=0.0,
             step_dual=0.0,
-            x_norm=max(float(np.linalg.norm(x[k])) for k in range(n_blocks)),
+            x_norm=_max_norm(x),
             y_norm=float(np.linalg.norm(y)),
             certified_bound=bound,
         ))
@@ -315,19 +341,14 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 break
         prev_score = min(prev_score, score)
 
-        # factor Z blocks and assemble the Schur complement S_ij = tr(A_i X A_j Z^-1)
+        # invert Z and assemble the Schur complement S_ij = tr(A_i X A_j Z^-1)
         try:
-            zinv = [_sym(np.linalg.inv(z[k])) for k in range(n_blocks)]
+            zinv = [_sym(np.linalg.inv(zg)) for zg in z]
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        schur.fill(0.0)
-        for k, (idx, st) in enumerate(zip(p.block_rows, p.block_stacks)):
-            if not len(idx):
-                continue
-            w = x[k] @ st @ zinv[k]
-            schur[np.ix_(idx, idx)] += st.reshape(len(idx), -1) @ w.reshape(len(idx), -1).T
-        schur_sym = _sym(schur)
+        schur = _schur_matrix(p, x, zinv)
+        schur_sym = 0.5 * (schur + schur.T)
         factor = None
         jitter = 0.0
         base = float(np.mean(np.diag(schur_sym))) or 1.0
@@ -355,21 +376,18 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             return dy
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
-        hxrz = p.apply_constraints([x[k] @ rd[k] @ zinv[k] for k in range(n_blocks)])
+        hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])
 
         # predictor: affine direction (target nu = 0, Rc = -X)
         rhs_aff = hxrz - p.b
         dy_aff = _solve_schur(rhs_aff)
-        adj_aff = p.adjoint(dy_aff)
-        dz_aff = [adj_aff[k] - rd[k] for k in range(n_blocks)]
-        dx_aff = [
-            -x[k] - _sym(x[k] @ dz_aff[k] @ zinv[k]) for k in range(n_blocks)
-        ]
-        ap_aff = _step_length(groups, x, dx_aff, STEP_FRACTION)
-        ad_aff = _step_length(groups, z, dz_aff, STEP_FRACTION)
-        mu_aff = sum(
-            float(np.sum((x[k] + ap_aff * dx_aff[k]) * (z[k] + ad_aff * dz_aff[k])))
-            for k in range(n_blocks)
+        dz_aff = [ag - rg for ag, rg in zip(p.adjoint(dy_aff), rd)]
+        dx_aff = [-xg - _sym(xg @ dg @ zg) for xg, dg, zg in zip(x, dz_aff, zinv)]
+        ap_aff = _step_length(x, dx_aff, STEP_FRACTION)
+        ad_aff = _step_length(z, dz_aff, STEP_FRACTION)
+        mu_aff = _inner(
+            [xg + ap_aff * dg for xg, dg in zip(x, dx_aff)],
+            [zg + ad_aff * dg for zg, dg in zip(z, dz_aff)],
         ) / n_total
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 1e-8
         # late-stage safeguard: keep the barrier from collapsing while the
@@ -385,24 +403,22 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
 
         # corrector with Mehrotra second-order term
         rc = [
-            nu * zinv[k] - x[k] - _sym(dx_aff[k] @ dz_aff[k] @ zinv[k])
-            for k in range(n_blocks)
+            nu * zg - xg - _sym(dxg @ dzg @ zg)
+            for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
         ]
         rhs = p.apply_constraints(rc) + hxrz - rp
         dy = _solve_schur(rhs)
-        adj_c = p.adjoint(dy)
-        dz = [adj_c[k] - rd[k] for k in range(n_blocks)]
-        dx = [rc[k] - _sym(x[k] @ dz[k] @ zinv[k]) for k in range(n_blocks)]
-        alpha_p = _step_length(groups, x, dx, STEP_FRACTION)
-        alpha_d = _step_length(groups, z, dz, STEP_FRACTION)
+        dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
+        dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
+        alpha_p = _step_length(x, dx, STEP_FRACTION)
+        alpha_d = _step_length(z, dz, STEP_FRACTION)
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             status = _early_status()
             break
         log[-1].step_primal = alpha_p
         log[-1].step_dual = alpha_d
-        for k in range(n_blocks):
-            x[k] = _sym(x[k] + alpha_p * dx[k])
-            z[k] = _sym(z[k] + alpha_d * dz[k])
+        x = [_sym(xg + alpha_p * dg) for xg, dg in zip(x, dx)]
+        z = [_sym(zg + alpha_d * dg) for zg, dg in zip(z, dz)]
         y = y + alpha_d * dy
 
     assert best is not None
@@ -419,9 +435,9 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
 
     return SdpSolution(
         status=status,
-        x_blocks=x_best,
+        x_blocks=p.unstack_groups(x_best),
         y=y_out,
-        slack_blocks=slack,
+        slack_blocks=p.unstack_groups(slack),
         primal_objective=best["pobj"],
         dual_objective=dual_out,
         certified_upper_bound=certified,

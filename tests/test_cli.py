@@ -326,6 +326,21 @@ def test_validate_statistics_uses_the_rate_rule(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_input_distribution_uses_the_rate_rule(tmp_path, capsys):
+    # fig4 with inputs off 1 by 5e-10: inside a 1e-9 tolerance but outside
+    # the 1e-10 that StateEnsemble, and so rate, allows
+    scen = cli.spec_to_dict(cli.load_scenario_spec("fig4"))
+    scen["probs"] = [0.5, 0.5000000005]
+    path = tmp_path / "offsum-probs.json"
+    path.write_text(json.dumps(scen))
+    assert cli.main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "input distribution: FAIL" in out
+    assert "scenario build: FAIL" in out
+    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
+    capsys.readouterr()
+
+
 def test_validate_extremal4_preset_all_pass(capsys):
     assert cli.main(["validate", "fig3-blue"]) == 0
     out = capsys.readouterr().out

@@ -50,24 +50,33 @@ def test_problem_rejects_b_length_mismatch():
 
 def test_adjoint_is_adjoint_of_constraint_map():
     # <A(X), y> = <X, A*(y)> is the defining identity; random data, then
-    # the same with a third block that no constraint touches
+    # the same with a third block that no constraint touches, then blocks
+    # of one size touched by uneven row counts (the padded group layout)
     rng = np.random.default_rng(7)
     p = _random_problem(rng)
     untouched = core.SdpProblem(p.block_dims + (2,), p.objective, p.constraints, p.b)
     assert len(untouched.block_rows[2]) == 0
-    for q in (p, untouched):
+    dims = (2, 3, 2, 1, 2)
+    cons = [{k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)
+             if rng.random() < 0.5 or k == i % len(dims)} for i in range(7)]
+    uneven = core.SdpProblem(dims, {}, cons, rng.standard_normal(len(cons)))
+    counts = [len(uneven.block_rows[k]) for k in uneven.size_groups[0]]
+    assert len(set(counts)) > 1
+    assert uneven.group_rows[0].shape == (3, max(counts))
+    for q in (p, untouched, uneven):
         xs = [_sym(rng.standard_normal((s, s))) for s in q.block_dims]
         y = rng.standard_normal(q.n_constraints)
         rows = _dense_rows(q)
-        ax = q.apply_constraints(xs)
+        ax = q.apply_constraints(q.stack_groups(xs))
         assert np.allclose(ax, rows @ np.concatenate([x.reshape(-1) for x in xs]),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(core._gram_matrix(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
         lhs = float(ax @ y)
-        adj = q.adjoint(y)
+        adj = q.unstack_groups(q.adjoint(y))
         rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(q.n_blocks))
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
-    assert np.array_equal(untouched.adjoint(y)[2], np.zeros((2, 2)))
+    y = rng.standard_normal(untouched.n_constraints)
+    assert np.array_equal(untouched.unstack_groups(untouched.adjoint(y))[2], np.zeros((2, 2)))
 
 
 def test_duplicate_constraint_removed_and_reported():

@@ -9,10 +9,12 @@ from mdirand import sdp_core as core
 from mdirand.linalg import jacobi_eigvalsh
 from mdirand.quantum import double_ensemble, double_statistics
 from mdirand.sdp_solver import (
+    SCHUR_CHUNK,
     CertificationError,
     SolverOptions,
     _dual_slack,
     _min_eigenvalue,
+    _schur_matrix,
     _step_length,
     certify_upper_bound,
     solve,
@@ -186,7 +188,7 @@ def test_slack_eigenvalue_matches_jacobi_on_presets(name, doubled):
     p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
     sol = solve(p)
     slack = sol.slack_blocks
-    lam = _min_eigenvalue(p.size_groups, slack)
+    lam = _min_eigenvalue(p.stack_groups(slack))
     scale = max(1.0, max(float(np.linalg.norm(blk)) for blk in slack))
     assert abs(lam - _jacobi_min(slack)) <= 1e-12 * scale
     assert sol.dual_min_eigenvalue == lam
@@ -209,10 +211,69 @@ def test_slack_eigenvalue_reads_every_size_group(worst):
     assert p.size_groups == [[0, 4], [1, 3], [2]]
     # y = w makes A*(y) the identity, so the slack is I - C with floor -1e-6
     slack, lam = _dual_slack(p, p.cert_vector)
+    assert [len(st) for st in slack] == [2, 2, 1]
     assert abs(lam + 1e-6) <= 1e-12
-    assert abs(lam - _jacobi_min(slack)) <= 1e-12
+    assert abs(lam - _jacobi_min(p.unstack_groups(slack))) <= 1e-12
     sol = dataclasses.replace(solve(p), y=p.cert_vector)
     assert certify_upper_bound(p, sol) == float(p.b @ p.cert_vector) - lam * p.cert_b
+
+
+def _random_pd(rng, s):
+    r = rng.standard_normal((s, s))
+    return r @ r.T + 0.1 * np.eye(s)
+
+
+def test_schur_matrix_matches_dense_oracle():
+    # 24 blocks of size 12 touched by uneven row counts (padded, and more
+    # than two chunks), 1x1 and 3x3 blocks, and a 3x3 block no row touches
+    rng = np.random.default_rng(77)
+    dims = (12,) * 24 + (1, 3, 1, 3)
+    m = 30
+    cons = []
+    for i in range(m):
+        blk = {k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims[:-1])
+               if rng.random() < 0.6}
+        blk.setdefault(i % 24, _sym(rng.standard_normal((12, 12))))
+        cons.append(blk)
+    p = core.SdpProblem(dims, {}, cons, rng.standard_normal(m))
+    assert len(p.block_rows[27]) == 0
+    big = p.size_groups[0]
+    counts = [len(p.block_rows[k]) for k in big]
+    r = max(counts)
+    assert len(set(counts)) > 1
+    assert len(big) > 2 * (SCHUR_CHUNK // (r * max(r, 12 * 12)))
+    xs = [_random_pd(rng, s) for s in dims]
+    zinvs = [np.linalg.inv(_random_pd(rng, s)) for s in dims]
+    zinvs = [_sym(z) for z in zinvs]
+    got = _schur_matrix(p, p.stack_groups(xs), p.stack_groups(zinvs))
+    want = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            want[i, j] = sum(
+                float(np.trace(a @ xs[k] @ cons[j][k] @ zinvs[k]))
+                for k, a in cons[i].items() if k in cons[j]
+            )
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# iteration counts of every preset but fig6-2s-m3 (solved by two other
+# tests) and of the doubled two-copy problems; a rewrite of the solver
+# loop must keep them
+TRAJECTORY_PINS = [
+    ("fig3-blue", False, 8), ("fig3-green", False, 8), ("fig3-red", False, 7),
+    ("fig4", False, 9), ("fig5", False, 11), ("fig6-2s-m1", False, 9),
+    ("fig6-2s-m2", False, 13), ("fig6-4s-m1", False, 9), ("fig6-4s-m2", False, 10),
+    ("fig7-3o", False, 9), ("fig7-proj", False, 9),
+    ("fig7-3o", True, 11), ("fig7-proj", True, 12),
+]
+
+
+@pytest.mark.parametrize("name, doubled, iterations", TRAJECTORY_PINS)
+def test_solver_trajectory_is_pinned(name, doubled, iterations):
+    scen = cli.realize(cli.load_scenario_spec(name))
+    res = mdi.guessing_probability(_doubled(scen) if doubled else scen)
+    assert res.status == core.OPTIMAL
+    assert res.n_iterations == iterations
 
 
 def _min_eig(blocks):
@@ -232,9 +293,12 @@ def test_step_length_matches_eigvalsh_oracle(seed):
         r = rng.standard_normal((s, s))
         xs.append(r @ r.T + 0.1 * np.eye(s))
     x_norm = max(np.linalg.norm(x, 2) for x in xs)
+    def stacked(blocks):
+        return [np.stack([blocks[k] for k in g]) for g in groups]
+
     for scale in (0.05, 0.5, 5.0):
         ds = [scale * _sym(rng.standard_normal((s, s))) for s in dims]
-        alpha = _step_length(groups, xs, ds, fraction)
+        alpha = _step_length(stacked(xs), stacked(ds), fraction)
         assert 0.0 < alpha <= 1.0
         assert _min_eig([x + alpha * d for x, d in zip(xs, ds)]) > 0.0
         if alpha == 1.0:
@@ -243,7 +307,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
             edge = [x + (alpha / fraction) * d for x, d in zip(xs, ds)]
             assert abs(_min_eig(edge)) <= 1e-9 * x_norm
     psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
-    assert _step_length(groups, xs, psd, fraction) == 1.0
+    assert _step_length(stacked(xs), stacked(psd), fraction) == 1.0
 
 
 def test_weak_duality_on_logged_iterates():
