@@ -337,10 +337,7 @@ def build_sdp(
         for x in range(n_o):
             target = weight * float(cond[a, x])
             if x not in live:
-                if abs(target) > 1e-12:
-                    raise InfeasibleProblemError(
-                        "constraint places a nonzero value on an impossible outcome"
-                    )
+                push({}, target)
                 continue
             row = {index[(f, x, e)]: weight * rho_x[x][a] for e in range(n_o)}
             if relax > 0.0:

@@ -20,6 +20,12 @@ batched product per group evaluates A, and one bincount over m + 1 bins
 (the last one dropped) scatters it back to rows. apply_constraints and
 adjoint take and return block variables in the same layout: one
 (n_g, s, s) stack per group.
+
+Every product with A goes through three methods: A(X), A*(y) and the
+row-product kernel schur_matrix(X, W), S_ij = tr(A_i X A_j W). The solver
+calls the kernel at its iterate (W = Z^-1) for the Schur complement;
+preprocessing calls it at X = W = I, where it is the Gram matrix
+<A_i, A_j> of the rows.
 """
 from __future__ import annotations
 
@@ -57,6 +63,8 @@ class InfeasibleProblemError(ValueError):
 
 BlockMap = dict[int, np.ndarray]
 
+SCHUR_CHUNK = 2**15  # float64 elements per batched row-product temporary
+
 
 def _asymmetric(stack: np.ndarray) -> bool:
     """True if some matrix m of the (n, s, s) stack has an entry of
@@ -70,13 +78,15 @@ def _asymmetric(stack: np.ndarray) -> bool:
 class SdpProblem:
     """Block SDP data; the group layout of A and C is built once.
 
-    block_rows[k] lists, in increasing order, the constraints that touch
-    block k. size_groups lists the block indices of each block size,
-    sizes in order of first appearance. For group g, group_rows[g] is the
-    (n_g, r_g) array whose row j holds block_rows[size_groups[g][j]]
-    padded with the dummy index m = n_constraints, and group_stacks[g] the
-    (n_g, r_g, s, s) stack of the matching coefficient matrices, zero in
-    the padding. objective_stacks[g] is the (n_g, s, s) stack of C.
+    size_groups lists the block indices of each block size, sizes in
+    order of first appearance. For group g, row j of the (n_g, r_g) array
+    group_rows[g] lists, in increasing order, the constraints that touch
+    block size_groups[g][j], padded with the dummy index m = n_constraints,
+    and group_stacks[g] is the (n_g, r_g, s, s) stack of the matching
+    coefficient matrices, zero in the padding. objective_stacks[g] is the
+    (n_g, s, s) stack of C. apply_constraints (A), adjoint (A*) and
+    schur_matrix (the row products tr(A_i X A_j W); X = W = I gives the
+    Gram matrix) are the only products with A.
     """
 
     block_dims: tuple[int, ...]
@@ -86,7 +96,6 @@ class SdpProblem:
     preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
-    block_rows: list[np.ndarray] = field(init=False, repr=False)
     size_groups: list[list[int]] = field(init=False, repr=False)
     group_rows: list[np.ndarray] = field(init=False, repr=False)
     group_stacks: list[np.ndarray] = field(init=False, repr=False)
@@ -105,7 +114,6 @@ class SdpProblem:
         for i, blk_map in enumerate(self.constraints):
             for k in blk_map:
                 rows[k].append(i)
-        self.block_rows = [np.array(r, dtype=np.intp) for r in rows]
         by_size: dict[int, list[int]] = {}
         for k, s in enumerate(self.block_dims):
             by_size.setdefault(s, []).append(k)
@@ -170,6 +178,32 @@ class SdpProblem:
             out.append((ye[rows][:, None, :] @ st.reshape(n, r, s * s)).reshape(n, s, s))
         return out
 
+    def schur_matrix(self, x: list[np.ndarray], w: list[np.ndarray]) -> np.ndarray:
+        """S_ij = tr(A_i X A_j W) summed over blocks, unsymmetrized.
+
+        Per chunk of blocks of one group, V = X P W for the stack P of the
+        block's coefficient matrices and S_k = P V^T over flattened
+        matrices, the block-sparse products F_k (X_k (x) W_k) F_k^T of
+        Fujisawa, Kojima and Nakata (Math. Program. 79, 1997). A chunk holds
+        at most SCHUR_CHUNK float64 elements per temporary: a whole group at
+        once would hold n_g * r_g * s^2 and set the peak memory. One
+        bincount scatters the chunk into (m + 1)^2 bins, the padding row and
+        column m falling into the dropped last bin of each axis.
+        """
+        m = self.n_constraints
+        out = np.zeros((m + 1) * (m + 1))
+        for rows, st, xg, wg in zip(self.group_rows, self.group_stacks, x, w):
+            n, r, s, _ = st.shape
+            step = max(1, SCHUR_CHUNK // max(1, r * max(r, s * s)))
+            for lo in range(0, n, step):
+                sl = slice(lo, lo + step)
+                pk = st[sl]
+                v = (xg[sl, None] @ pk @ wg[sl, None]).reshape(len(pk), r, s * s)
+                sk = pk.reshape(len(pk), r, s * s) @ v.transpose(0, 2, 1)
+                flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
+                out += np.bincount(flat.reshape(-1), sk.reshape(-1), minlength=out.size)
+        return out.reshape(m + 1, m + 1)[:m, :m]
+
 
 @dataclass
 class IterationRecord:
@@ -227,23 +261,11 @@ class PreprocessReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _gram_matrix(p: SdpProblem) -> np.ndarray:
-    g = np.zeros((p.n_constraints, p.n_constraints))
-    # per block: whole-group temporaries would set the peak memory
-    for group, stacks in zip(p.size_groups, p.group_stacks):
-        for k, st in zip(group, stacks):
-            idx = p.block_rows[k]
-            flat = st[:len(idx)].reshape(len(idx), p.block_dims[k] ** 2)
-            gk = flat @ flat.T
-            # symmetrized per block: no m x m temporaries
-            g[np.ix_(idx, idx)] += 0.5 * (gk + gk.T)
-    return g
-
-
 def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop dependent constraint rows, check consistency, rescale.
 
-    Rows are selected in order from their Gram matrix by row_space_basis.
+    Rows are selected in order from their Gram matrix <A_i, A_j>, the
+    row-product kernel at X = W = I, by row_space_basis.
     Dependent rows must be reproducible from kept rows with matching b
     (residual below the consistency tolerance), otherwise the problem is
     inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
@@ -255,7 +277,9 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
         return p, PreprocessReport(p.n_constraints, list(range(p.n_constraints)), [], 0.0, 0.0)
     m = p.n_constraints
     notes: list[str] = []
-    g = _gram_matrix(p)
+    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
+    g = p.schur_matrix(identity, identity)
+    g = 0.5 * (g + g.T)
     kept, dropped, l_kept = row_space_basis(g)
     b_kept = p.b[kept]
 
@@ -278,7 +302,6 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     ]
 
     # certificate direction u with sum_i u_i A_i = identity, if attainable
-    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
     u = sla.cho_solve((l_kept, True), p.apply_constraints(identity)[kept], check_finite=False)
     u_raw = np.zeros(m)
     u_raw[kept] = u

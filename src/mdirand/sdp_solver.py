@@ -5,11 +5,9 @@ the HKM scaling. The iterates X, Z and every direction are held as one
 (n_g, s, s) stack per block-size group of the problem, so each step of an
 iteration is a few batched numpy/LAPACK calls per group, not one call per
 block. The Schur complement S_ij = tr(A_i X A_j Z^-1) is formed densely
-from the per-block products F_k (X_k (x) Z_k^-1) F_k^T, which exploit
-block sparsity (Fujisawa, Kojima and Nakata, Math. Program. 79, 1997),
-batched over chunks of at most SCHUR_CHUNK float64 elements per
-temporary: a whole group at once would hold n_g * r_g * s^2 elements and
-set the peak memory. S is factored by Cholesky; step lengths use
+by SdpProblem.schur_matrix, the row-product kernel that preprocessing
+also uses for its Gram matrix; its chunk budget SCHUR_CHUNK lives in
+sdp_core. S is factored by Cholesky; step lengths use
 fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
 read off one batched eigenvalue call per group. Deterministic: fixed
 initialization, fixed reduction order, no randomization anywhere.
@@ -66,7 +64,6 @@ class CertificationError(SolverError):
 
 
 STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
-SCHUR_CHUNK = 2**15   # float64 elements per batched Schur temporary
 
 
 @dataclass(frozen=True)
@@ -147,29 +144,6 @@ def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
     return slack, _min_eigenvalue(slack)
 
 
-def _schur_matrix(p: SdpProblem, x: list[np.ndarray], zinv: list[np.ndarray]) -> np.ndarray:
-    """S_ij = tr(A_i X A_j Z^-1) summed over blocks, unsymmetrized.
-
-    Per chunk of blocks of one group, W = X P Z^-1 for the stack P of the
-    block's coefficient matrices and S_k = P W^T over flattened matrices;
-    one bincount scatters the chunk into (m + 1)^2 bins, the padding row
-    and column m falling into the dropped last bin of each axis.
-    """
-    m = p.n_constraints
-    out = np.zeros((m + 1) * (m + 1))
-    for rows, st, xg, zg in zip(p.group_rows, p.group_stacks, x, zinv):
-        n, r, s, _ = st.shape
-        step = max(1, SCHUR_CHUNK // max(1, r * max(r, s * s)))
-        for lo in range(0, n, step):
-            sl = slice(lo, lo + step)
-            pk = st[sl]
-            w = (xg[sl, None] @ pk @ zg[sl, None]).reshape(len(pk), r, s * s)
-            sk = pk.reshape(len(pk), r, s * s) @ w.transpose(0, 2, 1)
-            flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
-            out += np.bincount(flat.reshape(-1), sk.reshape(-1), minlength=out.size)
-    return out.reshape(m + 1, m + 1)[:m, :m]
-
-
 def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
     """Upper bound from a dual value b.y and its slack's smallest eigenvalue.
 
@@ -229,11 +203,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     n_total = float(sum(p.block_dims))
     c = p.objective_stacks
 
-    tau = 1.0 + float(np.max(np.abs(p.b)))
-    x = [tau * np.broadcast_to(np.eye(st.shape[1]), st.shape) for st in c]
+    b_scale = 1.0 + float(np.max(np.abs(p.b)))
+    x = [b_scale * np.broadcast_to(np.eye(st.shape[1]), st.shape) for st in c]
     z = [xg.copy() for xg in x]
     y = np.zeros(m)
-    b_scale = 1.0 + float(np.max(np.abs(p.b)))
     c_scale = 1.0 + _max_norm(c)
 
     log: list[IterationRecord] = []
@@ -347,7 +320,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        schur = _schur_matrix(p, x, zinv)
+        schur = p.schur_matrix(x, zinv)
         schur_sym = 0.5 * (schur + schur.T)
         factor = None
         jitter = 0.0

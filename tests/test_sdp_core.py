@@ -21,6 +21,13 @@ def _random_problem(rng, dims=(3, 2), m=6):
     return core.SdpProblem(tuple(dims), objective, constraints, b)
 
 
+def _gram(p):
+    """The Gram matrix <A_i, A_j> as preprocess builds it."""
+    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
+    g = p.schur_matrix(identity, identity)
+    return 0.5 * (g + g.T)
+
+
 def _dense_rows(p):
     offs = np.concatenate([[0], np.cumsum([s * s for s in p.block_dims])])
     rows = np.zeros((p.n_constraints, offs[-1]))
@@ -55,12 +62,13 @@ def test_adjoint_is_adjoint_of_constraint_map():
     rng = np.random.default_rng(7)
     p = _random_problem(rng)
     untouched = core.SdpProblem(p.block_dims + (2,), p.objective, p.constraints, p.b)
-    assert len(untouched.block_rows[2]) == 0
+    assert untouched.size_groups[1] == [1, 2]
+    assert np.all(untouched.group_rows[1][1] == untouched.n_constraints)
     dims = (2, 3, 2, 1, 2)
     cons = [{k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)
              if rng.random() < 0.5 or k == i % len(dims)} for i in range(7)]
     uneven = core.SdpProblem(dims, {}, cons, rng.standard_normal(len(cons)))
-    counts = [len(uneven.block_rows[k]) for k in uneven.size_groups[0]]
+    counts = [int(np.sum(rows < uneven.n_constraints)) for rows in uneven.group_rows[0]]
     assert len(set(counts)) > 1
     assert uneven.group_rows[0].shape == (3, max(counts))
     for q in (p, untouched, uneven):
@@ -70,7 +78,7 @@ def test_adjoint_is_adjoint_of_constraint_map():
         ax = q.apply_constraints(q.stack_groups(xs))
         assert np.allclose(ax, rows @ np.concatenate([x.reshape(-1) for x in xs]),
                            rtol=1e-12, atol=1e-12)
-        assert np.allclose(core._gram_matrix(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_gram(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
         lhs = float(ax @ y)
         adj = q.unstack_groups(q.adjoint(y))
         rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(q.n_blocks))
@@ -168,7 +176,7 @@ def test_feasible_points_still_satisfy_kept_rows(seed):
     # preprocess must not move the feasible set: a point satisfying the raw
     # system satisfies the rescaled kept system with the rescaled b
     rng = np.random.default_rng(100 + seed)
-    dims = (3, 2)
+    dims = (3, 2, 2)
     x0 = [_sym(rng.standard_normal((s, s))) for s in dims]
     cons = []
     for _ in range(6):
@@ -179,13 +187,13 @@ def test_feasible_points_still_satisfy_kept_rows(seed):
     b.append(b[0] + b[1])
     raw = core.SdpProblem(dims, {0: np.eye(3)}, cons, np.array(b))
     out, rep = core.preprocess(raw)
-    resid = out.apply_constraints(x0) - out.b
+    resid = out.apply_constraints(out.stack_groups(x0)) - out.b
     assert np.max(np.abs(resid)) < 1e-9
 
 
 def test_certificate_vector_reproduces_identity():
     rng = np.random.default_rng(4)
-    dims = (3, 2)
+    dims = (3, 2, 2)
     cons = [{k: np.eye(s) for k, s in enumerate(dims)}]  # total trace row
     for _ in range(4):
         cons.append({k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)})
@@ -193,7 +201,7 @@ def test_certificate_vector_reproduces_identity():
     out, rep = core.preprocess(raw)
     assert out.cert_vector is not None
     assert rep.cert_residual < 1e-9
-    adj = out.adjoint(out.cert_vector)
+    adj = out.unstack_groups(out.adjoint(out.cert_vector))
     for k, s in enumerate(dims):
         assert np.max(np.abs(adj[k] - np.eye(s))) < 1e-8
     assert abs(out.cert_b - float(out.b @ out.cert_vector)) < 1e-10
@@ -245,7 +253,7 @@ def test_row_selection_matches_dense_rank_oracle(name, monkeypatch):
         if with_i > without:
             kept_before.append(i)
     assert rep.kept_rows == kept_before
-    g = core._gram_matrix(raw)
+    g = _gram(raw)
     kept, dropped, l_kept = core.row_space_basis(g)
     assert (kept, dropped) == (rep.kept_rows, rep.dropped_rows)
     if dropped:

@@ -8,13 +8,12 @@ from mdirand import cli, mdi, sdp_solver
 from mdirand import sdp_core as core
 from mdirand.linalg import jacobi_eigvalsh
 from mdirand.quantum import double_ensemble, double_statistics
+from mdirand.sdp_core import SCHUR_CHUNK
 from mdirand.sdp_solver import (
-    SCHUR_CHUNK,
     CertificationError,
     SolverOptions,
     _dual_slack,
     _min_eigenvalue,
-    _schur_matrix,
     _step_length,
     certify_upper_bound,
     solve,
@@ -236,16 +235,16 @@ def test_schur_matrix_matches_dense_oracle():
         blk.setdefault(i % 24, _sym(rng.standard_normal((12, 12))))
         cons.append(blk)
     p = core.SdpProblem(dims, {}, cons, rng.standard_normal(m))
-    assert len(p.block_rows[27]) == 0
+    assert p.size_groups[2] == [25, 27] and np.all(p.group_rows[2][1] == m)
     big = p.size_groups[0]
-    counts = [len(p.block_rows[k]) for k in big]
+    counts = [int(np.sum(rows < m)) for rows in p.group_rows[0]]
     r = max(counts)
     assert len(set(counts)) > 1
     assert len(big) > 2 * (SCHUR_CHUNK // (r * max(r, 12 * 12)))
     xs = [_random_pd(rng, s) for s in dims]
     zinvs = [np.linalg.inv(_random_pd(rng, s)) for s in dims]
     zinvs = [_sym(z) for z in zinvs]
-    got = _schur_matrix(p, p.stack_groups(xs), p.stack_groups(zinvs))
+    got = p.schur_matrix(p.stack_groups(xs), p.stack_groups(zinvs))
     want = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
@@ -254,6 +253,26 @@ def test_schur_matrix_matches_dense_oracle():
                 for k, a in cons[i].items() if k in cons[j]
             )
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["fig7-3o", "fig3-blue", "fig5"])
+def test_preprocess_and_solver_share_the_row_product_kernel(name, monkeypatch):
+    # preprocessing's Gram matrix is one kernel call; the solver makes one
+    # per iteration that takes a step, so not after the last logged one
+    calls = []
+    kernel = core.SdpProblem.schur_matrix
+
+    def spy(self, x, w):
+        calls.append(self)
+        return kernel(self, x, w)
+
+    monkeypatch.setattr(core.SdpProblem, "schur_matrix", spy)
+    prob, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec(name)))
+    assert len(calls) == 1 and calls[0] is not prob
+    sol = solve(prob)
+    assert sol.status == core.OPTIMAL
+    assert len(calls) == sol.n_iterations
+    assert all(q is prob for q in calls[1:])
 
 
 # iteration counts of every preset but fig6-2s-m3 (solved by two other
