@@ -1,9 +1,12 @@
-"""Dense linear-algebra kernels for small Hermitian problems.
+"""Dense linear-algebra kernels: Hermitian eigen-solves and row selection.
 
 Pure functions; inputs are never mutated. Matrices are plain numpy arrays
-(complex Hermitian or real symmetric), kept small by design (dim <= 32).
-Every eigenvalue and eigenvector the library uses comes from LAPACK;
-jacobi_eigvalsh is a pure-Python reference that only the tests call.
+(complex Hermitian or real symmetric). Hermitian blocks are small by
+design (dim <= 32); row_space_basis reads the m x m Gram matrix of the
+constraint rows (m at most a few hundred for the bundled presets) and
+needs one m x m work array. Every eigenvalue and eigenvector the library
+uses comes from LAPACK through numpy; jacobi_eigvalsh is a pure-Python
+reference that only the tests call.
 """
 from __future__ import annotations
 
@@ -138,18 +141,17 @@ def min_eigenvalue(h: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int]]:
     """Select a maximal independent subset of rows from their Gram matrix.
 
-    Scans the rows in order with a left-looking panel Cholesky of gram.
-    Row i is kept iff its Schur-complement pivot (the squared norm of its
-    residual after projection onto the rows kept so far) exceeds
-    1e-12 * gram[i, i], i.e. its residual norm exceeds about 1e-6 of its
-    own norm; an exact dependency collapses the pivot to accumulation
-    noise ~ m * eps * gram[i, i]. Returns the kept indices, the dropped
-    indices and the lower Cholesky factor l_kept of gram[kept][:, kept].
-    A dropped row i equals c @ rows[kept] with
-    c = cho_solve((l_kept, True), gram[kept, i]).
+    Scans the rows in order with a left-looking Cholesky of gram. Row i is
+    kept iff its Schur-complement pivot (the squared norm of its residual
+    after projection onto the rows kept so far) exceeds 1e-12 * gram[i, i],
+    i.e. its residual norm exceeds about 1e-6 of its own norm; an exact
+    dependency collapses the pivot to accumulation noise
+    ~ m * eps * gram[i, i]. Returns the kept and the dropped indices. A
+    dropped row i equals c @ rows[kept] with
+    c = solve(gram[kept][:, kept], gram[kept, i]).
     """
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -158,35 +160,15 @@ def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]
     thresh = np.maximum(1e-12 * np.diag(g), 1e-20)
     kept: list[int] = []
     dropped: list[int] = []
-    # per panel: its first row and the factor columns of its kept rows, from
-    # that row down (the rows above are zero), so no m x m factor is stored
-    panels: list[tuple[int, np.ndarray]] = []
-    panel = 256
-    for start in range(0, m, panel):
-        stop = min(m, start + panel)
-        cols = g[start:, start:stop].copy()
-        for first, blk in panels:
-            cols -= blk[start - first:] @ blk[start - first:stop - first].T
-        cur = np.zeros((m - start, stop - start))
-        n = 0
-        for i in range(start, stop):
-            r = i - start
-            ci = cols[:, r]
-            if n:
-                ci = ci - cur[:, :n] @ cur[r, :n]
-            d = float(ci[r])
-            if d <= thresh[i]:
-                dropped.append(i)
-                continue
-            cur[r:, n] = ci[r:] / np.sqrt(d)
-            kept.append(i)
-            n += 1
-        panels.append((start, cur[:, :n]))
-    rows = np.array(kept, dtype=np.intp)
-    l_kept = np.zeros((len(kept), len(kept)))
-    col = 0
-    for first, blk in panels:
-        below = rows >= first
-        l_kept[below, col:col + blk.shape[1]] = blk[rows[below] - first]
-        col += blk.shape[1]
-    return kept, dropped, l_kept
+    # column n: the factor column of the n-th kept row, zero above that row
+    fac = np.zeros((m, m))
+    for i in range(m):
+        n = len(kept)
+        ci = g[i:, i] - fac[i:, :n] @ fac[i, :n]
+        d = float(ci[0])
+        if d <= thresh[i]:
+            dropped.append(i)
+            continue
+        fac[i:, n] = ci / np.sqrt(d)
+        kept.append(i)
+    return kept, dropped

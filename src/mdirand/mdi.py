@@ -162,7 +162,8 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
 
     * spanning ensemble (states span the Hermitian space): N_x is the
       unique operator reproducing column x, and its eigenvectors with
-      eigenvalue above FACE_TOL_ZERO * max(1, lambda_max) form V_x;
+      eigenvalue above FACE_TOL_ZERO * max(1, lambda_max) form V_x, which
+      is exactly the identity when no eigenvalue is cut;
     * otherwise, every exactly-zero entry P(x|a) forces N_x to annihilate
       the support of state a, so V_x spans the common kernel.
 
@@ -183,7 +184,7 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     rhos = [s.mat for s in scenario.ensemble.states]
     cond = scenario.observed.conditionals
     span_rows = np.stack([real_embed(r).reshape(-1) for r in rhos])
-    kept, _, _ = row_space_basis(span_rows @ span_rows.T)
+    kept, _ = row_space_basis(span_rows @ span_rows.T)
     faces: list[np.ndarray] = []
     if len(kept) == d * d:
         basis = _hermitian_basis(d)
@@ -205,7 +206,7 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
                     f"eigenvalue {vals[0]:.3e}"
                 )
             cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
-            faces.append(vecs[:, vals > cut])
+            faces.append(vecs[:, vals > cut] if vals[0] <= cut else np.eye(d, dtype=complex))
     else:
         for x in range(n_o):
             zeros = [a for a in range(n_s) if cond[a, x] <= 1e-14]

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import DEFAULT_TOLS
 from .linalg import row_space_basis
@@ -186,9 +185,11 @@ class SdpProblem:
         matrices, the block-sparse products F_k (X_k (x) W_k) F_k^T of
         Fujisawa, Kojima and Nakata (Math. Program. 79, 1997). A chunk holds
         at most SCHUR_CHUNK float64 elements per temporary: a whole group at
-        once would hold n_g * r_g * s^2 and set the peak memory. One
-        bincount scatters the chunk into (m + 1)^2 bins, the padding row and
-        column m falling into the dropped last bin of each axis.
+        once would hold n_g * r_g * s^2 and set the peak memory. np.add.at
+        scatters the chunk's own r_g^2 entries per block, as flat 1-D index
+        and value arrays (its fast path), into the flattened (m + 1)^2
+        accumulator, the padding row and column m falling into its dropped
+        last row and column.
         """
         m = self.n_constraints
         out = np.zeros((m + 1) * (m + 1))
@@ -201,7 +202,7 @@ class SdpProblem:
                 v = (xg[sl, None] @ pk @ wg[sl, None]).reshape(len(pk), r, s * s)
                 sk = pk.reshape(len(pk), r, s * s) @ v.transpose(0, 2, 1)
                 flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
-                out += np.bincount(flat.reshape(-1), sk.reshape(-1), minlength=out.size)
+                np.add.at(out, flat.reshape(-1), sk.reshape(-1))
         return out.reshape(m + 1, m + 1)[:m, :m]
 
 
@@ -265,7 +266,9 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop dependent constraint rows, check consistency, rescale.
 
     Rows are selected in order from their Gram matrix <A_i, A_j>, the
-    row-product kernel at X = W = I, by row_space_basis.
+    row-product kernel at X = W = I, by row_space_basis. The coefficients
+    of the dropped rows and the identity direction come from LU solves
+    with the kept rows' Gram block, positive definite by the selection.
     Dependent rows must be reproducible from kept rows with matching b
     (residual below the consistency tolerance), otherwise the problem is
     inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
@@ -280,12 +283,13 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     identity = p.stack_groups([np.eye(s) for s in p.block_dims])
     g = p.schur_matrix(identity, identity)
     g = 0.5 * (g + g.T)
-    kept, dropped, l_kept = row_space_basis(g)
+    kept, dropped = row_space_basis(g)
+    g_kept = g[np.ix_(kept, kept)]
     b_kept = p.b[kept]
 
     max_resid = 0.0
     if dropped:
-        coeffs = sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)], check_finite=False)
+        coeffs = np.linalg.solve(g_kept, g[np.ix_(kept, dropped)])
         resid = np.abs(p.b[dropped] - b_kept @ coeffs)
         max_resid = float(np.max(resid))
         if max_resid > DEFAULT_TOLS.consistency:
@@ -302,7 +306,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     ]
 
     # certificate direction u with sum_i u_i A_i = identity, if attainable
-    u = sla.cho_solve((l_kept, True), p.apply_constraints(identity)[kept], check_finite=False)
+    u = np.linalg.solve(g_kept, p.apply_constraints(identity)[kept])
     u_raw = np.zeros(m)
     u_raw[kept] = u
     cert_residual = max(

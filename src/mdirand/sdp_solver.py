@@ -7,10 +7,13 @@ iteration is a few batched numpy/LAPACK calls per group, not one call per
 block. The Schur complement S_ij = tr(A_i X A_j Z^-1) is formed densely
 by SdpProblem.schur_matrix, the row-product kernel that preprocessing
 also uses for its Gram matrix; its chunk budget SCHUR_CHUNK lives in
-sdp_core. S is factored by Cholesky; step lengths use
-fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
-read off one batched eigenvalue call per group. Deterministic: fixed
-initialization, fixed reduction order, no randomization anywhere.
+sdp_core. The predictor and the corrector system with S are each solved
+by LAPACK LU (numpy.linalg.solve), which needs no positive definiteness:
+no jitter, no refinement, and an exactly singular S ends the iteration
+with the best iterate so far. Step lengths use fraction-to-boundary
+STEP_FRACTION of the exact step to the PSD boundary, read off one batched
+eigenvalue call per group. Deterministic: fixed initialization, fixed
+reduction order, no randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
 primal optimum (weak duality). Every iterate's slack is recomputed from y
@@ -31,7 +34,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 # not called: the benchmark traces this name; the import goes when
 # ROADMAP item 1 drops that span target
@@ -322,38 +324,16 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             break
         schur = p.schur_matrix(x, zinv)
         schur_sym = 0.5 * (schur + schur.T)
-        factor = None
-        jitter = 0.0
-        base = float(np.mean(np.diag(schur_sym))) or 1.0
-        for attempt in range(4):
-            try:
-                factor = sla.cho_factor(
-                    schur_sym + (jitter * base) * np.eye(m) if jitter else schur_sym,
-                    lower=True, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 if jitter == 0.0 else jitter * 1e2
-        if factor is None:
-            status = _early_status()
-            break
-
-        def _solve_schur(rhs: np.ndarray) -> np.ndarray:
-            # two rounds of iterative refinement against the unjittered
-            # matrix recover direction accuracy lost to ill conditioning
-            dy = sla.cho_solve(factor, rhs, check_finite=False)
-            for _ in range(2):
-                resid = rhs - schur_sym @ dy
-                if not np.all(np.isfinite(resid)):
-                    break
-                dy = dy + sla.cho_solve(factor, resid, check_finite=False)
-            return dy
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
         hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])
 
         # predictor: affine direction (target nu = 0, Rc = -X)
-        rhs_aff = hxrz - p.b
-        dy_aff = _solve_schur(rhs_aff)
+        try:
+            dy_aff = np.linalg.solve(schur_sym, hxrz - p.b)
+        except np.linalg.LinAlgError:  # S exactly singular
+            status = _early_status()
+            break
         dz_aff = [ag - rg for ag, rg in zip(p.adjoint(dy_aff), rd)]
         dx_aff = [-xg - _sym(xg @ dg @ zg) for xg, dg, zg in zip(x, dz_aff, zinv)]
         ap_aff = _step_length(x, dx_aff, STEP_FRACTION)
@@ -379,8 +359,11 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             nu * zg - xg - _sym(dxg @ dzg @ zg)
             for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
         ]
-        rhs = p.apply_constraints(rc) + hxrz - rp
-        dy = _solve_schur(rhs)
+        try:
+            dy = np.linalg.solve(schur_sym, p.apply_constraints(rc) + hxrz - rp)
+        except np.linalg.LinAlgError:
+            status = _early_status()
+            break
         dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
         dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
         alpha_p = _step_length(x, dx, STEP_FRACTION)

@@ -384,3 +384,24 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "optimal"
+
+
+def test_cli_and_rate_load_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI and running a
+    # rate must not pull in scipy (nor its second BLAS)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import io, contextlib, sys\n"
+        "import mdirand.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert mdirand.cli.main(['rate', 'fig3-blue']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

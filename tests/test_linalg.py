@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from mdirand.linalg import (
     ConvergenceError,
@@ -129,18 +128,17 @@ def test_real_embed_psd_iff_complex_psd():
         assert np.linalg.eigvalsh(real_embed(g))[0] >= -1e-10
 
 
-def _dropped_coeffs(rows, kept, dropped, l_kept):
+def _dropped_coeffs(rows, kept, dropped):
     g = rows @ rows.T
-    return sla.cho_solve((l_kept, True), g[np.ix_(kept, dropped)])
+    return np.linalg.solve(g[np.ix_(kept, kept)], g[np.ix_(kept, dropped)])
 
 
 def test_row_space_basis_keeps_first_independent_rows():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    kept, dropped, l_kept = row_space_basis(rows @ rows.T)
+    kept, dropped = row_space_basis(rows @ rows.T)
     assert kept == [0, 1]
     assert dropped == [2]
-    assert np.allclose(l_kept @ l_kept.T, np.eye(2), atol=1e-12)
-    coeffs = _dropped_coeffs(rows, kept, dropped, l_kept)
+    coeffs = _dropped_coeffs(rows, kept, dropped)
     assert np.allclose(coeffs[:, 0], [1.0, 1.0], atol=1e-12)
 
 
@@ -151,19 +149,19 @@ def test_row_space_basis_rank_matches_svd_oracle():
         base = rng.standard_normal((r, n))
         mix = rng.standard_normal((m, r))
         rows = mix @ base
-        kept, dropped, l_kept = row_space_basis(rows @ rows.T)
+        kept, dropped = row_space_basis(rows @ rows.T)
         svd_rank = int(np.linalg.matrix_rank(rows, tol=1e-9))
         assert len(kept) == svd_rank
         assert sorted(kept + dropped) == list(range(m))
-        coeffs = _dropped_coeffs(rows, kept, dropped, l_kept)
+        coeffs = _dropped_coeffs(rows, kept, dropped)
         for j, i in enumerate(dropped):
             resid = np.linalg.norm(rows[i] - coeffs[:, j] @ rows[kept])
             assert resid < 1e-9 * max(1.0, np.linalg.norm(rows[i]))
 
 
-def test_row_space_basis_spans_several_panels():
-    # more rows than one factorization panel; each dependent row mixes all
-    # rows before it, so exactly the fresh random rows are kept, in order
+def test_row_space_basis_many_rows_keeps_the_fresh_ones():
+    # hundreds of rows; each dependent row mixes all rows before it, so
+    # exactly the fresh random rows are kept, in order
     rng = np.random.default_rng(17)
     rows, fresh = [], []
     for i in range(700):
@@ -174,19 +172,17 @@ def test_row_space_basis_spans_several_panels():
             rows.append(rng.standard_normal(600))
     rows = np.array(rows)
     g = rows @ rows.T
-    kept, dropped, l_kept = row_space_basis(g)
+    kept, dropped = row_space_basis(g)
     assert kept == fresh
-    assert np.max(np.abs(l_kept @ l_kept.T - g[np.ix_(kept, kept)])) < 1e-9 * np.max(g)
-    coeffs = _dropped_coeffs(rows, kept, dropped, l_kept)
+    coeffs = _dropped_coeffs(rows, kept, dropped)
     resid = rows[dropped] - coeffs.T @ rows[kept]
     assert np.max(np.linalg.norm(resid, axis=1)) < 1e-9 * np.max(np.linalg.norm(rows, axis=1))
 
 
 def test_row_space_basis_all_independent():
-    kept, dropped, l_kept = row_space_basis(np.eye(5))
+    kept, dropped = row_space_basis(np.eye(5))
     assert kept == [0, 1, 2, 3, 4]
     assert dropped == []
-    assert np.array_equal(l_kept, np.eye(5))
 
 
 def test_linalg_functions_do_not_mutate_inputs():

@@ -415,3 +415,13 @@ def test_real_scenarios_get_exactly_real_faces(name):
     # each face must be exactly real, as a real-block SDP needs
     faces = mdi.face_bases(cli.realize(cli.load_scenario_spec(name)))
     assert all(np.all(v.imag == 0.0) for v in faces)
+
+
+@pytest.mark.parametrize("name", cli.preset_names())
+def test_full_rank_faces_are_exactly_identity(name):
+    # a face that cuts no eigenvalue is V_x = I, not a rotation by the
+    # eigenvectors of N_x, so the compressed blocks keep the raw data
+    scen = cli.realize(cli.load_scenario_spec(name))
+    for v in mdi.face_bases(scen):
+        if v.shape[1] == scen.dim:
+            assert np.array_equal(v, np.eye(scen.dim))
