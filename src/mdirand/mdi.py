@@ -130,27 +130,18 @@ def honest_scenario(
     return Scenario(ensemble, stats, mode=mode, generation_index=generation_index)
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d, d) basis: the e_kk, then for each k < l the symmetric and
+    the antisymmetric imaginary element."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    j = d
     for k in range(d):
         for l in range(k + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[k, l] = s[l, k] = 1.0
-            basis.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[k, l] = 1.0j
-            a[l, k] = -1.0j
-            basis.append(a)
+            basis[j, k, l] = basis[j, l, k] = 1.0
+            basis[j + 1, k, l], basis[j + 1, l, k] = 1.0j, -1.0j
+            j += 2
     return basis
-
-
-def _emb(h: np.ndarray) -> np.ndarray:
-    # factor 2 of the real embedding compensated here, once
-    return 0.5 * real_embed(h)
 
 
 def face_bases(scenario: Scenario) -> list[np.ndarray]:
@@ -221,7 +212,7 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
 
 
 def build_sdp(
-    scenario: Scenario, relax: float = 0.0
+    scenario: Scenario, opts: SolverOptions | None = None
 ) -> tuple[SdpProblem, PreprocessReport]:
     """Assemble and preprocess the guessing-probability SDP.
 
@@ -237,7 +228,9 @@ def build_sdp(
     Each block is first compressed onto the certified range V_x of its
     outcome marginal (see face_bases; the generic full-rank case keeps the
     full dimension d), then embedded as a real block of twice the
-    compressed size. Constraint families, in order:
+    compressed size. Only outcomes with a nonempty face (live x, L of
+    them) get blocks, numbered (f, x, e) in that order, then the slack
+    blocks. Constraint families, in row order:
 
     i.   normalization: sum_{x,e} M_{x,e|f} = identity, d^2 rows per f;
     ii.  guess-marginal proportionality: sum_x M_{x,e|f} is a multiple of
@@ -245,131 +238,107 @@ def build_sdp(
          d^2 - 1 rows per (f, e);
     iii. input independence of the outcome marginal (``finite-q`` only):
          sum_e M_{x,e|a} equals its a=1 counterpart, d^2 rows per
-         (x, a > 1);
-    iv.  observed statistics, one row per (a, x) on input a's family; with
-         relax > 0 each row is widened to a +-relax band by two 1x1 slack
-         blocks t, t': stat + t = target + relax and t + t' = 2 relax.
+         (a > 1, live x);
+    iv.  observed statistics, one row per (a, live x) on input a's family;
+         with opts.relax > 0 each row is widened to a +-relax band by two
+         1x1 slack blocks t, t' and one more row per statistics row:
+         stat + t = target + relax and t + t' = 2 relax.
 
-    Rows whose reduced coefficients all vanish are emitted only if their
-    target is (numerically) zero; a nonzero target on an impossible
-    outcome raises InfeasibleProblemError.
+    Rows are numbered family by family, F being the number of families
+    and x' the position of x among the live outcomes: i. f d^2 + j;
+    ii. F d^2 + (f n_o + e)(d^2 - 1) + j; iii. from the end of ii,
+    ((a - 1) L + x') d^2 + j; iv. from the end of iii, a L + x'; the slack
+    rows last, in the order of iv. So block
+    (f, x, e) meets, in increasing row order, the face-embedded basis (i),
+    the traceless basis (ii), -basis on family 0 and +basis on the others
+    (iii) and the weighted states (iv), and is written directly in the
+    layout of SdpProblem.from_blocks. Rows whose coefficients vanish (the
+    statistics of an input with probability 0) are still emitted; the row
+    selection of preprocessing drops them. A nonzero target on an outcome
+    with an empty face raises InfeasibleProblemError. The raw row count is
+    checked against opts.max_constraints right after face_bases, before
+    anything of the problem's size is allocated.
     """
+    opts = opts or SolverOptions()
+    relax = opts.relax
     d = scenario.dim
+    d2 = d * d
     n_s = scenario.n_states
     n_o = scenario.n_outcomes
     finite_q = scenario.mode == MODE_FINITE_Q
     n_fam = n_s if finite_q else 1
 
     faces = face_bases(scenario)
-    r_dims = [v.shape[1] for v in faces]
+    live = [x for x in range(n_o) if faces[x].shape[1] > 0]
+    n_l = len(live)
+    # first rows of families ii, iii, iv and of the slack rows
+    o2 = n_fam * d2
+    o3 = o2 + n_fam * n_o * (d2 - 1)
+    o4 = o3 + (n_fam - 1) * n_l * d2
+    o5 = o4 + n_s * n_l
+    m = o5 + (n_s * n_l if relax > 0.0 else 0)
+    n_main = n_fam * n_l * n_o
+    if m > opts.max_constraints:
+        raise ValueError(
+            f"{m} raw constraints on {n_main} blocks of size up to "
+            f"{2 * max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
+        )
 
-    index: dict[tuple[int, int, int], int] = {}
-    block_dims: list[int] = []
-    for f in range(n_fam):
-        for x in range(n_o):
-            if r_dims[x] == 0:
-                continue
-            for e in range(n_o):
-                index[(f, x, e)] = len(block_dims)
-                block_dims.append(2 * r_dims[x])
+    probs = scenario.ensemble.probs
+    cond = scenario.observed.conditionals
+    weights = probs if finite_q else np.ones(n_s)
+    dead = [x for x in range(n_o) if x not in live]
+    if np.any(np.abs(weights[:, None] * cond[:, dead]) > 1e-12):
+        raise InfeasibleProblemError(
+            "constraint places a nonzero value on an impossible outcome"
+        )
+    b = np.zeros(m)
+    b[:o2].reshape(n_fam, d2)[:, :d] = 1.0  # traces of the basis elements
+    b[o4:o5] = (weights[:, None] * cond[:, live]).reshape(-1) + relax
+    b[o5:] = 2.0 * relax
 
     basis = _hermitian_basis(d)
     # deviations from multiples of the identity: off-diagonal elements and
     # e_kk - e_00, d^2 - 1 of them
-    traceless = basis[d:] + [basis[k] - basis[0] for k in range(1, d)]
-    rhos = [s.mat for s in scenario.ensemble.states]
-    probs = scenario.ensemble.probs
-    cond = scenario.observed.conditionals
+    traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
+    rhos = np.stack([s.mat for s in scenario.ensemble.states])
+    # per live face: basis, traceless and states compressed onto V_x and
+    # embedded, the factor 2 of the real embedding compensated here, once
+    emb = [[0.5 * real_embed(faces[x].conj().T @ h @ faces[x])
+            for h in (basis, traceless, rhos)] for x in live]
     gen = scenario.generation_index - 1
-
-    def emb_x(h: np.ndarray, x: int) -> np.ndarray:
-        v = faces[x]
-        return _emb(v.conj().T @ h @ v)
-
-    live = [x for x in range(n_o) if r_dims[x] > 0]
-    basis_x = {x: [emb_x(h, x) for h in basis] for x in live}
-    traceless_x = {x: [emb_x(h, x) for h in traceless] for x in live}
-    rho_x = {x: [emb_x(r, x) for r in rhos] for x in live}
-
-    constraints: list[dict[int, np.ndarray]] = []
-    b_vals: list[float] = []
-
-    def push(row: dict[int, np.ndarray], bval: float) -> None:
-        if row:
-            constraints.append(row)
-            b_vals.append(bval)
-        elif abs(bval) > 1e-12:
-            raise InfeasibleProblemError(
-                "constraint places a nonzero value on an impossible outcome"
-            )
-
-    # i. normalization per family
+    span = np.arange(d2)
+    block_dims: list[int] = []
+    rows: list[np.ndarray] = []
+    coeffs: list[np.ndarray] = []
+    objective: list[np.ndarray | None] = []
     for f in range(n_fam):
-        for j, h in enumerate(basis):
-            push(
-                {index[(f, x, e)]: basis_x[x][j] for x in live for e in range(n_o)},
-                float(np.trace(h).real),
-            )
-
-    # ii. guess marginals proportional to the identity
-    for f in range(n_fam):
-        for e in range(n_o):
-            for j in range(len(traceless)):
-                push({index[(f, x, e)]: traceless_x[x][j] for x in live}, 0.0)
-
-    # iii. outcome marginals independent of the input (per-input families only)
-    for f in range(1, n_fam):
-        for x in live:
-            for j in range(len(basis)):
-                row = {index[(f, x, e)]: basis_x[x][j] for e in range(n_o)}
-                for e in range(n_o):
-                    row[index[(0, x, e)]] = -basis_x[x][j]
-                push(row, 0.0)
-
-    # iv. statistics reproduction
-    slack_dims: list[int] = []
-    slack_rows: list[dict[int, np.ndarray]] = []
-    slack_b: list[float] = []
-    one = np.ones((1, 1))
-    n_main = len(block_dims)
-    for a in range(n_s):
-        f = a if finite_q else 0
-        weight = float(probs[a]) if finite_q else 1.0
-        for x in range(n_o):
-            target = weight * float(cond[a, x])
-            if x not in live:
-                push({}, target)
-                continue
-            row = {index[(f, x, e)]: weight * rho_x[x][a] for e in range(n_o)}
-            if relax > 0.0:
-                u = n_main + len(slack_dims)
-                slack_dims.extend([1, 1])
-                row[u] = one
-                target += relax
-                slack_rows.append({u: one, u + 1: one})
-                slack_b.append(2.0 * relax)
-            constraints.append(row)
-            b_vals.append(target)
-    constraints.extend(slack_rows)
-    b_vals.extend(slack_b)
-    block_dims.extend(slack_dims)
-
-    objective: dict[int, np.ndarray] = {}
-    if finite_q:
-        for a in range(n_s):
-            if probs[a] > 0.0:
-                for x in live:
-                    objective[index[(a, x, x)]] = float(probs[a]) * rho_x[x][a]
-    else:
-        for x in live:
-            objective[index[(0, x, x)]] = rho_x[x][gen]
-
-    raw = SdpProblem(
-        block_dims=tuple(block_dims),
-        objective=objective,
-        constraints=constraints,
-        b=np.array(b_vals),
-    )
+        for xi, x in enumerate(live):
+            bx, tx, rx = emb[xi]
+            # iii ties family 0 to every other family a: -basis and +basis
+            others = range(1, n_fam) if f == 0 else [f]
+            ind = [o3 + ((a - 1) * n_l + xi) * d2 + span for a in others]
+            ind_c = [-bx if f == 0 else bx] * len(ind)
+            if finite_q:
+                stat, stat_c = [o4 + f * n_l + xi], float(probs[f]) * rx[f:f + 1]
+                obj = stat_c[0] if probs[f] > 0.0 else None
+            else:
+                stat, stat_c, obj = o4 + np.arange(n_s) * n_l + xi, rx, rx[gen]
+            coef = np.concatenate([bx, tx, *ind_c, stat_c])
+            for e in range(n_o):
+                guess = o2 + (f * n_o + e) * (d2 - 1) + span[:-1]
+                rows.append(np.concatenate([f * d2 + span, guess, *ind, stat]))
+                coeffs.append(coef)
+                objective.append(obj if e == x else None)
+                block_dims.append(coef.shape[-1])
+    if relax > 0.0:
+        for t in range(n_s * n_l):
+            rows += [np.array([o4 + t, o5 + t]), np.array([o5 + t])]
+        coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
+        objective += [None, None] * (n_s * n_l)
+        block_dims += [1, 1] * (n_s * n_l)
+    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective)
+    del emb, rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
 
 
@@ -429,7 +398,7 @@ def guessing_probability(
     cost = input_cost(scenario.ensemble.probs) if scenario.mode == MODE_FINITE_Q else 0.0
     classical = _classical_bound(scenario)
     try:
-        problem, report = build_sdp(scenario, relax=opts.relax)
+        problem, report = build_sdp(scenario, opts)
     except InfeasibleProblemError as exc:
         return RateResult(
             status=INFEASIBLE,

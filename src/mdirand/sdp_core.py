@@ -5,21 +5,24 @@ Problems are stated over real symmetric block variables:
     maximize   sum_k <C_k, X_k>
     subject to sum_k <A_ik, X_k> = b_i,   X_k >= 0.
 
-Constraints and objective are block-sparse: dict mapping block index to a
-dense symmetric matrix. Complex Hermitian blocks enter through the real
-embedding with every matrix divided by 2 once at assembly, so b values and
-objective keep their complex-side meaning.
+Complex Hermitian blocks enter through the real embedding with every
+matrix divided by 2 once at assembly, so b values and objective keep their
+complex-side meaning.
 
-SdpProblem holds the one copy of the constraint map A that preprocessing,
-the solver and the certificate all use, laid out per block-size group:
-for the n_g blocks of size s in group g, an (n_g, r_g) array of the rows
-touching each block and an (n_g, r_g, s, s) stack of their coefficient
-matrices, r_g the largest row count in the group. Blocks touched by fewer
-rows are padded with the dummy row index m and zero matrices, so one
-batched product per group evaluates A, and one bincount over m + 1 bins
-(the last one dropped) scatters it back to rows. apply_constraints and
-adjoint take and return block variables in the same layout: one
-(n_g, s, s) stack per group.
+SdpProblem holds the one copy of the constraint map A and of C that
+preprocessing, the solver and the certificate all use, laid out per
+block-size group: for the n_g blocks of size s in group g, an (n_g, r_g)
+array of the rows touching each block and an (n_g, r_g, s, s) stack of
+their coefficient matrices, r_g the largest row count in the group. Blocks
+touched by fewer rows are padded with the dummy row index m and zero
+matrices, so one batched product per group evaluates A, and one bincount
+over m + 1 bins (the last one dropped) scatters it back to rows.
+apply_constraints and adjoint take and return block variables in the same
+layout: one (n_g, s, s) stack per group. SdpProblem.from_blocks packs
+per-block row lists and coefficient stacks into this layout;
+SdpProblem.from_rows takes one {block: matrix} map per row, for
+hand-written problems, and hands it to from_blocks. preprocess re-indexes
+the stacks instead of packing them again.
 
 Every product with A goes through three methods: A(X), A*(y) and the
 row-product kernel schur_matrix(X, W), S_ij = tr(A_i X A_j W). The solver
@@ -30,7 +33,8 @@ preprocessing calls it at X = W = I, where it is the Gram matrix
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +64,6 @@ class InfeasibleProblemError(ValueError):
     """Raised when constraints are provably inconsistent."""
 
 
-BlockMap = dict[int, np.ndarray]
-
 SCHUR_CHUNK = 2**15  # float64 elements per batched row-product temporary
 
 
@@ -75,7 +77,7 @@ def _asymmetric(stack: np.ndarray) -> bool:
 
 @dataclass
 class SdpProblem:
-    """Block SDP data; the group layout of A and C is built once.
+    """Block SDP data: A and C stored once, as one stack per size group.
 
     size_groups lists the block indices of each block size, sizes in
     order of first appearance. For group g, row j of the (n_g, r_g) array
@@ -83,60 +85,75 @@ class SdpProblem:
     block size_groups[g][j], padded with the dummy index m = n_constraints,
     and group_stacks[g] is the (n_g, r_g, s, s) stack of the matching
     coefficient matrices, zero in the padding. objective_stacks[g] is the
-    (n_g, s, s) stack of C. apply_constraints (A), adjoint (A*) and
+    (n_g, s, s) stack of C. from_blocks packs per-block data into this
+    layout and is the only packer; from_rows states a problem by per-row
+    maps {block: matrix}. apply_constraints (A), adjoint (A*) and
     schur_matrix (the row products tr(A_i X A_j W); X = W = I gives the
     Gram matrix) are the only products with A.
     """
 
     block_dims: tuple[int, ...]
-    objective: BlockMap
-    constraints: list[BlockMap]
     b: np.ndarray
+    size_groups: list[list[int]] = field(repr=False)
+    group_rows: list[np.ndarray] = field(repr=False)
+    group_stacks: list[np.ndarray] = field(repr=False)
+    objective_stacks: list[np.ndarray] = field(repr=False)
     preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
-    size_groups: list[list[int]] = field(init=False, repr=False)
-    group_rows: list[np.ndarray] = field(init=False, repr=False)
-    group_stacks: list[np.ndarray] = field(init=False, repr=False)
-    objective_stacks: list[np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.b = np.asarray(self.b, dtype=float)
-        if len(self.constraints) != self.b.size:
-            raise ValueError("need one b value per constraint")
-        for blk_map in [self.objective, *self.constraints]:
-            for k, m in blk_map.items():
-                s = self.block_dims[k]
-                if m.shape != (s, s):
-                    raise ValueError("constraint block has wrong shape")
-        rows: list[list[int]] = [[] for _ in self.block_dims]
-        for i, blk_map in enumerate(self.constraints):
-            for k in blk_map:
-                rows[k].append(i)
+    @classmethod
+    def from_blocks(cls, block_dims: Sequence[int], b: np.ndarray, rows: list[np.ndarray],
+                    coeffs: list[np.ndarray], objective: list[np.ndarray | None]) -> SdpProblem:
+        """Pack per-block data: for block k, rows[k] lists in increasing
+        order the constraints touching it, coeffs[k] is the
+        (len(rows[k]), s, s) stack of their coefficient matrices and
+        objective[k] is C_k, or None for zero. Every matrix must be
+        symmetric."""
+        block_dims = tuple(block_dims)
+        b = np.asarray(b, dtype=float)
         by_size: dict[int, list[int]] = {}
-        for k, s in enumerate(self.block_dims):
+        for k, s in enumerate(block_dims):
             by_size.setdefault(s, []).append(k)
-        self.size_groups = list(by_size.values())
-        self.group_rows, self.group_stacks = [], []
-        for g in self.size_groups:
-            s = self.block_dims[g[0]]
+            c = objective[k]
+            if np.shape(coeffs[k]) != (len(rows[k]), s, s) or (
+                c is not None and np.shape(c) != (s, s)
+            ):
+                raise ValueError("constraint block has wrong shape")
+        size_groups = list(by_size.values())
+        group_rows, group_stacks, objective_stacks = [], [], []
+        for g in size_groups:
+            s = block_dims[g[0]]
             width = max(len(rows[k]) for k in g)
-            idx = np.full((len(g), width), self.n_constraints, dtype=np.intp)
+            idx = np.full((len(g), width), b.size, dtype=np.intp)
             st = np.zeros((len(g), width, s, s))
+            obj = np.zeros((len(g), s, s))
             for j, k in enumerate(g):
                 idx[j, :len(rows[k])] = rows[k]
-                for t, i in enumerate(rows[k]):
-                    st[j, t] = self.constraints[i][k]
-            self.group_rows.append(idx)
-            self.group_stacks.append(st)
-        self.objective_stacks = self.stack_groups([
-            self.objective.get(k, np.zeros((s, s))).astype(float)
-            for k, s in enumerate(self.block_dims)
-        ])
-        # per block: whole-group temporaries would set the peak memory
-        stacks = [*self.group_stacks, *(o[:, None] for o in self.objective_stacks)]
-        if any(_asymmetric(st) for group in stacks for st in group):
-            raise ValueError("constraint blocks must be symmetric")
+                st[j, :len(rows[k])] = coeffs[k]
+                if objective[k] is not None:
+                    obj[j] = objective[k]
+                # per block: whole-group temporaries would set the peak memory
+                if _asymmetric(st[j]) or _asymmetric(obj[j:j + 1]):
+                    raise ValueError("constraint blocks must be symmetric")
+            group_rows.append(idx)
+            group_stacks.append(st)
+            objective_stacks.append(obj)
+        return cls(block_dims, b, size_groups, group_rows, group_stacks, objective_stacks)
+
+    @classmethod
+    def from_rows(cls, block_dims: Sequence[int], objective: dict[int, np.ndarray],
+                  constraints: list[dict[int, np.ndarray]], b: np.ndarray) -> SdpProblem:
+        """Problem from an objective map {block: C_k} and one map
+        {block: A_ik} per constraint row i."""
+        if len(constraints) != np.size(b):
+            raise ValueError("need one b value per constraint")
+        rows = [[i for i, row in enumerate(constraints) if k in row]
+                for k in range(len(block_dims))]
+        coeffs = [np.array([constraints[i][k] for i in r] or np.zeros((0, s, s)))
+                  for k, (r, s) in enumerate(zip(rows, block_dims))]
+        obj = [objective.get(k) for k in range(len(block_dims))]
+        return cls.from_blocks(block_dims, b, rows, coeffs, obj)
 
     @property
     def n_constraints(self) -> int:
@@ -272,7 +289,10 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     Dependent rows must be reproducible from kept rows with matching b
     (residual below the consistency tolerance), otherwise the problem is
     inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
-    to unit Frobenius norm; scaling never moves the optimal objective.
+    to unit Frobenius norm; scaling never moves the optimal objective. The
+    result re-indexes the raw stacks: kept rows become 0..k-1 in order,
+    dropped rows move into the zero padding, each group is cut to its new
+    width, and the objective stacks are shared with p.
     Also computes the certificate vector w with A*(w) = identity when the
     identity lies in the row space (used to repair dual infeasibility).
     """
@@ -300,10 +320,22 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
             )
 
     scales = np.sqrt(np.diag(g)[kept])
-    new_constraints = [
-        {k: mm / scale for k, mm in p.constraints[i].items()}
-        for i, scale in zip(kept, scales)
-    ]
+    k = len(kept)
+    new_index = np.full(m + 1, k, dtype=np.intp)  # dropped rows -> dummy k
+    new_index[kept] = np.arange(k)
+    scale = np.append(scales, 1.0)
+    group_rows, group_stacks = [], []
+    for rows, st in zip(p.group_rows, p.group_stacks):
+        rows = new_index[rows]
+        width = int(np.max(np.sum(rows < k, axis=1)))
+        # kept rows keep their order ahead of the dropped ones and the padding
+        order = np.argsort(rows, axis=1, kind="stable")[:, :width]
+        rows = np.take_along_axis(rows, order, axis=1)
+        st = np.take_along_axis(st, order[:, :, None, None], axis=1)
+        st /= scale[rows][:, :, None, None]
+        st[rows == k] = 0.0
+        group_rows.append(rows)
+        group_stacks.append(st)
 
     # certificate direction u with sum_i u_i A_i = identity, if attainable
     u = np.linalg.solve(g_kept, p.apply_constraints(identity)[kept])
@@ -320,14 +352,9 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     else:
         notes.append("identity not in constraint row space; no certificate shift")
 
-    out = SdpProblem(
-        block_dims=p.block_dims,
-        objective={k: mm.copy() for k, mm in p.objective.items()},
-        constraints=new_constraints,
-        b=b_kept / scales,
-        preprocessed=True,
-        cert_vector=cert_vector,
-        cert_b=cert_b,
+    out = replace(
+        p, b=b_kept / scales, group_rows=group_rows, group_stacks=group_stacks,
+        preprocessed=True, cert_vector=cert_vector, cert_b=cert_b,
     )
     report = PreprocessReport(
         n_raw=m,

@@ -24,6 +24,7 @@ from mdirand.quantum import (
     tomographic_set,
 )
 from mdirand import sdp_core, sdp_solver
+from sdp_rows import row_maps
 
 
 def _rate(ensemble, povm, eta, mode=mdi.MODE_ASYMPTOTIC):
@@ -112,16 +113,17 @@ def _reference_optimum(problem):
     cp = pytest.importorskip("cvxpy")
     xs = [cp.Variable((dim, dim), symmetric=True) for dim in problem.block_dims]
     cons = [x >> 0 for x in xs]
+    objective, constraints = row_maps(problem)
     for i in range(len(problem.b)):
         expr = 0
         for j, x in enumerate(xs):
-            a = problem.constraints[i].get(j)
+            a = constraints[i].get(j)
             if a is not None:
                 expr = expr + cp.sum(cp.multiply(a, x))
         cons.append(expr == problem.b[i])
     obj = 0
     for j, x in enumerate(xs):
-        c = problem.objective.get(j)
+        c = objective.get(j)
         if c is not None:
             obj = obj + cp.sum(cp.multiply(c, x))
     prob = cp.Problem(cp.Maximize(obj), cons)
@@ -145,7 +147,7 @@ def test_8_solver_matches_reference_oracle():
         x0 = rng.standard_normal((3, 3))
         x0 = x0 @ x0.T + 0.3 * np.eye(3)
         rows = [np.eye(3)] + [_sym(rng, 3) for _ in range(n_extra)]
-        raw = sdp_core.SdpProblem(
+        raw = sdp_core.SdpProblem.from_rows(
             block_dims=[3],
             objective={0: _sym(rng, 3)},
             constraints=[{0: a} for a in rows],
@@ -165,7 +167,7 @@ def test_8_solver_matches_reference_oracle():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     c = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
-    raw = sdp_core.SdpProblem(
+    raw = sdp_core.SdpProblem.from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: np.eye(3)}], b=np.array([1.0]),
     )
@@ -183,7 +185,7 @@ def test_8_solver_matches_reference_oracle():
             rows.append(e)
             vals.append(float(np.sum(e * target)))
     c = _sym(np.random.default_rng(11), 3)
-    raw = sdp_core.SdpProblem(
+    raw = sdp_core.SdpProblem.from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: a} for a in rows], b=np.array(vals),
     )
@@ -217,7 +219,7 @@ def test_9_module_invariants_hold(tmp_path):
     # weak duality: every certified bound dominates the known optimum
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     c = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
-    problem, _ = sdp_core.preprocess(sdp_core.SdpProblem(
+    problem, _ = sdp_core.preprocess(sdp_core.SdpProblem.from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: np.eye(3)}], b=np.array([1.0]),
     ))

@@ -405,3 +405,29 @@ def test_cli_and_rate_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_oversized_scenario_fails_before_assembly(tmp_path):
+    # fig6-2s-m3 at five copies: 34784 raw rows on 1024 blocks of size 64,
+    # about 70 GB of stacks. The raw-row cap stops it right after the
+    # faces, so it exits with a size message even under a 2 GiB
+    # address-space limit. Never run this spec without such a limit.
+    resource = pytest.importorskip("resource")
+    spec = cli.spec_to_dict(cli.load_scenario_spec("fig6-2s-m3"))
+    spec["copies"] = 5
+    path = tmp_path / "m5.json"
+    path.write_text(json.dumps(spec))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdirand", "rate", str(path)],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == cli.EXIT_SCHEMA
+    assert "34784" in proc.stderr
+    assert "MemoryError" not in proc.stderr

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdirand import cli, mdi
-from mdirand.linalg import row_space_basis
+from mdirand.linalg import real_embed, row_space_basis
 from mdirand.quantum import (
     ObservedStatistics,
     StateEnsemble,
@@ -51,6 +52,62 @@ def test_raw_row_count_formula():
     assert rep_q.n_raw == 72
     _, rep4_q = mdi.build_sdp(_finite_q(_fig3_blue(eta=0.9)))
     assert rep4_q.n_raw == 128
+
+
+def test_raw_row_cap_checked_before_assembly():
+    # fig6-2s-m3 has 632 raw rows (561 kept) on 64 blocks of size 16; a
+    # cap below the raw count fires right after face_bases, before any
+    # tensor of the problem's size exists
+    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="632 raw constraints on 64 blocks of size up to 16"):
+            mdi.build_sdp(scen, SolverOptions(max_constraints=600))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_built_problem_holds_its_stacks_once():
+    # A and C live only in the group stacks: the problem build_sdp returns
+    # holds little beyond them, and building it never holds more than
+    # three times their size (warm-up call first, then the traced one)
+    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
+    mdi.build_sdp(scen)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        prob, _ = mdi.build_sdp(scen)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = sum(st.nbytes for st in prob.group_stacks)
+    assert held - base <= 1.25 * stacks
+    assert peak - base <= 3.0 * stacks
+
+
+@pytest.mark.parametrize("name", [n for n in cli.preset_names() if n != "fig6-2s-m3"])
+def test_honest_strategy_satisfies_every_kept_row(name):
+    # a check of the assembled A, b and C that needs no solver: the honest
+    # device is feasible, so its operators compressed onto each face and
+    # embedded, in block order (f, live x, e), satisfy every kept row and
+    # give its objective value; in the preset's mode and in finite-q
+    spec = cli.load_scenario_spec(name)
+    base = cli.realize(spec)
+    povm = cli._build_povm(spec)
+    for scen in {base.mode: base, mdi.MODE_FINITE_Q: _finite_q(base)}.values():
+        ops = mdi.honest_strategy(scen, povm, spec.eta).operators
+        prob, _ = mdi.build_sdp(scen)
+        n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
+        faces = mdi.face_bases(scen)
+        blocks = [real_embed(v.conj().T @ ops[f, x, e] @ v) for f in range(n_fam)
+                  for x, v in enumerate(faces) if v.shape[1] > 0
+                  for e in range(scen.n_outcomes)]
+        xs = prob.stack_groups(blocks)
+        assert np.max(np.abs(prob.apply_constraints(xs) - prob.b)) <= 1e-12
+        value = sum(float(np.vdot(c, x)) for c, x in zip(prob.objective_stacks, xs))
+        assert abs(value - mdi.EffectiveStrategy(ops).objective_value(scen)) <= 1e-12
 
 
 def test_single_state_family_iii_empty_and_rate_zero():
@@ -322,7 +379,7 @@ def test_relaxation_band_widens_feasible_set():
     assert relaxed.ok
     assert relaxed.p_guess_upper >= exact.p_guess_upper - 1e-9
     prob_exact, rep_exact = mdi.build_sdp(scen)
-    prob_rel, rep_rel = mdi.build_sdp(scen, relax=1e-3)
+    prob_rel, rep_rel = mdi.build_sdp(scen, SolverOptions(relax=1e-3))
     # one extra row and two 1x1 slack blocks per statistics constraint
     assert rep_rel.n_raw == rep_exact.n_raw + 16
     assert prob_rel.n_blocks == prob_exact.n_blocks + 2 * 16

@@ -4,20 +4,26 @@ import pytest
 from mdirand import sdp_core as core
 from mdirand import cli, mdi
 from mdirand.quantum import extremal4, povm_from_bloch, sigma_z_povm, tomographic_set
+from sdp_rows import row_maps
 
 
 def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def _random_problem(rng, dims=(3, 2), m=6):
-    """Random symmetric-constraint problem, no dependencies planted."""
+def _random_rows(rng, dims=(3, 2), m=6):
+    """Random symmetric-constraint rows, no dependencies planted, as the
+    (block_dims, objective, constraints, b) that SdpProblem.from_rows takes."""
     constraints = []
     for _ in range(m):
         constraints.append({k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)})
     objective = {k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)}
     b = rng.standard_normal(m)
-    return core.SdpProblem(tuple(dims), objective, constraints, b)
+    return tuple(dims), objective, constraints, b
+
+
+def _random_problem(rng, dims=(3, 2), m=6):
+    return core.SdpProblem.from_rows(*_random_rows(rng, dims, m))
 
 
 def _gram(p):
@@ -27,18 +33,20 @@ def _gram(p):
     return 0.5 * (g + g.T)
 
 
-def _dense_rows(p):
-    offs = np.concatenate([[0], np.cumsum([s * s for s in p.block_dims])])
-    rows = np.zeros((p.n_constraints, offs[-1]))
-    for i, blk in enumerate(p.constraints):
+def _dense_rows(block_dims, constraints):
+    offs = np.concatenate([[0], np.cumsum([s * s for s in block_dims])])
+    rows = np.zeros((len(constraints), offs[-1]))
+    for i, blk in enumerate(constraints):
         for k, mm in blk.items():
             rows[i, offs[k]:offs[k + 1]] = mm.reshape(-1)
     return rows
 
 
 def test_problem_rejects_wrong_block_shape():
-    with pytest.raises(ValueError):
-        core.SdpProblem((2,), {0: np.eye(3)}, [{0: np.eye(2)}], np.array([1.0]))
+    # a wrong objective block, then a wrong constraint block
+    for objective, constraint in ((np.eye(3), np.eye(2)), (np.eye(2), np.eye(3))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
 def test_problem_rejects_asymmetric_constraint():
@@ -46,12 +54,12 @@ def test_problem_rejects_asymmetric_constraint():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     for objective, constraint in ((np.eye(2), a), (a, np.eye(2))):
         with pytest.raises(ValueError, match="symmetric"):
-            core.SdpProblem((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
+            core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
 def test_problem_rejects_b_length_mismatch():
     with pytest.raises(ValueError):
-        core.SdpProblem((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0, 2.0]))
+        core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0, 2.0]))
 
 
 def test_adjoint_is_adjoint_of_constraint_map():
@@ -59,21 +67,26 @@ def test_adjoint_is_adjoint_of_constraint_map():
     # the same with a third block that no constraint touches, then blocks
     # of one size touched by uneven row counts (the padded group layout)
     rng = np.random.default_rng(7)
-    p = _random_problem(rng)
-    untouched = core.SdpProblem(p.block_dims + (2,), p.objective, p.constraints, p.b)
+    dims, obj, cons, b = _random_rows(rng)
+    p = core.SdpProblem.from_rows(dims, obj, cons, b)
+    untouched = core.SdpProblem.from_rows(dims + (2,), obj, cons, b)
     assert untouched.size_groups[1] == [1, 2]
     assert np.all(untouched.group_rows[1][1] == untouched.n_constraints)
     dims = (2, 3, 2, 1, 2)
-    cons = [{k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)
-             if rng.random() < 0.5 or k == i % len(dims)} for i in range(7)]
-    uneven = core.SdpProblem(dims, {}, cons, rng.standard_normal(len(cons)))
+    cons_u = [{k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)
+               if rng.random() < 0.5 or k == i % len(dims)} for i in range(7)]
+    # a dependent row between independent ones: preprocessing drops it
+    cons_u.insert(3, {k: 2.0 * mm for k, mm in cons_u[0].items()})
+    b_u = rng.standard_normal(len(cons_u))
+    b_u[3] = 2.0 * b_u[0]
+    uneven = core.SdpProblem.from_rows(dims, {}, cons_u, b_u)
     counts = [int(np.sum(rows < uneven.n_constraints)) for rows in uneven.group_rows[0]]
     assert len(set(counts)) > 1
     assert uneven.group_rows[0].shape == (3, max(counts))
-    for q in (p, untouched, uneven):
+    for q, q_cons in ((p, cons), (untouched, cons), (uneven, cons_u)):
         xs = [_sym(rng.standard_normal((s, s))) for s in q.block_dims]
         y = rng.standard_normal(q.n_constraints)
-        rows = _dense_rows(q)
+        rows = _dense_rows(q.block_dims, q_cons)
         ax = q.apply_constraints(q.stack_groups(xs))
         assert np.allclose(ax, rows @ np.concatenate([x.reshape(-1) for x in xs]),
                            rtol=1e-12, atol=1e-12)
@@ -82,17 +95,27 @@ def test_adjoint_is_adjoint_of_constraint_map():
         adj = q.unstack_groups(q.adjoint(y))
         rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(q.n_blocks))
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
+        # layout: each block's rows increase ahead of its padding, and every
+        # padding slot is exactly zero, before and after preprocessing
+        out, rep = core.preprocess(q)
+        for r in (q, out):
+            for rows_g, st in zip(r.group_rows, r.group_stacks):
+                pad = rows_g == r.n_constraints
+                assert np.all(np.diff(pad.astype(int), axis=1) >= 0)
+                assert np.all((np.diff(rows_g, axis=1) > 0) | pad[:, 1:])
+                assert not np.any(st[pad])
+    assert rep.dropped_rows == [3]
     y = rng.standard_normal(untouched.n_constraints)
     assert np.array_equal(untouched.unstack_groups(untouched.adjoint(y))[2], np.zeros((2, 2)))
 
 
 def test_duplicate_constraint_removed_and_reported():
     rng = np.random.default_rng(0)
-    p = _random_problem(rng, m=4)
-    dup = {k: mm.copy() for k, mm in p.constraints[1].items()}
-    cons = p.constraints + [dup]
-    b = np.concatenate([p.b, [p.b[1]]])
-    raw = core.SdpProblem(p.block_dims, p.objective, cons, b)
+    dims, obj, rows, b0 = _random_rows(rng, m=4)
+    dup = {k: mm.copy() for k, mm in rows[1].items()}
+    cons = rows + [dup]
+    b = np.concatenate([b0, [b0[1]]])
+    raw = core.SdpProblem.from_rows(dims, obj, cons, b)
     out, rep = core.preprocess(raw)
     assert rep.n_raw == 5
     assert rep.dropped_rows == [4]
@@ -103,24 +126,24 @@ def test_duplicate_constraint_removed_and_reported():
 
 def test_contradictory_duplicate_is_infeasible():
     rng = np.random.default_rng(1)
-    p = _random_problem(rng, m=3)
-    dup = {k: mm.copy() for k, mm in p.constraints[0].items()}
-    cons = p.constraints + [dup]
-    b = np.concatenate([p.b, [p.b[0] + 0.5]])
-    raw = core.SdpProblem(p.block_dims, p.objective, cons, b)
+    dims, obj, rows, b0 = _random_rows(rng, m=3)
+    dup = {k: mm.copy() for k, mm in rows[0].items()}
+    cons = rows + [dup]
+    b = np.concatenate([b0, [b0[0] + 0.5]])
+    raw = core.SdpProblem.from_rows(dims, obj, cons, b)
     with pytest.raises(core.InfeasibleProblemError):
         core.preprocess(raw)
 
 
 def test_linear_combination_row_dropped_consistently():
     rng = np.random.default_rng(2)
-    p = _random_problem(rng, m=4)
+    dims, obj, rows, b0 = _random_rows(rng, m=4)
     combo = {}
-    for k in range(p.n_blocks):
-        combo[k] = 2.0 * p.constraints[0].get(k, 0.0) - 3.0 * p.constraints[2].get(k, 0.0)
-    cons = p.constraints + [combo]
-    b = np.concatenate([p.b, [2.0 * p.b[0] - 3.0 * p.b[2]]])
-    out, rep = core.preprocess(core.SdpProblem(p.block_dims, p.objective, cons, b))
+    for k in range(len(dims)):
+        combo[k] = 2.0 * rows[0].get(k, 0.0) - 3.0 * rows[2].get(k, 0.0)
+    cons = rows + [combo]
+    b = np.concatenate([b0, [2.0 * b0[0] - 3.0 * b0[2]]])
+    out, rep = core.preprocess(core.SdpProblem.from_rows(dims, obj, cons, b))
     assert rep.dropped_rows == [4]
     assert rep.max_consistency_residual < 1e-9
     assert out.n_constraints == 4
@@ -130,20 +153,20 @@ def test_linear_combination_row_dropped_consistently():
 def test_kept_count_matches_svd_rank_oracle(seed):
     # oracle: numpy SVD rank of the dense row matrix
     rng = np.random.default_rng(seed)
-    p = _random_problem(rng, dims=(3, 2), m=5)
-    cons = list(p.constraints)
-    b = list(p.b)
+    dims, obj, rows, b0 = _random_rows(rng, dims=(3, 2), m=5)
+    cons = list(rows)
+    b = list(b0)
     # plant seed-many dependent rows as random combinations of the originals
     for j in range(seed % 4):
         w = rng.standard_normal(5)
         combo = {}
-        for k in range(p.n_blocks):
+        for k in range(len(dims)):
             combo[k] = sum(w[i] * cons[i].get(k, 0.0) for i in range(5))
         cons.append(combo)
         b.append(float(w @ np.array(b[:5])))
-    raw = core.SdpProblem(p.block_dims, p.objective, cons, np.array(b))
+    raw = core.SdpProblem.from_rows(dims, obj, cons, np.array(b))
     out, rep = core.preprocess(raw)
-    rank = np.linalg.matrix_rank(_dense_rows(raw), tol=1e-9)
+    rank = np.linalg.matrix_rank(_dense_rows(dims, cons), tol=1e-9)
     assert len(rep.kept_rows) == rank
     assert len(rep.kept_rows) + len(rep.dropped_rows) == rep.n_raw
 
@@ -158,14 +181,15 @@ def test_mdi_instance_rank_matches_svd_oracle():
     assert prob.n_constraints == len(rep.kept_rows)
     assert rep.max_consistency_residual < 1e-8
     # kept rows must be linearly independent per the SVD oracle
-    assert np.linalg.matrix_rank(_dense_rows(prob), tol=1e-9) == prob.n_constraints
+    rows = _dense_rows(prob.block_dims, row_maps(prob)[1])
+    assert np.linalg.matrix_rank(rows, tol=1e-9) == prob.n_constraints
 
 
 def test_preprocess_scales_rows_to_unit_norm():
     rng = np.random.default_rng(3)
     raw = _random_problem(rng, m=5)
     out, _ = core.preprocess(raw)
-    for blk in out.constraints:
+    for blk in row_maps(out)[1]:
         norm = np.sqrt(sum(float(np.sum(mm * mm)) for mm in blk.values()))
         assert abs(norm - 1.0) < 1e-12
 
@@ -184,7 +208,7 @@ def test_feasible_points_still_satisfy_kept_rows(seed):
     b = [sum(float(np.sum(mm * x0[k])) for k, mm in blk.items()) for blk in cons]
     cons.append({k: cons[0][k] + cons[1][k] for k in range(len(dims))})
     b.append(b[0] + b[1])
-    raw = core.SdpProblem(dims, {0: np.eye(3)}, cons, np.array(b))
+    raw = core.SdpProblem.from_rows(dims, {0: np.eye(3)}, cons, np.array(b))
     out, rep = core.preprocess(raw)
     resid = out.apply_constraints(out.stack_groups(x0)) - out.b
     assert np.max(np.abs(resid)) < 1e-9
@@ -196,7 +220,7 @@ def test_certificate_vector_reproduces_identity():
     cons = [{k: np.eye(s) for k, s in enumerate(dims)}]  # total trace row
     for _ in range(4):
         cons.append({k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)})
-    raw = core.SdpProblem(dims, {0: np.eye(3)}, cons, rng.standard_normal(5))
+    raw = core.SdpProblem.from_rows(dims, {0: np.eye(3)}, cons, rng.standard_normal(5))
     out, rep = core.preprocess(raw)
     assert out.cert_vector is not None
     assert rep.cert_residual < 1e-9
@@ -209,7 +233,7 @@ def test_certificate_vector_reproduces_identity():
 def test_no_certificate_when_identity_not_reachable():
     # single off-diagonal constraint cannot combine to the identity
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    raw = core.SdpProblem((2,), {0: np.eye(2)}, [{0: a}], np.array([0.3]))
+    raw = core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([0.3]))
     out, rep = core.preprocess(raw)
     assert out.cert_vector is None
     assert any("identity" in n for n in rep.notes)
@@ -241,7 +265,7 @@ def test_row_selection_matches_dense_rank_oracle(name, monkeypatch):
     _, rep = mdi.build_sdp(cli.realize(cli.load_scenario_spec(name)))
     raw = raws[0]
     assert rep.n_raw == raw.n_constraints <= 150
-    rows = _dense_rows(raw)
+    rows = _dense_rows(raw.block_dims, row_maps(raw)[1])
     # project onto the row space once: every subset keeps its singular values
     _, _, vt = np.linalg.svd(rows, full_matrices=False)
     rows_c = rows @ vt.T

@@ -18,6 +18,7 @@ from mdirand.sdp_solver import (
     certify_upper_bound,
     solve,
 )
+from sdp_rows import row_maps
 
 
 def _sym(m):
@@ -25,7 +26,7 @@ def _sym(m):
 
 
 def _prep(dims, objective, constraints, b):
-    raw = core.SdpProblem(tuple(dims), objective, constraints, np.asarray(b, float))
+    raw = core.SdpProblem.from_rows(tuple(dims), objective, constraints, np.asarray(b, float))
     out, _ = core.preprocess(raw)
     return out
 
@@ -53,11 +54,12 @@ def _reference_optimum(p):
     cp = pytest.importorskip("cvxpy")
     xs = [cp.Variable((s, s), symmetric=True) for s in p.block_dims]
     cons = [x >> 0 for x in xs]
-    for i, blk in enumerate(p.constraints):
+    objective, constraints = row_maps(p)
+    for i, blk in enumerate(constraints):
         cons.append(
             sum(cp.sum(cp.multiply(mm, xs[k])) for k, mm in blk.items()) == p.b[i]
         )
-    obj = sum(cp.sum(cp.multiply(mm, xs[k])) for k, mm in p.objective.items())
+    obj = sum(cp.sum(cp.multiply(mm, xs[k])) for k, mm in objective.items())
     prob = cp.Problem(cp.Maximize(obj), cons)
     prob.solve(solver=cp.CLARABEL)
     assert prob.status in ("optimal", "optimal_inaccurate")
@@ -234,7 +236,7 @@ def test_schur_matrix_matches_dense_oracle():
                if rng.random() < 0.6}
         blk.setdefault(i % 24, _sym(rng.standard_normal((12, 12))))
         cons.append(blk)
-    p = core.SdpProblem(dims, {}, cons, rng.standard_normal(m))
+    p = core.SdpProblem.from_rows(dims, {}, cons, rng.standard_normal(m))
     assert p.size_groups[2] == [25, 27] and np.all(p.group_rows[2][1] == m)
     big = p.size_groups[0]
     counts = [int(np.sum(rows < m)) for rows in p.group_rows[0]]
@@ -422,7 +424,7 @@ def test_options_validation():
 
 
 def test_solve_rejects_unpreprocessed_or_oversized():
-    raw = core.SdpProblem((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0]))
+    raw = core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0]))
     with pytest.raises(ValueError):
         solve(raw)
     with pytest.raises(ValueError):
