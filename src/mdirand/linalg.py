@@ -2,7 +2,7 @@
 
 Pure functions; inputs are never mutated. Matrices are plain numpy arrays
 (complex Hermitian or real symmetric). Hermitian blocks are small by
-design (dim <= 32); row_space_basis reads the m x m Gram matrix of the
+design (dim <= 16); row_space_basis reads the m x m Gram matrix of the
 constraint rows (m at most 632 for the bundled presets, 4592 for the
 two-state product source at four copies) and needs one m x m work
 array. Every eigenvalue and eigenvector the library uses comes from
@@ -22,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "is_hermitian",
     "require_hermitian",
-    "real_embed",
     "jacobi_eigvalsh",
     "eigh_hermitian",
     "min_eigenvalue",
@@ -50,22 +49,6 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> np.
     if not is_hermitian(a, tol):
         raise NotHermitianError("matrix is not hermitian within tolerance")
     return a
-
-
-def real_embed(h: np.ndarray) -> np.ndarray:
-    """Real embedding [[A, -B], [B, A]] of h = A + iB, or of every matrix
-    of an (..., n, n) stack.
-
-    For Hermitian h the embedding is real symmetric, positive semidefinite
-    iff h is, carries each eigenvalue of h twice, and satisfies
-    trace(real_embed(x) @ real_embed(y)) = 2 * Re trace(x @ y).
-    """
-    h = np.asarray(h)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
-    a = np.real(h).astype(float)
-    b = np.imag(h).astype(float)
-    return np.block([[a, -b], [b, a]])
 
 
 def jacobi_eigvalsh(

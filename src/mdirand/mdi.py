@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import eigh_hermitian, min_eigenvalue, real_embed, row_space_basis
+from .linalg import eigh_hermitian, min_eigenvalue, row_space_basis
 from .quantum import (
     ObservedStatistics,
     Povm,
@@ -159,10 +159,11 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
       the support of state a, so V_x spans the common kernel.
 
     The spanning test is the row selection of row_space_basis on the
-    states' Gram matrix, so a state counts as independent only if its
-    residual exceeds about 1e-6 of its norm. A near-degenerate ensemble
-    can therefore fall back to the zero-pattern faces; those are valid for
-    every ensemble, so the rate is unchanged in exact arithmetic.
+    Gram matrix Re tr(rho_a rho_b) of the states' real views, so a state
+    counts as independent only if its residual exceeds about 1e-6 of its
+    norm. A near-degenerate ensemble can therefore fall back to the
+    zero-pattern faces; those are valid for every ensemble, so the rate is
+    unchanged in exact arithmetic.
 
     Restricting block (a,x,e) to V_x S V_x^dag is an exact reparametrization
     of the feasible set (eigenvalues are only cut at the 1e-11 noise floor,
@@ -174,7 +175,7 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     n_o = scenario.n_outcomes
     rhos = [s.mat for s in scenario.ensemble.states]
     cond = scenario.observed.conditionals
-    span_rows = np.stack([real_embed(r).reshape(-1) for r in rhos])
+    span_rows = np.stack(rhos).view(float).reshape(n_s, -1)
     kept, _ = row_space_basis(span_rows @ span_rows.T)
     faces: list[np.ndarray] = []
     if len(kept) == d * d:
@@ -225,12 +226,12 @@ def build_sdp(
     objective; conversely, copying one family to every input satisfies
     i-iv. Both problems therefore have the same optimum.
 
-    Each block is first compressed onto the certified range V_x of its
-    outcome marginal (see face_bases; the generic full-rank case keeps the
-    full dimension d), then embedded as a real block of twice the
-    compressed size. Only outcomes with a nonempty face (live x, L of
-    them) get blocks, numbered (f, x, e) in that order, then the slack
-    blocks. Constraint families, in row order:
+    Each block is compressed onto the certified range V_x of its outcome
+    marginal (see face_bases; the generic full-rank case keeps the full
+    dimension d): a complex Hermitian block of the face rank r_x, with
+    coefficients V_x^dag H V_x. Only outcomes with a nonempty face (live
+    x, L of them) get blocks, numbered (f, x, e) in that order, then the
+    slack blocks. Constraint families, in row order:
 
     i.   normalization: sum_{x,e} M_{x,e|f} = identity, d^2 rows per f;
     ii.  guess-marginal proportionality: sum_x M_{x,e|f} is a multiple of
@@ -249,7 +250,7 @@ def build_sdp(
     ii. F d^2 + (f n_o + e)(d^2 - 1) + j; iii. from the end of ii,
     ((a - 1) L + x') d^2 + j; iv. from the end of iii, a L + x'; the slack
     rows last, in the order of iv. So block
-    (f, x, e) meets, in increasing row order, the face-embedded basis (i),
+    (f, x, e) meets, in increasing row order, the face-compressed basis (i),
     the traceless basis (ii), -basis on family 0 and +basis on the others
     (iii) and the weighted states (iv), and is written directly in the
     layout of SdpProblem.from_blocks. Rows whose coefficients vanish (the
@@ -281,7 +282,7 @@ def build_sdp(
     if m > opts.max_constraints:
         raise ValueError(
             f"{m} raw constraints on {n_main} blocks of size up to "
-            f"{2 * max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
+            f"{max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
         )
 
     probs = scenario.ensemble.probs
@@ -302,10 +303,9 @@ def build_sdp(
     # e_kk - e_00, d^2 - 1 of them
     traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
     rhos = np.stack([s.mat for s in scenario.ensemble.states])
-    # per live face: basis, traceless and states compressed onto V_x and
-    # embedded, the factor 2 of the real embedding compensated here, once
-    emb = [[0.5 * real_embed(faces[x].conj().T @ h @ faces[x])
-            for h in (basis, traceless, rhos)] for x in live]
+    # per live face: basis, traceless and states compressed onto V_x
+    comp = [[faces[x].conj().T @ h @ faces[x] for h in (basis, traceless, rhos)]
+            for x in live]
     gen = scenario.generation_index - 1
     span = np.arange(d2)
     block_dims: list[int] = []
@@ -314,7 +314,7 @@ def build_sdp(
     objective: list[np.ndarray | None] = []
     for f in range(n_fam):
         for xi, x in enumerate(live):
-            bx, tx, rx = emb[xi]
+            bx, tx, rx = comp[xi]
             # iii ties family 0 to every other family a: -basis and +basis
             others = range(1, n_fam) if f == 0 else [f]
             ind = [o3 + ((a - 1) * n_l + xi) * d2 + span for a in others]
@@ -338,7 +338,7 @@ def build_sdp(
         objective += [None, None] * (n_s * n_l)
         block_dims += [1, 1] * (n_s * n_l)
     raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective)
-    del emb, rows, coeffs, objective  # so preprocess holds only the stacks
+    del comp, rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
 
 
@@ -505,10 +505,10 @@ class EffectiveStrategy:
 
     @classmethod
     def from_solution(cls, scenario: Scenario, sol: SdpSolution) -> "EffectiveStrategy":
-        """Recover complex operators from the embedded primal blocks.
+        """Recover complex operators from the primal blocks.
 
         Re-derives the outcome faces from the scenario (build_sdp is
-        deterministic), de-embeds each compressed block and expands it back
+        deterministic) and expands each compressed Hermitian block S back
         to the full space as V S V^dag. In asymptotic mode the SDP holds a
         single family, which is copied to every input.
         """
@@ -521,17 +521,12 @@ class EffectiveStrategy:
         for f in range(n_fam):
             for x in range(n_o):
                 v = faces[x]
-                r = v.shape[1]
-                if r == 0:
+                if v.shape[1] == 0:
                     continue
                 for e in range(n_o):
-                    yb = sol.x_blocks[i]
+                    s = sol.x_blocks[i]
                     i += 1
-                    re = 0.5 * (yb[:r, :r] + yb[r:, r:])
-                    im = 0.5 * (yb[r:, :r] - yb[:r, r:])
-                    s = re + 1.0j * im
-                    s = 0.5 * (s + s.conj().T)
-                    ops[f, x, e] = v @ s @ v.conj().T
+                    ops[f, x, e] = v @ (0.5 * (s + s.conj().T)) @ v.conj().T
         return cls(np.broadcast_to(ops, (n_s,) + ops.shape[1:]).copy())
 
     def objective_value(self, scenario: Scenario) -> float:

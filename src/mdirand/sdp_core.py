@@ -1,34 +1,35 @@
 """Block-diagonal SDP container and preprocessing.
 
-Problems are stated over real symmetric block variables:
+Problems are stated over complex Hermitian block variables:
 
     maximize   sum_k <C_k, X_k>
-    subject to sum_k <A_ik, X_k> = b_i,   X_k >= 0.
+    subject to sum_k <A_ik, X_k> = b_i,   X_k >= 0,
 
-Complex Hermitian blocks enter through the real embedding with every
-matrix divided by 2 once at assembly, so b values and objective keep their
-complex-side meaning.
+with the real inner product <A, X> = Re tr(AX). For Hermitian A and X
+that is the dot product of the arrays' real coordinates, A.view(float)
+and X.view(float), the one way every product with A below is formed. A
+real symmetric problem is the special case with zero imaginary parts.
 
 SdpProblem holds the one copy of the constraint map A and of C that
 preprocessing, the solver and the certificate all use, laid out per
 block-size group: for the n_g blocks of size s in group g, an (n_g, r_g)
-array of the rows touching each block and an (n_g, r_g, s, s) stack of
-their coefficient matrices, r_g the largest row count in the group. Blocks
-touched by fewer rows are padded with the dummy row index m and zero
-matrices, so one batched product per group evaluates A, and one bincount
-over m + 1 bins (the last one dropped) scatters it back to rows.
+array of the rows touching each block and an (n_g, r_g, s, s) complex
+stack of their coefficient matrices, r_g the largest row count in the
+group. Blocks touched by fewer rows are padded with the dummy row index m
+and zero matrices, so one batched product per group evaluates A, and one
+bincount over m + 1 bins (the last one dropped) scatters it back to rows.
 apply_constraints and adjoint take and return block variables in the same
-layout: one (n_g, s, s) stack per group. SdpProblem.from_blocks packs
-per-block row lists and coefficient stacks into this layout;
+layout: one (n_g, s, s) complex stack per group. SdpProblem.from_blocks
+packs per-block row lists and coefficient stacks into this layout;
 SdpProblem.from_rows takes one {block: matrix} map per row, for
 hand-written problems, and hands it to from_blocks. preprocess re-indexes
 the stacks instead of packing them again.
 
 Every product with A goes through three methods: A(X), A*(y) and the
-row-product kernel schur_matrix(X, W), S_ij = tr(A_i X A_j W). The solver
-calls the kernel at its iterate (W = Z^-1) for the Schur complement;
-preprocessing calls it at X = W = I, where it is the Gram matrix
-<A_i, A_j> of the rows.
+row-product kernel schur_matrix(X, W), S_ij = Re tr(A_i X A_j W). The
+solver calls the kernel at its iterate (W = Z^-1) for the Schur
+complement; preprocessing calls it at X = W = I, where it is the Gram
+matrix <A_i, A_j> of the rows.
 """
 from __future__ import annotations
 
@@ -64,14 +65,14 @@ class InfeasibleProblemError(ValueError):
     """Raised when constraints are provably inconsistent."""
 
 
-SCHUR_CHUNK = 2**15  # float64 elements per batched row-product temporary
+SCHUR_CHUNK = 2**15  # float64 elements of the real view per row-product temporary
 
 
-def _asymmetric(stack: np.ndarray) -> bool:
-    """True if some matrix m of the (n, s, s) stack has an entry of
-    |m - m^T| above 1e-12 * max(1, max|m|)."""
-    asym = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+def _non_hermitian(stack: np.ndarray) -> bool:
+    """True if some matrix m of the (..., s, s) stack has an entry of
+    |m - m^dag| above 1e-12 * max(1, max|m|)."""
+    asym = np.max(np.abs(stack - np.swapaxes(stack, -1, -2).conj()), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1)))
     return bool(np.any(asym > 1e-12 * scale))
 
 
@@ -85,11 +86,12 @@ class SdpProblem:
     block size_groups[g][j], padded with the dummy index m = n_constraints,
     and group_stacks[g] is the (n_g, r_g, s, s) stack of the matching
     coefficient matrices, zero in the padding. objective_stacks[g] is the
-    (n_g, s, s) stack of C. from_blocks packs per-block data into this
-    layout and is the only packer; from_rows states a problem by per-row
-    maps {block: matrix}. apply_constraints (A), adjoint (A*) and
-    schur_matrix (the row products tr(A_i X A_j W); X = W = I gives the
-    Gram matrix) are the only products with A.
+    (n_g, s, s) stack of C. Every stack is complex128, every matrix
+    Hermitian. from_blocks packs per-block data into this layout and is
+    the only packer; from_rows states a problem by per-row maps
+    {block: matrix}. apply_constraints (A), adjoint (A*) and
+    schur_matrix (the row products Re tr(A_i X A_j W); X = W = I gives
+    the Gram matrix) are the only products with A.
     """
 
     block_dims: tuple[int, ...]
@@ -109,7 +111,8 @@ class SdpProblem:
         order the constraints touching it, coeffs[k] is the
         (len(rows[k]), s, s) stack of their coefficient matrices and
         objective[k] is C_k, or None for zero. Every matrix must be
-        symmetric."""
+        Hermitian; blocks may share one coefficient stack or objective
+        matrix, which is then checked once."""
         block_dims = tuple(block_dims)
         b = np.asarray(b, dtype=float)
         by_size: dict[int, list[int]] = {}
@@ -120,22 +123,22 @@ class SdpProblem:
                 c is not None and np.shape(c) != (s, s)
             ):
                 raise ValueError("constraint block has wrong shape")
+        for a in {id(a): a for a in [*coeffs, *objective] if a is not None}.values():
+            if _non_hermitian(a):
+                raise ValueError("constraint blocks must be symmetric (Hermitian)")
         size_groups = list(by_size.values())
         group_rows, group_stacks, objective_stacks = [], [], []
         for g in size_groups:
             s = block_dims[g[0]]
             width = max(len(rows[k]) for k in g)
             idx = np.full((len(g), width), b.size, dtype=np.intp)
-            st = np.zeros((len(g), width, s, s))
-            obj = np.zeros((len(g), s, s))
+            st = np.zeros((len(g), width, s, s), dtype=complex)
+            obj = np.zeros((len(g), s, s), dtype=complex)
             for j, k in enumerate(g):
                 idx[j, :len(rows[k])] = rows[k]
                 st[j, :len(rows[k])] = coeffs[k]
                 if objective[k] is not None:
                     obj[j] = objective[k]
-                # per block: whole-group temporaries would set the peak memory
-                if _asymmetric(st[j]) or _asymmetric(obj[j:j + 1]):
-                    raise ValueError("constraint blocks must be symmetric")
             group_rows.append(idx)
             group_stacks.append(st)
             objective_stacks.append(obj)
@@ -164,8 +167,8 @@ class SdpProblem:
         return len(self.block_dims)
 
     def stack_groups(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-block list -> one (n_g, s, s) stack per size group."""
-        return [np.stack([blocks[k] for k in g]) for g in self.size_groups]
+        """Per-block list -> one (n_g, s, s) complex stack per size group."""
+        return [np.stack([blocks[k] for k in g], dtype=complex) for g in self.size_groups]
 
     def unstack_groups(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
         """One stack per size group -> per-block list, in block order."""
@@ -180,7 +183,8 @@ class SdpProblem:
         idx, vals = [], []
         for rows, st, x in zip(self.group_rows, self.group_stacks, xs):
             n, r, s, _ = st.shape
-            vals.append((st.reshape(n, r, s * s) @ x.reshape(n, s * s, 1)).reshape(-1))
+            ax = st.view(float).reshape(n, r, 2 * s * s) @ x.view(float).reshape(n, 2 * s * s, 1)
+            vals.append(ax.reshape(-1))
             idx.append(rows.reshape(-1))
         m = self.n_constraints
         return np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=m + 1)[:m]
@@ -191,33 +195,40 @@ class SdpProblem:
         out = []
         for rows, st in zip(self.group_rows, self.group_stacks):
             n, r, s, _ = st.shape
-            out.append((ye[rows][:, None, :] @ st.reshape(n, r, s * s)).reshape(n, s, s))
+            ay = ye[rows][:, None, :] @ st.view(float).reshape(n, r, 2 * s * s)
+            out.append(ay.view(complex).reshape(n, s, s))
         return out
 
     def schur_matrix(self, x: list[np.ndarray], w: list[np.ndarray]) -> np.ndarray:
-        """S_ij = tr(A_i X A_j W) summed over blocks, unsymmetrized.
+        """S_ij = Re tr(A_i X A_j W) summed over blocks, unsymmetrized.
 
-        Per chunk of blocks of one group, V = X P W for the stack P of the
-        block's coefficient matrices and S_k = P V^T over flattened
-        matrices, the block-sparse products F_k (X_k (x) W_k) F_k^T of
-        Fujisawa, Kojima and Nakata (Math. Program. 79, 1997). A chunk holds
-        at most SCHUR_CHUNK float64 elements per temporary: a whole group at
-        once would hold n_g * r_g * s^2 and set the peak memory. np.add.at
-        scatters the chunk's own r_g^2 entries per block, as flat 1-D index
-        and value arrays (its fast path), into the flattened (m + 1)^2
-        accumulator, the padding row and column m falling into its dropped
-        last row and column.
+        Per chunk of blocks of one group, V_j = X P_j W for the stack P of
+        the block's coefficient matrices, formed as two products per block
+        over its s x (r_g s) panel [P_1 ... P_r]: one by X from the left,
+        one by W from the right once the panel is regrouped as a column.
+        S_k is then P V^T over the real views of the flattened matrices,
+        the block-sparse products F_k (X_k (x) W_k) F_k^T of Fujisawa,
+        Kojima and Nakata (Math. Program. 79, 1997). A chunk holds at most
+        SCHUR_CHUNK float64 elements per temporary, 2 s^2 per complex
+        matrix: a whole group at once would hold n_g * r_g * s^2 complex
+        entries and set the peak memory. np.add.at scatters the chunk's own
+        r_g^2 entries per block, as flat 1-D index and value arrays (its
+        fast path), into the flattened (m + 1)^2 accumulator, the padding
+        row and column m falling into its dropped last row and column.
         """
         m = self.n_constraints
         out = np.zeros((m + 1) * (m + 1))
         for rows, st, xg, wg in zip(self.group_rows, self.group_stacks, x, w):
             n, r, s, _ = st.shape
-            step = max(1, SCHUR_CHUNK // max(1, r * max(r, s * s)))
+            step = max(1, SCHUR_CHUNK // max(1, r * max(r, 2 * s * s)))
             for lo in range(0, n, step):
                 sl = slice(lo, lo + step)
                 pk = st[sl]
-                v = (xg[sl, None] @ pk @ wg[sl, None]).reshape(len(pk), r, s * s)
-                sk = pk.reshape(len(pk), r, s * s) @ v.transpose(0, 2, 1)
+                nk = len(pk)
+                v = xg[sl] @ pk.transpose(0, 2, 1, 3).reshape(nk, s, r * s)
+                v = v.reshape(nk, s, r, s).transpose(0, 2, 1, 3).reshape(nk, r * s, s) @ wg[sl]
+                sk = (pk.view(float).reshape(nk, r, 2 * s * s)
+                      @ v.view(float).reshape(nk, r, 2 * s * s).transpose(0, 2, 1))
                 flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
                 np.add.at(out, flat.reshape(-1), sk.reshape(-1))
         return out.reshape(m + 1, m + 1)[:m, :m]
@@ -251,6 +262,8 @@ class IterationRecord:
 
 @dataclass
 class SdpSolution:
+    """x_blocks and slack_blocks: one complex Hermitian matrix per block."""
+
     status: str
     x_blocks: list[np.ndarray]
     y: np.ndarray

@@ -2,9 +2,10 @@
 
 Infeasible-start path following with Mehrotra predictor-corrector steps in
 the HKM scaling. The iterates X, Z and every direction are held as one
-(n_g, s, s) stack per block-size group of the problem, so each step of an
-iteration is a few batched numpy/LAPACK calls per group, not one call per
-block. The Schur complement S_ij = tr(A_i X A_j Z^-1) is formed densely
+complex Hermitian (n_g, s, s) stack per block-size group of the problem,
+so each step of an iteration is a few batched numpy/LAPACK calls per
+group, not one call per block (transposes are conjugate transposes).
+The Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely
 by SdpProblem.schur_matrix, the row-product kernel that preprocessing
 also uses for its Gram matrix; its chunk budget SCHUR_CHUNK lives in
 sdp_core. The predictor and the corrector system with S are each solved
@@ -101,7 +102,7 @@ def _step_length(xs: list[np.ndarray], ds: list[np.ndarray], fraction: float) ->
     """min(1, fraction * alpha_max), alpha_max the largest step keeping
     every xs + alpha_max * ds PSD.
 
-    With L = chol(X), alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-T));
+    With L = chol(X), alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag));
     one batched Cholesky and one batched eigvalsh per group stack.
     Returns 0.0 when a block is not numerically positive definite or the
     direction is not finite.
@@ -110,7 +111,8 @@ def _step_length(xs: list[np.ndarray], ds: list[np.ndarray], fraction: float) ->
         lams = []
         for x, d in zip(xs, ds):
             l_inv = np.linalg.inv(np.linalg.cholesky(x))
-            lams.append(np.min(np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1))))
+            l_inv_h = l_inv.conj().transpose(0, 2, 1)
+            lams.append(np.min(np.linalg.eigvalsh(l_inv @ d @ l_inv_h)))
         lam = float(np.min(lams))
     except np.linalg.LinAlgError:
         lam = math.nan
@@ -120,12 +122,13 @@ def _step_length(xs: list[np.ndarray], ds: list[np.ndarray], fraction: float) ->
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.transpose(0, 2, 1))
+    """Hermitian part of every matrix of the stack."""
+    return 0.5 * (m + m.conj().transpose(0, 2, 1))
 
 
 def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> float:
-    """Trace inner product summed over group stacks."""
-    return sum(float(np.vdot(ag, bg)) for ag, bg in zip(a, b))
+    """Trace inner product Re tr(AB) summed over Hermitian group stacks."""
+    return sum(float(np.vdot(ag, bg).real) for ag, bg in zip(a, b))
 
 
 def _max_norm(stacks: list[np.ndarray]) -> float:
@@ -134,7 +137,7 @@ def _max_norm(stacks: list[np.ndarray]) -> float:
 
 
 def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The true slack A*(y) - C as group stacks, symmetrized, and its
+    """The true slack A*(y) - C as group stacks, Hermitian part, and its
     smallest eigenvalue.
 
     The eigenvalue comes from _min_eigenvalue. LAPACK's eigvalsh is
@@ -206,7 +209,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     c = p.objective_stacks
 
     b_scale = 1.0 + float(np.max(np.abs(p.b)))
-    x = [b_scale * np.broadcast_to(np.eye(st.shape[1]), st.shape) for st in c]
+    x = [b_scale * np.broadcast_to(np.eye(st.shape[1], dtype=st.dtype), st.shape) for st in c]
     z = [xg.copy() for xg in x]
     y = np.zeros(m)
     c_scale = 1.0 + _max_norm(c)
@@ -316,7 +319,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 break
         prev_score = min(prev_score, score)
 
-        # invert Z and assemble the Schur complement S_ij = tr(A_i X A_j Z^-1)
+        # invert Z and assemble the Schur complement S_ij = Re tr(A_i X A_j Z^-1)
         try:
             zinv = [_sym(np.linalg.inv(zg)) for zg in z]
         except np.linalg.LinAlgError:

@@ -1,4 +1,6 @@
-"""Per-row view of an SdpProblem, for oracles that state a problem row by row."""
+"""Per-row and real views of an SdpProblem, for oracles that state a
+problem row by row or need real symmetric matrices."""
+import numpy as np
 
 
 def row_maps(p):
@@ -15,3 +17,16 @@ def row_maps(p):
                     constraints[i][k] = st[j, t]
     return objective, constraints
 
+
+def real_coords(m):
+    """The real coordinates of a matrix, real and imaginary parts
+    interleaved: Re tr(AB) = real_coords(A) @ real_coords(B) for
+    Hermitian A and B."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1)
+
+
+def real_embed(h):
+    """The real embedding [[Re h, -Im h], [Im h, Re h]]: real symmetric for
+    Hermitian h, with every eigenvalue of h twice."""
+    a, b = np.real(h), np.imag(h)
+    return np.block([[a, -b], [b, a]])

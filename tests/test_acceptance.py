@@ -114,18 +114,21 @@ def _reference_optimum(problem):
     xs = [cp.Variable((dim, dim), symmetric=True) for dim in problem.block_dims]
     cons = [x >> 0 for x in xs]
     objective, constraints = row_maps(problem)
+    # the oracle instances are real: their complex stacks carry zero
+    # imaginary parts, and real symmetric variables state them exactly
+    assert not any(np.any(m.imag) for blk in [objective, *constraints] for m in blk.values())
     for i in range(len(problem.b)):
         expr = 0
         for j, x in enumerate(xs):
             a = constraints[i].get(j)
             if a is not None:
-                expr = expr + cp.sum(cp.multiply(a, x))
+                expr = expr + cp.sum(cp.multiply(a.real, x))
         cons.append(expr == problem.b[i])
     obj = 0
     for j, x in enumerate(xs):
         c = objective.get(j)
         if c is not None:
-            obj = obj + cp.sum(cp.multiply(c, x))
+            obj = obj + cp.sum(cp.multiply(c.real, x))
     prob = cp.Problem(cp.Maximize(obj), cons)
     prob.solve(solver=cp.CLARABEL)
     assert prob.status in ("optimal", "optimal_inaccurate"), prob.status

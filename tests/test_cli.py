@@ -408,8 +408,8 @@ def test_cli_and_rate_load_no_scipy():
 
 
 def test_oversized_scenario_fails_before_assembly(tmp_path):
-    # fig6-2s-m3 at five copies: 34784 raw rows on 1024 blocks of size 64,
-    # about 70 GB of stacks. The raw-row cap stops it right after the
+    # fig6-2s-m3 at five copies: 34784 raw rows on 1024 blocks of size 32,
+    # about 35 GB of stacks. The raw-row cap stops it right after the
     # faces, so it exits with a size message even under a 2 GiB
     # address-space limit. Never run this spec without such a limit.
     resource = pytest.importorskip("resource")

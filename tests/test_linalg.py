@@ -7,12 +7,10 @@ from mdirand.linalg import (
     eigh_hermitian,
     jacobi_eigvalsh,
     min_eigenvalue,
-    real_embed,
     row_space_basis,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
 
 
 def test_min_eigenvalue_qubit_state_spectrum():
@@ -84,48 +82,6 @@ def test_jacobi_convergence_error_is_raisable():
         rng = np.random.default_rng(0)
         a = rng.standard_normal((12, 12))
         jacobi_eigvalsh(a + a.T, max_sweeps=0)
-
-
-def test_real_embed_sigma_y_eigenvalues():
-    m = real_embed(SY)
-    assert np.array_equal(
-        m,
-        np.array(
-            [
-                [0.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, -1.0, 0.0],
-                [0.0, -1.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0],
-            ]
-        ),
-    )
-    # oracle: det/trace enumeration gives doubled spectrum {-1, -1, 1, 1}
-    assert np.allclose(np.linalg.eigvalsh(m), [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_real_embed_trace_identity_randomized():
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = x + x.conj().T
-        y = y + y.conj().T
-        lhs = np.trace(real_embed(x) @ real_embed(y))
-        rhs = 2.0 * np.real(np.trace(x @ y))
-        assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
-
-
-def test_real_embed_psd_iff_complex_psd():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = a + a.conj().T
-        psd_complex = np.linalg.eigvalsh(h)[0] >= -1e-12
-        psd_embed = np.linalg.eigvalsh(real_embed(h))[0] >= -1e-12
-        assert psd_complex == psd_embed
-        g = a @ a.conj().T  # PSD by construction
-        assert np.linalg.eigvalsh(real_embed(g))[0] >= -1e-10
 
 
 def _dropped_coeffs(rows, kept, dropped):

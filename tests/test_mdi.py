@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from mdirand import cli, mdi
-from mdirand.linalg import real_embed, row_space_basis
+from mdirand.linalg import row_space_basis
 from mdirand.quantum import (
+    DensityMatrix,
     ObservedStatistics,
     StateEnsemble,
     bloch_to_density,
@@ -19,8 +21,9 @@ from mdirand.quantum import (
     sigma_z_povm,
     tomographic_set,
 )
-from mdirand.sdp_core import INFEASIBLE, InfeasibleProblemError
+from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
+from sdp_rows import real_coords
 
 
 def _fig3_blue(eta=1.0, mode=mdi.MODE_ASYMPTOTIC):
@@ -55,13 +58,13 @@ def test_raw_row_count_formula():
 
 
 def test_raw_row_cap_checked_before_assembly():
-    # fig6-2s-m3 has 632 raw rows (561 kept) on 64 blocks of size 16; a
+    # fig6-2s-m3 has 632 raw rows (561 kept) on 64 blocks of size 8; a
     # cap below the raw count fires right after face_bases, before any
     # tensor of the problem's size exists
     scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="632 raw constraints on 64 blocks of size up to 16"):
+        with pytest.raises(ValueError, match="632 raw constraints on 64 blocks of size up to 8"):
             mdi.build_sdp(scen, SolverOptions(max_constraints=600))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -90,9 +93,10 @@ def test_built_problem_holds_its_stacks_once():
 @pytest.mark.parametrize("name", [n for n in cli.preset_names() if n != "fig6-2s-m3"])
 def test_honest_strategy_satisfies_every_kept_row(name):
     # a check of the assembled A, b and C that needs no solver: the honest
-    # device is feasible, so its operators compressed onto each face and
-    # embedded, in block order (f, live x, e), satisfy every kept row and
-    # give its objective value; in the preset's mode and in finite-q
+    # device is feasible, so its operators compressed onto each face, in
+    # block order (f, live x, e), satisfy every kept row and give its
+    # objective value, read off the real views; in the preset's mode and
+    # in finite-q
     spec = cli.load_scenario_spec(name)
     base = cli.realize(spec)
     povm = cli._build_povm(spec)
@@ -101,13 +105,39 @@ def test_honest_strategy_satisfies_every_kept_row(name):
         prob, _ = mdi.build_sdp(scen)
         n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
         faces = mdi.face_bases(scen)
-        blocks = [real_embed(v.conj().T @ ops[f, x, e] @ v) for f in range(n_fam)
+        blocks = [v.conj().T @ ops[f, x, e] @ v for f in range(n_fam)
                   for x, v in enumerate(faces) if v.shape[1] > 0
                   for e in range(scen.n_outcomes)]
         xs = prob.stack_groups(blocks)
         assert np.max(np.abs(prob.apply_constraints(xs) - prob.b)) <= 1e-12
-        value = sum(float(np.vdot(c, x)) for c, x in zip(prob.objective_stacks, xs))
+        value = sum(float(real_coords(c) @ real_coords(x))
+                    for c, x in zip(prob.objective_stacks, xs))
         assert abs(value - mdi.EffectiveStrategy(ops).objective_value(scen)) <= 1e-12
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("name", [
+    n for n in cli.preset_names()
+    if cli.load_scenario_spec(n).eta < 1.0 and n != "fig6-2s-m3"
+])
+def test_rate_invariant_under_common_unitary(name):
+    # conjugating every state by one unitary U^(x copies) and keeping the
+    # statistics maps each feasible strategy M to U M U^dag with the same
+    # objective, so the rate cannot move; a fixed complex U makes every
+    # state and face complex, real presets included
+    spec = cli.load_scenario_spec(name)
+    scen = cli.realize(spec)
+    u = reduce(np.kron, [_haar_unitary(np.random.default_rng(0))] * spec.copies)
+    states = tuple(DensityMatrix(u @ s.mat @ u.conj().T) for s in scen.ensemble.states)
+    rotated = mdi.Scenario(StateEnsemble(states, scen.ensemble.probs), scen.observed,
+                           mode=scen.mode, generation_index=scen.generation_index)
+    base, rot = mdi.guessing_probability(scen), mdi.guessing_probability(rotated)
+    assert base.status == rot.status == OPTIMAL
+    assert abs(rot.rate_bits - base.rate_bits) <= 1e-7
 
 
 def test_single_state_family_iii_empty_and_rate_zero():

@@ -4,7 +4,7 @@ import pytest
 from mdirand import sdp_core as core
 from mdirand import cli, mdi
 from mdirand.quantum import extremal4, povm_from_bloch, sigma_z_povm, tomographic_set
-from sdp_rows import row_maps
+from sdp_rows import real_coords, row_maps
 
 
 def _sym(m):
@@ -34,11 +34,13 @@ def _gram(p):
 
 
 def _dense_rows(block_dims, constraints):
-    offs = np.concatenate([[0], np.cumsum([s * s for s in block_dims])])
+    """One row of real coordinates per constraint: <A_i, X> = rows[i] @ x
+    for x the concatenated real_coords of the blocks."""
+    offs = np.concatenate([[0], np.cumsum([2 * s * s for s in block_dims])])
     rows = np.zeros((len(constraints), offs[-1]))
     for i, blk in enumerate(constraints):
         for k, mm in blk.items():
-            rows[i, offs[k]:offs[k + 1]] = mm.reshape(-1)
+            rows[i, offs[k]:offs[k + 1]] = real_coords(mm)
     return rows
 
 
@@ -55,6 +57,14 @@ def test_problem_rejects_asymmetric_constraint():
     for objective, constraint in ((np.eye(2), a), (a, np.eye(2))):
         with pytest.raises(ValueError, match="symmetric"):
             core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
+
+
+def test_problem_rejects_complex_symmetric_constraint():
+    # [[0, 1j], [1j, 0]] equals its transpose but not its conjugate
+    # transpose: a transpose-only check would accept it
+    a = np.array([[0.0, 1.0j], [1.0j, 0.0]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([1.0]))
 
 
 def test_problem_rejects_b_length_mismatch():
@@ -88,12 +98,12 @@ def test_adjoint_is_adjoint_of_constraint_map():
         y = rng.standard_normal(q.n_constraints)
         rows = _dense_rows(q.block_dims, q_cons)
         ax = q.apply_constraints(q.stack_groups(xs))
-        assert np.allclose(ax, rows @ np.concatenate([x.reshape(-1) for x in xs]),
+        assert np.allclose(ax, rows @ np.concatenate([real_coords(x) for x in xs]),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(_gram(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
         lhs = float(ax @ y)
         adj = q.unstack_groups(q.adjoint(y))
-        rhs = sum(float(np.sum(adj[k] * xs[k])) for k in range(q.n_blocks))
+        rhs = sum(float(real_coords(adj[k]) @ real_coords(xs[k])) for k in range(q.n_blocks))
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
         # layout: each block's rows increase ahead of its padding, and every
         # padding slot is exactly zero, before and after preprocessing
@@ -107,6 +117,35 @@ def test_adjoint_is_adjoint_of_constraint_map():
     assert rep.dropped_rows == [3]
     y = rng.standard_normal(untouched.n_constraints)
     assert np.array_equal(untouched.unstack_groups(untouched.adjoint(y))[2], np.zeros((2, 2)))
+
+
+def _herm(rng, s):
+    m = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    return 0.5 * (m + m.conj().T)
+
+
+def test_complex_hermitian_products_match_dense_oracle():
+    # A, A* and the row-product kernel on genuinely complex Hermitian data
+    # (the random problems above are real), against the trace formulas
+    # Re tr(A_i X), sum_i y_i A_i and Re tr(A_i X A_j W) evaluated per block
+    rng = np.random.default_rng(8)
+    dims, m = (3, 2, 3), 5
+    cons = [{k: _herm(rng, s) for k, s in enumerate(dims) if rng.random() < 0.7 or k == i % 3}
+            for i in range(m)]
+    p = core.SdpProblem.from_rows(dims, {0: _herm(rng, 3)}, cons, rng.standard_normal(m))
+    xs = [_herm(rng, s) for s in dims]
+    ws = [a @ a.conj().T for a in (_herm(rng, s) for s in dims)]
+    y = rng.standard_normal(m)
+    ax = [sum(np.trace(a @ xs[k]).real for k, a in blk.items()) for blk in cons]
+    assert np.allclose(p.apply_constraints(p.stack_groups(xs)), ax, rtol=1e-12, atol=1e-12)
+    for k, got in enumerate(p.unstack_groups(p.adjoint(y))):
+        want = sum(y[i] * blk[k] for i, blk in enumerate(cons) if k in blk)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    want = np.array([[sum(np.trace(a @ xs[k] @ cons[j][k] @ ws[k]).real
+                          for k, a in cons[i].items() if k in cons[j])
+                      for j in range(m)] for i in range(m)])
+    got = p.schur_matrix(p.stack_groups(xs), p.stack_groups(ws))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_duplicate_constraint_removed_and_reported():
@@ -190,7 +229,7 @@ def test_preprocess_scales_rows_to_unit_norm():
     raw = _random_problem(rng, m=5)
     out, _ = core.preprocess(raw)
     for blk in row_maps(out)[1]:
-        norm = np.sqrt(sum(float(np.sum(mm * mm)) for mm in blk.values()))
+        norm = np.sqrt(sum(float(np.vdot(mm, mm).real) for mm in blk.values()))
         assert abs(norm - 1.0) < 1e-12
 
 
