@@ -524,9 +524,8 @@ class EffectiveStrategy:
                 if v.shape[1] == 0:
                     continue
                 for e in range(n_o):
-                    s = sol.x_blocks[i]
+                    ops[f, x, e] = v @ sol.x_blocks[i] @ v.conj().T
                     i += 1
-                    ops[f, x, e] = v @ (0.5 * (s + s.conj().T)) @ v.conj().T
         return cls(np.broadcast_to(ops, (n_s,) + ops.shape[1:]).copy())
 
     def objective_value(self, scenario: Scenario) -> float:
