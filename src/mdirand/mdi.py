@@ -180,18 +180,18 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     faces: list[np.ndarray] = []
     if len(kept) == d * d:
         basis = _hermitian_basis(d)
-        t = np.array(
-            [[float(np.trace(bj @ ra).real) for bj in basis] for ra in rhos]
-        )
+        # t[a, j] = Re tr(B_j rho_a), the dot product of the real views
+        t = span_rows @ basis.view(float).reshape(d * d, -1).T
+        coef, *_ = np.linalg.lstsq(t, cond, rcond=None)
+        resid = np.max(np.abs(t @ coef - cond), axis=0)
+        marginals = np.tensordot(coef, basis, axes=(0, 0))
         for x in range(n_o):
-            coef, *_ = np.linalg.lstsq(t, cond[:, x], rcond=None)
-            if float(np.max(np.abs(t @ coef - cond[:, x]))) > 1e-9:
+            if resid[x] > 1e-9:
                 raise InfeasibleProblemError(
                     f"outcome {x}: statistics are inconsistent with any "
                     "input-independent measurement"
                 )
-            n_x = sum(c * bj for c, bj in zip(coef, basis))
-            vals, vecs = eigh_hermitian(n_x)
+            vals, vecs = eigh_hermitian(marginals[x])
             if vals[0] < -1e-8:
                 raise InfeasibleProblemError(
                     f"outcome {x}: statistics force a marginal with "
@@ -233,7 +233,9 @@ def build_sdp(
     x, L of them) get blocks, numbered (f, x, e) in that order, then the
     slack blocks. Constraint families, in row order:
 
-    i.   normalization: sum_{x,e} M_{x,e|f} = identity, d^2 rows per f;
+    i.   normalization: sum_{x,e} tr M_{x,e|0} = d, one row, I_r = V_x^dag V_x
+         on each family-0 block; ii makes the sum a multiple of the
+         identity, and iii carries the identity to every other family;
     ii.  guess-marginal proportionality: sum_x M_{x,e|f} is a multiple of
          the identity (off-diagonals vanish, diagonals equal the first),
          d^2 - 1 rows per (f, e);
@@ -246,19 +248,20 @@ def build_sdp(
          stat + t = target + relax and t + t' = 2 relax.
 
     Rows are numbered family by family, F being the number of families
-    and x' the position of x among the live outcomes: i. f d^2 + j;
-    ii. F d^2 + (f n_o + e)(d^2 - 1) + j; iii. from the end of ii,
-    ((a - 1) L + x') d^2 + j; iv. from the end of iii, a L + x'; the slack
-    rows last, in the order of iv. So block
-    (f, x, e) meets, in increasing row order, the face-compressed basis (i),
-    the traceless basis (ii), -basis on family 0 and +basis on the others
-    (iii) and the weighted states (iv), and is written directly in the
-    layout of SdpProblem.from_blocks. Rows whose coefficients vanish (the
-    statistics of an input with probability 0) are still emitted; the row
-    selection of preprocessing drops them. A nonzero target on an outcome
-    with an empty face raises InfeasibleProblemError. The raw row count is
-    checked against opts.max_constraints right after face_bases, before
-    anything of the problem's size is allocated.
+    and x' the position of x among the live outcomes: i. 0;
+    ii. 1 + (f n_o + e)(d^2 - 1) + j; iii. from the end of ii,
+    ((a - 1) L + x') d^2 + j; iv. from the end of iii, a L + x', ending
+    at 1 + F n_o (d^2 - 1) + (F - 1) L d^2 + n_s L; the slack rows last,
+    in the order of iv. So block (f, x, e) meets, in increasing row order,
+    the identity (i, family 0 only), the traceless basis (ii), -basis on
+    family 0 and +basis on the others (iii) and the weighted states (iv),
+    and is written directly in the layout of SdpProblem.from_blocks. Rows
+    whose coefficients vanish (the statistics of an input with probability
+    0) are still emitted; the row selection of preprocessing drops them. A
+    nonzero target on an outcome with an empty face raises
+    InfeasibleProblemError. The raw row count is checked against
+    opts.max_constraints right after face_bases, before anything of the
+    problem's size is allocated.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
@@ -272,9 +275,8 @@ def build_sdp(
     faces = face_bases(scenario)
     live = [x for x in range(n_o) if faces[x].shape[1] > 0]
     n_l = len(live)
-    # first rows of families ii, iii, iv and of the slack rows
-    o2 = n_fam * d2
-    o3 = o2 + n_fam * n_o * (d2 - 1)
+    # first rows of families iii, iv and of the slack rows; ii starts at 1
+    o3 = 1 + n_fam * n_o * (d2 - 1)
     o4 = o3 + (n_fam - 1) * n_l * d2
     o5 = o4 + n_s * n_l
     m = o5 + (n_s * n_l if relax > 0.0 else 0)
@@ -294,7 +296,7 @@ def build_sdp(
             "constraint places a nonzero value on an impossible outcome"
         )
     b = np.zeros(m)
-    b[:o2].reshape(n_fam, d2)[:, :d] = 1.0  # traces of the basis elements
+    b[0] = d
     b[o4:o5] = (weights[:, None] * cond[:, live]).reshape(-1) + relax
     b[o5:] = 2.0 * relax
 
@@ -315,7 +317,8 @@ def build_sdp(
     for f in range(n_fam):
         for xi, x in enumerate(live):
             bx, tx, rx = comp[xi]
-            # iii ties family 0 to every other family a: -basis and +basis
+            # i: family 0 only; iii: -basis on family 0, +basis on family a
+            norm, norm_c = ([[0]], [np.eye(bx.shape[-1])[None]]) if f == 0 else ([], [])
             others = range(1, n_fam) if f == 0 else [f]
             ind = [o3 + ((a - 1) * n_l + xi) * d2 + span for a in others]
             ind_c = [-bx if f == 0 else bx] * len(ind)
@@ -324,10 +327,10 @@ def build_sdp(
                 obj = stat_c[0] if probs[f] > 0.0 else None
             else:
                 stat, stat_c, obj = o4 + np.arange(n_s) * n_l + xi, rx, rx[gen]
-            coef = np.concatenate([bx, tx, *ind_c, stat_c])
+            coef = np.concatenate([*norm_c, tx, *ind_c, stat_c])
             for e in range(n_o):
-                guess = o2 + (f * n_o + e) * (d2 - 1) + span[:-1]
-                rows.append(np.concatenate([f * d2 + span, guess, *ind, stat]))
+                guess = 1 + (f * n_o + e) * (d2 - 1) + span[:-1]
+                rows.append(np.concatenate([*norm, guess, *ind, stat]))
                 coeffs.append(coef)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])

@@ -22,8 +22,8 @@ apply_constraints and adjoint take and return block variables in the same
 layout: one (n_g, s, s) complex stack per group. SdpProblem.from_blocks
 packs per-block row lists and coefficient stacks into this layout;
 SdpProblem.from_rows takes one {block: matrix} map per row, for
-hand-written problems, and hands it to from_blocks. preprocess re-indexes
-the stacks instead of packing them again.
+hand-written problems, and hands it to from_blocks. preprocess renumbers
+the rows of the stacks instead of packing them again.
 
 Every product with A goes through three methods: A(X), A*(y) and the
 row-product kernel schur_matrix(X, W), S_ij = Re tr(A_i X A_j W). The
@@ -85,7 +85,9 @@ class SdpProblem:
     group_rows[g] lists, in increasing order, the constraints that touch
     block size_groups[g][j], padded with the dummy index m = n_constraints,
     and group_stacks[g] is the (n_g, r_g, s, s) stack of the matching
-    coefficient matrices, zero in the padding. objective_stacks[g] is the
+    coefficient matrices, zero in the padding. preprocess makes dropped
+    rows dummy slots, mid-block and with nonzero coefficients, which no
+    product with A reads. objective_stacks[g] is the
     (n_g, s, s) stack of C. Every stack is complex128, every matrix
     Hermitian. from_blocks packs per-block data into this layout and is
     the only packer; from_rows states a problem by per-row maps
@@ -213,7 +215,7 @@ class SdpProblem:
         matrix: a whole group at once would hold n_g * r_g * s^2 complex
         entries and set the peak memory. np.add.at scatters the chunk's own
         r_g^2 entries per block, as flat 1-D index and value arrays (its
-        fast path), into the flattened (m + 1)^2 accumulator, the padding
+        fast path), into the flattened (m + 1)^2 accumulator, the dummy
         row and column m falling into its dropped last row and column.
         """
         m = self.n_constraints
@@ -303,9 +305,9 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     (residual below the consistency tolerance), otherwise the problem is
     inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
     to unit Frobenius norm; scaling never moves the optimal objective. The
-    result re-indexes the raw stacks: kept rows become 0..k-1 in order,
-    dropped rows move into the zero padding, each group is cut to its new
-    width, and the objective stacks are shared with p.
+    result keeps p's layout and objective stacks and renumbers each row
+    where it sits: kept rows become 0..k-1 in order, dropped rows dummy
+    slots k that A, A* and the row-product kernel ignore.
     Also computes the certificate vector w with A*(w) = identity when the
     identity lies in the row space (used to repair dual infeasibility).
     """
@@ -333,25 +335,9 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
             )
 
     scales = np.sqrt(np.diag(g)[kept])
-    k = len(kept)
-    new_index = np.full(m + 1, k, dtype=np.intp)  # dropped rows -> dummy k
-    new_index[kept] = np.arange(k)
-    scale = np.append(scales, 1.0)
-    group_rows, group_stacks = [], []
-    for rows, st in zip(p.group_rows, p.group_stacks):
-        rows = new_index[rows]
-        width = int(np.max(np.sum(rows < k, axis=1)))
-        # kept rows keep their order ahead of the dropped ones and the padding
-        order = np.argsort(rows, axis=1, kind="stable")[:, :width]
-        rows = np.take_along_axis(rows, order, axis=1)
-        st = np.take_along_axis(st, order[:, :, None, None], axis=1)
-        st /= scale[rows][:, :, None, None]
-        st[rows == k] = 0.0
-        group_rows.append(rows)
-        group_stacks.append(st)
-
     # certificate direction u with sum_i u_i A_i = identity, if attainable
     u = np.linalg.solve(g_kept, p.apply_constraints(identity)[kept])
+    del g, g_kept  # the m x m arrays go before the rescaled stacks exist
     u_raw = np.zeros(m)
     u_raw[kept] = u
     cert_residual = max(
@@ -364,6 +350,14 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
         cert_b = float(b_kept @ u)
     else:
         notes.append("identity not in constraint row space; no certificate shift")
+
+    k = len(kept)
+    new_index = np.full(m + 1, k, dtype=np.intp)  # dropped rows -> dummy k
+    new_index[kept] = np.arange(k)
+    scale = np.append(scales, 1.0)
+    group_rows = [new_index[rows] for rows in p.group_rows]
+    group_stacks = [st / scale[rows][:, :, None, None]
+                    for rows, st in zip(group_rows, p.group_stacks)]
 
     out = replace(
         p, b=b_kept / scales, group_rows=group_rows, group_stacks=group_stacks,

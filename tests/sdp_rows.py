@@ -5,7 +5,7 @@ import numpy as np
 
 def row_maps(p):
     """The objective {block: C_k} and one {block: A_ik} map per row i,
-    read back from the group stacks; the padding is skipped."""
+    read back from the group stacks; padding and dummy slots are skipped."""
     constraints = [{} for _ in range(p.n_constraints)]
     objective = {}
     for g, rows, st, obj in zip(p.size_groups, p.group_rows, p.group_stacks,

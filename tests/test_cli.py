@@ -408,8 +408,8 @@ def test_cli_and_rate_load_no_scipy():
 
 
 def test_oversized_scenario_fails_before_assembly(tmp_path):
-    # fig6-2s-m3 at five copies: 34784 raw rows on 1024 blocks of size 32,
-    # about 35 GB of stacks. The raw-row cap stops it right after the
+    # fig6-2s-m3 at five copies: 33761 raw rows on 1024 blocks of size 32,
+    # about 18 GB of stacks. The raw-row cap stops it right after the
     # faces, so it exits with a size message even under a 2 GiB
     # address-space limit. Never run this spec without such a limit.
     resource = pytest.importorskip("resource")
@@ -429,5 +429,5 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
         env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == cli.EXIT_SCHEMA
-    assert "34784" in proc.stderr
+    assert "33761" in proc.stderr
     assert "MemoryError" not in proc.stderr

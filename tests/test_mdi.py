@@ -41,31 +41,31 @@ def _finite_q(scen):
 
 
 def test_raw_row_count_formula():
-    # asymptotic, one family: d^2 + n_o*(d^2-1) + n_s*n_o by hand:
-    # sigma_z: 4 + 6 + 8 = 18; extremal4: 4 + 12 + 16 = 32
+    # asymptotic, one family: 1 + n_o*(d^2-1) + n_s*L by hand, L live
+    # outcomes: sigma_z: 1 + 6 + 8 = 15; extremal4: 1 + 12 + 16 = 29
     _, rep = mdi.build_sdp(_fig3_red(eta=0.9))
-    assert rep.n_raw == 18
-    assert len(rep.kept_rows) + len(rep.dropped_rows) == 18
+    assert rep.n_raw == 15
+    assert len(rep.kept_rows) + len(rep.dropped_rows) == 15
     _, rep4 = mdi.build_sdp(_fig3_blue(eta=0.9))
-    assert rep4.n_raw == 32
+    assert rep4.n_raw == 29
     # finite-q keeps one family per input:
-    # n_s*d^2 + n_s*n_o*(d^2-1) + (n_s-1)*n_o*d^2 + n_s*n_o by hand:
-    # sigma_z: 16 + 24 + 24 + 8 = 72; extremal4: 16 + 48 + 48 + 16 = 128
+    # 1 + n_s*n_o*(d^2-1) + (n_s-1)*L*d^2 + n_s*L by hand:
+    # sigma_z: 1 + 24 + 24 + 8 = 57; extremal4: 1 + 48 + 48 + 16 = 113
     _, rep_q = mdi.build_sdp(_finite_q(_fig3_red(eta=0.9)))
-    assert rep_q.n_raw == 72
+    assert rep_q.n_raw == 57
     _, rep4_q = mdi.build_sdp(_finite_q(_fig3_blue(eta=0.9)))
-    assert rep4_q.n_raw == 128
+    assert rep4_q.n_raw == 113
 
 
 def test_raw_row_cap_checked_before_assembly():
-    # fig6-2s-m3 has 632 raw rows (561 kept) on 64 blocks of size 8; a
+    # fig6-2s-m3 has 569 raw rows (561 kept) on 64 blocks of size 8; a
     # cap below the raw count fires right after face_bases, before any
     # tensor of the problem's size exists
     scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="632 raw constraints on 64 blocks of size up to 8"):
-            mdi.build_sdp(scen, SolverOptions(max_constraints=600))
+        with pytest.raises(ValueError, match="569 raw constraints on 64 blocks of size up to 8"):
+            mdi.build_sdp(scen, SolverOptions(max_constraints=560))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,12 +141,12 @@ def test_rate_invariant_under_common_unitary(name):
 
 
 def test_single_state_family_iii_empty_and_rate_zero():
-    # one input state: 4 + 6 + 0 + 2 = 12 raw rows, and nothing constrains
+    # one input state: 1 + 6 + 0 + 2 = 9 raw rows, and nothing constrains
     # the guess, so the guessing probability is 1
     ens = StateEnsemble((bloch_to_density([0.0, 0.0, 1.0]),), np.array([1.0]))
     scen = mdi.honest_scenario(ens, sigma_z_povm(), eta=1.0)
     _, rep = mdi.build_sdp(scen)
-    assert rep.n_raw == 12
+    assert rep.n_raw == 9
     res = mdi.guessing_probability(scen)
     assert res.ok
     assert abs(res.p_guess_upper - 1.0) < 1e-6
@@ -307,12 +307,15 @@ def test_honest_strategy_is_feasible_and_lower_bounds_sdp():
 
 
 def test_effective_strategy_round_trip():
-    # validate() checks every input's statistics and input independence,
-    # so the asymptotic single family copied to every input is feasible
-    # for the per-input problem
+    # validate() checks every input's normalization, statistics and input
+    # independence, so the asymptotic single family copied to every input
+    # is feasible for the per-input problem, and finite-q families f > 0,
+    # normalized only through input independence, are normalized; the
+    # eta = 1 fig3-green faces have ranks 1 and 2
     from mdirand.sdp_solver import solve
 
-    for scen in (_fig3_red(eta=0.9), _finite_q(_fig3_blue(eta=0.9))):
+    green = _finite_q(cli.realize(cli.load_scenario_spec("fig3-green")))
+    for scen in (_fig3_red(eta=0.9), _finite_q(_fig3_blue(eta=0.9)), green):
         prob, _ = mdi.build_sdp(scen)
         sol = solve(prob)
         strat = mdi.EffectiveStrategy.from_solution(scen, sol)

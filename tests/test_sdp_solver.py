@@ -282,24 +282,29 @@ def test_preprocess_and_solver_share_the_row_product_kernel(name, monkeypatch):
     assert all(q is prob for q in calls[1:])
 
 
-# iteration counts of every preset but fig6-2s-m3 (solved by two other
-# tests) and of the doubled two-copy problems; a rewrite of the solver
-# loop must keep them
+# kept-row counts and iteration counts of every preset but fig6-2s-m3
+# (solved by two other tests) and of the doubled two-copy problems; a
+# rewrite of the solver loop must keep the iterations, a rewrite of the
+# assembly or the row selection the kept rows (the dimension of the row
+# space)
 TRAJECTORY_PINS = [
-    ("fig3-blue", False, 7), ("fig3-green", False, 9), ("fig3-red", False, 7),
-    ("fig4", False, 9), ("fig5", False, 11), ("fig6-2s-m1", False, 12),
-    ("fig6-2s-m2", False, 12), ("fig6-4s-m1", False, 8), ("fig6-4s-m2", False, 10),
-    ("fig7-3o", False, 8), ("fig7-proj", False, 8),
-    ("fig7-3o", True, 13), ("fig7-proj", True, 12),
+    ("fig3-blue", False, 13, 7), ("fig3-green", False, 8, 9), ("fig3-red", False, 3, 7),
+    ("fig4", False, 20, 10), ("fig5", False, 20, 11), ("fig6-2s-m1", False, 9, 12),
+    ("fig6-2s-m2", False, 73, 12), ("fig6-4s-m1", False, 11, 9),
+    ("fig6-4s-m2", False, 109, 10), ("fig7-3o", False, 18, 8), ("fig7-proj", False, 11, 9),
+    ("fig7-3o", True, 264, 12), ("fig7-proj", True, 109, 13),
 ]
 
 
-@pytest.mark.parametrize("name, doubled, iterations", TRAJECTORY_PINS)
-def test_solver_trajectory_is_pinned(name, doubled, iterations):
+@pytest.mark.parametrize("name, doubled, kept, iterations", TRAJECTORY_PINS,
+                         ids=[f"{n}-{d}-{i}" for n, d, _, i in TRAJECTORY_PINS])
+def test_solver_trajectory_is_pinned(name, doubled, kept, iterations):
     scen = cli.realize(cli.load_scenario_spec(name))
-    res = mdi.guessing_probability(_doubled(scen) if doubled else scen)
-    assert res.status == core.OPTIMAL
-    assert res.n_iterations == iterations
+    prob, rep = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    assert len(rep.kept_rows) == kept
+    sol = solve(prob)
+    assert sol.status == core.OPTIMAL
+    assert sol.n_iterations == iterations
 
 
 def _min_eig(blocks):
