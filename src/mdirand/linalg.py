@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels: Hermitian eigen-solves and row selection.
 
 Pure functions; inputs are never mutated. Matrices are plain numpy arrays
-(complex Hermitian or real symmetric). Hermitian blocks are small by
-design (dim <= 16); row_space_basis reads the m x m Gram matrix of the
-constraint rows (m at most 569 for the bundled presets, 4337 for the
-two-state product source at four copies) and needs one m x m work
-array. Every eigenvalue and eigenvector the library uses comes from
+(complex Hermitian or real symmetric). Hermitian blocks are at most the
+source's dimension: dim 32 for a tensor power (quantum._MAX_TENSOR_DIM),
+while a density-matrix source sets no cap. row_space_basis reads the
+m x m Gram matrix of the constraint rows (m at most 569 for the bundled
+presets, 4337 for the two-state product source at four copies) and
+needs one m x m work array. Every eigenvalue and eigenvector the library uses comes from
 LAPACK through numpy; jacobi_eigvalsh is a pure-Python reference that
 only the tests call.
 """

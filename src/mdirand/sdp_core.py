@@ -112,11 +112,13 @@ class SdpProblem:
         """Pack per-block data: for block k, rows[k] lists in increasing
         order the constraints touching it, coeffs[k] is the
         (len(rows[k]), s, s) stack of their coefficient matrices and
-        objective[k] is C_k, or None for zero. Every matrix must be
-        Hermitian; blocks may share one coefficient stack or objective
-        matrix, which is then checked once."""
+        objective[k] is C_k, or None for zero. b and every matrix must be
+        finite, every matrix Hermitian; blocks may share one coefficient
+        stack or objective matrix, which is then checked once."""
         block_dims = tuple(block_dims)
         b = np.asarray(b, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b must be finite")
         by_size: dict[int, list[int]] = {}
         for k, s in enumerate(block_dims):
             by_size.setdefault(s, []).append(k)
@@ -126,8 +128,8 @@ class SdpProblem:
             ):
                 raise ValueError("constraint block has wrong shape")
         for a in {id(a): a for a in [*coeffs, *objective] if a is not None}.values():
-            if _non_hermitian(a):
-                raise ValueError("constraint blocks must be symmetric (Hermitian)")
+            if not np.all(np.isfinite(a)) or _non_hermitian(a):
+                raise ValueError("constraint blocks must be finite and symmetric (Hermitian)")
         size_groups = list(by_size.values())
         group_rows, group_stacks, objective_stacks = [], [], []
         for g in size_groups:
@@ -202,7 +204,9 @@ class SdpProblem:
         return out
 
     def schur_matrix(self, x: list[np.ndarray], w: list[np.ndarray]) -> np.ndarray:
-        """S_ij = Re tr(A_i X A_j W) summed over blocks, unsymmetrized.
+        """S_ij = Re tr(A_i X A_j W) summed over blocks, returned as the
+        symmetric 0.5 (S + S^T): exact, as Re tr(A_i X A_j W) =
+        Re tr(A_j X A_i W) for Hermitian A, X and W.
 
         Per chunk of blocks of one group, V_j = X P_j W for the stack P of
         the block's coefficient matrices, formed as two products per block
@@ -233,7 +237,8 @@ class SdpProblem:
                       @ v.view(float).reshape(nk, r, 2 * s * s).transpose(0, 2, 1))
                 flat = rows[sl, :, None] * (m + 1) + rows[sl, None, :]
                 np.add.at(out, flat.reshape(-1), sk.reshape(-1))
-        return out.reshape(m + 1, m + 1)[:m, :m]
+        out = out.reshape(m + 1, m + 1)[:m, :m]
+        return 0.5 * (out + out.T)
 
 
 @dataclass
@@ -299,7 +304,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
 
     Rows are selected in order from their Gram matrix <A_i, A_j>, the
     row-product kernel at X = W = I, by row_space_basis. The coefficients
-    of the dropped rows and the identity direction come from LU solves
+    of the dropped rows and the identity direction come from one LU solve
     with the kept rows' Gram block, positive definite by the selection.
     Dependent rows must be reproducible from kept rows with matching b
     (residual below the consistency tolerance), otherwise the problem is
@@ -317,27 +322,25 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     notes: list[str] = []
     identity = p.stack_groups([np.eye(s) for s in p.block_dims])
     g = p.schur_matrix(identity, identity)
-    g = 0.5 * (g + g.T)
     kept, dropped = row_space_basis(g)
-    g_kept = g[np.ix_(kept, kept)]
     b_kept = p.b[kept]
-
-    max_resid = 0.0
-    if dropped:
-        coeffs = np.linalg.solve(g_kept, g[np.ix_(kept, dropped)])
-        resid = np.abs(p.b[dropped] - b_kept @ coeffs)
-        max_resid = float(np.max(resid))
-        if max_resid > DEFAULT_TOLS.consistency:
-            j = int(np.argmax(resid > DEFAULT_TOLS.consistency))
-            raise InfeasibleProblemError(
-                f"constraint {dropped[j]} contradicts the rows it depends on "
-                f"(residual {resid[j]:.3e})"
-            )
-
     scales = np.sqrt(np.diag(g)[kept])
-    # certificate direction u with sum_i u_i A_i = identity, if attainable
-    u = np.linalg.solve(g_kept, p.apply_constraints(identity)[kept])
-    del g, g_kept  # the m x m arrays go before the rescaled stacks exist
+    # one LU with the kept Gram block: the certificate direction u with
+    # sum_i u_i A_i = identity, if attainable, and each dropped row in
+    # terms of the kept ones
+    rhs = np.column_stack([p.apply_constraints(identity)[kept], g[np.ix_(kept, dropped)]])
+    sol = np.linalg.solve(g[np.ix_(kept, kept)], rhs)
+    del g, rhs  # the m x m arrays go before the rescaled stacks exist
+    u, coeffs = sol[:, 0], sol[:, 1:]
+
+    resid = np.abs(p.b[dropped] - b_kept @ coeffs)
+    max_resid = float(np.max(resid, initial=0.0))
+    if max_resid > DEFAULT_TOLS.consistency:
+        j = int(np.argmax(resid > DEFAULT_TOLS.consistency))
+        raise InfeasibleProblemError(
+            f"constraint {dropped[j]} contradicts the rows it depends on "
+            f"(residual {resid[j]:.3e})"
+        )
     u_raw = np.zeros(m)
     u_raw[kept] = u
     cert_residual = max(

@@ -5,16 +5,18 @@ the HKM scaling. The iterates X, Z and every direction are held as one
 complex Hermitian (n_g, s, s) stack per block-size group of the problem,
 so each step of an iteration is a few batched numpy/LAPACK calls per
 group, not one call per block (transposes are conjugate transposes).
-The Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely
-by SdpProblem.schur_matrix, the row-product kernel that preprocessing
-also uses for its Gram matrix; its chunk budget SCHUR_CHUNK lives in
-sdp_core. The predictor and the corrector system with S are each solved
-by LAPACK LU (numpy.linalg.solve), which needs no positive definiteness:
-no jitter, no refinement, and an exactly singular S ends the iteration
-with the best iterate so far. Step lengths use fraction-to-boundary
-STEP_FRACTION of the exact step to the PSD boundary, read off one batched
-eigenvalue call per group. Deterministic: fixed initialization, fixed
-reduction order, no randomization anywhere.
+The Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely, and
+symmetric, by SdpProblem.schur_matrix, the row-product kernel that
+preprocessing also uses for its Gram matrix; its chunk budget SCHUR_CHUNK
+lives in sdp_core. One Newton-direction routine serves the predictor and
+the corrector: each solves with S by LAPACK LU (numpy.linalg.solve),
+which needs no positive definiteness: no jitter, no refinement, and an
+exactly singular S ends the iteration with the best iterate so far. X and
+Z are Cholesky-factored once per iteration; step lengths use
+fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
+read off those factors and one batched eigenvalue call per group.
+Deterministic: fixed initialization, fixed reduction order, no
+randomization anywhere.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
 primal optimum (weak duality). Every iterate's slack is recomputed from y
@@ -81,8 +83,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.gap_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.relax < 0:
-            raise ValueError("relax must be non-negative")
+        if self.relax < 0 or self.max_iter < 0:
+            raise ValueError("relax and max_iter must be non-negative")
 
 
 def _min_eigenvalue(stacks: list[np.ndarray]) -> float:
@@ -98,22 +100,29 @@ def _min_eigenvalue(stacks: list[np.ndarray]) -> float:
         return math.nan
 
 
-def _step_length(xs: list[np.ndarray], ds: list[np.ndarray], fraction: float) -> float:
-    """min(1, fraction * alpha_max), alpha_max the largest step keeping
-    every xs + alpha_max * ds PSD.
+def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
+    """L^-1 for L = chol(X) of every group stack; None when a block is
+    not numerically positive definite."""
+    try:
+        return [np.linalg.inv(np.linalg.cholesky(st)) for st in stacks]
+    except np.linalg.LinAlgError:
+        return None
 
-    With L = chol(X), alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag));
-    one batched Cholesky and one batched eigvalsh per group stack.
-    Returns 0.0 when a block is not numerically positive definite or the
+
+def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray], fraction: float) -> float:
+    """min(1, fraction * alpha_max), alpha_max the largest step keeping
+    every X + alpha_max * dX PSD, X given by its factor l_inv from
+    _inverse_cholesky.
+
+    alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)); one batched
+    eigvalsh per group stack. Returns 0.0 when l_inv is None or the
     direction is not finite.
     """
+    if l_inv is None:
+        return 0.0
     try:
-        lams = []
-        for x, d in zip(xs, ds):
-            l_inv = np.linalg.inv(np.linalg.cholesky(x))
-            l_inv_h = l_inv.conj().transpose(0, 2, 1)
-            lams.append(np.min(np.linalg.eigvalsh(l_inv @ d @ l_inv_h)))
-        lam = float(np.min(lams))
+        lam = float(np.min([np.min(np.linalg.eigvalsh(li @ d @ li.conj().transpose(0, 2, 1)))
+                            for li, d in zip(l_inv, ds)]))
     except np.linalg.LinAlgError:
         lam = math.nan
     if math.isnan(lam):
@@ -192,7 +201,12 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     certified_upper_bound is that bound, valid whenever finite regardless
     of termination status (it only depends on weak duality plus the
     identity-shift repair). Status reports iterate quality: optimal when
-    gap and residuals meet the tolerances, near-optimal within 100x.
+    gap and residuals meet the tolerances, infeasible-detected when the
+    primal residual or the bound diverges. The iteration cap, a 12-step
+    stall, an exactly singular S and vanishing steps stop the loop; the
+    status is then near-optimal if some bound was certified and the best
+    iterate's score, the largest ratio of its relative gap and residuals
+    to their tolerances, is below 1e5, else numerical-failure.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
@@ -217,22 +231,9 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     log: list[IterationRecord] = []
     best: dict | None = None
     bound_best: dict | None = None
-    status = NUMERICAL_FAILURE
+    status: str | None = None  # set by the exits that decide it; the others just break
     stall = 0
     prev_score = math.inf
-
-    def record_best(score: float) -> None:
-        nonlocal best
-        if best is None or score < best["score"]:
-            best = {
-                "score": score,
-                "x": x,  # iterates are rebound each step, never written in place
-                "y": y.copy(),
-                "pobj": pobj,
-                "rp": rp_inf,
-                "rd": rd_norm,
-                "gap": dobj - pobj,
-            }
 
     for it in range(opts.max_iter + 1):
         rp = p.b - p.apply_constraints(x)
@@ -252,7 +253,16 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             break
 
         score = max(rel_gap / opts.gap_tol, rp_inf / opts.feas_tol, rd_norm / opts.feas_tol)
-        record_best(score)
+        if best is None or score < best["score"]:
+            best = {
+                "score": score,
+                "x": x,  # iterates are rebound each step, never written in place
+                "y": y.copy(),
+                "pobj": pobj,
+                "rp": rp_inf,
+                "rd": rd_norm,
+                "gap": dobj - pobj,
+            }
 
         try:
             bound = _shifted_bound(p, dobj, min_eig)
@@ -290,11 +300,6 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 file=sys.stderr,
             )
 
-        def _early_status() -> str:
-            if bound_best is not None and best is not None and best["score"] < 1e5:
-                return NEAR_OPTIMAL
-            return NUMERICAL_FAILURE
-
         if rel_gap < opts.gap_tol and rp_inf < opts.feas_tol and rd_norm < opts.feas_tol:
             status = OPTIMAL
             break
@@ -307,17 +312,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             # signature of an infeasible primal
             status = INFEASIBLE
             break
-        if it == opts.max_iter:
-            status = _early_status()
-            break
-        if bound_progress or score < 0.97 * prev_score:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 12:
-                status = _early_status()
-                break
+        stall = 0 if bound_progress or score < 0.97 * prev_score else stall + 1
         prev_score = min(prev_score, score)
+        if it == opts.max_iter or stall >= 12:
+            break
 
         # invert Z and assemble the Schur complement S_ij = Re tr(A_i X A_j Z^-1)
         try:
@@ -326,53 +324,46 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             status = NUMERICAL_FAILURE
             break
         schur = p.schur_matrix(x, zinv)
-        schur_sym = 0.5 * (schur + schur.T)
+        lx, lz = _inverse_cholesky(x), _inverse_cholesky(z)
+
+        def direction(rc, rhs):
+            """Newton direction for centering residual rc and Schur
+            right-hand side rhs, with its primal and dual step lengths."""
+            dy = np.linalg.solve(schur, rhs)
+            dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
+            dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
+            alpha_p = _step_length(lx, dx, STEP_FRACTION)
+            return dx, dy, dz, alpha_p, _step_length(lz, dz, STEP_FRACTION)
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
         hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])
-
-        # predictor: affine direction (target nu = 0, Rc = -X)
         try:
-            dy_aff = np.linalg.solve(schur_sym, hxrz - p.b)
+            # predictor: affine direction (target nu = 0, Rc = -X)
+            dx_aff, _, dz_aff, ap_aff, ad_aff = direction([-xg for xg in x], hxrz - p.b)
+            mu_aff = _inner(
+                [xg + ap_aff * dg for xg, dg in zip(x, dx_aff)],
+                [zg + ad_aff * dg for zg, dg in zip(z, dz_aff)],
+            ) / n_total
+            sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 1e-8
+            # late-stage safeguard: keep the barrier from collapsing while the
+            # residuals are still the dominant error, otherwise degenerate
+            # problems freeze with tiny mu and a stuck duality gap
+            if rel_gap < 1e-2:
+                infeas_rel = max(rp_inf / b_scale, rd_norm / c_scale)
+                if infeas_rel > mu:
+                    sigma = max(sigma, 0.9)
+                elif infeas_rel > 0.1 * mu:
+                    sigma = max(sigma, 0.5)
+            nu = sigma * mu
+            # corrector with Mehrotra second-order term
+            rc = [
+                nu * zg - xg - _sym(dxg @ dzg @ zg)
+                for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
+            ]
+            dx, dy, dz, alpha_p, alpha_d = direction(rc, p.apply_constraints(rc) + hxrz - rp)
         except np.linalg.LinAlgError:  # S exactly singular
-            status = _early_status()
             break
-        dz_aff = [ag - rg for ag, rg in zip(p.adjoint(dy_aff), rd)]
-        dx_aff = [-xg - _sym(xg @ dg @ zg) for xg, dg, zg in zip(x, dz_aff, zinv)]
-        ap_aff = _step_length(x, dx_aff, STEP_FRACTION)
-        ad_aff = _step_length(z, dz_aff, STEP_FRACTION)
-        mu_aff = _inner(
-            [xg + ap_aff * dg for xg, dg in zip(x, dx_aff)],
-            [zg + ad_aff * dg for zg, dg in zip(z, dz_aff)],
-        ) / n_total
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 1e-8
-        # late-stage safeguard: keep the barrier from collapsing while the
-        # residuals are still the dominant error, otherwise degenerate
-        # problems freeze with tiny mu and a stuck duality gap
-        if rel_gap < 1e-2:
-            infeas_rel = max(rp_inf / b_scale, rd_norm / c_scale)
-            if infeas_rel > mu:
-                sigma = max(sigma, 0.9)
-            elif infeas_rel > 0.1 * mu:
-                sigma = max(sigma, 0.5)
-        nu = sigma * mu
-
-        # corrector with Mehrotra second-order term
-        rc = [
-            nu * zg - xg - _sym(dxg @ dzg @ zg)
-            for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
-        ]
-        try:
-            dy = np.linalg.solve(schur_sym, p.apply_constraints(rc) + hxrz - rp)
-        except np.linalg.LinAlgError:
-            status = _early_status()
-            break
-        dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
-        dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
-        alpha_p = _step_length(x, dx, STEP_FRACTION)
-        alpha_d = _step_length(z, dz, STEP_FRACTION)
         if alpha_p < 1e-10 and alpha_d < 1e-10:
-            status = _early_status()
             break
         log[-1].step_primal = alpha_p
         log[-1].step_dual = alpha_d
@@ -381,6 +372,9 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         y = y + alpha_d * dy
 
     assert best is not None
+    if status is None:  # iteration cap, stall, singular S or vanishing steps
+        near = bound_best is not None and best["score"] < 1e5
+        status = NEAR_OPTIMAL if near else NUMERICAL_FAILURE
     x_best = best["x"]
     y_out = bound_best["y"] if bound_best is not None else best["y"]
     slack, min_eig = _dual_slack(p, y_out)

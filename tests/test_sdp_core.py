@@ -59,6 +59,16 @@ def test_problem_rejects_asymmetric_constraint():
             core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
+@pytest.mark.parametrize("objective, b", [
+    ([[np.inf]], [1.0]), ([[1.0]], [np.nan]), ([[1.0]], [np.inf]),
+])
+def test_problem_rejects_non_finite_data(objective, b):
+    # NaN compares False in the hermiticity check, so finiteness is its
+    # own check; solve would otherwise start from a non-finite iterate
+    with pytest.raises(ValueError, match="finite"):
+        core.SdpProblem.from_rows((1,), {0: objective}, [{0: np.eye(1)}], b)
+
+
 def test_problem_rejects_complex_symmetric_constraint():
     # [[0, 1j], [1j, 0]] equals its transpose but not its conjugate
     # transpose: a transpose-only check would accept it

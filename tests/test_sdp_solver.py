@@ -13,6 +13,7 @@ from mdirand.sdp_solver import (
     CertificationError,
     SolverOptions,
     _dual_slack,
+    _inverse_cholesky,
     _min_eigenvalue,
     _step_length,
     certify_upper_bound,
@@ -307,6 +308,90 @@ def test_solver_trajectory_is_pinned(name, doubled, kept, iterations):
     assert sol.n_iterations == iterations
 
 
+def _stopped_status(sol, opts):
+    """The status solve gives a run that the iteration cap, a stall, a
+    singular S or vanishing steps stopped: near-optimal if some bound was
+    certified and the best score is below 1e5."""
+    scores = [max(r.rel_gap / opts.gap_tol, r.primal_residual / opts.feas_tol,
+                  r.dual_residual / opts.feas_tol) for r in sol.iterations]
+    certified = any(math.isfinite(r.certified_bound) for r in sol.iterations)
+    return core.NEAR_OPTIMAL if certified and min(scores) < 1e5 else core.NUMERICAL_FAILURE
+
+
+def _assert_best_bound_returned(sol):
+    # the returned y is the first iterate with the smallest finite bound;
+    # with no finite bound it is the best-score iterate, here y = 0
+    finite = [r for r in sol.iterations if math.isfinite(r.certified_bound)]
+    if not finite:
+        assert math.isnan(sol.certified_upper_bound) and not np.any(sol.y)
+        return
+    rec = min(finite, key=lambda r: r.certified_bound)
+    assert sol.certified_upper_bound == rec.certified_bound
+    assert sol.dual_objective == rec.dual_objective
+    assert float(np.linalg.norm(sol.y)) == rec.y_norm
+
+
+def _fig7_3o_pinned_iterations():
+    return next(i for n, d, _, i in TRAJECTORY_PINS if n == "fig7-3o" and not d)
+
+
+@pytest.mark.parametrize("max_iter", [_fig7_3o_pinned_iterations() - 2, 0])
+def test_iteration_cap_stops_with_the_post_loop_status(max_iter):
+    # max_iter + 1 iterates are logged: the pinned count minus one, or one
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    opts = SolverOptions(max_iter=max_iter)
+    sol = solve(p, opts)
+    assert sol.n_iterations == max_iter + 1
+    assert sol.status == _stopped_status(sol, opts)
+    _assert_best_bound_returned(sol)
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
+    # the k-th LU solve raises: odd k is a predictor, even k a corrector,
+    # of iteration (k - 1) // 2, which then takes no step
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    real, calls = np.linalg.solve, []
+
+    def solve_or_raise(a, rhs):
+        calls.append(None)
+        if len(calls) == k:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, rhs)
+
+    monkeypatch.setattr(sdp_solver.np.linalg, "solve", solve_or_raise)
+    sol = solve(p)
+    assert len(calls) == k
+    assert sol.n_iterations == (k - 1) // 2 + 1
+    assert sol.iterations[-1].step_primal == sol.iterations[-1].step_dual == 0.0
+    assert sol.status == _stopped_status(sol, SolverOptions())
+    _assert_best_bound_returned(sol)
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch):
+    # build_sdp's only LU is preprocess's, with the kept Gram block; each
+    # Newton step Cholesky-factors X and Z once per size group
+    counts = {"solve": 0, "cholesky": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
+    p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    assert counts == {"solve": 1, "cholesky": 0}
+    sol = solve(p)
+    assert sol.status == core.OPTIMAL
+    assert counts["cholesky"] == 2 * len(p.size_groups) * (sol.n_iterations - 1)
+
+
 def _min_eig(blocks):
     return min(float(np.linalg.eigvalsh(blk)[0]) for blk in blocks)
 
@@ -329,7 +414,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
 
     for scale in (0.05, 0.5, 5.0):
         ds = [scale * _sym(rng.standard_normal((s, s))) for s in dims]
-        alpha = _step_length(stacked(xs), stacked(ds), fraction)
+        alpha = _step_length(_inverse_cholesky(stacked(xs)), stacked(ds), fraction)
         assert 0.0 < alpha <= 1.0
         assert _min_eig([x + alpha * d for x, d in zip(xs, ds)]) > 0.0
         if alpha == 1.0:
@@ -338,7 +423,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
             edge = [x + (alpha / fraction) * d for x, d in zip(xs, ds)]
             assert abs(_min_eig(edge)) <= 1e-9 * x_norm
     psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
-    assert _step_length(stacked(xs), stacked(psd), fraction) == 1.0
+    assert _step_length(_inverse_cholesky(stacked(xs)), stacked(psd), fraction) == 1.0
 
 
 def test_weak_duality_on_logged_iterates():
@@ -431,6 +516,12 @@ def test_options_validation():
         SolverOptions(feas_tol=-1e-9)
     with pytest.raises(ValueError):
         SolverOptions(relax=-0.1)
+
+
+def test_options_reject_negative_max_iter():
+    # max_iter = -1 would log no iterate, leaving nothing to return
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverOptions(max_iter=-1)
 
 
 def test_solve_rejects_unpreprocessed_or_oversized():
