@@ -6,17 +6,24 @@ diffable. A handful of named presets ship with the package (see the
 presets/ data directory); commands accept either a file path or a preset
 name.
 
+A loaded scenario is the file's JSON object itself. `parse_scenario_dict`
+checks it once, numbers included, and returns it in canonical form: the
+mode alias "asymptotic-asymmetric" reads "asymptotic", and `mode`,
+`generation_index` and `copies` are filled in when absent. Parsing the
+canonical form again returns it unchanged, and it survives a JSON round
+trip. `realize` and the commands read it by key.
+
 Exit codes: 0 success (rate: solver status optimal or near-optimal),
 1 schema or file problems, 2 solver failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import Pool
 from pathlib import Path
@@ -47,9 +54,7 @@ from .sdp_solver import SolverOptions
 
 __all__ = [
     "SchemaError",
-    "ScenarioSpec",
     "parse_scenario_dict",
-    "spec_to_dict",
     "load_scenario_spec",
     "realize",
     "preset_names",
@@ -87,42 +92,6 @@ class SchemaError(ValueError):
     """Scenario file violates the schema; message names the field."""
 
 
-def _tup(rows):
-    """Nested lists of numbers to nested tuples (hashable, eq-comparable)."""
-    if isinstance(rows, (list, tuple)):
-        return tuple(_tup(r) for r in rows)
-    return float(rows)
-
-
-def _untup(rows):
-    if isinstance(rows, tuple):
-        return [_untup(r) for r in rows]
-    return rows
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Parsed, canonical scenario file contents (plain data, no numpy)."""
-
-    name: str | None = None
-    description: str | None = None
-    mode: str = mdi.MODE_ASYMPTOTIC
-    generation_index: int = 1
-    source_kind: str = "bloch"
-    bloch_vectors: tuple | None = None
-    alpha: float | None = None
-    matrices: tuple | None = None
-    probs: tuple | None = None
-    copies: int = 1
-    device_kind: str | None = None
-    device_name: str | None = None
-    device_weights: tuple | None = None
-    device_directions: tuple | None = None
-    device_elements: tuple | None = None
-    eta: float | None = None
-    statistics: tuple | None = None
-
-
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise SchemaError(f"{where}: missing required field {key!r}")
@@ -132,29 +101,50 @@ def _need(d: dict, key: str, where: str):
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(v).__name__}")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise SchemaError(f"{where}: expected a finite number, got {v}")
     return float(v)
 
 
-def _matrix_list(v, where: str) -> tuple:
+def _array(v, depth: int, where: str) -> np.ndarray:
+    """Non-empty JSON lists nested `depth` deep around numbers, as floats."""
+    def check(x, k: int, at: str) -> None:
+        if k == 0:
+            _number(x, at)
+            return
+        if not isinstance(x, list) or not x:
+            raise SchemaError(f"{at}: expected a non-empty list")
+        for i, y in enumerate(x):
+            check(y, k - 1, f"{at}[{i}]")
+
+    check(v, depth, where)
+    try:
+        return np.array(v, dtype=float)
+    except ValueError:
+        raise SchemaError(f"{where}: rows differ in length") from None
+
+
+def _check_matrices(v, where: str) -> None:
     if not isinstance(v, list) or not v:
         raise SchemaError(f"{where}: expected a non-empty list of matrices")
-    out = []
     for i, m in enumerate(v):
+        at = f"{where}[{i}]"
         if not isinstance(m, dict) or "real" not in m:
-            raise SchemaError(f"{where}[{i}]: expected an object with 'real' (and optional 'imag')")
-        re = m["real"]
-        im = m.get("imag")
-        try:
-            re_t = _tup(re)
-            im_t = _tup(im) if im is not None else None
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}[{i}]: non-numeric entry ({exc})") from None
-        out.append((re_t, im_t))
-    return tuple(out)
+            raise SchemaError(f"{at}: expected an object with 'real' (and optional 'imag')")
+        re = _array(m["real"], 2, f"{at}.real")
+        if re.shape[0] != re.shape[1]:
+            raise SchemaError(f"{at}: 'real' must be a square matrix")
+        if m.get("imag") is not None and _array(m["imag"], 2, f"{at}.imag").shape != re.shape:
+            raise SchemaError(f"{at}: 'imag' shape differs from 'real'")
 
 
-def parse_scenario_dict(d: dict) -> ScenarioSpec:
-    """Validate raw JSON contents against schema_version 1."""
+def parse_scenario_dict(d: dict) -> dict:
+    """Validate raw JSON contents against schema_version 1.
+
+    Returns the canonical scenario: a shallow copy of `d` with the mode
+    alias resolved and `mode`, `generation_index` and `copies` filled in.
+    Parsing the result again returns it unchanged.
+    """
     if not isinstance(d, dict):
         raise SchemaError("top level: expected a JSON object")
     version = _need(d, "schema_version", "top level")
@@ -175,49 +165,33 @@ def parse_scenario_dict(d: dict) -> ScenarioSpec:
     if not isinstance(src, dict):
         raise SchemaError("source: expected an object")
     kind = _need(src, "kind", "source")
-    bloch = alpha = matrices = None
     if kind == "bloch":
-        vecs = _need(src, "vectors", "source")
-        if not isinstance(vecs, list) or not vecs:
-            raise SchemaError("source.vectors: expected a non-empty list")
-        for i, v in enumerate(vecs):
-            if not isinstance(v, list) or len(v) != 3:
-                raise SchemaError(f"source.vectors[{i}]: expected three components")
-        bloch = _tup(vecs)
+        if _array(_need(src, "vectors", "source"), 2, "source.vectors").shape[1] != 3:
+            raise SchemaError("source.vectors: expected three components per vector")
     elif kind == "angle":
         alpha = _number(_need(src, "alpha", "source"), "source.alpha")
         if not 0.0 <= alpha <= 1.0:
             raise SchemaError("source.alpha: must lie in [0, 1]")
     elif kind == "density":
-        matrices = _matrix_list(_need(src, "matrices", "source"), "source.matrices")
+        _check_matrices(_need(src, "matrices", "source"), "source.matrices")
     else:
         raise SchemaError(f"source.kind: unknown value {kind!r}")
 
-    probs = None
     if "probs" in d:
-        p = d["probs"]
-        if not isinstance(p, list) or not p:
-            raise SchemaError("probs: expected a non-empty list of numbers")
-        vals = [_number(v, f"probs[{i}]") for i, v in enumerate(p)]
-        if any(v < 0.0 for v in vals):
+        p = _array(d["probs"], 1, "probs")
+        if (p < 0.0).any():
             raise SchemaError("probs: entries must be non-negative")
-        if abs(sum(vals) - 1.0) > 1e-9:
-            raise SchemaError(f"probs: must sum to 1 (got {sum(vals):.6g})")
-        probs = tuple(vals)
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise SchemaError(f"probs: must sum to 1 (got {p.sum():.6g})")
 
     copies = d.get("copies", 1)
     if not isinstance(copies, int) or isinstance(copies, bool) or copies < 1:
         raise SchemaError("copies: expected a positive integer")
 
     has_device = "device" in d
-    has_stats = "statistics" in d
-    if has_device == has_stats:
+    if has_device == ("statistics" in d):
         raise SchemaError("top level: provide exactly one of 'device' or 'statistics'")
 
-    dev_kind = dev_name = None
-    dev_w = dev_m = dev_el = None
-    eta = None
-    statistics = None
     if has_device:
         dev = d["device"]
         if not isinstance(dev, dict):
@@ -233,20 +207,17 @@ def parse_scenario_dict(d: dict) -> ScenarioSpec:
                     f"device.name: unknown POVM {dev_name!r} (known: {', '.join(_NAMED_POVMS)})"
                 )
         elif dev_kind == "bloch":
-            dev_w = _tup(_need(dev, "weights", "device"))
-            dev_m = _tup(_need(dev, "directions", "device"))
+            _array(_need(dev, "weights", "device"), 1, "device.weights")
+            _array(_need(dev, "directions", "device"), 2, "device.directions")
         elif dev_kind == "elements":
-            dev_el = _matrix_list(_need(dev, "elements", "device"), "device.elements")
+            _check_matrices(_need(dev, "elements", "device"), "device.elements")
         else:
             raise SchemaError(f"device.kind: unknown value {dev_kind!r}")
     else:
         st = d["statistics"]
         if not isinstance(st, dict) or "conditionals" not in st:
             raise SchemaError("statistics: expected an object with 'conditionals'")
-        rows = st["conditionals"]
-        if not isinstance(rows, list) or not rows:
-            raise SchemaError("statistics.conditionals: expected a non-empty table")
-        statistics = _tup(rows)
+        _array(st["conditionals"], 2, "statistics.conditionals")
         if copies != 1:
             raise SchemaError("copies: tensor powers need an honest device, not a raw table")
 
@@ -257,68 +228,7 @@ def parse_scenario_dict(d: dict) -> ScenarioSpec:
     if desc is not None and not isinstance(desc, str):
         raise SchemaError("description: expected a string")
 
-    return ScenarioSpec(
-        name=name,
-        description=desc,
-        mode=mode,
-        generation_index=gen,
-        source_kind=kind,
-        bloch_vectors=bloch,
-        alpha=alpha,
-        matrices=matrices,
-        probs=probs,
-        copies=copies,
-        device_kind=dev_kind,
-        device_name=dev_name,
-        device_weights=dev_w,
-        device_directions=dev_m,
-        device_elements=dev_el,
-        eta=eta,
-        statistics=statistics,
-    )
-
-
-def spec_to_dict(spec: ScenarioSpec) -> dict:
-    """Canonical JSON form; parse(spec_to_dict(s)) == s."""
-    d: dict = {"schema_version": SCHEMA_VERSION}
-    if spec.name is not None:
-        d["name"] = spec.name
-    if spec.description is not None:
-        d["description"] = spec.description
-    d["mode"] = spec.mode
-    d["generation_index"] = spec.generation_index
-    if spec.source_kind == "bloch":
-        d["source"] = {"kind": "bloch", "vectors": _untup(spec.bloch_vectors)}
-    elif spec.source_kind == "angle":
-        d["source"] = {"kind": "angle", "alpha": spec.alpha}
-    else:
-        d["source"] = {
-            "kind": "density",
-            "matrices": [
-                {"real": _untup(re), **({"imag": _untup(im)} if im is not None else {})}
-                for re, im in spec.matrices
-            ],
-        }
-    if spec.probs is not None:
-        d["probs"] = _untup(spec.probs)
-    if spec.copies != 1:
-        d["copies"] = spec.copies
-    if spec.statistics is not None:
-        d["statistics"] = {"conditionals": _untup(spec.statistics)}
-    else:
-        dev: dict = {"kind": spec.device_kind, "eta": spec.eta}
-        if spec.device_kind == "named":
-            dev["name"] = spec.device_name
-        elif spec.device_kind == "bloch":
-            dev["weights"] = _untup(spec.device_weights)
-            dev["directions"] = _untup(spec.device_directions)
-        else:
-            dev["elements"] = [
-                {"real": _untup(re), **({"imag": _untup(im)} if im is not None else {})}
-                for re, im in spec.device_elements
-            ]
-        d["device"] = dev
-    return d
+    return {**d, "mode": mode, "generation_index": gen, "copies": copies}
 
 
 def preset_names() -> list[str]:
@@ -326,10 +236,10 @@ def preset_names() -> list[str]:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_scenario_spec(token: str) -> ScenarioSpec:
+def load_scenario_spec(token: str) -> dict:
     """Load from a file path, or fall back to a bundled preset name."""
     path = Path(token)
-    if path.exists():
+    if path.is_file():
         text = path.read_text(encoding="utf-8")
     else:
         name = token[:-5] if token.endswith(".json") else token
@@ -346,52 +256,49 @@ def load_scenario_spec(token: str) -> ScenarioSpec:
     return parse_scenario_dict(raw)
 
 
-def _complex_matrix(re_t, im_t, where: str) -> np.ndarray:
-    re = np.array(_untup(re_t), dtype=float)
-    if re.ndim != 2 or re.shape[0] != re.shape[1]:
-        raise SchemaError(f"{where}: 'real' must be a square matrix")
-    if im_t is None:
-        return re.astype(complex)
-    im = np.array(_untup(im_t), dtype=float)
-    if im.shape != re.shape:
-        raise SchemaError(f"{where}: 'imag' shape differs from 'real'")
-    return re + 1.0j * im
+def _complex_matrix(m: dict) -> np.ndarray:
+    re = np.array(m["real"], dtype=float)
+    im = m.get("imag")
+    return re.astype(complex) if im is None else re + 1.0j * np.array(im, dtype=float)
 
 
-def _build_states(spec: ScenarioSpec, alpha: float | None) -> tuple:
-    if spec.source_kind == "bloch":
-        return tuple(bloch_to_density(np.array(v)) for v in spec.bloch_vectors)
-    if spec.source_kind == "angle":
-        a = spec.alpha if alpha is None else float(alpha)
-        return angle_states(a).states
-    return tuple(
-        DensityMatrix(_complex_matrix(re, im, f"source.matrices[{i}]"))
-        for i, (re, im) in enumerate(spec.matrices)
-    )
+def _build_states(spec: dict, alpha: float | None) -> tuple:
+    src = spec["source"]
+    if src["kind"] == "bloch":
+        return tuple(bloch_to_density(v) for v in np.array(src["vectors"], dtype=float))
+    if src["kind"] == "angle":
+        return angle_states(float(src["alpha"] if alpha is None else alpha)).states
+    return tuple(DensityMatrix(_complex_matrix(m)) for m in src["matrices"])
 
 
-def _build_povm(spec: ScenarioSpec) -> Povm:
-    if spec.device_kind == "named":
-        base = povm_from_bloch(_NAMED_DEVICES[spec.device_name])
-    elif spec.device_kind == "bloch":
-        base = povm_from_bloch(
-            BlochPovmSpec(np.array(spec.device_weights), np.array(spec.device_directions))
+def _device_bloch(dev: dict) -> BlochPovmSpec | None:
+    """The Bloch form of a named or Bloch device; None for explicit elements."""
+    if dev["kind"] == "named":
+        return _NAMED_DEVICES[dev["name"]]
+    if dev["kind"] == "bloch":
+        return BlochPovmSpec(
+            np.array(dev["weights"], dtype=float), np.array(dev["directions"], dtype=float)
         )
+    return None
+
+
+def _build_povm(spec: dict) -> Povm:
+    bloch = _device_bloch(spec["device"])
+    if bloch is None:
+        base = Povm(tuple(_complex_matrix(m) for m in spec["device"]["elements"]))
     else:
-        base = Povm(tuple(
-            _complex_matrix(re, im, f"device.elements[{i}]")
-            for i, (re, im) in enumerate(spec.device_elements)
-        ))
-    return tensor_povm(base, spec.copies) if spec.copies > 1 else base
+        base = povm_from_bloch(bloch)
+    return tensor_povm(base, spec["copies"]) if spec["copies"] > 1 else base
 
 
 def realize(
-    spec: ScenarioSpec,
+    spec: dict,
     eta: float | None = None,
     alpha: float | None = None,
     q: float | None = None,
 ) -> mdi.Scenario:
-    """Build the quantum objects; keyword overrides feed parameter sweeps."""
+    """Build the quantum objects of a canonical scenario (see
+    `parse_scenario_dict`); keyword overrides feed parameter sweeps."""
     states = _build_states(spec, alpha)
     if q is not None:
         if len(states) != 2:
@@ -399,32 +306,44 @@ def realize(
         if not 0.0 < q < 1.0:
             raise SchemaError("q: must lie strictly between 0 and 1")
         probs = np.array([q, 1.0 - q])
-    elif spec.probs is not None:
-        if len(spec.probs) != len(states):
+    elif "probs" in spec:
+        if len(spec["probs"]) != len(states):
             raise SchemaError(
-                f"probs: {len(spec.probs)} entries for {len(states)} states"
+                f"probs: {len(spec['probs'])} entries for {len(states)} states"
             )
-        probs = np.array(spec.probs)
+        probs = np.array(spec["probs"], dtype=float)
     else:
         probs = np.full(len(states), 1.0 / len(states))
     ensemble = StateEnsemble(states, probs)
-    if spec.copies > 1:
-        ensemble = tensor_ensemble(ensemble, spec.copies)
+    if spec["copies"] > 1:
+        ensemble = tensor_ensemble(ensemble, spec["copies"])
 
-    if spec.statistics is not None:
-        table = np.array(_untup(spec.statistics), dtype=float)
+    if "statistics" in spec:
+        table = np.array(spec["statistics"]["conditionals"], dtype=float)
         observed = ObservedStatistics(table, ensemble.probs)
         return mdi.Scenario(
-            ensemble, observed, mode=spec.mode, generation_index=spec.generation_index
+            ensemble, observed, mode=spec["mode"], generation_index=spec["generation_index"]
         )
-    e = spec.eta if eta is None else float(eta)
     return mdi.honest_scenario(
         ensemble,
         _build_povm(spec),
-        eta=e,
-        mode=spec.mode,
-        generation_index=spec.generation_index,
+        eta=float(spec["device"]["eta"] if eta is None else eta),
+        mode=spec["mode"],
+        generation_index=spec["generation_index"],
     )
+
+
+def _check_overrides(spec: dict, flags: dict) -> None:
+    """Reject an override of a quantity the scenario does not have.
+
+    `flags` maps each overridden parameter to the flag that set it.
+    """
+    if "alpha" in flags and spec["source"]["kind"] != "angle":
+        raise SchemaError(f"{flags['alpha']}: scenario source must have kind 'angle'")
+    if "eta" in flags and "statistics" in spec:
+        raise SchemaError(
+            f"{flags['eta']}: scenario has a raw statistics table, no device to degrade"
+        )
 
 
 def _env_override(field: str):
@@ -460,38 +379,25 @@ def _fmt(v: float) -> str:
     return format(v, ".9g")
 
 
-def _rate_record(spec: ScenarioSpec, res: mdi.RateResult) -> dict:
-    return {
-        "scenario": spec.name,
-        "status": res.status,
-        "rate_bits": res.rate_bits,
-        "rate_per_qubit": res.rate_per_qubit,
-        "p_guess_upper": res.p_guess_upper,
-        "classical_bound_bits": res.classical_bound_bits,
-        "input_cost_bits": res.input_cost_bits,
-        "net_expansion_bits": res.net_expansion_bits,
-        "sdp_primal_value": res.sdp_primal_value,
-        "duality_gap": res.duality_gap,
-        "primal_residual": res.primal_residual,
-        "dual_min_eigenvalue": res.dual_min_eigenvalue,
-        "n_iterations": res.n_iterations,
-        "notes": list(res.notes),
-    }
+def _rate_record(name: str | None, res: mdi.RateResult) -> dict:
+    return {"scenario": name, **dataclasses.asdict(res)}
 
 
 def cmd_rate(args) -> int:
     spec = load_scenario_spec(args.scenario)
+    overrides = {p: getattr(args, p) for p in ("eta", "alpha", "q")}
+    _check_overrides(spec, {p: f"--{p}" for p, v in overrides.items() if v is not None})
     try:
-        scenario = realize(spec, eta=args.eta, alpha=args.alpha, q=args.q)
+        scenario = realize(spec, **overrides)
     except (SchemaError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
     res = mdi.guessing_probability(scenario, _solver_options(args))
-    record = _rate_record(spec, res)
+    record = _rate_record(spec.get("name"), res)
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
-        if spec.name:
-            print(f"scenario: {spec.name}")
+        if record["scenario"]:
+            print(f"scenario: {record['scenario']}")
         print(f"status: {res.status}")
         for key in (
             "rate_bits",
@@ -528,10 +434,7 @@ def cmd_sweep(args) -> int:
         raise SchemaError("--steps: need at least one grid point")
     if args.jobs is not None and args.jobs < 1:
         raise SchemaError("--jobs: need at least one worker process")
-    if args.param == "alpha" and spec.source_kind != "angle":
-        raise SchemaError("--param alpha: scenario source must have kind 'angle'")
-    if args.param in ("eta",) and spec.statistics is not None:
-        raise SchemaError("--param eta: scenario has a raw statistics table, no device to degrade")
+    _check_overrides(spec, {args.param: f"--param {args.param}"})
     opts = _solver_options(args)
     grid = [float(g) for g in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(spec, args.param, g, opts) for g in grid]
@@ -554,7 +457,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _validate_report(spec: ScenarioSpec) -> list[tuple[str, str, str]]:
+def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
     """(check, verdict, detail) triples; verdict in {pass, FAIL, skipped}."""
     out: list[tuple[str, str, str]] = []
 
@@ -575,49 +478,45 @@ def _validate_report(spec: ScenarioSpec) -> list[tuple[str, str, str]]:
         return f"{len(states)} valid state(s), dim {states[0].dim}"
 
     def probs_ok():
-        if spec.probs is None:
+        if "probs" not in spec:
             return "uniform (default)"
         # the distribution rule of realize, on 1x1 placeholder states so
         # that a bad state fails only the state check
-        p = np.array(spec.probs, dtype=float)
+        p = np.array(spec["probs"], dtype=float)
         StateEnsemble((DensityMatrix(np.eye(1)),) * p.size, p)
         return f"{p.size} entries"
 
     def povm_ok():
-        if spec.statistics is not None:
+        if "statistics" in spec:
             raise SkipCheck("raw statistics table, no device")
         povm = _build_povm(spec)
         return f"{povm.n_outcomes} outcomes, dim {povm.dim}, complete and PSD"
 
-    def _device_bloch_spec() -> BlochPovmSpec:
-        if spec.statistics is not None:
+    def device_bloch() -> BlochPovmSpec:
+        if "statistics" in spec:
             raise SkipCheck("raw statistics table, no device")
-        if spec.device_kind == "named":
-            return _NAMED_DEVICES[spec.device_name]
-        if spec.device_kind == "bloch":
-            return BlochPovmSpec(
-                np.array(spec.device_weights), np.array(spec.device_directions)
-            )
-        raise SkipCheck("explicit matrix elements carry no Bloch form")
+        bloch = _device_bloch(spec["device"])
+        if bloch is None:
+            raise SkipCheck("explicit matrix elements carry no Bloch form")
+        return bloch
 
     def unbiased_ok():
-        b = _device_bloch_spec()
+        b = device_bloch()
         if not check_unbiased(b, b.n_outcomes):
             raise ValueError("outcome probabilities on the |+> input are not uniform")
         return "uniform outcomes on |+>"
 
     def extremal_ok():
-        b = _device_bloch_spec()
-        diag = extremal_diagnosis(b)
+        diag = extremal_diagnosis(device_bloch())
         if diag is not None:
             raise ValueError(diag)
         return "rank-one elements, linearly independent"
 
     def stats_ok():
-        if spec.statistics is None:
+        if "statistics" not in spec:
             raise SkipCheck("honest device generates the table")
         # the table rule of realize; the input distribution has its own check
-        table = np.array(_untup(spec.statistics), dtype=float)
+        table = np.array(spec["statistics"]["conditionals"], dtype=float)
         obs = ObservedStatistics(table, np.full(len(table), 1.0 / len(table)))
         return f"{obs.n_states} rows, {obs.n_outcomes} outcomes"
 
@@ -640,8 +539,8 @@ def _validate_report(spec: ScenarioSpec) -> list[tuple[str, str, str]]:
 
 def cmd_validate(args) -> int:
     spec = load_scenario_spec(args.scenario)
-    if spec.name:
-        print(f"scenario: {spec.name}")
+    if spec.get("name"):
+        print(f"scenario: {spec['name']}")
     report = _validate_report(spec)
     failures = 0
     for name, verdict, detail in report:

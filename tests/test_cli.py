@@ -24,11 +24,14 @@ def test_preset_inventory():
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_preset_round_trips(name):
+    # the loaded spec is the file's JSON object plus the three defaults;
+    # parsing it again and a JSON round trip both leave it unchanged
+    path = Path(cli.__file__).parent / "presets" / f"{name}.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
     spec = cli.load_scenario_spec(name)
-    d = cli.spec_to_dict(spec)
-    again = cli.parse_scenario_dict(d)
-    assert again == spec
-    assert json.dumps(cli.spec_to_dict(again), sort_keys=True) == json.dumps(d, sort_keys=True)
+    assert spec == {"mode": "asymptotic", "generation_index": 1, "copies": 1, **raw}
+    assert cli.parse_scenario_dict(spec) == spec
+    assert json.loads(json.dumps(spec)) == spec
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -329,7 +332,7 @@ def test_validate_statistics_uses_the_rate_rule(tmp_path, capsys):
 def test_validate_input_distribution_uses_the_rate_rule(tmp_path, capsys):
     # fig4 with inputs off 1 by 5e-10: inside a 1e-9 tolerance but outside
     # the 1e-10 that StateEnsemble, and so rate, allows
-    scen = cli.spec_to_dict(cli.load_scenario_spec("fig4"))
+    scen = cli.load_scenario_spec("fig4")
     scen["probs"] = [0.5, 0.5000000005]
     path = tmp_path / "offsum-probs.json"
     path.write_text(json.dumps(scen))
@@ -413,7 +416,7 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
     # faces, so it exits with a size message even under a 2 GiB
     # address-space limit. Never run this spec without such a limit.
     resource = pytest.importorskip("resource")
-    spec = cli.spec_to_dict(cli.load_scenario_spec("fig6-2s-m3"))
+    spec = cli.load_scenario_spec("fig6-2s-m3")
     spec["copies"] = 5
     path = tmp_path / "m5.json"
     path.write_text(json.dumps(spec))
@@ -431,3 +434,89 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
     assert proc.returncode == cli.EXIT_SCHEMA
     assert "33761" in proc.stderr
     assert "MemoryError" not in proc.stderr
+
+
+def test_canonical_form_resolves_the_alias_and_fills_defaults():
+    raw = {
+        "schema_version": 1,
+        "mode": "asymptotic-asymmetric",
+        "source": {"kind": "angle", "alpha": 0.5},
+        "device": {"kind": "named", "name": "sigma_x", "eta": 1},
+    }
+    spec = cli.parse_scenario_dict(raw)
+    assert spec == {**raw, "mode": "asymptotic", "generation_index": 1, "copies": 1}
+    assert cli.parse_scenario_dict(spec) == spec
+    assert raw["mode"] == "asymptotic-asymmetric"
+
+
+def _two_state_table(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "source": {"kind": "bloch", "vectors": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]},
+        "statistics": {"conditionals": [[1.0, 0.0], [0.0, 1.0]]},
+    }))
+    return str(path)
+
+
+_BAD_NUMBERS = [
+    pytest.param("source.vectors", lambda s: s["source"]["vectors"][1].__setitem__(2, None),
+                 id="vectors-null"),
+    pytest.param("source.vectors", lambda s: s["source"]["vectors"][0].append(0.0),
+                 id="vectors-four-components"),
+    pytest.param("statistics.conditionals",
+                 lambda s: s["statistics"]["conditionals"][0].__setitem__(0, None),
+                 id="conditionals-null"),
+    pytest.param("statistics.conditionals", lambda s: s["statistics"]["conditionals"][1].pop(),
+                 id="conditionals-ragged"),
+    pytest.param("probs", lambda s: s.__setitem__("probs", [0.5, float("nan")]),
+                 id="probs-nan"),
+    pytest.param("device.weights", lambda s: s.update(device={
+        "kind": "bloch", "weights": [0.5, "x"], "eta": 1.0,
+        "directions": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]}), id="weights-string"),
+    pytest.param("device.directions", lambda s: s.update(device={
+        "kind": "bloch", "weights": [0.5, 0.5], "eta": 1.0,
+        "directions": [[0.0, 0.0, 1.0], 0.0]}), id="directions-too-shallow"),
+    pytest.param("device.elements[1]", lambda s: s.update(device={
+        "kind": "elements", "eta": 1.0,
+        "elements": [{"real": [[1.0, 0.0], [0.0, 0.0]]}, {"real": [[0.0, 0.0, 1.0]]}]}),
+        id="element-not-square"),
+]
+
+
+@pytest.mark.parametrize("command", ["rate", "validate"])
+@pytest.mark.parametrize("field, spoil", _BAD_NUMBERS)
+def test_bad_numbers_are_schema_errors_naming_the_field(tmp_path, capsys, command, field, spoil):
+    scen = json.loads(Path(_two_state_table(tmp_path)).read_text())
+    spoil(scen)
+    if "device" in scen:
+        del scen["statistics"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scen))
+    assert cli.main([command, str(path)]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rate", "fig3-blue", "--alpha", "0.3"], "--alpha"),
+    (["rate", "TABLE", "--eta", "0.5"], "--eta"),
+    (["sweep", "TABLE", "--param", "eta", "--from", "0.5", "--to", "1", "--steps", "2"],
+     "--param eta"),
+])
+def test_overrides_without_a_target_are_rejected(tmp_path, capsys, argv, flag):
+    argv = [_two_state_table(tmp_path) if a == "TABLE" else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}:")
+    assert captured.out == ""
+
+
+def test_preset_name_skips_a_directory_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig4").mkdir()
+    assert cli.load_scenario_spec("fig4")["name"] == "fig4"
+    assert cli.main(["validate", "fig4"]) == 0
+    assert capsys.readouterr().out.startswith("scenario: fig4\n")

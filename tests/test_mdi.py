@@ -101,7 +101,7 @@ def test_honest_strategy_satisfies_every_kept_row(name):
     base = cli.realize(spec)
     povm = cli._build_povm(spec)
     for scen in {base.mode: base, mdi.MODE_FINITE_Q: _finite_q(base)}.values():
-        ops = mdi.honest_strategy(scen, povm, spec.eta).operators
+        ops = mdi.honest_strategy(scen, povm, spec["device"]["eta"]).operators
         prob, _ = mdi.build_sdp(scen)
         n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
         faces = mdi.face_bases(scen)
@@ -122,7 +122,7 @@ def _haar_unitary(rng):
 
 @pytest.mark.parametrize("name", [
     n for n in cli.preset_names()
-    if cli.load_scenario_spec(n).eta < 1.0 and n != "fig6-2s-m3"
+    if cli.load_scenario_spec(n)["device"]["eta"] < 1.0 and n != "fig6-2s-m3"
 ])
 def test_rate_invariant_under_common_unitary(name):
     # conjugating every state by one unitary U^(x copies) and keeping the
@@ -131,7 +131,7 @@ def test_rate_invariant_under_common_unitary(name):
     # state and face complex, real presets included
     spec = cli.load_scenario_spec(name)
     scen = cli.realize(spec)
-    u = reduce(np.kron, [_haar_unitary(np.random.default_rng(0))] * spec.copies)
+    u = reduce(np.kron, [_haar_unitary(np.random.default_rng(0))] * spec["copies"])
     states = tuple(DensityMatrix(u @ s.mat @ u.conj().T) for s in scen.ensemble.states)
     rotated = mdi.Scenario(StateEnsemble(states, scen.ensemble.probs), scen.observed,
                            mode=scen.mode, generation_index=scen.generation_index)
