@@ -14,11 +14,15 @@ canonical form again returns it unchanged, and it survives a JSON round
 trip. `realize` and the commands read it by key.
 
 Exit codes: 0 success (rate: solver status optimal or near-optimal),
-1 schema or file problems, 2 solver failure.
+1 schema, file, flag or scenario problems, 2 solver failure. `sweep`
+realizes the file's own scenario before its grid, so only an error that
+depends on the swept value becomes an `error:` row (exit 0); any other
+exits 1 before any solve.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -32,6 +36,7 @@ import numpy as np
 
 from . import mdi
 from .quantum import (
+    NAMED_DEVICES,
     BlochPovmSpec,
     DensityMatrix,
     ObservedStatistics,
@@ -40,10 +45,9 @@ from .quantum import (
     angle_states,
     bloch_to_density,
     check_unbiased,
-    extremal3,
-    extremal4,
     extremal_diagnosis,
     povm_from_bloch,
+    require_distribution,
     tensor_ensemble,
     tensor_povm,
 )
@@ -68,15 +72,9 @@ EXIT_SOLVER = 2
 SCHEMA_VERSION = 1
 CSV_HEADER = "param,rate_bits,rate_per_qubit,p_guess_upper,classical_bound_bits,status"
 
-# the Bloch form of every named device; the order is that of the schema
-# error's list of known names
-_NAMED_DEVICES = {
-    "sigma_z": BlochPovmSpec(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])),
-    "sigma_x": BlochPovmSpec(np.array([0.5, 0.5]), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])),
-    "extremal3": extremal3(),
-    "extremal4": extremal4(),
-}
-_NAMED_POVMS = tuple(_NAMED_DEVICES)
+_NAMED_POVMS = tuple(NAMED_DEVICES)
+# the list field of each source kind that holds one entry per state
+_STATE_FIELDS = {"bloch": "vectors", "density": "matrices"}
 
 _ENV_PREFIX = "MDIRAND_"
 _ENV_FIELDS = {
@@ -92,6 +90,16 @@ class SchemaError(ValueError):
     """Scenario file violates the schema; message names the field."""
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Re-raise a ValueError of the enclosed code as a SchemaError naming
+    the field `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise SchemaError(f"{where}: missing required field {key!r}")
@@ -104,6 +112,13 @@ def _number(v, where: str) -> float:
     if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge integers
         raise SchemaError(f"{where}: expected a finite number, got {v}")
     return float(v)
+
+
+def _positive_int(d: dict, key: str) -> int:
+    v = d.get(key, 1)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise SchemaError(f"{key}: expected a positive integer")
+    return v
 
 
 def _array(v, depth: int, where: str) -> np.ndarray:
@@ -157,9 +172,7 @@ def parse_scenario_dict(d: dict) -> dict:
     if mode not in (mdi.MODE_ASYMPTOTIC, mdi.MODE_FINITE_Q):
         raise SchemaError(f"mode: unknown value {mode!r}")
 
-    gen = d.get("generation_index", 1)
-    if not isinstance(gen, int) or isinstance(gen, bool) or gen < 1:
-        raise SchemaError("generation_index: expected a positive integer (1-based)")
+    gen = _positive_int(d, "generation_index")
 
     src = _need(d, "source", "top level")
     if not isinstance(src, dict):
@@ -179,14 +192,12 @@ def parse_scenario_dict(d: dict) -> dict:
 
     if "probs" in d:
         p = _array(d["probs"], 1, "probs")
-        if (p < 0.0).any():
-            raise SchemaError("probs: entries must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise SchemaError(f"probs: must sum to 1 (got {p.sum():.6g})")
+        if p.size != _n_states(src):
+            raise SchemaError(f"probs: {p.size} entries for {_n_states(src)} states")
+        with _naming("probs"):
+            require_distribution(p, "input probabilities")
 
-    copies = d.get("copies", 1)
-    if not isinstance(copies, int) or isinstance(copies, bool) or copies < 1:
-        raise SchemaError("copies: expected a positive integer")
+    copies = _positive_int(d, "copies")
 
     has_device = "device" in d
     if has_device == ("statistics" in d):
@@ -221,12 +232,9 @@ def parse_scenario_dict(d: dict) -> dict:
         if copies != 1:
             raise SchemaError("copies: tensor powers need an honest device, not a raw table")
 
-    name = d.get("name")
-    desc = d.get("description")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError("name: expected a string")
-    if desc is not None and not isinstance(desc, str):
-        raise SchemaError("description: expected a string")
+    for key in ("name", "description"):
+        if d.get(key) is not None and not isinstance(d[key], str):
+            raise SchemaError(f"{key}: expected a string")
 
     return {**d, "mode": mode, "generation_index": gen, "copies": copies}
 
@@ -262,30 +270,41 @@ def _complex_matrix(m: dict) -> np.ndarray:
     return re.astype(complex) if im is None else re + 1.0j * np.array(im, dtype=float)
 
 
+def _n_states(src: dict) -> int:
+    """The number of states a source declares, before any tensor power."""
+    return 2 if src["kind"] == "angle" else len(src[_STATE_FIELDS[src["kind"]]])
+
+
 def _build_states(spec: dict, alpha: float | None) -> tuple:
     src = spec["source"]
-    if src["kind"] == "bloch":
-        return tuple(bloch_to_density(v) for v in np.array(src["vectors"], dtype=float))
     if src["kind"] == "angle":
         return angle_states(float(src["alpha"] if alpha is None else alpha)).states
-    return tuple(DensityMatrix(_complex_matrix(m)) for m in src["matrices"])
+    key = _STATE_FIELDS[src["kind"]]
+    states = []
+    for i, v in enumerate(src[key]):
+        with _naming(f"source.{key}[{i}]"):
+            states.append(bloch_to_density(v) if key == "vectors"
+                          else DensityMatrix(_complex_matrix(v)))
+    return tuple(states)
 
 
 def _device_bloch(dev: dict) -> BlochPovmSpec | None:
     """The Bloch form of a named or Bloch device; None for explicit elements."""
     if dev["kind"] == "named":
-        return _NAMED_DEVICES[dev["name"]]
+        return NAMED_DEVICES[dev["name"]]
     if dev["kind"] == "bloch":
-        return BlochPovmSpec(
-            np.array(dev["weights"], dtype=float), np.array(dev["directions"], dtype=float)
-        )
+        with _naming("device"):
+            return BlochPovmSpec(
+                np.array(dev["weights"], dtype=float), np.array(dev["directions"], dtype=float)
+            )
     return None
 
 
 def _build_povm(spec: dict) -> Povm:
     bloch = _device_bloch(spec["device"])
     if bloch is None:
-        base = Povm(tuple(_complex_matrix(m) for m in spec["device"]["elements"]))
+        with _naming("device.elements"):
+            base = Povm(tuple(_complex_matrix(m) for m in spec["device"]["elements"]))
     else:
         base = povm_from_bloch(bloch)
     return tensor_povm(base, spec["copies"]) if spec["copies"] > 1 else base
@@ -298,29 +317,25 @@ def realize(
     q: float | None = None,
 ) -> mdi.Scenario:
     """Build the quantum objects of a canonical scenario (see
-    `parse_scenario_dict`); keyword overrides feed parameter sweeps."""
+    `parse_scenario_dict`); keyword overrides feed parameter sweeps and
+    must pass `_check_overrides`. A ValueError from the scenario's own
+    data names its field."""
+    _check_overrides(spec, {k: k for k, v in (("eta", eta), ("alpha", alpha), ("q", q))
+                            if v is not None})
     states = _build_states(spec, alpha)
     if q is not None:
-        if len(states) != 2:
-            raise SchemaError("q override needs a two-state source")
         if not 0.0 < q < 1.0:
             raise SchemaError("q: must lie strictly between 0 and 1")
         probs = np.array([q, 1.0 - q])
-    elif "probs" in spec:
-        if len(spec["probs"]) != len(states):
-            raise SchemaError(
-                f"probs: {len(spec['probs'])} entries for {len(states)} states"
-            )
-        probs = np.array(spec["probs"], dtype=float)
     else:
-        probs = np.full(len(states), 1.0 / len(states))
+        probs = np.array(spec.get("probs", [1.0 / len(states)] * len(states)), dtype=float)
     ensemble = StateEnsemble(states, probs)
     if spec["copies"] > 1:
         ensemble = tensor_ensemble(ensemble, spec["copies"])
 
     if "statistics" in spec:
-        table = np.array(spec["statistics"]["conditionals"], dtype=float)
-        observed = ObservedStatistics(table, ensemble.probs)
+        with _naming("statistics.conditionals"):
+            observed = ObservedStatistics(spec["statistics"]["conditionals"], ensemble.probs)
         return mdi.Scenario(
             ensemble, observed, mode=spec["mode"], generation_index=spec["generation_index"]
         )
@@ -336,7 +351,9 @@ def realize(
 def _check_overrides(spec: dict, flags: dict) -> None:
     """Reject an override of a quantity the scenario does not have.
 
-    `flags` maps each overridden parameter to the flag that set it.
+    `flags` maps each overridden parameter to the flag that set it, which
+    the error names. The one rule of override applicability: the commands
+    apply it to their flags, `realize` to its keyword overrides.
     """
     if "alpha" in flags and spec["source"]["kind"] != "angle":
         raise SchemaError(f"{flags['alpha']}: scenario source must have kind 'angle'")
@@ -344,6 +361,8 @@ def _check_overrides(spec: dict, flags: dict) -> None:
         raise SchemaError(
             f"{flags['eta']}: scenario has a raw statistics table, no device to degrade"
         )
+    if "q" in flags and _n_states(spec["source"]) != 2:
+        raise SchemaError(f"{flags['q']}: scenario source must have exactly two states")
 
 
 def _env_override(field: str):
@@ -379,20 +398,12 @@ def _fmt(v: float) -> str:
     return format(v, ".9g")
 
 
-def _rate_record(name: str | None, res: mdi.RateResult) -> dict:
-    return {"scenario": name, **dataclasses.asdict(res)}
-
-
 def cmd_rate(args) -> int:
     spec = load_scenario_spec(args.scenario)
     overrides = {p: getattr(args, p) for p in ("eta", "alpha", "q")}
     _check_overrides(spec, {p: f"--{p}" for p, v in overrides.items() if v is not None})
-    try:
-        scenario = realize(spec, **overrides)
-    except (SchemaError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
-    res = mdi.guessing_probability(scenario, _solver_options(args))
-    record = _rate_record(spec.get("name"), res)
+    res = mdi.guessing_probability(realize(spec, **overrides), _solver_options(args))
+    record = {"scenario": spec.get("name"), **dataclasses.asdict(res)}
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
@@ -419,8 +430,7 @@ def cmd_rate(args) -> int:
 def _sweep_worker(task):
     spec, param, value, opts = task
     try:
-        overrides = {param: value}
-        res = mdi.guessing_probability(realize(spec, **overrides), opts)
+        res = mdi.guessing_probability(realize(spec, **{param: value}), opts)
         return (value, res.rate_bits, res.rate_per_qubit, res.p_guess_upper,
                 res.classical_bound_bits, res.status)
     except Exception as exc:  # recorded per row, the sweep continues
@@ -436,6 +446,9 @@ def cmd_sweep(args) -> int:
         raise SchemaError("--jobs: need at least one worker process")
     _check_overrides(spec, {args.param: f"--param {args.param}"})
     opts = _solver_options(args)
+    # the file's own scenario: an error that no swept value can mend
+    # exits here, before the grid
+    realize(spec)
     grid = [float(g) for g in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(spec, args.param, g, opts) for g in grid]
     jobs = min(args.jobs or len(tasks), len(tasks), os.cpu_count() or 1)
@@ -478,13 +491,8 @@ def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
         return f"{len(states)} valid state(s), dim {states[0].dim}"
 
     def probs_ok():
-        if "probs" not in spec:
-            return "uniform (default)"
-        # the distribution rule of realize, on 1x1 placeholder states so
-        # that a bad state fails only the state check
-        p = np.array(spec["probs"], dtype=float)
-        StateEnsemble((DensityMatrix(np.eye(1)),) * p.size, p)
-        return f"{p.size} entries"
+        # the schema has applied the distribution rule
+        return f"{len(spec['probs'])} entries" if "probs" in spec else "uniform (default)"
 
     def povm_ok():
         if "statistics" in spec:
@@ -515,17 +523,14 @@ def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
     def stats_ok():
         if "statistics" not in spec:
             raise SkipCheck("honest device generates the table")
-        # the table rule of realize; the input distribution has its own check
+        # the row rule of ObservedStatistics, and so of realize
         table = np.array(spec["statistics"]["conditionals"], dtype=float)
-        obs = ObservedStatistics(table, np.full(len(table), 1.0 / len(table)))
-        return f"{obs.n_states} rows, {obs.n_outcomes} outcomes"
+        require_distribution(table, "conditional rows")
+        return f"{table.shape[0]} rows, {table.shape[1]} outcomes"
 
     def build_ok():
         scen = realize(spec)
-        return (
-            f"n_s={scen.n_states}, n_o={scen.n_outcomes}, d={scen.dim}, "
-            f"mode={scen.mode}"
-        )
+        return f"n_s={scen.n_states}, n_o={scen.n_outcomes}, d={scen.dim}, mode={scen.mode}"
 
     check("state validity", states_ok)
     check("input distribution", probs_ok)
@@ -607,10 +612,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

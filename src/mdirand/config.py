@@ -12,7 +12,7 @@ class Tolerances:
     library reads, so each value is named and set in one place.
     """
 
-    hermitian: float = 1e-12        # max |h - h^dagger| entry allowed
+    hermitian: float = 1e-12        # max |h - h^dagger| entry / max(1, max |h|)
     consistency: float = 1e-8       # |b_dropped - reconstruction| allowed
     psd: float = 1e-10              # min eigenvalue >= -psd for PSD checks
     trace: float = 1e-10            # |trace - 1| for density matrices

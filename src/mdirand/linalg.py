@@ -1,14 +1,18 @@
-"""Dense linear-algebra kernels: Hermitian eigen-solves and row selection.
+"""Dense linear-algebra kernels: Hermitian checks, eigen-solves and row selection.
 
-Pure functions; inputs are never mutated. Matrices are plain numpy arrays
-(complex Hermitian or real symmetric). Hermitian blocks are at most the
-source's dimension: dim 32 for a tensor power (quantum._MAX_TENSOR_DIM),
-while a density-matrix source sets no cap. row_space_basis reads the
-m x m Gram matrix of the constraint rows (m at most 569 for the bundled
-presets, 4337 for the two-state product source at four copies) and
-needs one m x m work array. Every eigenvalue and eigenvector the library uses comes from
-LAPACK through numpy; jacobi_eigvalsh is a pure-Python reference that
-only the tests call.
+Pure functions; inputs are never mutated. Matrices are plain numpy
+arrays (complex Hermitian or real symmetric). is_hermitian,
+require_hermitian and min_eigenvalue take one matrix or a (..., s, s)
+stack, so a caller checks all its operators in one call. The library's
+one Hermitian rule is relative to each matrix's own scale: m is
+Hermitian iff |m - m^dag| <= 1e-12 * max(1, max|m|) entrywise. Hermitian
+blocks are at most the source's dimension: dim 32 for a tensor power
+(quantum._MAX_TENSOR_DIM), while a density-matrix source sets no cap.
+row_space_basis reads the m x m Gram matrix of the constraint rows (m at
+most 569 for the bundled presets, 4337 for the two-state product source
+at four copies) and needs one m x m work array. Every eigenvalue and
+eigenvector the library uses comes from LAPACK through numpy;
+jacobi_eigvalsh is a pure-Python reference that only the tests call.
 """
 from __future__ import annotations
 
@@ -38,16 +42,21 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
+    """True if a is a square matrix, or a (..., s, s) stack of them, and
+    every matrix m has |m - m^dag| <= DEFAULT_TOLS.hermitian * max(1, max|m|)
+    entrywise."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    asym = np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    return not (asym > DEFAULT_TOLS.hermitian * scale).any()
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitianError("matrix is not hermitian within tolerance")
     return a
 
@@ -121,10 +130,10 @@ def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def min_eigenvalue(h: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh)."""
-    h = require_hermitian(h, tol)
-    return float(np.linalg.eigvalsh(h)[0])
+def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh); for a
+    (..., s, s) stack, the array of each matrix's smallest eigenvalue."""
+    return np.linalg.eigvalsh(require_hermitian(h))[..., 0]
 
 
 def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int]]:

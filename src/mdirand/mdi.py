@@ -229,9 +229,13 @@ def build_sdp(
     Each block is compressed onto the certified range V_x of its outcome
     marginal (see face_bases; the generic full-rank case keeps the full
     dimension d): a complex Hermitian block of the face rank r_x, with
-    coefficients V_x^dag H V_x. Only outcomes with a nonempty face (live
-    x, L of them) get blocks, numbered (f, x, e) in that order, then the
-    slack blocks. Constraint families, in row order:
+    coefficients V_x^dag H V_x. The faces are exact for the exact table
+    only: a table inside a band of opts.relax > 0 may have full-rank
+    marginals where the observed one has not, so with a band every V_x is
+    the identity, and EffectiveStrategy.from_solution, which re-derives the
+    exact faces, expands exact solutions only. Only outcomes with a nonempty
+    face (live x, L of them) get blocks, numbered (f, x, e) in that order,
+    then the slack blocks. Constraint families, in row order:
 
     i.   normalization: sum_{x,e} tr M_{x,e|0} = d, one row, I_r = V_x^dag V_x
          on each family-0 block; ii makes the sum a multiple of the
@@ -272,7 +276,7 @@ def build_sdp(
     finite_q = scenario.mode == MODE_FINITE_Q
     n_fam = n_s if finite_q else 1
 
-    faces = face_bases(scenario)
+    faces = face_bases(scenario) if relax == 0.0 else [np.eye(d, dtype=complex)] * n_o
     live = [x for x in range(n_o) if faces[x].shape[1] > 0]
     n_l = len(live)
     # first rows of families iii, iv and of the slack rows; ii starts at 1
@@ -512,8 +516,9 @@ class EffectiveStrategy:
 
         Re-derives the outcome faces from the scenario (build_sdp is
         deterministic) and expands each compressed Hermitian block S back
-        to the full space as V S V^dag. In asymptotic mode the SDP holds a
-        single family, which is copied to every input.
+        to the full space as V S V^dag; sol must solve the exact problem
+        (relax = 0), whose faces those are. In asymptotic mode the SDP
+        holds a single family, which is copied to every input.
         """
         d = scenario.dim
         n_s, n_o = scenario.n_states, scenario.n_outcomes
@@ -532,49 +537,43 @@ class EffectiveStrategy:
         return cls(np.broadcast_to(ops, (n_s,) + ops.shape[1:]).copy())
 
     def objective_value(self, scenario: Scenario) -> float:
-        rho = [s.mat for s in scenario.ensemble.states]
+        """Probability that the guess matches the outcome, weighted as the
+        SDP objective weighs it."""
+        n_o = scenario.n_outcomes
+        rho = np.stack([s.mat for s in scenario.ensemble.states])
+        # per input a: sum_x tr(M_{x,x|a} rho_a)
+        hits = np.einsum("axij,aji->a", self.operators[:, range(n_o), range(n_o)], rho).real
         if scenario.mode == MODE_FINITE_Q:
-            total = 0.0
-            for a in range(scenario.n_states):
-                pa = float(scenario.ensemble.probs[a])
-                for x in range(scenario.n_outcomes):
-                    total += pa * float(np.trace(self.operators[a, x, x] @ rho[a]).real)
-            return total
-        g = scenario.generation_index - 1
-        return float(sum(
-            np.trace(self.operators[g, x, x] @ rho[g]).real
-            for x in range(scenario.n_outcomes)
-        ))
+            return float(scenario.ensemble.probs @ hits)
+        return float(hits[scenario.generation_index - 1])
 
     def validate(self, scenario: Scenario, tol: float = DEFAULT_TOLS.strategy) -> None:
-        """Raise unless all feasibility conditions hold within tol."""
+        """Raise unless all feasibility conditions hold within tol; the
+        message names the first violating index."""
         ops = self.operators
         n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
         if ops.shape != (n_s, n_o, n_o, d, d):
             raise ValueError("strategy shape does not match the scenario")
         eye = np.eye(d)
-        for a in range(n_s):
-            for x in range(n_o):
-                for e in range(n_o):
-                    if min_eigenvalue(ops[a, x, e], tol=1e-8) < -tol:
-                        raise ValueError(f"operator ({a},{x},{e}) is not PSD")
-            total = ops[a].sum(axis=(0, 1))
-            if np.max(np.abs(total - eye)) > tol:
-                raise ValueError(f"normalization fails for input {a}")
-            for e in range(n_o):
-                marg = ops[a, :, e].sum(axis=0)
-                if np.max(np.abs(marg - marg[0, 0] * eye)) > tol:
-                    raise ValueError(f"guess marginal ({a},{e}) is not proportional to identity")
-        base = ops[0].sum(axis=1)
-        for a in range(1, n_s):
-            if np.max(np.abs(ops[a].sum(axis=1) - base)) > tol:
-                raise ValueError(f"outcome marginal depends on the input (a={a})")
-        rho = [s.mat for s in scenario.ensemble.states]
-        for a in range(n_s):
-            for x in range(n_o):
-                got = float(np.trace(ops[a, x].sum(axis=0) @ rho[a]).real)
-                if abs(got - float(scenario.observed.conditionals[a, x])) > tol:
-                    raise ValueError(f"statistics mismatch at (a={a}, x={x})")
+        guess = ops.sum(axis=1)  # sum over x: [a, e]
+        outcome = ops.sum(axis=2)  # sum over e: [a, x]
+        rho = np.stack([s.mat for s in scenario.ensemble.states])
+        stats = np.einsum("axij,aji->ax", outcome, rho).real
+
+        def dev(m):
+            return np.max(np.abs(m), axis=(-2, -1))
+
+        for bad, names, what in (
+            (min_eigenvalue(ops) < -tol, "axe", "operator is not PSD"),
+            (dev(guess.sum(axis=1) - eye) > tol, "a", "normalization fails"),
+            (dev(guess - guess[..., :1, :1] * eye) > tol, "ae",
+             "guess marginal is not proportional to identity"),
+            (dev(outcome - outcome[:1]) > tol, "ax", "outcome marginal depends on the input"),
+            (np.abs(stats - scenario.observed.conditionals) > tol, "ax", "statistics mismatch"),
+        ):
+            if bad.any():
+                at = ", ".join(f"{n}={i}" for n, i in zip(names, np.argwhere(bad)[0]))
+                raise ValueError(f"{what} at ({at})")
 
 
 def honest_strategy(scenario: Scenario, povm: Povm, eta: float) -> EffectiveStrategy:
@@ -587,12 +586,6 @@ def honest_strategy(scenario: Scenario, povm: Povm, eta: float) -> EffectiveStra
     if povm.dim != scenario.dim or povm.n_outcomes != scenario.n_outcomes:
         raise ValueError("POVM does not match the scenario")
     n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
-    ops = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
-    eye = np.eye(d)
-    for x in range(n_o):
-        for e in range(n_o):
-            m = (eta / n_o) * povm.elements[x]
-            if x == e:
-                m = m + ((1.0 - eta) / n_o) * eye
-            ops[:, x, e] = m
-    return EffectiveStrategy(ops)
+    ops = np.repeat((eta / n_o) * np.stack(povm.elements)[:, None], n_o, axis=1)  # [x, e]
+    ops[range(n_o), range(n_o)] += ((1.0 - eta) / n_o) * np.eye(d)
+    return EffectiveStrategy(np.broadcast_to(ops, (n_s,) + ops.shape).copy())

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "BlochPovmSpec",
     "StateEnsemble",
     "ObservedStatistics",
+    "NAMED_DEVICES",
+    "require_distribution",
     "bloch_to_density",
     "povm_from_bloch",
     "sigma_z_povm",
@@ -48,6 +51,20 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (_SX, _SY, _SZ)
 
 
+def require_distribution(p: np.ndarray, what: str) -> None:
+    """Raise ValueError, naming `what`, unless every distribution along the
+    last axis of p has entries >= -tol and sums to 1 within tol, tol the
+    completeness tolerance. Non-finite entries fail."""
+    p = np.asarray(p, dtype=float)
+    tol = DEFAULT_TOLS.completeness
+    if not (p >= -tol).all():
+        raise ValueError(f"{what} must be non-negative")
+    sums = p.sum(axis=-1)
+    off = ~(np.abs(sums - 1.0) <= tol)
+    if off.any():
+        raise ValueError(f"{what} must sum to 1 (got {np.ravel(sums)[np.argmax(off)]:.12g})")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix (hermitian, unit trace, PSD)."""
@@ -57,10 +74,10 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", m)
-        linalg.require_hermitian(m, DEFAULT_TOLS.hermitian)
+        lam = linalg.min_eigenvalue(m)  # raises unless m is Hermitian
         if abs(np.trace(m).real - 1.0) > DEFAULT_TOLS.trace:
             raise ValueError("density matrix trace differs from 1")
-        if linalg.min_eigenvalue(m) < -DEFAULT_TOLS.psd:
+        if lam < -DEFAULT_TOLS.psd:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
@@ -80,15 +97,13 @@ class Povm:
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one dimension")
-            linalg.require_hermitian(e, DEFAULT_TOLS.hermitian)
-            if linalg.min_eigenvalue(e) < -DEFAULT_TOLS.psd:
-                raise ValueError("POVM element has a negative eigenvalue")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > DEFAULT_TOLS.completeness:
+        if any(e.shape != (d, d) for e in elems):
+            raise ValueError("POVM elements must share one dimension")
+        stack = np.stack(elems)
+        negative = linalg.min_eigenvalue(stack) < -DEFAULT_TOLS.psd
+        if negative.any():
+            raise ValueError(f"POVM element {int(np.argmax(negative))} has a negative eigenvalue")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > DEFAULT_TOLS.completeness:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
@@ -147,10 +162,7 @@ class StateEnsemble:
             raise ValueError("ensemble states must share one dimension")
         if p.shape != (len(states),):
             raise ValueError("need one probability per state")
-        if np.any(p < -DEFAULT_TOLS.completeness):
-            raise ValueError("input probabilities must be non-negative")
-        if abs(float(np.sum(p)) - 1.0) > DEFAULT_TOLS.completeness:
-            raise ValueError("input probabilities must sum to 1")
+        require_distribution(p, "input probabilities")
 
     @property
     def dim(self) -> int:
@@ -168,9 +180,9 @@ class StateEnsemble:
 class ObservedStatistics:
     """Conditional outcome table P(x|a) plus the input distribution p_a.
 
-    Entries below zero by more than the completeness tolerance are hard
-    errors; tiny negative floats are clipped to 0 and each row is
-    renormalized, provided its sum was already 1 within tolerance.
+    Each row and the input distribution must pass require_distribution;
+    tiny negative floats are then clipped to 0 and each row is
+    renormalized.
     """
 
     conditionals: np.ndarray
@@ -183,19 +195,12 @@ class ObservedStatistics:
             raise ValueError("conditionals must be a 2-d table")
         if p.shape != (c.shape[0],):
             raise ValueError("need one input probability per state")
-        if np.any(c < -DEFAULT_TOLS.completeness):
-            raise ValueError("conditional probability is negative")
-        row_sums = np.sum(c, axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > DEFAULT_TOLS.completeness:
-            raise ValueError("conditional rows must sum to 1")
+        require_distribution(c, "conditional rows")
+        require_distribution(p, "input probabilities")
         c = np.clip(c, 0.0, None)
         c /= np.sum(c, axis=1, keepdims=True)
         object.__setattr__(self, "conditionals", c)
         object.__setattr__(self, "input_probs", p)
-        if np.any(p < -DEFAULT_TOLS.completeness):
-            raise ValueError("input probabilities must be non-negative")
-        if abs(float(np.sum(p)) - 1.0) > DEFAULT_TOLS.completeness:
-            raise ValueError("input probabilities must sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -213,30 +218,17 @@ def bloch_to_density(r: np.ndarray) -> DensityMatrix:
         raise ValueError("Bloch vector must have three components")
     if float(np.linalg.norm(r)) > 1.0 + DEFAULT_TOLS.bloch:
         raise ValueError("Bloch vector norm exceeds 1")
-    m = 0.5 * (_I2 + r[0] * _SX + r[1] * _SY + r[2] * _SZ)
-    return DensityMatrix(m)
+    return DensityMatrix(0.5 * _bloch_operator(r))
+
+
+def _bloch_operator(r: np.ndarray) -> np.ndarray:
+    """I + r . sigma."""
+    return _I2 + r[0] * _SX + r[1] * _SY + r[2] * _SZ
 
 
 def povm_from_bloch(spec: BlochPovmSpec) -> Povm:
     """Materialize a Bloch-form POVM as matrices."""
-    elems = []
-    for w, m in zip(spec.weights, spec.directions):
-        elems.append(w * (_I2 + m[0] * _SX + m[1] * _SY + m[2] * _SZ))
-    return Povm(tuple(elems))
-
-
-def sigma_z_povm() -> Povm:
-    """Projective measurement onto |0>, |1>."""
-    return povm_from_bloch(
-        BlochPovmSpec(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    )
-
-
-def sigma_x_povm() -> Povm:
-    """Projective measurement onto |+>, |->."""
-    return povm_from_bloch(
-        BlochPovmSpec(np.array([0.5, 0.5]), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
-    )
+    return Povm(tuple(w * _bloch_operator(m) for w, m in zip(spec.weights, spec.directions)))
 
 
 def extremal4() -> BlochPovmSpec:
@@ -272,6 +264,26 @@ def extremal3() -> BlochPovmSpec:
     return BlochPovmSpec(weights, directions)
 
 
+# the Bloch form of every named qubit device, under the name a scenario
+# file gives it
+NAMED_DEVICES = {
+    "sigma_z": BlochPovmSpec(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])),
+    "sigma_x": BlochPovmSpec(np.array([0.5, 0.5]), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])),
+    "extremal3": extremal3(),
+    "extremal4": extremal4(),
+}
+
+
+def sigma_z_povm() -> Povm:
+    """Projective measurement onto |0>, |1>."""
+    return povm_from_bloch(NAMED_DEVICES["sigma_z"])
+
+
+def sigma_x_povm() -> Povm:
+    """Projective measurement onto |+>, |->."""
+    return povm_from_bloch(NAMED_DEVICES["sigma_x"])
+
+
 def check_unbiased(spec: BlochPovmSpec, n_outcomes: int) -> bool:
     """All outcomes equally likely on the |+> input: w_k (1 + m_k1) = 1/n."""
     probs = spec.weights * (1.0 + spec.directions[:, 0])
@@ -302,14 +314,8 @@ def check_extremal(spec: BlochPovmSpec) -> bool:
 
 def tomographic_set() -> StateEnsemble:
     """The four-state tomographically complete set |+>, |0>, |1>, |+i>."""
-    vecs = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([0.0, 0.0, -1.0]),
-        np.array([0.0, 1.0, 0.0]),
-    ]
-    states = tuple(bloch_to_density(v) for v in vecs)
-    return StateEnsemble(states, np.full(4, 0.25))
+    vecs = ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0])
+    return StateEnsemble(tuple(bloch_to_density(v) for v in vecs), np.full(4, 0.25))
 
 
 def angle_states(alpha: float) -> StateEnsemble:
@@ -331,42 +337,32 @@ def angle_states(alpha: float) -> StateEnsemble:
 _MAX_TENSOR_DIM = 32
 
 
+def _check_copies(dim: int, copies: int) -> None:
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    if dim**copies > _MAX_TENSOR_DIM:
+        raise ValueError("tensor product dimension exceeds 32")
+
+
 def tensor_ensemble(base: StateEnsemble, copies: int) -> StateEnsemble:
     """All tensor products of `copies` base states, row-major index order.
 
     The joint index runs over (a_1, ..., a_m) with the first factor slowest;
     probabilities multiply. Refuses products with dimension above 32.
     """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if base.dim**copies > _MAX_TENSOR_DIM:
-        raise ValueError("tensor product dimension exceeds 32")
-    states = []
-    probs = []
-    for combo in itertools.product(range(base.n_states), repeat=copies):
-        m = base.states[combo[0]].mat
-        p = float(base.probs[combo[0]])
-        for a in combo[1:]:
-            m = np.kron(m, base.states[a].mat)
-            p *= float(base.probs[a])
-        states.append(DensityMatrix(m))
-        probs.append(p)
-    return StateEnsemble(tuple(states), np.array(probs))
+    _check_copies(base.dim, copies)
+    combos = list(itertools.product(range(base.n_states), repeat=copies))
+    states = tuple(DensityMatrix(reduce(np.kron, [base.states[a].mat for a in c]))
+                   for c in combos)
+    probs = [math.prod(float(base.probs[a]) for a in c) for c in combos]
+    return StateEnsemble(states, np.array(probs))
 
 
 def tensor_povm(base: Povm, copies: int) -> Povm:
     """Product measurement with outcome tuples in row-major order."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if base.dim**copies > _MAX_TENSOR_DIM:
-        raise ValueError("tensor product dimension exceeds 32")
-    elems = []
-    for combo in itertools.product(range(base.n_outcomes), repeat=copies):
-        e = base.elements[combo[0]]
-        for x in combo[1:]:
-            e = np.kron(e, base.elements[x])
-        elems.append(e)
-    return Povm(tuple(elems))
+    _check_copies(base.dim, copies)
+    return Povm(tuple(reduce(np.kron, [base.elements[x] for x in c])
+                      for c in itertools.product(range(base.n_outcomes), repeat=copies)))
 
 
 def double_ensemble(base: StateEnsemble) -> StateEnsemble:
@@ -378,14 +374,11 @@ def honest_statistics(ensemble: StateEnsemble, povm: Povm) -> ObservedStatistics
     """Born-rule table P(x|a) = tr(rho_a M_x) for an honest device."""
     if ensemble.dim != povm.dim:
         raise ValueError("ensemble and POVM dimensions differ")
-    table = np.empty((ensemble.n_states, povm.n_outcomes))
-    for a, state in enumerate(ensemble.states):
-        for x, elem in enumerate(povm.elements):
-            val = np.trace(state.mat @ elem)
-            if abs(val.imag) > 1e-12:
-                raise ValueError("Born probability has an imaginary part")
-            table[a, x] = val.real
-    return ObservedStatistics(table, ensemble.probs)
+    rhos = np.stack([s.mat for s in ensemble.states])
+    vals = np.trace(rhos[:, None] @ np.stack(povm.elements), axis1=-2, axis2=-1)
+    if np.any(np.abs(vals.imag) > 1e-12):
+        raise ValueError("Born probability has an imaginary part")
+    return ObservedStatistics(vals.real, ensemble.probs)
 
 
 def mix_white_noise(stats: ObservedStatistics, eta: float) -> ObservedStatistics:

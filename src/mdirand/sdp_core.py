@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import row_space_basis
+from .linalg import is_hermitian, row_space_basis
 
 __all__ = [
     "OPTIMAL",
@@ -66,14 +66,6 @@ class InfeasibleProblemError(ValueError):
 
 
 SCHUR_CHUNK = 2**15  # float64 elements of the real view per row-product temporary
-
-
-def _non_hermitian(stack: np.ndarray) -> bool:
-    """True if some matrix m of the (..., s, s) stack has an entry of
-    |m - m^dag| above 1e-12 * max(1, max|m|)."""
-    asym = np.max(np.abs(stack - np.swapaxes(stack, -1, -2).conj()), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1)))
-    return bool(np.any(asym > 1e-12 * scale))
 
 
 @dataclass
@@ -128,7 +120,7 @@ class SdpProblem:
             ):
                 raise ValueError("constraint block has wrong shape")
         for a in {id(a): a for a in [*coeffs, *objective] if a is not None}.values():
-            if not np.all(np.isfinite(a)) or _non_hermitian(a):
+            if not (np.all(np.isfinite(a)) and is_hermitian(a)):
                 raise ValueError("constraint blocks must be finite and symmetric (Hermitian)")
         size_groups = list(by_size.values())
         group_rows, group_stacks, objective_stacks = [], [], []

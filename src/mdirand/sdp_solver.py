@@ -4,19 +4,23 @@ Infeasible-start path following with Mehrotra predictor-corrector steps in
 the HKM scaling. The iterates X, Z and every direction are held as one
 complex Hermitian (n_g, s, s) stack per block-size group of the problem,
 so each step of an iteration is a few batched numpy/LAPACK calls per
-group, not one call per block (transposes are conjugate transposes).
-The Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely, and
+group, not one call per block (transposes are conjugate transposes). The
+Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely, and
 symmetric, by SdpProblem.schur_matrix, the row-product kernel that
 preprocessing also uses for its Gram matrix; its chunk budget SCHUR_CHUNK
 lives in sdp_core. One Newton-direction routine serves the predictor and
-the corrector: each solves with S by LAPACK LU (numpy.linalg.solve),
-which needs no positive definiteness: no jitter, no refinement, and an
-exactly singular S ends the iteration with the best iterate so far. X and
-Z are Cholesky-factored once per iteration; step lengths use
+the corrector: each solves with S by LAPACK LU (numpy.linalg.solve), which
+needs no positive definiteness: no jitter, no refinement. When LU finds S
+exactly singular, as the rank-deficient faces of eta = 1 scenarios can
+make it near the optimum, the direction is the minimum-norm least-squares
+solution (numpy.linalg.lstsq) and the iteration goes on; only if that
+fails too does it end with the best iterate so far. X and Z are
+Cholesky-factored once per iteration; step lengths use
 fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
 read off those factors and one batched eigenvalue call per group.
-Deterministic: fixed initialization, fixed reduction order, no
-randomization anywhere.
+Deterministic for a fixed BLAS thread count: fixed initialization, fixed
+reduction order, no randomization anywhere; a threaded BLAS sums in
+another order, which can move an ill-conditioned endgame.
 
 The dual value b.y of any y whose slack A*(y) - C is PSD upper-bounds the
 primal optimum (weak duality). Every iterate's slack is recomputed from y
@@ -203,10 +207,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     identity-shift repair). Status reports iterate quality: optimal when
     gap and residuals meet the tolerances, infeasible-detected when the
     primal residual or the bound diverges. The iteration cap, a 12-step
-    stall, an exactly singular S and vanishing steps stop the loop; the
-    status is then near-optimal if some bound was certified and the best
-    iterate's score, the largest ratio of its relative gap and residuals
-    to their tolerances, is below 1e5, else numerical-failure.
+    stall, a failed least-squares direction and vanishing steps stop the
+    loop; the status is then near-optimal if some bound was certified and
+    the best iterate's score, the largest ratio of its relative gap and
+    residuals to their tolerances, is below 1e5, else numerical-failure.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
@@ -329,7 +333,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         def direction(rc, rhs):
             """Newton direction for centering residual rc and Schur
             right-hand side rhs, with its primal and dual step lengths."""
-            dy = np.linalg.solve(schur, rhs)
+            try:
+                dy = np.linalg.solve(schur, rhs)
+            except np.linalg.LinAlgError:  # S exactly singular for LU
+                dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
             dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
             alpha_p = _step_length(lx, dx, STEP_FRACTION)
@@ -361,7 +368,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
             ]
             dx, dy, dz, alpha_p, alpha_d = direction(rc, p.apply_constraints(rc) + hxrz - rp)
-        except np.linalg.LinAlgError:  # S exactly singular
+        except np.linalg.LinAlgError:  # the least-squares solve failed too
             break
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             break
@@ -372,7 +379,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         y = y + alpha_d * dy
 
     assert best is not None
-    if status is None:  # iteration cap, stall, singular S or vanishing steps
+    if status is None:  # iteration cap, stall, failed direction or vanishing steps
         near = bound_best is not None and best["score"] < 1e5
         status = NEAR_OPTIMAL if near else NUMERICAL_FAILURE
     x_best = best["x"]

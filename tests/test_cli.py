@@ -330,18 +330,33 @@ def test_validate_statistics_uses_the_rate_rule(tmp_path, capsys):
 
 
 def test_validate_input_distribution_uses_the_rate_rule(tmp_path, capsys):
-    # fig4 with inputs off 1 by 5e-10: inside a 1e-9 tolerance but outside
-    # the 1e-10 that StateEnsemble, and so rate, allows
+    # fig4 with inputs off 1 by 5e-10: outside the 1e-10 of the one
+    # distribution rule, which the schema applies, so validate stops at
+    # the schema as rate does
     scen = cli.load_scenario_spec("fig4")
     scen["probs"] = [0.5, 0.5000000005]
     path = tmp_path / "offsum-probs.json"
     path.write_text(json.dumps(scen))
-    assert cli.main(["validate", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "input distribution: FAIL" in out
-    assert "scenario build: FAIL" in out
-    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
-    capsys.readouterr()
+    for command in ("validate", "rate"):
+        assert cli.main([command, str(path)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: probs: input probabilities must sum to 1")
+        assert captured.out == ""
+
+
+# the validate report of every preset, as the parent of the one-rule
+# validation change printed it, one report per paragraph
+_VALIDATE_PINS = {
+    report.split("\n", 1)[0].removeprefix("scenario: "): report + "\n"
+    for report in (Path(__file__).parent / "validate_presets.txt")
+    .read_text(encoding="utf-8").rstrip("\n").split("\n\n")
+}
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_validate_report_of_every_preset_is_pinned(name, capsys):
+    assert cli.main(["validate", name]) == 0
+    assert capsys.readouterr().out == _VALIDATE_PINS[name]
 
 
 def test_validate_extremal4_preset_all_pass(capsys):
@@ -520,3 +535,53 @@ def test_preset_name_skips_a_directory_of_that_name(tmp_path, monkeypatch, capsy
     assert cli.load_scenario_spec("fig4")["name"] == "fig4"
     assert cli.main(["validate", "fig4"]) == 0
     assert capsys.readouterr().out.startswith("scenario: fig4\n")
+
+
+def _spoiled_preset(tmp_path, name, spoil):
+    spec = cli.load_scenario_spec(name)
+    spoil(spec)
+    path = tmp_path / f"{name}-spoiled.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+_GRID = ["--from", "0.5", "--to", "1.0", "--steps", "3", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep"])
+@pytest.mark.parametrize("case", ["bloch-norm-2", "probs-off-sum", "q-on-four-states"])
+def test_errors_no_swept_value_mends_exit_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          command, case):
+    # a Bloch vector of norm 2; inputs summing to 1 + 5e-10; a q override
+    # of a four-state source. rate and sweep stop alike, naming the field
+    # or flag, with nothing on stdout
+    def no_solve(*args):
+        raise AssertionError("solved a scenario that should have been rejected")
+
+    monkeypatch.setattr(cli.mdi, "guessing_probability", no_solve)
+    if case == "bloch-norm-2":
+        scen = _spoiled_preset(tmp_path, "fig3-green",
+                               lambda s: s["source"]["vectors"].__setitem__(1, [0.0, 0.0, 2.0]))
+        argv, name = {"rate": [], "sweep": ["--param", "eta"]}[command], "source.vectors[1]"
+    elif case == "probs-off-sum":
+        scen = _spoiled_preset(tmp_path, "fig4", lambda s: s.update(probs=[0.5, 0.5000000005]))
+        argv, name = {"rate": [], "sweep": ["--param", "eta"]}[command], "probs"
+    else:
+        scen = "fig3-blue"
+        argv, name = {"rate": (["--q", "0.5"], "--q"),
+                      "sweep": (["--param", "q"], "--param q")}[command]
+    assert cli.main([command, scen, *argv, *(_GRID if command == "sweep" else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name}:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("fig3-blue", {"alpha": 0.3}),
+    ("fig3-blue", {"q": 0.5}),
+    ("TABLE", {"eta": 0.5}),
+], ids=["alpha-on-bloch-source", "q-on-four-states", "eta-on-raw-table"])
+def test_realize_rejects_overrides_without_a_target(tmp_path, preset, override):
+    spec = cli.load_scenario_spec(_two_state_table(tmp_path) if preset == "TABLE" else preset)
+    with pytest.raises(cli.SchemaError, match=f"^{next(iter(override))}: "):
+        cli.realize(spec, **override)

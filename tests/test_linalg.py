@@ -5,6 +5,7 @@ from mdirand.linalg import (
     ConvergenceError,
     NotHermitianError,
     eigh_hermitian,
+    is_hermitian,
     jacobi_eigvalsh,
     min_eigenvalue,
     row_space_basis,
@@ -56,6 +57,24 @@ def test_eigh_hermitian_matches_lapack_oracle():
 def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_rule_is_relative_and_takes_stacks():
+    big = np.array([[1e6, 1.0], [1.0 + 1e-7, 2.0]])  # off by 1e-13 of its scale
+    small = np.array([[0.5, 0.1], [0.1 + 2e-12, 0.5]])  # off by 2e-12, scale 1
+    assert is_hermitian(big) and not is_hermitian(small)
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+    stack = a + np.swapaxes(a, -1, -2).conj()
+    assert is_hermitian(stack)
+    lam = min_eigenvalue(stack)
+    assert lam.shape == (3, 4)
+    assert np.array_equal(lam, np.linalg.eigvalsh(stack)[..., 0])
+    stack[2, 1, 0, 1] += 1e-9  # one matrix of the stack off
+    assert not is_hermitian(stack)
+    with pytest.raises(NotHermitianError):
+        min_eigenvalue(stack)
+    assert not is_hermitian(np.zeros((2, 3)))
 
 
 def test_jacobi_eigvalsh_matches_lapack_oracle():

@@ -120,18 +120,22 @@ def _haar_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@pytest.mark.parametrize("name", [
-    n for n in cli.preset_names()
-    if cli.load_scenario_spec(n)["device"]["eta"] < 1.0 and n != "fig6-2s-m3"
+@pytest.mark.parametrize("name, seed", [
+    *[pytest.param(n, 0, id=n) for n in cli.preset_names()
+      if cli.load_scenario_spec(n)["device"]["eta"] < 1.0 and n != "fig6-2s-m3"],
+    # eta = 1: rank-deficient faces, where LU found the rotated fig3-green
+    # Schur matrix exactly singular on seeds 3 and 5
+    *[pytest.param(n, seed, id=f"{n}-seed{seed}")
+      for n in ("fig3-blue", "fig3-green", "fig3-red", "fig4") for seed in (0, 3, 5)],
 ])
-def test_rate_invariant_under_common_unitary(name):
+def test_rate_invariant_under_common_unitary(name, seed):
     # conjugating every state by one unitary U^(x copies) and keeping the
     # statistics maps each feasible strategy M to U M U^dag with the same
     # objective, so the rate cannot move; a fixed complex U makes every
     # state and face complex, real presets included
     spec = cli.load_scenario_spec(name)
     scen = cli.realize(spec)
-    u = reduce(np.kron, [_haar_unitary(np.random.default_rng(0))] * spec["copies"])
+    u = reduce(np.kron, [_haar_unitary(np.random.default_rng(seed))] * spec["copies"])
     states = tuple(DensityMatrix(u @ s.mat @ u.conj().T) for s in scen.ensemble.states)
     rotated = mdi.Scenario(StateEnsemble(states, scen.ensemble.probs), scen.observed,
                            mode=scen.mode, generation_index=scen.generation_index)
@@ -403,6 +407,23 @@ def test_angle_sweep_matches_direct_call():
     assert alpha == 0.5
     assert via_sweep.rate_bits == direct.rate_bits
     assert via_sweep.p_guess_upper == direct.p_guess_upper
+
+
+@pytest.mark.parametrize("relax", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", ["fig3-blue", "fig3-green", "fig3-red"])
+def test_relaxed_rate_is_bounded_by_a_table_inside_the_band(name, relax):
+    # the honest table at eta' = 1 - relax / max|1/n_o - P(x|a)| is within
+    # relax of the eta = 1 table P in every entry, so the band around P
+    # contains it and cannot certify more than it does; the band must not
+    # keep P's rank-deficient faces
+    spec = cli.load_scenario_spec(name)
+    scen = cli.realize(spec)
+    assert spec["device"]["eta"] == 1.0
+    eta = 1.0 - relax / np.max(np.abs(1.0 / scen.n_outcomes - scen.observed.conditionals))
+    relaxed = mdi.guessing_probability(scen, SolverOptions(relax=relax))
+    inside = mdi.guessing_probability(cli.realize(spec, eta=eta))
+    assert relaxed.status == inside.status == OPTIMAL
+    assert relaxed.rate_bits <= inside.rate_bits + 1e-7
 
 
 def test_relaxation_band_widens_feasible_set():

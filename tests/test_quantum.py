@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,40 @@ def test_honest_statistics_sigma_z_on_tomographic_set():
     stats = q.honest_statistics(q.tomographic_set(), q.sigma_z_povm())
     want = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     assert np.allclose(stats.conditionals, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_honest_statistics_matches_the_per_entry_born_rule(copies):
+    # the batched table equals tr(rho_a M_x) taken one entry at a time, bit
+    # for bit: the arithmetic is the same products and the same trace
+    ens = q.tensor_ensemble(q.tomographic_set(), copies)
+    povm = q.tensor_povm(q.povm_from_bloch(q.extremal4()), copies)
+    want = np.array([[np.trace(s.mat @ m).real for m in povm.elements] for s in ens.states])
+    raw = q.ObservedStatistics(want, ens.probs).conditionals
+    assert np.array_equal(q.honest_statistics(ens, povm).conditionals, raw)
+
+
+def test_require_distribution_is_the_rule_of_every_probability_check():
+    q.require_distribution([0.5, 0.5 + 5e-11], "p")
+    q.require_distribution([[1.0 + 1e-10, -1e-10], [0.25, 0.75]], "rows")
+    for bad, msg in (([0.5, 0.5000000005], "p must sum to 1 (got 1.0000000005)"),
+                     ([1.0 + 2e-10, -2e-10], "p must be non-negative"),
+                     ([0.5, float("nan")], "p must be non-negative"),
+                     ([[0.5, 0.5], [0.5, 0.7]], "p must sum to 1 (got 1.2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            q.require_distribution(bad, "p")
+    zero, one = q.bloch_to_density([0.0, 0.0, 1.0]), q.bloch_to_density([0.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="^input probabilities must sum to 1"):
+        q.StateEnsemble((zero, one), np.array([0.5, 0.5000000005]))
+    with pytest.raises(ValueError, match="^input probabilities must sum to 1"):
+        q.ObservedStatistics(np.eye(2), np.array([0.5, 0.5000000005]))
+    with pytest.raises(ValueError, match="^conditional rows must sum to 1"):
+        q.ObservedStatistics(np.array([[1.0, 0.0], [0.5, 0.5000000005]]), np.array([0.5, 0.5]))
+
+
+def test_povm_names_its_first_negative_element():
+    with pytest.raises(ValueError, match="^POVM element 1 has a negative eigenvalue$"):
+        q.Povm((np.diag([1.0, 1.5]), np.diag([0.0, -0.5])))
 
 
 def test_mix_white_noise_limits():

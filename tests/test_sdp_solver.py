@@ -346,11 +346,10 @@ def test_iteration_cap_stops_with_the_post_loop_status(max_iter):
     _assert_best_bound_returned(sol)
 
 
-@pytest.mark.parametrize("k", [3, 12])
-def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
-    # the k-th LU solve raises: odd k is a predictor, even k a corrector,
-    # of iteration (k - 1) // 2, which then takes no step
-    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+def _lu_raising_at(k, monkeypatch):
+    """Make the k-th LU solve raise as for an exactly singular S; odd k is
+    a predictor, even k a corrector, of iteration (k - 1) // 2. Returns
+    the list that records each LU call."""
     real, calls = np.linalg.solve, []
 
     def solve_or_raise(a, rhs):
@@ -360,6 +359,43 @@ def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
         return real(a, rhs)
 
     monkeypatch.setattr(sdp_solver.np.linalg, "solve", solve_or_raise)
+    return calls
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_singular_schur_takes_the_least_squares_direction(k, monkeypatch):
+    # the direction of the failed LU comes from lstsq with the same S and
+    # right-hand side, and the run goes on to the unpatched optimum
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    reference = solve(p)
+    real_lstsq, lstsq_calls = np.linalg.lstsq, []
+
+    def lstsq(a, rhs, rcond):
+        lstsq_calls.append(len(calls))
+        return real_lstsq(a, rhs, rcond=rcond)
+
+    calls = _lu_raising_at(k, monkeypatch)
+    monkeypatch.setattr(sdp_solver.np.linalg, "lstsq", lstsq)
+    sol = solve(p)
+    assert lstsq_calls == [k]
+    assert len(calls) > k
+    step = sol.iterations[(k - 1) // 2]
+    assert step.step_primal > 0.0 and step.step_dual > 0.0
+    assert sol.status == core.OPTIMAL
+    assert abs(sol.certified_upper_bound - reference.certified_upper_bound) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
+    # the k-th LU solve raises and so does its least-squares fallback:
+    # iteration (k - 1) // 2 then takes no step and the loop stops
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    calls = _lu_raising_at(k, monkeypatch)
+
+    def lstsq_raises(a, rhs, rcond):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sdp_solver.np.linalg, "lstsq", lstsq_raises)
     sol = solve(p)
     assert len(calls) == k
     assert sol.n_iterations == (k - 1) // 2 + 1
