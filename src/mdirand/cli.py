@@ -334,18 +334,20 @@ def realize(
         ensemble = tensor_ensemble(ensemble, spec["copies"])
 
     if "statistics" in spec:
+        # the row count is checked by Scenario against the states
         with _naming("statistics.conditionals"):
-            observed = ObservedStatistics(spec["statistics"]["conditionals"], ensemble.probs)
-        return mdi.Scenario(
-            ensemble, observed, mode=spec["mode"], generation_index=spec["generation_index"]
+            scenario = mdi.Scenario(
+                ensemble, ObservedStatistics(spec["statistics"]["conditionals"]), mode=spec["mode"]
+            )
+    else:
+        scenario = mdi.honest_scenario(
+            ensemble,
+            _build_povm(spec),
+            eta=float(spec["device"]["eta"] if eta is None else eta),
+            mode=spec["mode"],
         )
-    return mdi.honest_scenario(
-        ensemble,
-        _build_povm(spec),
-        eta=float(spec["device"]["eta"] if eta is None else eta),
-        mode=spec["mode"],
-        generation_index=spec["generation_index"],
-    )
+    # outside the field naming: its error names generation_index itself
+    return dataclasses.replace(scenario, generation_index=spec["generation_index"])
 
 
 def _check_overrides(spec: dict, flags: dict) -> None:
@@ -510,7 +512,7 @@ def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
 
     def unbiased_ok():
         b = device_bloch()
-        if not check_unbiased(b, b.n_outcomes):
+        if not check_unbiased(b):
             raise ValueError("outcome probabilities on the |+> input are not uniform")
         return "uniform outcomes on |+>"
 

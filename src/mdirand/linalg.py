@@ -20,8 +20,6 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-
 __all__ = [
     "NotHermitianError",
     "ConvergenceError",
@@ -34,6 +32,9 @@ __all__ = [
 ]
 
 
+HERMITIAN_TOL = 1e-12  # largest |m - m^dag| entry relative to max(1, max |m|)
+
+
 class NotHermitianError(ValueError):
     pass
 
@@ -44,14 +45,14 @@ class ConvergenceError(RuntimeError):
 
 def is_hermitian(a: np.ndarray) -> bool:
     """True if a is a square matrix, or a (..., s, s) stack of them, and
-    every matrix m has |m - m^dag| <= DEFAULT_TOLS.hermitian * max(1, max|m|)
+    every matrix m has |m - m^dag| <= HERMITIAN_TOL * max(1, max|m|)
     entrywise."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
     asym = np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    return not (asym > DEFAULT_TOLS.hermitian * scale).any()
+    return not (asym > HERMITIAN_TOL * scale).any()
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .linalg import eigh_hermitian, min_eigenvalue, row_space_basis
 from .quantum import (
     ObservedStatistics,
@@ -79,15 +78,17 @@ MODE_FINITE_Q = "finite-q"
 
 # face eigenvalues at or below this times max(1, lambda_max) count as zero
 FACE_TOL_ZERO = 1e-11
+# largest residual of each EffectiveStrategy.validate condition
+STRATEGY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Scenario:
     """States, observed statistics and accounting mode for one setup.
 
-    generation_index is 1-based (default 1: the first state generates
-    randomness). Input probabilities live on the statistics record and must
-    match the ensemble's.
+    The ensemble is the trusted source and owns the input probabilities;
+    the statistics hold one row of P(x|a) per state. generation_index is
+    1-based (default 1: the first state generates randomness).
     """
 
     ensemble: StateEnsemble
@@ -99,11 +100,11 @@ class Scenario:
         if self.mode not in (MODE_ASYMPTOTIC, MODE_FINITE_Q):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.observed.n_states != self.ensemble.n_states:
-            raise ValueError("statistics rows must match the number of states")
+            raise ValueError(
+                f"{self.observed.n_states} statistics rows for {self.ensemble.n_states} states"
+            )
         if not 1 <= self.generation_index <= self.ensemble.n_states:
             raise ValueError("generation_index out of range")
-        if np.max(np.abs(self.observed.input_probs - self.ensemble.probs)) > 1e-10:
-            raise ValueError("ensemble and statistics disagree on input probabilities")
 
     @property
     def dim(self) -> int:
@@ -349,9 +350,10 @@ def build_sdp(
     return preprocess(raw)
 
 
-def classical_min_entropy(stats: ObservedStatistics) -> float:
-    """Min-entropy of the outcome given the input, from the joint table."""
-    best = float(stats.input_probs @ np.max(stats.conditionals, axis=1))
+def classical_min_entropy(stats: ObservedStatistics, probs: np.ndarray) -> float:
+    """Min-entropy of the outcome given the input, from the conditional
+    table and the source's input probabilities."""
+    best = float(probs @ np.max(stats.conditionals, axis=1))
     return -math.log2(best)
 
 
@@ -385,7 +387,7 @@ class RateResult:
 
 def _classical_bound(scenario: Scenario) -> float:
     if scenario.mode == MODE_FINITE_Q:
-        return classical_min_entropy(scenario.observed)
+        return classical_min_entropy(scenario.observed, scenario.ensemble.probs)
     # vanishing test fraction: only the generation state contributes
     return -math.log2(float(np.max(
         scenario.observed.conditionals[scenario.generation_index - 1]
@@ -547,7 +549,7 @@ class EffectiveStrategy:
             return float(scenario.ensemble.probs @ hits)
         return float(hits[scenario.generation_index - 1])
 
-    def validate(self, scenario: Scenario, tol: float = DEFAULT_TOLS.strategy) -> None:
+    def validate(self, scenario: Scenario, tol: float = STRATEGY_TOL) -> None:
         """Raise unless all feasibility conditions hold within tol; the
         message names the first violating index."""
         ops = self.operators

@@ -13,7 +13,6 @@ from functools import reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from . import linalg
 
 __all__ = [
@@ -44,6 +43,11 @@ __all__ = [
     "double_statistics",
 ]
 
+PSD_TOL = 1e-10           # min eigenvalue >= -PSD_TOL for states and POVM elements
+TRACE_TOL = 1e-10         # |trace - 1| of a density matrix
+COMPLETENESS_TOL = 1e-10  # POVM completeness and probability sums
+BLOCH_TOL = 1e-12         # Bloch weight, direction and norm checks
+
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -56,7 +60,7 @@ def require_distribution(p: np.ndarray, what: str) -> None:
     last axis of p has entries >= -tol and sums to 1 within tol, tol the
     completeness tolerance. Non-finite entries fail."""
     p = np.asarray(p, dtype=float)
-    tol = DEFAULT_TOLS.completeness
+    tol = COMPLETENESS_TOL
     if not (p >= -tol).all():
         raise ValueError(f"{what} must be non-negative")
     sums = p.sum(axis=-1)
@@ -75,9 +79,9 @@ class DensityMatrix:
         m = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", m)
         lam = linalg.min_eigenvalue(m)  # raises unless m is Hermitian
-        if abs(np.trace(m).real - 1.0) > DEFAULT_TOLS.trace:
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1")
-        if lam < -DEFAULT_TOLS.psd:
+        if lam < -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
@@ -100,10 +104,10 @@ class Povm:
         if any(e.shape != (d, d) for e in elems):
             raise ValueError("POVM elements must share one dimension")
         stack = np.stack(elems)
-        negative = linalg.min_eigenvalue(stack) < -DEFAULT_TOLS.psd
+        negative = linalg.min_eigenvalue(stack) < -PSD_TOL
         if negative.any():
             raise ValueError(f"POVM element {int(np.argmax(negative))} has a negative eigenvalue")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > DEFAULT_TOLS.completeness:
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
@@ -131,11 +135,11 @@ class BlochPovmSpec:
             raise ValueError("need n weights and n Bloch directions")
         if np.any(w <= 0.0):
             raise ValueError("Bloch weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > DEFAULT_TOLS.bloch:
+        if abs(float(np.sum(w)) - 1.0) > BLOCH_TOL:
             raise ValueError("Bloch weights must sum to 1")
-        if np.max(np.abs(w @ m)) > DEFAULT_TOLS.bloch:
+        if np.max(np.abs(w @ m)) > BLOCH_TOL:
             raise ValueError("weighted Bloch directions must sum to 0")
-        if np.any(np.linalg.norm(m, axis=1) > 1.0 + DEFAULT_TOLS.bloch):
+        if np.any(np.linalg.norm(m, axis=1) > 1.0 + BLOCH_TOL):
             raise ValueError("Bloch directions must have norm <= 1")
 
     @property
@@ -178,29 +182,23 @@ class StateEnsemble:
 
 @dataclass(frozen=True)
 class ObservedStatistics:
-    """Conditional outcome table P(x|a) plus the input distribution p_a.
+    """Conditional outcome table P(x|a), one row per input a.
 
-    Each row and the input distribution must pass require_distribution;
-    tiny negative floats are then clipped to 0 and each row is
-    renormalized.
+    The input distribution p_a belongs to the source (StateEnsemble.probs).
+    Each row must pass require_distribution; tiny negative floats are then
+    clipped to 0 and each row is renormalized.
     """
 
     conditionals: np.ndarray
-    input_probs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.array(self.conditionals, dtype=float)
-        p = np.asarray(self.input_probs, dtype=float)
         if c.ndim != 2:
             raise ValueError("conditionals must be a 2-d table")
-        if p.shape != (c.shape[0],):
-            raise ValueError("need one input probability per state")
         require_distribution(c, "conditional rows")
-        require_distribution(p, "input probabilities")
         c = np.clip(c, 0.0, None)
         c /= np.sum(c, axis=1, keepdims=True)
         object.__setattr__(self, "conditionals", c)
-        object.__setattr__(self, "input_probs", p)
 
     @property
     def n_states(self) -> int:
@@ -216,7 +214,7 @@ def bloch_to_density(r: np.ndarray) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    if float(np.linalg.norm(r)) > 1.0 + DEFAULT_TOLS.bloch:
+    if float(np.linalg.norm(r)) > 1.0 + BLOCH_TOL:
         raise ValueError("Bloch vector norm exceeds 1")
     return DensityMatrix(0.5 * _bloch_operator(r))
 
@@ -284,10 +282,10 @@ def sigma_x_povm() -> Povm:
     return povm_from_bloch(NAMED_DEVICES["sigma_x"])
 
 
-def check_unbiased(spec: BlochPovmSpec, n_outcomes: int) -> bool:
+def check_unbiased(spec: BlochPovmSpec) -> bool:
     """All outcomes equally likely on the |+> input: w_k (1 + m_k1) = 1/n."""
     probs = spec.weights * (1.0 + spec.directions[:, 0])
-    return bool(np.max(np.abs(probs - 1.0 / n_outcomes)) <= 1e-10)
+    return bool(np.max(np.abs(probs - 1.0 / spec.n_outcomes)) <= 1e-10)
 
 
 def extremal_diagnosis(spec: BlochPovmSpec) -> str | None:
@@ -378,7 +376,7 @@ def honest_statistics(ensemble: StateEnsemble, povm: Povm) -> ObservedStatistics
     vals = np.trace(rhos[:, None] @ np.stack(povm.elements), axis1=-2, axis2=-1)
     if np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("Born probability has an imaginary part")
-    return ObservedStatistics(vals.real, ensemble.probs)
+    return ObservedStatistics(vals.real)
 
 
 def mix_white_noise(stats: ObservedStatistics, eta: float) -> ObservedStatistics:
@@ -387,7 +385,7 @@ def mix_white_noise(stats: ObservedStatistics, eta: float) -> ObservedStatistics
         raise ValueError("eta must lie in [0, 1]")
     n_o = stats.n_outcomes
     mixed = eta * stats.conditionals + (1.0 - eta) / n_o
-    return ObservedStatistics(mixed, stats.input_probs)
+    return ObservedStatistics(mixed)
 
 
 def double_statistics(stats: ObservedStatistics) -> ObservedStatistics:
@@ -400,5 +398,4 @@ def double_statistics(stats: ObservedStatistics) -> ObservedStatistics:
     joint = np.einsum("ax,by->abxy", c, c).reshape(
         stats.n_states**2, stats.n_outcomes**2
     )
-    p = np.outer(stats.input_probs, stats.input_probs).reshape(-1)
-    return ObservedStatistics(joint, p)
+    return ObservedStatistics(joint)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .linalg import is_hermitian, row_space_basis
 
 __all__ = [
@@ -66,6 +65,7 @@ class InfeasibleProblemError(ValueError):
 
 
 SCHUR_CHUNK = 2**15  # float64 elements of the real view per row-product temporary
+CONSISTENCY_TOL = 1e-8  # largest |b_dropped - reconstruction| preprocess accepts
 
 
 @dataclass
@@ -327,8 +327,8 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
 
     resid = np.abs(p.b[dropped] - b_kept @ coeffs)
     max_resid = float(np.max(resid, initial=0.0))
-    if max_resid > DEFAULT_TOLS.consistency:
-        j = int(np.argmax(resid > DEFAULT_TOLS.consistency))
+    if max_resid > CONSISTENCY_TOL:
+        j = int(np.argmax(resid > CONSISTENCY_TOL))
         raise InfeasibleProblemError(
             f"constraint {dropped[j]} contradicts the rows it depends on "
             f"(residual {resid[j]:.3e})"

@@ -29,8 +29,9 @@ block-size group. When that eigenvalue is -eps < 0, adding eps times the
 certificate direction (multipliers that reproduce the identity on every
 block) restores dual feasibility, so b.y + eps * (b . w_identity) is still
 an upper bound (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
-That one rule gives each logged bound and certified_upper_bound, the
-smallest of them. It rests on a backward-stable floating-point
+That one rule gives each logged bound, once per iterate, and
+certified_upper_bound is the smallest of them, returned with the logged
+iterate it belongs to. It rests on a backward-stable floating-point
 eigenvalue, not a verified one; an exact verifier is still open (see
 ROADMAP.md).
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +93,24 @@ class SolverOptions:
             raise ValueError("relax and max_iter must be non-negative")
 
 
-def _min_eigenvalue(stacks: list[np.ndarray]) -> float:
+@dataclass(frozen=True)
+class _Iterate:
+    """A logged iterate that solve may return. Its arrays are rebound each
+    step, never written in place, so they are kept without a copy."""
+
+    index: int
+    x: list[np.ndarray]
+    y: np.ndarray
+    slack: list[np.ndarray]
+    min_eig: float
+
+
+def _min_eigenvalue(stacks: Iterable[np.ndarray]) -> float:
     """Smallest eigenvalue over all group stacks; nan if an entry is not
     finite.
 
-    One batched LAPACK eigvalsh per stack; each matrix is read from its
-    lower triangle.
+    One batched LAPACK eigvalsh per stack, each stack taken from the
+    iterable as it is needed; each matrix is read from its lower triangle.
     """
     try:
         return float(np.min([np.min(np.linalg.eigvalsh(st)) for st in stacks]))
@@ -118,17 +132,13 @@ def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray], fraction:
     every X + alpha_max * dX PSD, X given by its factor l_inv from
     _inverse_cholesky.
 
-    alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)); one batched
-    eigvalsh per group stack. Returns 0.0 when l_inv is None or the
+    alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)), the eigenvalue
+    from _min_eigenvalue. Returns 0.0 when l_inv is None or the
     direction is not finite.
     """
     if l_inv is None:
         return 0.0
-    try:
-        lam = float(np.min([np.min(np.linalg.eigvalsh(li @ d @ li.conj().transpose(0, 2, 1)))
-                            for li, d in zip(l_inv, ds)]))
-    except np.linalg.LinAlgError:
-        lam = math.nan
+    lam = _min_eigenvalue(li @ d @ li.conj().transpose(0, 2, 1) for li, d in zip(l_inv, ds))
     if math.isnan(lam):
         return 0.0
     return min(1.0, fraction / -lam) if lam < 0.0 else 1.0
@@ -201,16 +211,21 @@ def certify_upper_bound(p: SdpProblem, sol: SdpSolution) -> float:
 def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Maximize the problem objective; always returns a solution record.
 
-    The returned y is the iterate with the smallest certified bound, and
-    certified_upper_bound is that bound, valid whenever finite regardless
-    of termination status (it only depends on weak duality plus the
-    identity-shift repair). Status reports iterate quality: optimal when
-    gap and residuals meet the tolerances, infeasible-detected when the
-    primal residual or the bound diverges. The iteration cap, a 12-step
-    stall, a failed least-squares direction and vanishing steps stop the
-    loop; the status is then near-optimal if some bound was certified and
-    the best iterate's score, the largest ratio of its relative gap and
-    residuals to their tolerances, is below 1e5, else numerical-failure.
+    The returned fields are those of two logged iterates, kept by the loop
+    and not recomputed. The best-score iterate (score: the largest ratio
+    of its relative gap and residuals to their tolerances) gives x, the
+    primal objective, the residuals and the gap. The iterate with the
+    smallest certified bound gives y, the slack and its smallest
+    eigenvalue, the dual objective and certified_upper_bound, valid
+    whenever finite regardless of status (it rests only on weak duality
+    plus the identity-shift repair); with no certified bound they are the
+    best-score iterate's and the bound is nan. Status: optimal when gap
+    and residuals meet the tolerances and some bound was certified (else
+    numerical-failure), infeasible-detected (bound nan) when the primal
+    residual or the bound diverges. The iteration cap, a 12-step stall, a
+    failed least-squares direction and vanishing steps stop the loop; the
+    status is then near-optimal if some bound was certified and the best
+    score is below 1e5, else numerical-failure.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
@@ -233,11 +248,11 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     c_scale = 1.0 + _max_norm(c)
 
     log: list[IterationRecord] = []
-    best: dict | None = None
-    bound_best: dict | None = None
+    best: _Iterate | None = None  # the best score so far
+    best_score = math.inf
+    bound_best: _Iterate | None = None  # the smallest certified bound so far
     status: str | None = None  # set by the exits that decide it; the others just break
     stall = 0
-    prev_score = math.inf
 
     for it in range(opts.max_iter + 1):
         rp = p.b - p.apply_constraints(x)
@@ -256,17 +271,11 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             status = NUMERICAL_FAILURE
             break
 
+        here = _Iterate(len(log), x, y, slack, min_eig)
         score = max(rel_gap / opts.gap_tol, rp_inf / opts.feas_tol, rd_norm / opts.feas_tol)
-        if best is None or score < best["score"]:
-            best = {
-                "score": score,
-                "x": x,  # iterates are rebound each step, never written in place
-                "y": y.copy(),
-                "pobj": pobj,
-                "rp": rp_inf,
-                "rd": rd_norm,
-                "gap": dobj - pobj,
-            }
+        score_progress = score < 0.97 * best_score  # against the earlier iterates
+        if best is None or score < best_score:
+            best, best_score = here, score
 
         try:
             bound = _shifted_bound(p, dobj, min_eig)
@@ -274,12 +283,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             bound = math.nan
         bound_progress = False
         if math.isfinite(bound):
-            if bound_best is None or bound < bound_best["value"] - max(
-                1e-10, 1e-9 * (1.0 + abs(bound))
-            ):
-                bound_progress = True
-            if bound_best is None or bound < bound_best["value"]:
-                bound_best = {"value": bound, "y": y.copy()}
+            least = math.inf if bound_best is None else log[bound_best.index].certified_bound
+            bound_progress = bound < least - max(1e-10, 1e-9 * (1.0 + abs(bound)))
+            if bound < least:
+                bound_best = here
 
         log.append(IterationRecord(
             iteration=it,
@@ -316,8 +323,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             # signature of an infeasible primal
             status = INFEASIBLE
             break
-        stall = 0 if bound_progress or score < 0.97 * prev_score else stall + 1
-        prev_score = min(prev_score, score)
+        stall = 0 if bound_progress or score_progress else stall + 1
         if it == opts.max_iter or stall >= 12:
             break
 
@@ -380,30 +386,25 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
 
     assert best is not None
     if status is None:  # iteration cap, stall, failed direction or vanishing steps
-        near = bound_best is not None and best["score"] < 1e5
+        near = bound_best is not None and best_score < 1e5
         status = NEAR_OPTIMAL if near else NUMERICAL_FAILURE
-    x_best = best["x"]
-    y_out = bound_best["y"] if bound_best is not None else best["y"]
-    slack, min_eig = _dual_slack(p, y_out)
-    dual_out = float(p.b @ y_out)
-    certified = math.nan
-    if status != INFEASIBLE:
-        try:
-            certified = _shifted_bound(p, dual_out, min_eig)
-        except CertificationError:
-            status = NUMERICAL_FAILURE
+    elif status == OPTIMAL and bound_best is None:  # no iterate's bound was certified
+        status = NUMERICAL_FAILURE
+    out = best if bound_best is None else bound_best
+    rec, out_rec = log[best.index], log[out.index]
+    certified = math.nan if status == INFEASIBLE else out_rec.certified_bound
 
     return SdpSolution(
         status=status,
-        x_blocks=p.unstack_groups(x_best),
-        y=y_out,
-        slack_blocks=p.unstack_groups(slack),
-        primal_objective=best["pobj"],
-        dual_objective=dual_out,
+        x_blocks=p.unstack_groups(best.x),
+        y=out.y,
+        slack_blocks=p.unstack_groups(out.slack),
+        primal_objective=rec.primal_objective,
+        dual_objective=out_rec.dual_objective,
         certified_upper_bound=certified,
-        dual_min_eigenvalue=min_eig,
-        primal_residual=best["rp"],
-        dual_residual=best["rd"],
-        duality_gap=best["gap"],
+        dual_min_eigenvalue=out.min_eig,
+        primal_residual=rec.primal_residual,
+        dual_residual=rec.dual_residual,
+        duality_gap=rec.dual_objective - rec.primal_objective,
         iterations=log,
     )

@@ -329,6 +329,31 @@ def test_validate_statistics_uses_the_rate_rule(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_statistics_row_count_error_names_its_field(tmp_path, capsys):
+    # a 3-row table for a 2-state source: Scenario's row rule, the one
+    # check of the count, names both counts and realize names the field
+    scen = {
+        "schema_version": 1,
+        "source": {"kind": "bloch", "vectors": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+        "statistics": {"conditionals": [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]},
+    }
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(scen))
+    msg = "statistics.conditionals: 3 statistics rows for 2 states"
+    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {msg}\n"
+    assert captured.out == ""
+    assert cli.main(["validate", str(path)]) == 0
+    assert f"scenario build: FAIL ({msg})\n" in capsys.readouterr().out
+    # a generation index out of range is not blamed on the table
+    scen["statistics"]["conditionals"].pop()
+    scen["generation_index"] = 3
+    path.write_text(json.dumps(scen))
+    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: generation_index out of range\n"
+
+
 def test_validate_input_distribution_uses_the_rate_rule(tmp_path, capsys):
     # fig4 with inputs off 1 by 5e-10: outside the 1e-10 of the one
     # distribution rule, which the schema applies, so validate stops at

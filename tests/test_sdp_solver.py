@@ -479,8 +479,8 @@ def test_weak_duality_on_logged_iterates():
 
 
 def test_every_bound_comes_from_the_one_certificate_rule(monkeypatch):
-    # one _shifted_bound call per logged iteration plus the final one, and
-    # each logged bound is that iteration's result (nan where it refused)
+    # one _shifted_bound call per logged iteration, and each logged bound
+    # is that iteration's result (nan where it refused)
     calls = []
     real = sdp_solver._shifted_bound
 
@@ -498,11 +498,35 @@ def test_every_bound_comes_from_the_one_certificate_rule(monkeypatch):
     p, _ = mdi.build_sdp(scen)
     sol = solve(p)
     logged = [rec.certified_bound for rec in sol.iterations]
-    assert len(calls) == len(logged) + 1
+    assert len(calls) == len(logged)
     for got, want in zip(logged, calls):
         assert got == want or (math.isnan(got) and math.isnan(want))
-    assert sol.certified_upper_bound == calls[-1]
     assert sol.certified_upper_bound == min(v for v in logged if math.isfinite(v))
+
+
+@pytest.mark.parametrize("preset", ["fig7-3o", "fig3-green"])
+def test_solve_certifies_each_iterate_once(monkeypatch, preset):
+    # the returned bound, y and slack are those the loop certified: no
+    # slack or bound is recomputed after the last logged iteration
+    counts = {"_dual_slack": 0, "_shifted_bound": 0}
+
+    def counted(name):
+        real = getattr(sdp_solver, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sdp_solver, name, counted(name))
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec(preset)))
+    sol = solve(p)
+    assert counts == {name: sol.n_iterations for name in counts}
+    certified = [rec for rec in sol.iterations if math.isfinite(rec.certified_bound)]
+    least = min(certified, key=lambda rec: rec.certified_bound)
+    assert sol.certified_upper_bound == least.certified_bound
+    assert sol.dual_objective == least.dual_objective
 
 
 def test_determinism_bit_identical_logs():
