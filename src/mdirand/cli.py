@@ -76,15 +76,6 @@ _NAMED_POVMS = tuple(NAMED_DEVICES)
 # the list field of each source kind that holds one entry per state
 _STATE_FIELDS = {"bloch": "vectors", "density": "matrices"}
 
-_ENV_PREFIX = "MDIRAND_"
-_ENV_FIELDS = {
-    "gap_tol": float,
-    "feas_tol": float,
-    "max_iter": int,
-    "relax": float,
-    "max_constraints": int,
-}
-
 
 class SchemaError(ValueError):
     """Scenario file violates the schema; message names the field."""
@@ -278,7 +269,8 @@ def _n_states(src: dict) -> int:
 def _build_states(spec: dict, alpha: float | None) -> tuple:
     src = spec["source"]
     if src["kind"] == "angle":
-        return angle_states(float(src["alpha"] if alpha is None else alpha)).states
+        with _naming("source.alpha"):
+            return angle_states(float(src["alpha"] if alpha is None else alpha)).states
     key = _STATE_FIELDS[src["kind"]]
     states = []
     for i, v in enumerate(src[key]):
@@ -307,7 +299,8 @@ def _build_povm(spec: dict) -> Povm:
             base = Povm(tuple(_complex_matrix(m) for m in spec["device"]["elements"]))
     else:
         base = povm_from_bloch(bloch)
-    return tensor_povm(base, spec["copies"]) if spec["copies"] > 1 else base
+    with _naming("copies"):
+        return tensor_povm(base, spec["copies"]) if spec["copies"] > 1 else base
 
 
 def realize(
@@ -331,7 +324,8 @@ def realize(
         probs = np.array(spec.get("probs", [1.0 / len(states)] * len(states)), dtype=float)
     ensemble = StateEnsemble(states, probs)
     if spec["copies"] > 1:
-        ensemble = tensor_ensemble(ensemble, spec["copies"])
+        with _naming("copies"):
+            ensemble = tensor_ensemble(ensemble, spec["copies"])
 
     if "statistics" in spec:
         # the row count is checked by Scenario against the states
@@ -340,12 +334,14 @@ def realize(
                 ensemble, ObservedStatistics(spec["statistics"]["conditionals"]), mode=spec["mode"]
             )
     else:
-        scenario = mdi.honest_scenario(
-            ensemble,
-            _build_povm(spec),
-            eta=float(spec["device"]["eta"] if eta is None else eta),
-            mode=spec["mode"],
-        )
+        povm = _build_povm(spec)
+        with _naming("device"):
+            scenario = mdi.honest_scenario(
+                ensemble,
+                povm,
+                eta=float(spec["device"]["eta"] if eta is None else eta),
+                mode=spec["mode"],
+            )
     # outside the field naming: its error names generation_index itself
     return dataclasses.replace(scenario, generation_index=spec["generation_index"])
 
@@ -367,29 +363,12 @@ def _check_overrides(spec: dict, flags: dict) -> None:
         raise SchemaError(f"{flags['q']}: scenario source must have exactly two states")
 
 
-def _env_override(field: str):
-    raw = os.environ.get(_ENV_PREFIX + field.upper())
-    if raw is None or raw == "":
-        return None
-    try:
-        return _ENV_FIELDS[field](raw)
-    except ValueError:
-        raise SchemaError(f"environment {_ENV_PREFIX + field.upper()}: cannot parse {raw!r}") from None
-
-
 def _solver_options(args) -> SolverOptions:
-    """Flags beat MDIRAND_* environment variables beat defaults."""
-    kwargs = {}
-    for field in _ENV_FIELDS:  # max_constraints has no flag
-        val = getattr(args, field, None)
-        if val is None:
-            val = _env_override(field)
-        if val is not None:
-            kwargs[field] = val
-    if getattr(args, "verbose", False):
-        kwargs["verbose"] = True
+    """The solver flags that were given; SolverOptions supplies the rest."""
+    kwargs = {f: getattr(args, f) for f in ("gap_tol", "feas_tol", "max_iter", "relax")
+              if getattr(args, f) is not None}
     try:
-        return SolverOptions(**kwargs)
+        return SolverOptions(**kwargs, verbose=args.verbose)
     except ValueError as exc:
         raise SchemaError(f"solver options: {exc}") from None
 
@@ -525,10 +504,9 @@ def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
     def stats_ok():
         if "statistics" not in spec:
             raise SkipCheck("honest device generates the table")
-        # the row rule of ObservedStatistics, and so of realize
-        table = np.array(spec["statistics"]["conditionals"], dtype=float)
-        require_distribution(table, "conditional rows")
-        return f"{table.shape[0]} rows, {table.shape[1]} outcomes"
+        # the record realize builds, so the rule realize applies
+        stats = ObservedStatistics(spec["statistics"]["conditionals"])
+        return f"{stats.n_states} rows, {stats.n_outcomes} outcomes"
 
     def build_ok():
         scen = realize(spec)

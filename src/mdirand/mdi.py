@@ -549,9 +549,9 @@ class EffectiveStrategy:
             return float(scenario.ensemble.probs @ hits)
         return float(hits[scenario.generation_index - 1])
 
-    def validate(self, scenario: Scenario, tol: float = STRATEGY_TOL) -> None:
-        """Raise unless all feasibility conditions hold within tol; the
-        message names the first violating index."""
+    def validate(self, scenario: Scenario) -> None:
+        """Raise unless all feasibility conditions hold within STRATEGY_TOL;
+        the message names the first violating index."""
         ops = self.operators
         n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
         if ops.shape != (n_s, n_o, n_o, d, d):
@@ -566,12 +566,14 @@ class EffectiveStrategy:
             return np.max(np.abs(m), axis=(-2, -1))
 
         for bad, names, what in (
-            (min_eigenvalue(ops) < -tol, "axe", "operator is not PSD"),
-            (dev(guess.sum(axis=1) - eye) > tol, "a", "normalization fails"),
-            (dev(guess - guess[..., :1, :1] * eye) > tol, "ae",
+            (min_eigenvalue(ops) < -STRATEGY_TOL, "axe", "operator is not PSD"),
+            (dev(guess.sum(axis=1) - eye) > STRATEGY_TOL, "a", "normalization fails"),
+            (dev(guess - guess[..., :1, :1] * eye) > STRATEGY_TOL, "ae",
              "guess marginal is not proportional to identity"),
-            (dev(outcome - outcome[:1]) > tol, "ax", "outcome marginal depends on the input"),
-            (np.abs(stats - scenario.observed.conditionals) > tol, "ax", "statistics mismatch"),
+            (dev(outcome - outcome[:1]) > STRATEGY_TOL, "ax",
+             "outcome marginal depends on the input"),
+            (np.abs(stats - scenario.observed.conditionals) > STRATEGY_TOL, "ax",
+             "statistics mismatch"),
         ):
             if bad.any():
                 at = ", ".join(f"{n}={i}" for n, i in zip(names, np.argwhere(bad)[0]))

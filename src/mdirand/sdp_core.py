@@ -23,7 +23,7 @@ layout: one (n_g, s, s) complex stack per group. SdpProblem.from_blocks
 packs per-block row lists and coefficient stacks into this layout;
 SdpProblem.from_rows takes one {block: matrix} map per row, for
 hand-written problems, and hands it to from_blocks. preprocess renumbers
-the rows of the stacks instead of packing them again.
+the rows of the stacks.
 
 Every product with A goes through three methods: A(X), A*(y) and the
 row-product kernel schur_matrix(X, W), S_ij = Re tr(A_i X A_j W). The

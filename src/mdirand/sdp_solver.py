@@ -15,7 +15,8 @@ exactly singular, as the rank-deficient faces of eta = 1 scenarios can
 make it near the optimum, the direction is the minimum-norm least-squares
 solution (numpy.linalg.lstsq) and the iteration goes on; only if that
 fails too does it end with the best iterate so far. X and Z are
-Cholesky-factored once per iteration; step lengths use
+Cholesky-factored once per iteration, and Z^-1 = L^-dag L^-1 comes from
+Z's factor L, so each step factors X once and Z once; step lengths use
 fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
 read off those factors and one batched eigenvalue call per group.
 Deterministic for a fixed BLAS thread count: fixed initialization, fixed
@@ -127,8 +128,8 @@ def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
         return None
 
 
-def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray], fraction: float) -> float:
-    """min(1, fraction * alpha_max), alpha_max the largest step keeping
+def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray]) -> float:
+    """min(1, STEP_FRACTION * alpha_max), alpha_max the largest step keeping
     every X + alpha_max * dX PSD, X given by its factor l_inv from
     _inverse_cholesky.
 
@@ -141,7 +142,7 @@ def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray], fraction:
     lam = _min_eigenvalue(li @ d @ li.conj().transpose(0, 2, 1) for li, d in zip(l_inv, ds))
     if math.isnan(lam):
         return 0.0
-    return min(1.0, fraction / -lam) if lam < 0.0 else 1.0
+    return min(1.0, STEP_FRACTION / -lam) if lam < 0.0 else 1.0
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -223,9 +224,10 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     and residuals meet the tolerances and some bound was certified (else
     numerical-failure), infeasible-detected (bound nan) when the primal
     residual or the bound diverges. The iteration cap, a 12-step stall, a
-    failed least-squares direction and vanishing steps stop the loop; the
-    status is then near-optimal if some bound was certified and the best
-    score is below 1e5, else numerical-failure.
+    failed Cholesky factorization of Z, a failed least-squares direction
+    and vanishing steps stop the loop; the status is then near-optimal if
+    some bound was certified and the best score is below 1e5, else
+    numerical-failure.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
@@ -327,14 +329,13 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         if it == opts.max_iter or stall >= 12:
             break
 
-        # invert Z and assemble the Schur complement S_ij = Re tr(A_i X A_j Z^-1)
-        try:
-            zinv = [_sym(np.linalg.inv(zg)) for zg in z]
-        except np.linalg.LinAlgError:
-            status = NUMERICAL_FAILURE
-            break
-        schur = p.schur_matrix(x, zinv)
+        # factor X and Z once; Z^-1 = L^-dag L^-1 from Z = L L^dag, then the
+        # Schur complement S_ij = Re tr(A_i X A_j Z^-1)
         lx, lz = _inverse_cholesky(x), _inverse_cholesky(z)
+        if lz is None:  # Z not numerically positive definite
+            break
+        zinv = [_sym(li.conj().transpose(0, 2, 1) @ li) for li in lz]
+        schur = p.schur_matrix(x, zinv)
 
         def direction(rc, rhs):
             """Newton direction for centering residual rc and Schur
@@ -345,8 +346,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
             dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
-            alpha_p = _step_length(lx, dx, STEP_FRACTION)
-            return dx, dy, dz, alpha_p, _step_length(lz, dz, STEP_FRACTION)
+            return dx, dy, dz, _step_length(lx, dx), _step_length(lz, dz)
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
         hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])
@@ -385,7 +385,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         y = y + alpha_d * dy
 
     assert best is not None
-    if status is None:  # iteration cap, stall, failed direction or vanishing steps
+    if status is None:  # cap, stall, Z not PD, failed direction or vanishing steps
         near = bound_best is not None and best_score < 1e5
         status = NEAR_OPTIMAL if near else NUMERICAL_FAILURE
     elif status == OPTIMAL and bound_best is None:  # no iterate's bound was certified

@@ -10,6 +10,7 @@ import pytest
 
 from mdirand import cli, mdi
 from mdirand.quantum import extremal4, povm_from_bloch, tomographic_set
+from mdirand.sdp_solver import SolverOptions
 
 ALL_PRESETS = [
     "fig3-blue", "fig3-red", "fig3-green", "fig4", "fig5",
@@ -397,17 +398,14 @@ def _namespace(**kw):
     return argparse.Namespace(**base)
 
 
-def test_env_var_overrides_and_flag_precedence(monkeypatch):
-    monkeypatch.setenv("MDIRAND_GAP_TOL", "1e-6")
-    monkeypatch.setenv("MDIRAND_MAX_ITER", "57")
-    opts = cli._solver_options(_namespace())
-    assert opts.gap_tol == 1e-6
-    assert opts.max_iter == 57
-    opts = cli._solver_options(_namespace(gap_tol=1e-7))
-    assert opts.gap_tol == 1e-7
-    monkeypatch.setenv("MDIRAND_GAP_TOL", "not-a-number")
-    with pytest.raises(cli.SchemaError):
-        cli._solver_options(_namespace())
+def test_env_vars_are_ignored_and_flags_set_the_options(monkeypatch):
+    # a run's settings are its flags: MDIRAND_* values, valid or not,
+    # change nothing
+    for values in (("1e-6", "57", "3"), ("not-a-number", "", "many")):
+        for name, value in zip(("GAP_TOL", "MAX_ITER", "MAX_CONSTRAINTS"), values):
+            monkeypatch.setenv(f"MDIRAND_{name}", value)
+        assert cli._solver_options(_namespace()) == SolverOptions()
+        assert cli._solver_options(_namespace(gap_tol=1e-7)) == SolverOptions(gap_tol=1e-7)
 
 
 def test_invalid_solver_flag_is_schema_error(capsys):
@@ -610,3 +608,30 @@ def test_realize_rejects_overrides_without_a_target(tmp_path, preset, override):
     spec = cli.load_scenario_spec(_two_state_table(tmp_path) if preset == "TABLE" else preset)
     with pytest.raises(cli.SchemaError, match=f"^{next(iter(override))}: "):
         cli.realize(spec, **override)
+
+
+def _qutrit_source(spec):
+    spec["source"] = {"kind": "density",
+                      "matrices": [{"real": np.diag(e).tolist()} for e in np.eye(3)[:2]]}
+
+
+@pytest.mark.parametrize("spoil, argv, msg, checks", [
+    (lambda s: s.update(copies=6), [],
+     "copies: tensor product dimension exceeds 32", ["povm validity", "scenario build"]),
+    (_qutrit_source, [], "device: ensemble and POVM dimensions differ", ["scenario build"]),
+    (None, ["--alpha", "2"], "source.alpha: alpha must lie in [0, 1]", []),
+], ids=["copies-6", "qutrit-source", "alpha-flag"])
+def test_realize_names_the_field_of_every_scenario_error(tmp_path, capsys, spoil, argv,
+                                                         msg, checks):
+    # six copies of a qubit; qutrit states for a qubit device; an angle
+    # override outside [0, 1]
+    scen = _spoiled_preset(tmp_path, "fig3-green", spoil) if spoil else "fig4"
+    assert cli.main(["rate", scen, *argv]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {msg}\n"
+    assert captured.out == ""
+    if checks:
+        assert cli.main(["validate", scen]) == 0
+        out = capsys.readouterr().out
+        for check in checks:
+            assert f"{check}: FAIL ({msg})\n" in out

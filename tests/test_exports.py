@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +19,12 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported), "a name is exported twice"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_the_environment(name):
+    # a run is stated by its command line and its scenario file alone
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name))}
+    assert names.isdisjoint({"environ", "getenv"})

@@ -439,7 +439,7 @@ def test_relaxation_band_widens_feasible_set():
 # rate_bits of the per-input asymptotic formulation (one family per input,
 # tied by family iii), as stored in perfbench/reference.json; fig6-2s-m3,
 # which is not benchmarked, was solved with that formulation under
-# MDIRAND_MAX_CONSTRAINTS=10000 (7232 kept rows, 51 iterations). The
+# SolverOptions(max_constraints=10000) (7232 kept rows, 51 iterations). The
 # single-family SDP has the same optimum, so it must match within 1e-7,
 # the ROADMAP gate for any change to the formulation.
 PER_INPUT_RATES = {

@@ -10,6 +10,7 @@ from mdirand.linalg import jacobi_eigvalsh
 from mdirand.quantum import double_ensemble, double_statistics
 from mdirand.sdp_core import SCHUR_CHUNK
 from mdirand.sdp_solver import (
+    STEP_FRACTION,
     CertificationError,
     SolverOptions,
     _dual_slack,
@@ -404,11 +405,34 @@ def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
     _assert_best_bound_returned(sol)
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_failed_cholesky_of_z_stops_with_the_post_loop_status(k, monkeypatch):
+    # Z^-1 comes from Z's Cholesky factor, so when that factor fails at
+    # iteration k there is no Newton step: iterate k is the last logged
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    n_groups, real, calls = len(p.size_groups), np.linalg.cholesky, []
+
+    def cholesky_or_raise(a):
+        # X's groups are factored first, then Z's
+        calls.append(None)
+        if len(calls) == 2 * n_groups * k + n_groups + 1:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    monkeypatch.setattr(sdp_solver.np.linalg, "cholesky", cholesky_or_raise)
+    sol = solve(p)
+    assert sol.n_iterations == k + 1
+    assert sol.iterations[-1].step_primal == sol.iterations[-1].step_dual == 0.0
+    assert sol.status == _stopped_status(sol, SolverOptions())
+    _assert_best_bound_returned(sol)
+
+
 @pytest.mark.parametrize("doubled", [False, True])
 def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch):
     # build_sdp's only LU is preprocess's, with the kept Gram block; each
-    # Newton step Cholesky-factors X and Z once per size group
-    counts = {"solve": 0, "cholesky": 0}
+    # Newton step Cholesky-factors X and Z once per size group and inverts
+    # the two factors, Z^-1 being formed from Z's
+    counts = {"solve": 0, "cholesky": 0, "inv": 0}
 
     def counted(name):
         real = getattr(np.linalg, name)
@@ -422,10 +446,11 @@ def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch
         monkeypatch.setattr(np.linalg, name, counted(name))
     scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
     p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
-    assert counts == {"solve": 1, "cholesky": 0}
+    assert counts == {"solve": 1, "cholesky": 0, "inv": 0}
     sol = solve(p)
     assert sol.status == core.OPTIMAL
-    assert counts["cholesky"] == 2 * len(p.size_groups) * (sol.n_iterations - 1)
+    steps = sol.n_iterations - 1
+    assert counts["cholesky"] == counts["inv"] == 2 * len(p.size_groups) * steps
 
 
 def _min_eig(blocks):
@@ -439,7 +464,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
     rng = np.random.default_rng(300 + seed)
     dims = [3, 1, 4, 3, 1, 2]
     groups = [[0, 3], [1, 4], [2], [5]]
-    fraction = 0.98
+    fraction = STEP_FRACTION
     xs = []
     for s in dims:
         r = rng.standard_normal((s, s))
@@ -450,7 +475,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
 
     for scale in (0.05, 0.5, 5.0):
         ds = [scale * _sym(rng.standard_normal((s, s))) for s in dims]
-        alpha = _step_length(_inverse_cholesky(stacked(xs)), stacked(ds), fraction)
+        alpha = _step_length(_inverse_cholesky(stacked(xs)), stacked(ds))
         assert 0.0 < alpha <= 1.0
         assert _min_eig([x + alpha * d for x, d in zip(xs, ds)]) > 0.0
         if alpha == 1.0:
@@ -459,7 +484,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
             edge = [x + (alpha / fraction) * d for x, d in zip(xs, ds)]
             assert abs(_min_eig(edge)) <= 1e-9 * x_norm
     psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
-    assert _step_length(_inverse_cholesky(stacked(xs)), stacked(psd), fraction) == 1.0
+    assert _step_length(_inverse_cholesky(stacked(xs)), stacked(psd)) == 1.0
 
 
 def test_weak_duality_on_logged_iterates():
