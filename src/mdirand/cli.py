@@ -313,12 +313,10 @@ def realize(
     `parse_scenario_dict`); keyword overrides feed parameter sweeps and
     must pass `_check_overrides`. A ValueError from the scenario's own
     data names its field."""
-    _check_overrides(spec, {k: k for k, v in (("eta", eta), ("alpha", alpha), ("q", q))
-                            if v is not None})
+    overrides = {k: v for k, v in (("eta", eta), ("alpha", alpha), ("q", q)) if v is not None}
+    _check_overrides(spec, {k: k for k in overrides}, overrides)
     states = _build_states(spec, alpha)
     if q is not None:
-        if not 0.0 < q < 1.0:
-            raise SchemaError("q: must lie strictly between 0 and 1")
         probs = np.array([q, 1.0 - q])
     else:
         probs = np.array(spec.get("probs", [1.0 / len(states)] * len(states)), dtype=float)
@@ -346,12 +344,23 @@ def realize(
     return dataclasses.replace(scenario, generation_index=spec["generation_index"])
 
 
-def _check_overrides(spec: dict, flags: dict) -> None:
-    """Reject an override of a quantity the scenario does not have.
+# the range of each override parameter: its test and the error's words
+_OVERRIDE_RANGES = {
+    "eta": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "alpha": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "q": (lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+}
+
+
+def _check_overrides(spec: dict, flags: dict, values: dict | None = None) -> None:
+    """Reject an override of a quantity the scenario does not have, or a
+    value outside its range.
 
     `flags` maps each overridden parameter to the flag that set it, which
-    the error names. The one rule of override applicability: the commands
-    apply it to their flags, `realize` to its keyword overrides.
+    the error names; `values` maps parameters to their values where they
+    are known (a sweep's grid points are checked one by one). The one rule
+    of overrides: the commands apply it to their flags, `realize` to its
+    keyword overrides.
     """
     if "alpha" in flags and spec["source"]["kind"] != "angle":
         raise SchemaError(f"{flags['alpha']}: scenario source must have kind 'angle'")
@@ -361,6 +370,10 @@ def _check_overrides(spec: dict, flags: dict) -> None:
         )
     if "q" in flags and _n_states(spec["source"]) != 2:
         raise SchemaError(f"{flags['q']}: scenario source must have exactly two states")
+    for param, value in (values or {}).items():
+        in_range, words = _OVERRIDE_RANGES[param]
+        if not in_range(value):
+            raise SchemaError(f"{flags[param]}: {words}")
 
 
 def _solver_options(args) -> SolverOptions:
@@ -381,8 +394,8 @@ def _fmt(v: float) -> str:
 
 def cmd_rate(args) -> int:
     spec = load_scenario_spec(args.scenario)
-    overrides = {p: getattr(args, p) for p in ("eta", "alpha", "q")}
-    _check_overrides(spec, {p: f"--{p}" for p, v in overrides.items() if v is not None})
+    overrides = {p: v for p in ("eta", "alpha", "q") if (v := getattr(args, p)) is not None}
+    _check_overrides(spec, {p: f"--{p}" for p in overrides}, overrides)
     res = mdi.guessing_probability(realize(spec, **overrides), _solver_options(args))
     record = {"scenario": spec.get("name"), **dataclasses.asdict(res)}
     if args.json:

@@ -260,7 +260,8 @@ def build_sdp(
     in the order of iv. So block (f, x, e) meets, in increasing row order,
     the identity (i, family 0 only), the traceless basis (ii), -basis on
     family 0 and +basis on the others (iii) and the weighted states (iv),
-    and is written directly in the layout of SdpProblem.from_blocks. Rows
+    and is written directly in the layout of SdpProblem.from_blocks, with
+    the family-ii rows of each (f, e) as one row group. Rows
     whose coefficients vanish (the statistics of an input with probability
     0) are still emitted; the row selection of preprocessing drops them. A
     nonzero target on an outcome with an empty face raises
@@ -315,6 +316,9 @@ def build_sdp(
             for x in live]
     gen = scenario.generation_index - 1
     span = np.arange(d2)
+    # family ii of (f, e), the one row group of the blocks (f, x, e): the
+    # diagonal blocks of the Schur matrix's arrow
+    guess = [1 + (f * n_o + e) * (d2 - 1) + span[:-1] for f in range(n_fam) for e in range(n_o)]
     block_dims: list[int] = []
     rows: list[np.ndarray] = []
     coeffs: list[np.ndarray] = []
@@ -334,8 +338,7 @@ def build_sdp(
                 stat, stat_c, obj = o4 + np.arange(n_s) * n_l + xi, rx, rx[gen]
             coef = np.concatenate([*norm_c, tx, *ind_c, stat_c])
             for e in range(n_o):
-                guess = 1 + (f * n_o + e) * (d2 - 1) + span[:-1]
-                rows.append(np.concatenate([*norm, guess, *ind, stat]))
+                rows.append(np.concatenate([*norm, guess[f * n_o + e], *ind, stat]))
                 coeffs.append(coef)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])
@@ -345,7 +348,7 @@ def build_sdp(
         coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
         objective += [None, None] * (n_s * n_l)
         block_dims += [1, 1] * (n_s * n_l)
-    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective)
+    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, guess)
     del comp, rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
 

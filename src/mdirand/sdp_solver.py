@@ -8,17 +8,23 @@ group, not one call per block (transposes are conjugate transposes). The
 Schur complement S_ij = Re tr(A_i X A_j Z^-1) is formed densely, and
 symmetric, by SdpProblem.schur_matrix, the row-product kernel that
 preprocessing also uses for its Gram matrix; its chunk budget SCHUR_CHUNK
-lives in sdp_core. One Newton-direction routine serves the predictor and
-the corrector: each solves with S by LAPACK LU (numpy.linalg.solve), which
-needs no positive definiteness: no jitter, no refinement. When LU finds S
-exactly singular, as the rank-deficient faces of eta = 1 scenarios can
-make it near the optimum, the direction is the minimum-norm least-squares
-solution (numpy.linalg.lstsq) and the iteration goes on; only if that
-fails too does it end with the best iterate so far. X and Z are
-Cholesky-factored once per iteration, and Z^-1 = L^-dag L^-1 comes from
-Z's factor L, so each step factors X once and Z once; step lengths use
-fraction-to-boundary STEP_FRACTION of the exact step to the PSD boundary,
-read off those factors and one batched eigenvalue call per group.
+lives in sdp_core. S is an arrow over the problem's row groups (the
+guess-marginal rows of each guess, see SdpProblem.arrow): each Newton step
+factors it once by block elimination (ArrowPlan.factor: batched LAPACK LU
+solves with the diagonal blocks, then the border's Schur complement), and
+one Newton-direction routine applies that factor for the predictor and
+the corrector, every solve an LU solve (numpy.linalg.solve), which needs
+no positive definiteness: no jitter, no refinement. When LU finds a block
+or the border system exactly singular, as the rank-deficient faces of
+eta = 1 scenarios can make S near the optimum, the direction is the
+minimum-norm least-squares solution with the dense S (numpy.linalg.lstsq)
+and the iteration goes on; only if that fails too does it end with the
+best iterate so far. X and Z are Cholesky-factored once per iteration, and
+Z^-1 = L^-dag L^-1 comes from Z's factor L, so each step factors X once
+and Z once; step lengths use fraction-to-boundary STEP_FRACTION of the
+exact step to the PSD boundary, read off those factors, stacked
+[L_x^-1; L_z^-1] once per iteration, and one batched eigenvalue call per
+group for both steps of a direction.
 Deterministic for a fixed BLAS thread count: fixed initialization, fixed
 reduction order, no randomization anywhere; a threaded BLAS sums in
 another order, which can move an ill-conditioned endgame.
@@ -128,21 +134,39 @@ def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
         return None
 
 
-def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray]) -> float:
-    """min(1, STEP_FRACTION * alpha_max), alpha_max the largest step keeping
-    every X + alpha_max * dX PSD, X given by its factor l_inv from
-    _inverse_cholesky.
+def _step_lengths(l_inv: list[np.ndarray], sides: list[list[np.ndarray]]) -> list[float]:
+    """min(1, STEP_FRACTION * alpha_max) for each side, alpha_max the
+    largest step keeping every X + alpha_max * dX PSD, from one batched
+    LAPACK eigvalsh call per group for all sides.
 
-    alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)), the eigenvalue
-    from _min_eigenvalue. Returns 0.0 when l_inv is None or the
-    direction is not finite.
+    alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)) for X = L L^dag.
+    sides lists the directions dX, each one stack per group; l_inv[g]
+    stacks the factors L^-1 (from _inverse_cholesky) of every side's group
+    g in the same order, as the solver stacks [L_x^-1; L_z^-1] once per
+    iteration. A side whose products are not finite gets 0.0 and leaves
+    the other sides' steps as they are; if eigvalsh fails, every side gets
+    0.0.
     """
-    if l_inv is None:
-        return 0.0
-    lam = _min_eigenvalue(li @ d @ li.conj().transpose(0, 2, 1) for li, d in zip(l_inv, ds))
-    if math.isnan(lam):
-        return 0.0
-    return min(1.0, STEP_FRACTION / -lam) if lam < 0.0 else 1.0
+    lam = np.inf
+    try:
+        for li, *ds in zip(l_inv, *sides):
+            prod = li @ np.concatenate(ds) @ li.conj().transpose(0, 2, 1)
+            per_side = prod.reshape(len(sides), -1)  # a view: one row per side
+            finite = np.isfinite(per_side.sum(axis=1))  # false on a nan or inf entry
+            if not finite.all():
+                per_side[~finite] = 0.0  # eigvalsh then reads finite entries only
+            lam_g = np.linalg.eigvalsh(prod)[:, 0].reshape(len(sides), -1).min(axis=1)
+            lam = np.minimum(lam, np.where(finite, lam_g, np.nan))
+    except np.linalg.LinAlgError:  # no convergence
+        return [0.0] * len(sides)
+    return [0.0 if math.isnan(v) else min(1.0, STEP_FRACTION / -v) if v < 0.0 else 1.0
+            for v in lam.tolist()]
+
+
+def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray]) -> float:
+    """The _step_lengths step of one side, X given by its factor l_inv
+    from _inverse_cholesky; 0.0 when l_inv is None."""
+    return 0.0 if l_inv is None else _step_lengths(l_inv, [ds])[0]
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -330,23 +354,34 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             break
 
         # factor X and Z once; Z^-1 = L^-dag L^-1 from Z = L L^dag, then the
-        # Schur complement S_ij = Re tr(A_i X A_j Z^-1)
+        # Schur complement S_ij = Re tr(A_i X A_j Z^-1), factored once for
+        # both directions
         lx, lz = _inverse_cholesky(x), _inverse_cholesky(z)
         if lz is None:  # Z not numerically positive definite
             break
         zinv = [_sym(li.conj().transpose(0, 2, 1) @ li) for li in lz]
+        # [L_x^-1; L_z^-1] per group: one eigenvalue call gives both steps
+        l_both = None if lx is None else [np.concatenate(pair) for pair in zip(lx, lz)]
         schur = p.schur_matrix(x, zinv)
+        try:
+            schur_lu = p.arrow.factor(schur)
+        except np.linalg.LinAlgError:  # a block or the border exactly singular for LU
+            schur_lu = None
 
         def direction(rc, rhs):
             """Newton direction for centering residual rc and Schur
             right-hand side rhs, with its primal and dual step lengths."""
             try:
-                dy = np.linalg.solve(schur, rhs)
-            except np.linalg.LinAlgError:  # S exactly singular for LU
+                dy = None if schur_lu is None else schur_lu.solve(rhs)
+            except np.linalg.LinAlgError:
+                dy = None
+            if dy is None:  # the factor or its solve failed: least squares with S
                 dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
             dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
-            return dx, dy, dz, _step_length(lx, dx), _step_length(lz, dz)
+            if l_both is None:  # X not numerically positive definite: no primal step
+                return dx, dy, dz, 0.0, _step_length(lz, dz)
+            return dx, dy, dz, *_step_lengths(l_both, [dx, dz])
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
         hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])
@@ -383,6 +418,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         x = [_sym(xg + alpha_p * dg) for xg, dg in zip(x, dx)]
         z = [_sym(zg + alpha_d * dg) for zg, dg in zip(z, dz)]
         y = y + alpha_d * dy
+        del schur_lu  # its blocks and border go before the next S is formed
 
     assert best is not None
     if status is None:  # cap, stall, Z not PD, failed direction or vanishing steps

@@ -619,12 +619,12 @@ def _qutrit_source(spec):
     (lambda s: s.update(copies=6), [],
      "copies: tensor product dimension exceeds 32", ["povm validity", "scenario build"]),
     (_qutrit_source, [], "device: ensemble and POVM dimensions differ", ["scenario build"]),
-    (None, ["--alpha", "2"], "source.alpha: alpha must lie in [0, 1]", []),
+    (None, ["--alpha", "2"], "--alpha: must lie in [0, 1]", []),
 ], ids=["copies-6", "qutrit-source", "alpha-flag"])
 def test_realize_names_the_field_of_every_scenario_error(tmp_path, capsys, spoil, argv,
                                                          msg, checks):
     # six copies of a qubit; qutrit states for a qubit device; an angle
-    # override outside [0, 1]
+    # override outside [0, 1], which names the flag that set it
     scen = _spoiled_preset(tmp_path, "fig3-green", spoil) if spoil else "fig4"
     assert cli.main(["rate", scen, *argv]) == cli.EXIT_SCHEMA
     captured = capsys.readouterr()
@@ -635,3 +635,39 @@ def test_realize_names_the_field_of_every_scenario_error(tmp_path, capsys, spoil
         out = capsys.readouterr().out
         for check in checks:
             assert f"{check}: FAIL ({msg})\n" in out
+
+
+@pytest.mark.parametrize("preset, argv, msg", [
+    ("fig3-blue", ["--eta", "2"], "--eta: must lie in [0, 1]"),
+    ("fig3-blue", ["--eta", "-0.1"], "--eta: must lie in [0, 1]"),
+    ("fig3-blue", ["--eta", "nan"], "--eta: must lie in [0, 1]"),
+    ("fig4", ["--alpha", "2"], "--alpha: must lie in [0, 1]"),
+    ("fig4", ["--q", "0"], "--q: must lie strictly between 0 and 1"),
+    ("fig4", ["--q", "1"], "--q: must lie strictly between 0 and 1"),
+])
+def test_out_of_range_override_flags_name_the_flag(capsys, monkeypatch, preset, argv, msg):
+    # the range of an override is checked with its applicability, before
+    # anything is built, and the error names the flag, as for a flag the
+    # scenario has no quantity for
+    def no_solve(*args):
+        raise AssertionError("solved a scenario with an out-of-range override")
+
+    monkeypatch.setattr(cli.mdi, "guessing_probability", no_solve)
+    assert cli.main(["rate", preset, *argv]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {msg}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("override, msg", [
+    ({"eta": 1.5}, "eta: must lie in [0, 1]"),
+    ({"alpha": -1.0}, "alpha: must lie in [0, 1]"),
+    ({"q": 1.0}, "q: must lie strictly between 0 and 1"),
+])
+def test_realize_names_an_out_of_range_override(override, msg):
+    # a library call or a sweep's grid point names the parameter, and a
+    # sweep writes it on the point's row
+    spec = cli.load_scenario_spec("fig4")
+    with pytest.raises(cli.SchemaError) as exc:
+        cli.realize(spec, **override)
+    assert str(exc.value) == msg

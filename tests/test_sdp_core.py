@@ -3,7 +3,15 @@ import pytest
 
 from mdirand import sdp_core as core
 from mdirand import cli, mdi
-from mdirand.quantum import extremal4, povm_from_bloch, sigma_z_povm, tomographic_set
+from mdirand.quantum import (
+    double_ensemble,
+    double_statistics,
+    extremal4,
+    povm_from_bloch,
+    sigma_z_povm,
+    tomographic_set,
+)
+from mdirand.sdp_solver import solve
 from sdp_rows import real_coords, row_maps
 
 
@@ -351,3 +359,138 @@ def test_row_selection_matches_dense_rank_oracle(name, monkeypatch):
         for j, i in enumerate(dropped):
             resid = np.linalg.norm(rows[i] - coeffs[:, j] @ rows[kept])
             assert resid < 1e-9 * max(1.0, np.linalg.norm(rows[i]))
+
+
+def _random_arrow(rng, m, groups):
+    """A random symmetric positive definite m x m matrix whose entries
+    between the rows of two different groups are exactly zero."""
+    label = np.full(m, -1)
+    for g, rows in enumerate(groups):
+        label[rows] = g
+    a = _sym(rng.standard_normal((m, m)))
+    a[(label[:, None] != label[None, :]) & (label[:, None] >= 0) & (label[None, :] >= 0)] = 0.0
+    return a + (1.0 - np.min(np.linalg.eigvalsh(a))) * np.eye(m)
+
+
+# equal groups, unequal groups (two of size 4 apart, interleaved rows, a
+# single row), and no groups: the whole system is the border
+ARROW_LAYOUTS = {
+    "equal": (30, [[3, 4, 5], [10, 11, 12], [20, 21, 22], [6, 7, 8]]),
+    "unequal": (31, [[1, 2, 3, 4], [7, 9], [15, 16, 17, 18], [25], [8, 10, 30]]),
+    "none": (12, []),
+}
+
+
+@pytest.mark.parametrize("layout", ARROW_LAYOUTS)
+@pytest.mark.parametrize("n_rhs", [None, 1, 4])
+def test_arrow_elimination_matches_dense_solve(layout, n_rhs):
+    m, groups = ARROW_LAYOUTS[layout]
+    rng = np.random.default_rng(len(groups) + (n_rhs or 0))
+    s = _random_arrow(rng, m, groups)
+    plan = core.ArrowPlan.from_groups([np.array(g) for g in groups], m)
+    assert sum(rows.size for rows in plan.blocks) + plan.border.size == m
+    if layout == "unequal":
+        assert [rows.shape for rows in plan.blocks] == [(2, 4), (1, 2), (1, 1), (1, 3)]
+    rhs = rng.standard_normal(m if n_rhs is None else (m, n_rhs))
+    got = plan.factor(s).solve(rhs)
+    want = np.linalg.solve(s, rhs)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_arrow_factor_leaves_the_matrix_and_right_hand_side_alone():
+    # the solver passes the same S to lstsq when an LU solve fails, and
+    # the same right-hand side to both directions' checks
+    m, groups = ARROW_LAYOUTS["unequal"]
+    rng = np.random.default_rng(9)
+    s = _random_arrow(rng, m, groups)
+    rhs = rng.standard_normal((m, 2))
+    s0, rhs0 = s.copy(), rhs.copy()
+    core.ArrowPlan.from_groups(groups, m).factor(s).solve(rhs)
+    assert np.array_equal(s, s0) and np.array_equal(rhs, rhs0)
+
+
+def test_arrow_plan_renumbers_with_the_kept_rows():
+    # rows 2 and 7 of 9 dropped: the kept rows are renumbered in order and
+    # the first group loses its dropped row, so the two groups then differ
+    # in size
+    plan = core.ArrowPlan.from_groups([np.array([1, 2, 3]), np.array([4, 5, 6])], 9)
+    kept = [0, 1, 3, 4, 5, 6, 8]
+    new_index = np.full(10, len(kept))
+    new_index[kept] = np.arange(len(kept))
+    out = plan.renumber(new_index, len(kept))
+    assert [rows.tolist() for rows in out.blocks] == [[[1, 2]], [[3, 4, 5]]]
+    assert out.border.tolist() == [0, 6]
+
+
+def _two_block_problem(groups):
+    # block 0 is touched by rows 0 and 1, block 1 by rows 1 and 2
+    dims = (2, 2)
+    rows = [np.array([0, 1]), np.array([1, 2])]
+    coeffs = [np.stack([np.eye(2), np.diag([1.0, -1.0])])] * 2
+    return core.SdpProblem.from_blocks(dims, np.ones(3), rows, coeffs, [np.eye(2), None],
+                                       groups)
+
+
+@pytest.mark.parametrize("groups, msg", [
+    ([[0], [1]], "touched by the rows of two row groups"),
+    ([[2], [1]], "touched by the rows of two row groups"),
+    ([[0, 1], [1]], "disjoint"),
+    ([[0, 0]], "disjoint"),
+    ([[3]], "disjoint"),
+])
+def test_from_blocks_rejects_groups_that_share_a_block(groups, msg):
+    with pytest.raises(ValueError, match=msg):
+        _two_block_problem([np.array(g) for g in groups])
+
+
+def test_from_blocks_keeps_groups_that_share_no_block():
+    p = _two_block_problem([np.array([0])])
+    assert [rows.tolist() for rows in p.arrow.blocks] == [[[0]]]
+    assert p.arrow.border.tolist() == [1, 2]
+
+
+def test_schur_matrix_is_an_arrow_over_the_guess_groups():
+    # doubled extremal3: the Schur matrix at random positive definite X
+    # and W is exactly zero between the rows of two different guesses,
+    # and preprocessing keeps the layout [row 0 | 9 groups of 15 | border]
+    scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
+    g = scen.generation_index - 1
+    dbl = mdi.Scenario(double_ensemble(scen.ensemble), double_statistics(scen.observed),
+                       generation_index=g * scen.n_states + g + 1)
+    p, _ = mdi.build_sdp(dbl)
+    assert [rows.shape for rows in p.arrow.blocks] == [(9, 15)]
+    assert np.array_equal(p.arrow.blocks[0].reshape(-1), np.arange(1, 136))
+    assert p.arrow.border.size == p.n_constraints - 135 == 129
+    rng = np.random.default_rng(12)
+    x, w = (p.stack_groups([a @ a.conj().T + np.eye(len(a))
+                            for a in (_herm(rng, k) for k in p.block_dims)]) for _ in range(2))
+    s = p.schur_matrix(x, w)
+    label = np.full(p.n_constraints, -1)
+    for j, rows in enumerate(p.arrow.blocks[0]):
+        label[rows] = j
+    between = (label[:, None] != label[None, :]) & (label[:, None] >= 0) & (label[None, :] >= 0)
+    assert np.all(s[between] == 0.0)
+    y = p.arrow.factor(s).solve(p.b)
+    assert np.linalg.norm(s @ y - p.b) <= 1e-10 * np.linalg.norm(p.b)
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_no_lu_solve_reaches_a_threaded_size(name, monkeypatch):
+    # OpenBLAS runs numpy.linalg.solve on two threads from 100 rows on,
+    # whose spinning second thread doubles the CPU time of a small solve:
+    # preprocessing and every Newton step of each preset solve smaller
+    # systems only (fig6-4s-m2: four blocks of 15 rows and a border of 49)
+    sizes, real = [], np.linalg.solve
+
+    def spy(a, rhs):
+        sizes.append(a.shape[-1])
+        return real(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec(name)))
+    assert solve(p).status == core.OPTIMAL
+    assert sizes and max(sizes) < 100
+    if name == "fig6-4s-m2":
+        assert [rows.shape for rows in p.arrow.blocks] == [(4, 15)]
+        assert p.arrow.border.size == 49

@@ -347,35 +347,45 @@ def test_iteration_cap_stops_with_the_post_loop_status(max_iter):
     _assert_best_bound_returned(sol)
 
 
-def _lu_raising_at(k, monkeypatch):
-    """Make the k-th LU solve raise as for an exactly singular S; odd k is
-    a predictor, even k a corrector, of iteration (k - 1) // 2. Returns
-    the list that records each LU call."""
-    real, calls = np.linalg.solve, []
+def _elimination_raising_at(k, monkeypatch):
+    """Make the elimination of the k-th Newton direction raise as LU does
+    for an exactly singular S; odd k is a predictor, even k a corrector,
+    of iteration (k - 1) // 2. Returns the list that records, for each
+    direction, the Schur matrix last factored and the right-hand side."""
+    real_factor, real_solve, schur, calls = core.ArrowPlan.factor, core.ArrowFactor.solve, [], []
 
-    def solve_or_raise(a, rhs):
-        calls.append(None)
+    def factor(self, s):
+        schur.append(s)
+        return real_factor(self, s)
+
+    def solve_or_raise(self, rhs):
+        calls.append((schur[-1], rhs))
         if len(calls) == k:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(a, rhs)
+        return real_solve(self, rhs)
 
-    monkeypatch.setattr(sdp_solver.np.linalg, "solve", solve_or_raise)
+    monkeypatch.setattr(core.ArrowPlan, "factor", factor)
+    monkeypatch.setattr(core.ArrowFactor, "solve", solve_or_raise)
     return calls
 
 
 @pytest.mark.parametrize("k", [3, 12])
 def test_singular_schur_takes_the_least_squares_direction(k, monkeypatch):
-    # the direction of the failed LU comes from lstsq with the same S and
-    # right-hand side, and the run goes on to the unpatched optimum
+    # the direction of the failed elimination comes from lstsq with the
+    # same dense S and right-hand side, and the run goes on to the
+    # unpatched optimum
     p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
     reference = solve(p)
     real_lstsq, lstsq_calls = np.linalg.lstsq, []
 
     def lstsq(a, rhs, rcond):
         lstsq_calls.append(len(calls))
+        schur, given = calls[-1]
+        assert a is schur and a.shape == (p.n_constraints,) * 2
+        assert np.array_equal(rhs, given)
         return real_lstsq(a, rhs, rcond=rcond)
 
-    calls = _lu_raising_at(k, monkeypatch)
+    calls = _elimination_raising_at(k, monkeypatch)
     monkeypatch.setattr(sdp_solver.np.linalg, "lstsq", lstsq)
     sol = solve(p)
     assert lstsq_calls == [k]
@@ -388,10 +398,10 @@ def test_singular_schur_takes_the_least_squares_direction(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [3, 12])
 def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
-    # the k-th LU solve raises and so does its least-squares fallback:
+    # the k-th elimination raises and so does its least-squares fallback:
     # iteration (k - 1) // 2 then takes no step and the loop stops
     p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
-    calls = _lu_raising_at(k, monkeypatch)
+    calls = _elimination_raising_at(k, monkeypatch)
 
     def lstsq_raises(a, rhs, rcond):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -403,6 +413,36 @@ def test_singular_schur_stops_with_the_post_loop_status(k, monkeypatch):
     assert sol.iterations[-1].step_primal == sol.iterations[-1].step_dual == 0.0
     assert sol.status == _stopped_status(sol, SolverOptions())
     _assert_best_bound_returned(sol)
+
+
+@pytest.mark.parametrize("j", [1, 5])
+def test_singular_factor_takes_least_squares_for_both_directions(j, monkeypatch):
+    # the factorization of iteration j raises: its predictor and corrector
+    # both come from lstsq with that iteration's S, the others from the
+    # elimination, and the run reaches the unpatched optimum
+    scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
+    p, _ = mdi.build_sdp(_doubled(scen))
+    assert p.arrow.blocks  # the doubled problem keeps its diagonal blocks
+    reference = solve(p)
+    real_factor, real_lstsq, factored, lstsq_calls = core.ArrowPlan.factor, np.linalg.lstsq, [], []
+
+    def factor_or_raise(self, s):
+        factored.append(s)
+        if len(factored) == j + 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_factor(self, s)
+
+    def lstsq(a, rhs, rcond):
+        assert a is factored[-1]
+        lstsq_calls.append(len(factored) - 1)
+        return real_lstsq(a, rhs, rcond=rcond)
+
+    monkeypatch.setattr(core.ArrowPlan, "factor", factor_or_raise)
+    monkeypatch.setattr(sdp_solver.np.linalg, "lstsq", lstsq)
+    sol = solve(p)
+    assert lstsq_calls == [j, j]
+    assert sol.status == core.OPTIMAL
+    assert abs(sol.certified_upper_bound - reference.certified_upper_bound) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -429,27 +469,32 @@ def test_failed_cholesky_of_z_stops_with_the_post_loop_status(k, monkeypatch):
 
 @pytest.mark.parametrize("doubled", [False, True])
 def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch):
-    # build_sdp's only LU is preprocess's, with the kept Gram block; each
-    # Newton step Cholesky-factors X and Z once per size group and inverts
-    # the two factors, Z^-1 being formed from Z's
-    counts = {"solve": 0, "cholesky": 0, "inv": 0}
+    # build_sdp's only factorization is preprocess's elimination of the
+    # kept Gram block, applied once; each Newton step factors its Schur
+    # matrix once and applies it twice (predictor and corrector), and
+    # Cholesky-factors X and Z once per size group and inverts the two
+    # factors, Z^-1 being formed from Z's
+    counts = {"factor": 0, "apply": 0, "cholesky": 0, "inv": 0}
 
-    def counted(name):
-        real = getattr(np.linalg, name)
+    def counted(owner, attr, name):
+        real = getattr(owner, attr)
 
         def spy(*args):
             counts[name] += 1
             return real(*args)
-        return spy
+        monkeypatch.setattr(owner, attr, spy)
 
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    counted(core.ArrowPlan, "factor", "factor")
+    counted(core.ArrowFactor, "solve", "apply")
+    for name in ("cholesky", "inv"):
+        counted(np.linalg, name, name)
     scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
     p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
-    assert counts == {"solve": 1, "cholesky": 0, "inv": 0}
+    assert counts == {"factor": 1, "apply": 1, "cholesky": 0, "inv": 0}
     sol = solve(p)
     assert sol.status == core.OPTIMAL
     steps = sol.n_iterations - 1
+    assert counts["factor"] == 1 + steps and counts["apply"] == 1 + 2 * steps
     assert counts["cholesky"] == counts["inv"] == 2 * len(p.size_groups) * steps
 
 
@@ -485,6 +530,28 @@ def test_step_length_matches_eigvalsh_oracle(seed):
             assert abs(_min_eig(edge)) <= 1e-9 * x_norm
     psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
     assert _step_length(_inverse_cholesky(stacked(xs)), stacked(psd)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [None, "primal", "dual"])
+def test_merged_step_lengths_match_each_side_alone(bad):
+    # [L_x^-1; L_z^-1] and [dX; dZ] stacked per group give each side's
+    # step bit for bit as one side at a time; a non-finite direction on
+    # one side gets 0.0 and leaves the other side's step as it is
+    rng = np.random.default_rng(310)
+    groups = [[0, 3], [1, 4], [2]]
+    dims = [3, 1, 4, 3, 1]
+
+    def stacked(blocks):
+        return [np.stack([blocks[k] for k in g]).astype(complex) for g in groups]
+
+    lx, lz = (_inverse_cholesky(stacked([_random_pd(rng, s) for s in dims])) for _ in range(2))
+    dx, dz = (stacked([_sym(rng.standard_normal((s, s))) for s in dims]) for _ in range(2))
+    if bad is not None:
+        (dx if bad == "primal" else dz)[2][0, 1, 1] = np.nan
+    both = sdp_solver._step_lengths([np.concatenate(p) for p in zip(lx, lz)], [dx, dz])
+    alone = [_step_length(lx, dx), _step_length(lz, dz)]
+    assert both == alone
+    assert (both[0] == 0.0) == (bad == "primal") and (both[1] == 0.0) == (bad == "dual")
 
 
 def test_weak_duality_on_logged_iterates():
