@@ -523,7 +523,9 @@ def _validate_report(spec: dict) -> list[tuple[str, str, str]]:
 
     def build_ok():
         scen = realize(spec)
-        return f"n_s={scen.n_states}, n_o={scen.n_outcomes}, d={scen.dim}, mode={scen.mode}"
+        sym = mdi.symmetry_summary(scen)
+        return (f"n_s={scen.n_states}, n_o={scen.n_outcomes}, d={scen.dim}, mode={scen.mode}"
+                + (f", symmetry {sym}" if sym else ""))
 
     check("state validity", states_ok)
     check("input distribution", probs_ok)

@@ -22,9 +22,14 @@ Two accounting modes:
   the generation input's family of any feasible per-input strategy meets
   all statistics with the same objective, and copying one family to every
   input gives a feasible per-input strategy back.
+
+A product scenario of m copies whose states, statistics and faces the
+permutations of the copies leave unchanged is solved on one block per
+orbit of S_m, each weighted by its orbit size (see build_sdp).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +69,7 @@ __all__ = [
     "honest_scenario",
     "face_bases",
     "build_sdp",
+    "symmetry_summary",
     "guessing_probability",
     "classical_min_entropy",
     "input_cost",
@@ -143,6 +149,200 @@ def _hermitian_basis(d: int) -> np.ndarray:
             basis[j + 1, k, l], basis[j + 1, l, k] = 1.0j, -1.0j
             j += 2
     return basis
+
+
+# largest entry mismatch that a copy permutation may leave between the
+# states (relative to max(1, largest entry)), the statistics or the face
+# projectors it relates; on the bundled product presets and the doubled
+# qubit presets, eta from 0 to 1, the largest is 1.5e-15 (face projectors
+# of rank-deficient faces at eta = 1)
+SYMMETRY_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class _CopySymmetry:
+    """S_m permuting the m copies of a product scenario.
+
+    Row g of each array maps every state, outcome and computational-basis
+    index to its image under the g-th permutation of the copies' digits
+    (first copy slowest, as tensor_ensemble orders them); row 0 is the
+    identity. A matrix M moves to M' with M'[h[i], h[j]] = M[i, j], h the
+    basis map: the conjugation by the permutation unitary U_g.
+    """
+
+    copies: int
+    states: np.ndarray
+    outcomes: np.ndarray
+    hilbert: np.ndarray
+
+
+def _digit_map(base: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Index map of one copy permutation on base**m indices: copy k of the
+    image holds the digit of copy perm[k]."""
+    shape = (base,) * len(perm)
+    digits = np.unravel_index(np.arange(base ** len(perm)), shape)
+    return np.ravel_multi_index([digits[k] for k in perm], shape)
+
+
+def _moved(mats: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
+    """U mats U^dag for the basis permutation hilbert, on a stack."""
+    inv = np.empty_like(hilbert)
+    inv[hilbert] = np.arange(hilbert.size)
+    return mats[..., inv, :][..., inv]
+
+
+def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray]) -> _CopySymmetry | None:
+    """The copy-permutation group S_m of a product scenario, or None.
+
+    Candidates have d = d0^m, n_s = n0^m and n_o = o0^m, m >= 2, tried from
+    the largest m down. S_m is kept when every adjacent transposition maps
+    each state onto the state of the permuted index and each statistics
+    entry onto the permuted entry, keeps the input probabilities
+    (finite-q) or fixes the generation input (asymptotic), and maps each
+    face onto the face of the permuted outcome, of equal rank, all within
+    SYMMETRY_TOL. A dimension that is no power m >= 2 (every qubit
+    scenario) returns at once.
+    """
+    sizes = (scenario.n_states, scenario.n_outcomes, scenario.dim)
+    for m in range(int(math.log2(scenario.dim)), 1, -1):
+        roots = [round(n ** (1.0 / m)) for n in sizes]
+        if any(r**m != n for r, n in zip(roots, sizes)):
+            continue
+        swaps = [(*range(k), k + 1, k, *range(k + 2, m)) for k in range(m - 1)]
+        if all(_is_invariant(scenario, faces, *[_digit_map(r, p) for r in roots])
+               for p in swaps):
+            group = list(itertools.permutations(range(m)))
+            return _CopySymmetry(m, *[np.stack([_digit_map(r, p) for p in group])
+                                      for r in roots])
+    return None
+
+
+def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarray,
+                  outcomes: np.ndarray, hilbert: np.ndarray) -> bool:
+    """Whether one copy permutation, given by its index maps, leaves the
+    scenario and its faces unchanged (see _copy_symmetry)."""
+    rhos = np.stack([s.mat for s in scenario.ensemble.states])
+    cond = scenario.observed.conditionals
+    if scenario.mode == MODE_FINITE_Q:
+        probs = scenario.ensemble.probs
+        source_ok = np.max(np.abs(probs[states] - probs)) <= SYMMETRY_TOL
+    else:
+        gen = scenario.generation_index - 1
+        source_ok = states[gen] == gen
+    ranks = np.array([v.shape[1] for v in faces])
+    proj = np.stack([v @ v.conj().T for v in faces])
+    scale = max(1.0, float(np.max(np.abs(rhos))))
+    return bool(
+        source_ok
+        and np.max(np.abs(_moved(rhos, hilbert) - rhos[states])) <= SYMMETRY_TOL * scale
+        and np.max(np.abs(cond[states][:, outcomes] - cond)) <= SYMMETRY_TOL
+        and np.array_equal(ranks[outcomes], ranks)
+        and np.max(np.abs(_moved(proj, hilbert) - proj[outcomes])) <= SYMMETRY_TOL
+    )
+
+
+def _live_images(sym: _CopySymmetry, live: list[int]) -> np.ndarray:
+    """(|G|, L) image of each live outcome, as its position x' in live."""
+    pos = np.zeros(sym.outcomes.shape[1], dtype=np.intp)
+    pos[live] = np.arange(len(live))
+    return pos[sym.outcomes[:, live]]
+
+
+def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int) -> np.ndarray:
+    """(|G|, n_fam L n_o) image of every block (f, x, e) of build_sdp, in
+    its numbering (f L + x') n_o + e."""
+    fam = sym.states[:, :n_fam]  # state 0 is fixed: the single family stays
+    out = (fam[:, :, None, None] * len(live) + _live_images(sym, live)[:, None, :, None]) * n_o
+    return (out + sym.outcomes[:, None, None, :]).reshape(len(fam), -1)
+
+
+def _block_orbits(
+    scenario: Scenario, faces: list[np.ndarray], look: bool = True
+) -> tuple[_CopySymmetry | None, list[int], np.ndarray]:
+    """build_sdp's blocks: the copy symmetry (None without one, or when
+    look is False), the live outcomes (nonempty face) and, for every block
+    k in the numbering (f L + x') n_o + e, canon[k], the first block of
+    its orbit (k itself without a symmetry)."""
+    n_o = scenario.n_outcomes
+    n_fam = scenario.n_states if scenario.mode == MODE_FINITE_Q else 1
+    live = [x for x in range(n_o) if faces[x].shape[1] > 0]
+    sym = _copy_symmetry(scenario, faces) if look else None
+    if sym is None:
+        return None, live, np.arange(n_fam * len(live) * n_o)
+    return sym, live, _block_images(sym, n_fam, live, n_o).min(axis=0)
+
+
+def _row_orbits(
+    sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row orbits of build_sdp's raw rows (relax = 0).
+
+    A copy permutation maps each _hermitian_basis element to +- another
+    (its basis map fixes index 0, so the traceless e_kk - e_00 too), and
+    so maps every raw row i to +- a row. Returns the canonical rows (the
+    smallest index of each orbit that no stabilizer element maps to its
+    own negative, in increasing order), each raw row's reduced index (-1
+    when its orbit is negated: such rows vanish on symmetric points) and
+    its weight s_i / |R|, s_i the sign that carries the canonical row onto
+    row i and |R| the orbit size (0 when dropped).
+    """
+    h = sym.hilbert
+    n_g, d = h.shape
+    d2, n_l = d * d, len(live)
+    # image and sign of each basis element; the pair k < l has its
+    # symmetric element at pair[k, l] and its antisymmetric one next
+    k, l = np.triu_indices(d, 1)
+    pair = np.zeros((d, d), dtype=np.intp)
+    pair[k, l] = pair[l, k] = d + 2 * np.arange(k.size)
+    hk, hl = h[:, k], h[:, l]
+    bas = np.empty((n_g, d2), dtype=np.intp)
+    bas[:, :d], bas[:, d::2], bas[:, d + 1::2] = h, pair[hk, hl], pair[hk, hl] + 1
+    bas_s = np.ones((n_g, d2))
+    bas_s[:, d + 1::2] = np.where(hk < hl, 1.0, -1.0)
+    # traceless: the off-diagonal elements, then e_kk - e_00 for k >= 1
+    tl = np.concatenate([bas[:, d:] - d, d2 - d - 1 + h[:, 1:]], axis=1)
+    tl_s = np.concatenate([bas_s[:, d:], np.ones((n_g, d - 1))], axis=1)
+    fam, a = sym.states[:, :n_fam, None, None], sym.states[:, :, None]
+    lx = _live_images(sym, live)
+    o3 = 1 + n_fam * n_o * (d2 - 1)
+    o4 = o3 + (n_fam - 1) * n_l * d2
+    parts = [  # (image, sign) of rows i, ii, iii and iv
+        (np.zeros((n_g, 1), dtype=np.intp), np.ones((n_g, 1))),
+        (1 + (fam * n_o + sym.outcomes[:, None, :, None]) * (d2 - 1) + tl[:, None, None],
+         tl_s[:, None, None]),
+        (o3 + ((fam[:, 1:] - 1) * n_l + lx[:, None, :, None]) * d2 + bas[:, None, None],
+         bas_s[:, None, None]),
+        (o4 + a * n_l + lx[:, None, :], np.ones((n_g, 1, 1))),
+    ]
+    img = np.concatenate([i.reshape(n_g, -1) for i, _ in parts], axis=1)
+    sign = np.concatenate([np.broadcast_to(s, i.shape).reshape(n_g, -1) for i, s in parts],
+                          axis=1)
+    m = img.shape[1]
+    rows = np.arange(m)
+    canon = img.min(axis=0)
+    negated = np.any((img == rows) & (sign < 0.0), axis=0)
+    kept = np.flatnonzero((canon == rows) & ~negated)
+    index = np.full(m, -1)
+    index[kept] = np.arange(kept.size)
+    red = index[canon]
+    s = sign[img.argmin(axis=0), rows]
+    return kept, red, np.where(red >= 0, s / np.bincount(canon, minlength=m)[canon], 0.0)
+
+
+def _orbit_sums(rows: np.ndarray, coef: np.ndarray, red: np.ndarray,
+                wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One representative block's rows in reduced numbering and their
+    coefficients: (1/|R|) sum_{i in R} s_i A_i over each row orbit R, one
+    real product over the stack's real view."""
+    r = red[rows]
+    on = np.flatnonzero(r >= 0)
+    touched = np.zeros(red.max() + 1, dtype=bool)
+    touched[r[on]] = True
+    mix = np.zeros((np.count_nonzero(touched), rows.size))
+    mix[np.cumsum(touched)[r[on]] - 1, on] = wt[rows[on]]
+    s = coef.shape[-1]
+    sums = mix @ coef.view(float).reshape(rows.size, -1)
+    return np.flatnonzero(touched), sums.view(complex).reshape(-1, s, s)
 
 
 def face_bases(scenario: Scenario) -> list[np.ndarray]:
@@ -268,6 +468,30 @@ def build_sdp(
     InfeasibleProblemError. The raw row count is checked against
     opts.max_constraints right after face_bases, before anything of the
     problem's size is allocated.
+
+    A product scenario of m copies whose data the copy permutations S_m
+    leave unchanged (see _copy_symmetry; relax = 0 only) is solved on its
+    symmetric points, which hold an optimum: averaging any feasible point
+    over the group keeps it feasible and keeps its value. g moves block k
+    to g.k by the permutation unitary U_g, conjugated onto the faces, and
+    maps each raw row i to s_i times a row. The problem then keeps, in the
+    numbering above, the first block of each block orbit O_k and the first
+    row of each row orbit R, and leaves out a row orbit that a stabilizer
+    element maps to its own negative (it vanishes on symmetric points).
+    Its variable X_k stands for the sum over the orbit, |O_k| times its
+    member, and its data are group averages, in closed form:
+    A'_{R,k} = (1/|R|) sum_{i in R} s_i A_{i,k} and b_R the mean of
+    s_i b_i. On symmetric data A'_{R,k} equals the group average
+    (1/|G|) sum_g Q_g^dag A_{i,g.k} Q_g, Q_g = V_{g.x}^dag U_g V_x, which
+    k's stabilizer leaves unchanged, so no invariance rows are needed;
+    C_k, invariant too, is kept. The
+    family-ii rows of one orbit of (f, e) form one row group, and the
+    blocks get the weights |O_k| (SdpProblem.from_blocks), so that the
+    solver follows the full problem's central path. The unreduced stacks
+    are never formed. A dual y_R of this problem gives the full problem the
+    dual y_i = s_i y_R / |R|, of the same value, whose slack on each block
+    g.k is the reduced slack of k conjugated by U_g (up to SYMMETRY_TOL
+    times |y|), so the certified bound holds for both.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
@@ -279,8 +503,7 @@ def build_sdp(
     n_fam = n_s if finite_q else 1
 
     faces = face_bases(scenario) if relax == 0.0 else [np.eye(d, dtype=complex)] * n_o
-    live = [x for x in range(n_o) if faces[x].shape[1] > 0]
-    n_l = len(live)
+    n_l = sum(v.shape[1] > 0 for v in faces)
     # first rows of families iii, iv and of the slack rows; ii starts at 1
     o3 = 1 + n_fam * n_o * (d2 - 1)
     o4 = o3 + (n_fam - 1) * n_l * d2
@@ -292,6 +515,10 @@ def build_sdp(
             f"{m} raw constraints on {n_main} blocks of size up to "
             f"{max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
         )
+    # the blocks to emit: one per orbit of the copy permutations, or all
+    sym, live, canon = _block_orbits(scenario, faces, look=relax == 0.0)
+    first_of_orbit = canon == np.arange(n_main)
+    emit = first_of_orbit.tolist()
 
     probs = scenario.ensemble.probs
     cond = scenario.observed.conditionals
@@ -319,12 +546,24 @@ def build_sdp(
     # family ii of (f, e), the one row group of the blocks (f, x, e): the
     # diagonal blocks of the Schur matrix's arrow
     guess = [1 + (f * n_o + e) * (d2 - 1) + span[:-1] for f in range(n_fam) for e in range(n_o)]
+    groups, weights = guess, None
+    if sym is not None:
+        weights = np.bincount(canon, minlength=n_main)[first_of_orbit]
+        kept, red, wt = _row_orbits(sym, n_fam, live, n_o)
+        ok = red >= 0
+        b = np.bincount(red[ok], (wt * b)[ok], minlength=kept.size)
+        # the guess-marginal rows of one orbit of (f, e): one row group
+        ii = np.flatnonzero((kept >= 1) & (kept < o3))
+        groups = np.split(ii, np.flatnonzero(np.diff((kept[ii] - 1) // (d2 - 1))) + 1)
     block_dims: list[int] = []
     rows: list[np.ndarray] = []
     coeffs: list[np.ndarray] = []
     objective: list[np.ndarray | None] = []
     for f in range(n_fam):
         for xi, x in enumerate(live):
+            first = (f * n_l + xi) * n_o
+            if not any(emit[first:first + n_o]):
+                continue
             bx, tx, rx = comp[xi]
             # i: family 0 only; iii: -basis on family 0, +basis on family a
             norm, norm_c = ([[0]], [np.eye(bx.shape[-1])[None]]) if f == 0 else ([], [])
@@ -338,8 +577,12 @@ def build_sdp(
                 stat, stat_c, obj = o4 + np.arange(n_s) * n_l + xi, rx, rx[gen]
             coef = np.concatenate([*norm_c, tx, *ind_c, stat_c])
             for e in range(n_o):
-                rows.append(np.concatenate([*norm, guess[f * n_o + e], *ind, stat]))
-                coeffs.append(coef)
+                if not emit[first + e]:
+                    continue
+                r = np.concatenate([*norm, guess[f * n_o + e], *ind, stat])
+                r, c = (r, coef) if sym is None else _orbit_sums(r, coef, red, wt)
+                rows.append(r)
+                coeffs.append(c)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])
     if relax > 0.0:
@@ -348,9 +591,26 @@ def build_sdp(
         coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
         objective += [None, None] * (n_s * n_l)
         block_dims += [1, 1] * (n_s * n_l)
-    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, guess)
-    del comp, rows, coeffs, objective  # so preprocess holds only the stacks
+    del comp  # so from_blocks holds only the blocks' data
+    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
+    del rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
+
+
+def symmetry_summary(scenario: Scenario) -> str | None:
+    """'S_m: k of n blocks' when build_sdp (relax = 0) solves the scenario
+    on one block per orbit of its copy permutations, else None, also when
+    the statistics force no face (build_sdp then reports them
+    infeasible)."""
+    try:
+        faces = face_bases(scenario)
+    except InfeasibleProblemError:
+        return None
+    sym, _, canon = _block_orbits(scenario, faces)
+    if sym is None:
+        return None
+    orbits = np.count_nonzero(canon == np.arange(canon.size))
+    return f"S_{sym.copies}: {orbits} of {canon.size} blocks"
 
 
 def classical_min_entropy(stats: ObservedStatistics, probs: np.ndarray) -> float:
@@ -519,27 +779,36 @@ class EffectiveStrategy:
     def from_solution(cls, scenario: Scenario, sol: SdpSolution) -> "EffectiveStrategy":
         """Recover complex operators from the primal blocks.
 
-        Re-derives the outcome faces from the scenario (build_sdp is
-        deterministic) and expands each compressed Hermitian block S back
-        to the full space as V S V^dag; sol must solve the exact problem
-        (relax = 0), whose faces those are. In asymptotic mode the SDP
-        holds a single family, which is copied to every input.
+        Re-derives the outcome faces and the copy symmetry from the
+        scenario (build_sdp is deterministic) and expands each compressed
+        Hermitian block S back to the full space as V S V^dag; sol must
+        solve the exact problem (relax = 0), whose faces those are. A block
+        X_k that stands for an orbit of the copy permutations g is spread
+        over it as M_b = (1/|G|) sum_{g: g.k = b} U_g V X_k V^dag U_g^dag.
+        In asymptotic mode the SDP holds a single family, which is copied
+        to every input.
         """
         d = scenario.dim
         n_s, n_o = scenario.n_states, scenario.n_outcomes
         n_fam = n_s if scenario.mode == MODE_FINITE_Q else 1
         faces = face_bases(scenario)
-        ops = np.zeros((n_fam, n_o, n_o, d, d), dtype=complex)
-        i = 0
-        for f in range(n_fam):
-            for x in range(n_o):
-                v = faces[x]
-                if v.shape[1] == 0:
-                    continue
-                for e in range(n_o):
-                    ops[f, x, e] = v @ sol.x_blocks[i] @ v.conj().T
-                    i += 1
-        return cls(np.broadcast_to(ops, (n_s,) + ops.shape[1:]).copy())
+        sym, live, canon = _block_orbits(scenario, faces)
+        if sym is None:
+            images, hilbert = canon[None], np.arange(d)[None]
+        else:
+            images, hilbert = _block_images(sym, n_fam, live, n_o), sym.hilbert
+        reps = np.flatnonzero(canon == np.arange(canon.size))
+        expanded = []
+        for k, blk in zip(reps, sol.x_blocks):  # block k = (f L + x') n_o + e
+            v = faces[live[k // n_o % len(live)]]
+            expanded.append(v @ blk @ v.conj().T)
+        full = np.stack(expanded)
+        ops = np.zeros((images.shape[1], d, d), dtype=complex)
+        for img, h in zip(images, hilbert):
+            ops[img[reps]] += _moved(full, h) / len(images)
+        out = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
+        out[:, live] = ops.reshape(n_fam, len(live), n_o, d, d)
+        return cls(out)
 
     def objective_value(self, scenario: Scenario) -> float:
         """Probability that the guess matches the outcome, weighted as the

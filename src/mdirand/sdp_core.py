@@ -188,6 +188,10 @@ class SdpProblem:
     the row groups given to from_blocks, no block touched by two of them:
     the row products of two groups' rows vanish, so the Schur and Gram
     matrices are arrows over it, and its factor is how both are solved.
+    group_weights[g] holds the multiplicity w_k of each block of group g
+    (from_blocks' weights, default one): the solver's barrier weighs
+    block k by w_k, as when block k stands for the sum over w_k
+    symmetric copies of itself.
     """
 
     block_dims: tuple[int, ...]
@@ -197,6 +201,7 @@ class SdpProblem:
     group_stacks: list[np.ndarray] = field(repr=False)
     objective_stacks: list[np.ndarray] = field(repr=False)
     arrow: ArrowPlan = field(repr=False)
+    group_weights: list[np.ndarray] = field(repr=False)
     preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
@@ -204,7 +209,8 @@ class SdpProblem:
     @classmethod
     def from_blocks(cls, block_dims: Sequence[int], b: np.ndarray, rows: list[np.ndarray],
                     coeffs: list[np.ndarray], objective: list[np.ndarray | None],
-                    groups: Sequence[np.ndarray] = ()) -> SdpProblem:
+                    groups: Sequence[np.ndarray] = (),
+                    weights: Sequence[float] | None = None) -> SdpProblem:
         """Pack per-block data: for block k, rows[k] lists in increasing
         order the constraints touching it, coeffs[k] is the
         (len(rows[k]), s, s) stack of their coefficient matrices and
@@ -212,7 +218,9 @@ class SdpProblem:
         finite, every matrix Hermitian; blocks may share one coefficient
         stack or objective matrix, which is then checked once. groups are
         disjoint sets of rows, the diagonal blocks of the arrow plan; a
-        block touched by the rows of two groups raises ValueError."""
+        block touched by the rows of two groups raises ValueError. weights
+        are the blocks' multiplicities w_k, ones by default (see
+        group_weights)."""
         block_dims = tuple(block_dims)
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
@@ -255,7 +263,11 @@ class SdpProblem:
             group_stacks.append(st)
             objective_stacks.append(obj)
         arrow = ArrowPlan.from_groups(groups, b.size)
-        return cls(block_dims, b, size_groups, group_rows, group_stacks, objective_stacks, arrow)
+        w = np.ones(len(block_dims)) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (len(block_dims),) or not np.all(w > 0.0):
+            raise ValueError("need one positive weight per block")
+        return cls(block_dims, b, size_groups, group_rows, group_stacks, objective_stacks, arrow,
+                   [w[g] for g in size_groups])
 
     @classmethod
     def from_rows(cls, block_dims: Sequence[int], objective: dict[int, np.ndarray],

@@ -24,7 +24,9 @@ Z^-1 = L^-dag L^-1 comes from Z's factor L, so each step factors X once
 and Z once; step lengths use fraction-to-boundary STEP_FRACTION of the
 exact step to the PSD boundary, read off those factors, stacked
 [L_x^-1; L_z^-1] once per iteration, and one batched eigenvalue call per
-group for both steps of a direction.
+group for both steps of a direction. Each block's barrier term carries
+the problem's block weight (its multiplicity, one unless the problem was
+reduced by a symmetry; see solve).
 Deterministic for a fixed BLAS thread count: fixed initialization, fixed
 reduction order, no randomization anywhere; a threaded BLAS sums in
 another order, which can move an ill-conditioned endgame.
@@ -118,11 +120,18 @@ def _min_eigenvalue(stacks: Iterable[np.ndarray]) -> float:
 
     One batched LAPACK eigvalsh per stack, each stack taken from the
     iterable as it is needed; each matrix is read from its lower triangle.
+    Finiteness is checked here: numpy's batched eigvalsh returns finite
+    values for a stack with a nan on its diagonal.
     """
+    lam = math.inf
     try:
-        return float(np.min([np.min(np.linalg.eigvalsh(st)) for st in stacks]))
-    except np.linalg.LinAlgError:  # non-finite entries
+        for st in stacks:
+            if not np.isfinite(st).all():
+                return math.nan
+            lam = min(lam, float(np.min(np.linalg.eigvalsh(st))))
+    except np.linalg.LinAlgError:  # no convergence
         return math.nan
+    return lam
 
 
 def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
@@ -252,6 +261,12 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     and vanishing steps stop the loop; the status is then near-optimal if
     some bound was certified and the best score is below 1e5, else
     numerical-failure.
+
+    The barrier weighs block k by its weight w_k (p.group_weights): the
+    start is X_k = w_k b_scale I and Z_k = b_scale I, mu = <X, Z> / n with
+    n = sum_k w_k s_k, and the centering target is X_k Z_k = nu w_k I. A
+    block that stands for the sum of w_k symmetric copies so follows their
+    central path; unit weights are the plain barrier.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
@@ -264,12 +279,14 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         )
 
     m = p.n_constraints
-    n_total = float(sum(p.block_dims))
     c = p.objective_stacks
+    # block weights w_k: the barrier term of block k is w_k log det X_k
+    w = [wg[:, None, None] for wg in p.group_weights]
+    n_total = float(sum(float(wg.sum()) * st.shape[1] for wg, st in zip(w, c)))
 
     b_scale = 1.0 + float(np.max(np.abs(p.b)))
-    x = [b_scale * np.broadcast_to(np.eye(st.shape[1], dtype=st.dtype), st.shape) for st in c]
-    z = [xg.copy() for xg in x]
+    z = [b_scale * np.broadcast_to(np.eye(st.shape[1], dtype=st.dtype), st.shape) for st in c]
+    x = [wg * zg for wg, zg in zip(w, z)]
     y = np.zeros(m)
     c_scale = 1.0 + _max_norm(c)
 
@@ -405,8 +422,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             nu = sigma * mu
             # corrector with Mehrotra second-order term
             rc = [
-                nu * zg - xg - _sym(dxg @ dzg @ zg)
-                for xg, zg, dxg, dzg in zip(x, zinv, dx_aff, dz_aff)
+                (nu * wg) * zg - xg - _sym(dxg @ dzg @ zg)
+                for xg, zg, dxg, dzg, wg in zip(x, zinv, dx_aff, dz_aff, w)
             ]
             dx, dy, dz, alpha_p, alpha_d = direction(rc, p.apply_constraints(rc) + hxrz - rp)
         except np.linalg.LinAlgError:  # the least-squares solve failed too

@@ -671,3 +671,22 @@ def test_realize_names_an_out_of_range_override(override, msg):
     with pytest.raises(cli.SchemaError) as exc:
         cli.realize(spec, **override)
     assert str(exc.value) == msg
+
+
+def test_finite_q_endgame_on_one_blas_thread(tmp_path):
+    # finite-q fig6-4s-m2 at eta 0.95 with single-threaded OpenBLAS: solved
+    # on its copy-swap orbits it ends ok (optimal in 11 iterations when
+    # measured), at the rate that the full problem reached on one thread
+    spec = dict(cli.load_scenario_spec("fig6-4s-m2"), mode="finite-q")
+    spec["device"] = dict(spec["device"], eta=0.95)
+    path = tmp_path / "fq.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "mdirand", "rate", str(path), "--json"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0
+    record = json.loads(proc.stdout)
+    assert record["status"] in ("optimal", "near-optimal")
+    assert abs(record["rate_bits"] - 0.5790300632077048) <= 1e-7

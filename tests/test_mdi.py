@@ -23,6 +23,7 @@ from mdirand.quantum import (
 )
 from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
+from scenarios import doubled_preset
 from sdp_rows import real_coords
 
 
@@ -96,7 +97,9 @@ def test_honest_strategy_satisfies_every_kept_row(name):
     # device is feasible, so its operators compressed onto each face, in
     # block order (f, live x, e), satisfy every kept row and give its
     # objective value, read off the real views; in the preset's mode and
-    # in finite-q
+    # in finite-q. The honest device is symmetric under the copy
+    # permutations of a product preset, so on its reduced problem the
+    # block of each orbit's first member, times the orbit size, does
     spec = cli.load_scenario_spec(name)
     base = cli.realize(spec)
     povm = cli._build_povm(spec)
@@ -108,6 +111,13 @@ def test_honest_strategy_satisfies_every_kept_row(name):
         blocks = [v.conj().T @ ops[f, x, e] @ v for f in range(n_fam)
                   for x, v in enumerate(faces) if v.shape[1] > 0
                   for e in range(scen.n_outcomes)]
+        sym = mdi._copy_symmetry(scen, faces)
+        if sym is not None:
+            live = [x for x, v in enumerate(faces) if v.shape[1] > 0]
+            canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes).min(axis=0)
+            size = np.bincount(canon)
+            blocks = [size[k] * blocks[k] for k in np.unique(canon)]
+        assert len(blocks) == prob.n_blocks
         xs = prob.stack_groups(blocks)
         assert np.max(np.abs(prob.apply_constraints(xs) - prob.b)) <= 1e-12
         value = sum(float(real_coords(c) @ real_coords(x))
@@ -533,3 +543,105 @@ def test_full_rank_faces_are_exactly_identity(name):
     for v in mdi.face_bases(scen):
         if v.shape[1] == scen.dim:
             assert np.array_equal(v, np.eye(scen.dim))
+
+
+def _swap_symmetric_dead_corner():
+    # a raw table on two copies of {|0>, |+>}, symmetric under the copy
+    # swap, where outcome (1, 1) never occurs but (0, 1) and (1, 0) do:
+    # the last block, (x, e) = ((1, 0), (1, 1)), is not the first of its
+    # orbit, so the largest first block lies below the block count
+    qubit = StateEnsemble([bloch_to_density(np.array(r, float)) for r in ([0, 0, 1], [1, 0, 0])],
+                          np.full(2, 0.5))
+    table = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.25, 0.25, 0.0], [0.5, 0.25, 0.25, 0.0],
+             [0.25, 0.375, 0.375, 0.0]]
+    return mdi.Scenario(double_ensemble(qubit), ObservedStatistics(table), generation_index=4)
+
+
+SYMMETRIC_CASES = {
+    "fig6-2s-m2": lambda: cli.realize(cli.load_scenario_spec("fig6-2s-m2")),
+    "fig6-2s-m3": lambda: cli.realize(cli.load_scenario_spec("fig6-2s-m3")),
+    "fig6-4s-m2": lambda: cli.realize(cli.load_scenario_spec("fig6-4s-m2")),
+    "fig6-2s-m2-finite-q": lambda: _finite_q(cli.realize(cli.load_scenario_spec("fig6-2s-m2"))),
+    "fig7-3o-doubled": lambda: doubled_preset("fig7-3o"),
+    "fig7-proj-doubled": lambda: doubled_preset("fig7-proj"),
+    "dead-corner": _swap_symmetric_dead_corner,
+}
+
+
+def _build_raw(scen, monkeypatch):
+    """build_sdp's problem, its report and the raw problem it preprocessed."""
+    raws = []
+    real = mdi.preprocess
+    monkeypatch.setattr(mdi, "preprocess", lambda p: raws.append(p) or real(p))
+    prob, rep = mdi.build_sdp(scen)
+    monkeypatch.setattr(mdi, "preprocess", real)
+    return prob, rep, raws[0]
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
+    # the problem on one block per orbit of the copy permutations has the
+    # full problem's optimum, and its dual y, expanded to the full problem's
+    # raw rows as y_i = s_i y_R / |R|, is a dual point of the full problem
+    # with the same value b.y
+    from mdirand.sdp_solver import _min_eigenvalue, solve
+
+    scen = SYMMETRIC_CASES[name]()
+    sym, live, _ = mdi._block_orbits(scen, mdi.face_bases(scen))
+    assert sym is not None
+    prob, rep, raw = _build_raw(scen, monkeypatch)
+    sol = solve(prob)
+    monkeypatch.setattr(mdi, "_copy_symmetry", lambda *args: None)
+    full, _, raw_full = _build_raw(scen, monkeypatch)
+    full_sol = solve(full)
+    assert prob.n_blocks < full.n_blocks
+    assert sol.status == full_sol.status == OPTIMAL
+    rate, full_rate = (-math.log2(s.certified_upper_bound) for s in (sol, full_sol))
+    assert abs(rate - full_rate) <= 1e-7
+    # y on the reduced problem's raw rows: y / scale on kept rows, 0 on dropped
+    identity = raw.stack_groups([np.eye(s) for s in raw.block_dims])
+    scales = np.sqrt(np.diag(raw.schur_matrix(identity, identity))[rep.kept_rows])
+    y_red = np.zeros(raw.n_constraints)
+    y_red[rep.kept_rows] = sol.y / scales
+    n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
+    kept, red, wt = mdi._row_orbits(sym, n_fam, live, scen.n_outcomes)
+    assert kept.size == raw.n_constraints
+    y = np.where(red >= 0, wt * y_red[red], 0.0)
+    slack = [a - c for a, c in zip(raw_full.adjoint(y), raw_full.objective_stacks)]
+    assert _min_eigenvalue([0.5 * (s + s.conj().transpose(0, 2, 1)) for s in slack]) >= -1e-9
+    assert abs(float(raw_full.b @ y) - sol.certified_upper_bound) <= 1e-9
+
+
+@pytest.mark.parametrize("spoil", ["generation", "table"])
+def test_broken_copy_symmetry_keeps_the_full_problem(spoil):
+    # fig6-2s-m2 with a generation input that the copy swap moves, or with
+    # one table entry moved by 1e-9 (and its row mended), has no symmetry:
+    # build_sdp keeps all 16 blocks; a move of 1e-14 is within tolerance
+    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m2"))
+    assert mdi.build_sdp(scen)[0].n_blocks == 10
+
+    def spoiled(eps):
+        if spoil == "generation":  # state (0, 1): the swap maps it to (1, 0)
+            return mdi.Scenario(scen.ensemble, scen.observed, generation_index=2)
+        table = scen.observed.conditionals.copy()
+        table[1, 0] += eps
+        table[1, 1] -= eps
+        return mdi.Scenario(scen.ensemble, ObservedStatistics(table))
+
+    assert mdi._copy_symmetry(spoiled(1e-9), mdi.face_bases(spoiled(1e-9))) is None
+    prob, _ = mdi.build_sdp(spoiled(1e-9))
+    assert prob.n_blocks == 16
+    assert mdi.guessing_probability(spoiled(1e-9)).ok
+    if spoil == "table":
+        assert mdi.build_sdp(spoiled(1e-14))[0].n_blocks == 10
+
+
+def test_four_copies_solve_on_their_orbits():
+    # fig6-2s-m3 at four copies: S_4 leaves 35 of 256 blocks; the rate
+    # matches the 0.5516150510 bits of the full problem (4321 kept rows)
+    spec = dict(cli.load_scenario_spec("fig6-2s-m3"), copies=4)
+    scen = cli.realize(spec)
+    assert mdi.symmetry_summary(scen) == "S_4: 35 of 256 blocks"
+    res = mdi.guessing_probability(scen)
+    assert res.status == OPTIMAL
+    assert abs(res.rate_bits - 0.5516150510) <= 1e-7

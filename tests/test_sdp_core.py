@@ -4,14 +4,13 @@ import pytest
 from mdirand import sdp_core as core
 from mdirand import cli, mdi
 from mdirand.quantum import (
-    double_ensemble,
-    double_statistics,
     extremal4,
     povm_from_bloch,
     sigma_z_povm,
     tomographic_set,
 )
 from mdirand.sdp_solver import solve
+from scenarios import doubled_preset
 from sdp_rows import real_coords, row_maps
 
 
@@ -450,24 +449,16 @@ def test_from_blocks_keeps_groups_that_share_no_block():
     assert p.arrow.border.tolist() == [1, 2]
 
 
-def test_schur_matrix_is_an_arrow_over_the_guess_groups():
-    # doubled extremal3: the Schur matrix at random positive definite X
-    # and W is exactly zero between the rows of two different guesses,
-    # and preprocessing keeps the layout [row 0 | 9 groups of 15 | border]
-    scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
-    g = scen.generation_index - 1
-    dbl = mdi.Scenario(double_ensemble(scen.ensemble), double_statistics(scen.observed),
-                       generation_index=g * scen.n_states + g + 1)
-    p, _ = mdi.build_sdp(dbl)
-    assert [rows.shape for rows in p.arrow.blocks] == [(9, 15)]
-    assert np.array_equal(p.arrow.blocks[0].reshape(-1), np.arange(1, 136))
-    assert p.arrow.border.size == p.n_constraints - 135 == 129
+def _assert_arrow(p):
+    # the Schur matrix at random positive definite X and W is exactly zero
+    # between the rows of two different row groups, and block elimination
+    # over them solves with it
     rng = np.random.default_rng(12)
     x, w = (p.stack_groups([a @ a.conj().T + np.eye(len(a))
                             for a in (_herm(rng, k) for k in p.block_dims)]) for _ in range(2))
     s = p.schur_matrix(x, w)
     label = np.full(p.n_constraints, -1)
-    for j, rows in enumerate(p.arrow.blocks[0]):
+    for j, rows in enumerate(r for blocks in p.arrow.blocks for r in blocks):
         label[rows] = j
     between = (label[:, None] != label[None, :]) & (label[:, None] >= 0) & (label[None, :] >= 0)
     assert np.all(s[between] == 0.0)
@@ -475,12 +466,75 @@ def test_schur_matrix_is_an_arrow_over_the_guess_groups():
     assert np.linalg.norm(s @ y - p.b) <= 1e-10 * np.linalg.norm(p.b)
 
 
-@pytest.mark.parametrize("name", SMALL_PRESETS)
-def test_no_lu_solve_reaches_a_threaded_size(name, monkeypatch):
+def test_block_weights_default_to_one_and_must_be_positive():
+    p = _two_block_problem(())
+    assert [w.tolist() for w in p.group_weights] == [[1.0, 1.0]]
+    dims, rows = (2, 1), [np.array([0]), np.array([0])]
+    coeffs = [np.eye(2)[None], np.ones((1, 1, 1))]
+    p = core.SdpProblem.from_blocks(dims, np.ones(1), rows, coeffs, [None, None], (), [3, 2])
+    assert [w.tolist() for w in p.group_weights] == [[3.0], [2.0]]
+    for bad in ([1.0], [1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(ValueError, match="one positive weight per block"):
+            core.SdpProblem.from_blocks(dims, np.ones(1), rows, coeffs, [None, None], (), bad)
+
+
+@pytest.mark.parametrize("weights", [None, [1.0, 1.0, 1.0], [4.0, 1.0, 2.0]])
+def test_block_weights_move_the_path_not_the_optimum(weights):
+    # the weights scale each block's barrier term: unit weights are the
+    # unweighted run, bit for bit, and any weights reach the same optimum
+    rng = np.random.default_rng(5)
+    dims, objective, constraints, b = _random_rows(rng, (3, 2, 2), 4)
+    constraints = [{k: np.eye(s) for k, s in enumerate(dims)}] + constraints
+    x0 = [np.eye(s) for s in dims]
+    b = np.array([sum(float(np.sum(mm * x0[k])) for k, mm in row.items())
+                  for row in constraints])
+    plain = core.SdpProblem.from_rows(dims, objective, constraints, b)
+    rows = [np.arange(len(constraints))] * 3
+    coeffs = [np.array([row[k] for row in constraints]) for k in range(3)]
+    p = core.SdpProblem.from_blocks(dims, b, rows, coeffs, [objective[k] for k in range(3)],
+                                    (), weights)
+    want = solve(core.preprocess(plain)[0])
+    got = solve(core.preprocess(p)[0])
+    assert got.status == want.status == core.OPTIMAL
+    if weights is None or weights == [1.0, 1.0, 1.0]:
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.n_iterations == want.n_iterations
+    assert abs(got.certified_upper_bound - want.certified_upper_bound) <= 1e-7
+
+
+def test_schur_matrix_is_an_arrow_over_the_guess_groups(monkeypatch):
+    # doubled extremal3 on all its blocks (no copy symmetry): preprocessing
+    # keeps the layout [row 0 | 9 groups of 15 | border]
+    monkeypatch.setattr(mdi, "_copy_symmetry", lambda *args: None)
+    p, _ = mdi.build_sdp(doubled_preset("fig7-3o"))
+    assert [rows.shape for rows in p.arrow.blocks] == [(9, 15)]
+    assert np.array_equal(p.arrow.blocks[0].reshape(-1), np.arange(1, 136))
+    assert p.arrow.border.size == p.n_constraints - 135 == 129
+    _assert_arrow(p)
+
+
+def test_reduced_schur_matrix_is_an_arrow_over_the_guess_orbits():
+    # doubled extremal3 on one block per orbit of the copy swap: the guess
+    # rows of each orbit of guesses form one group, three of 9 rows (the
+    # guesses (e, e)) and three of 15 (the pairs {(e, e'), (e', e)})
+    p, _ = mdi.build_sdp(doubled_preset("fig7-3o"))
+    assert [rows.shape for rows in p.arrow.blocks] == [(3, 9), (3, 15)]
+    assert p.arrow.border.size == p.n_constraints - 72 == 69
+    _assert_arrow(p)
+
+
+@pytest.mark.parametrize("name, doubled", [
+    *[pytest.param(n, False, id=n) for n in SMALL_PRESETS],
+    *[pytest.param(n, True, id=f"{n}-doubled") for n in ("fig7-3o", "fig7-proj")],
+])
+def test_no_lu_solve_reaches_a_threaded_size(name, doubled, monkeypatch):
     # OpenBLAS runs numpy.linalg.solve on two threads from 100 rows on,
     # whose spinning second thread doubles the CPU time of a small solve:
-    # preprocessing and every Newton step of each preset solve smaller
-    # systems only (fig6-4s-m2: four blocks of 15 rows and a border of 49)
+    # preprocessing and every Newton step of each preset and of both
+    # doubled two-copy problems solve smaller systems only, and no arrow
+    # border reaches that size (fig6-4s-m2, reduced by its copy swap:
+    # 60 rows, all border; doubled extremal3: three blocks of 9 rows,
+    # three of 15 and a border of 69)
     sizes, real = [], np.linalg.solve
 
     def spy(a, rhs):
@@ -488,9 +542,12 @@ def test_no_lu_solve_reaches_a_threaded_size(name, monkeypatch):
         return real(a, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec(name)))
+    p, _ = mdi.build_sdp(doubled_preset(name) if doubled else cli.realize(cli.load_scenario_spec(name)))
     assert solve(p).status == core.OPTIMAL
     assert sizes and max(sizes) < 100
+    assert p.arrow.border.size < 100
     if name == "fig6-4s-m2":
-        assert [rows.shape for rows in p.arrow.blocks] == [(4, 15)]
-        assert p.arrow.border.size == 49
+        assert p.arrow.blocks == () and p.arrow.border.size == 60
+    if (name, doubled) == ("fig7-3o", True):
+        assert [rows.shape for rows in p.arrow.blocks] == [(3, 9), (3, 15)]
+        assert p.arrow.border.size == 69

@@ -7,7 +7,6 @@ import pytest
 from mdirand import cli, mdi, sdp_solver
 from mdirand import sdp_core as core
 from mdirand.linalg import jacobi_eigvalsh
-from mdirand.quantum import double_ensemble, double_statistics
 from mdirand.sdp_core import SCHUR_CHUNK
 from mdirand.sdp_solver import (
     STEP_FRACTION,
@@ -20,6 +19,7 @@ from mdirand.sdp_solver import (
     certify_upper_bound,
     solve,
 )
+from scenarios import doubled_scenario
 from sdp_rows import real_embed, row_maps
 
 
@@ -174,16 +174,27 @@ def test_certify_refuses_non_finite_dual(y):
         certify_upper_bound(p, dataclasses.replace(sol, y=np.array(y)))
 
 
+@pytest.mark.parametrize("at", [(0, 0), (0, 2), (1, 0), (1, 1)])
+def test_non_finite_slack_is_never_certified(at):
+    # numpy's batched eigvalsh returns -0.5 for a stack of -0.5 I with a
+    # nan at some diagonal entries; the smallest eigenvalue must be nan,
+    # and a slack with such an entry must not give a bound
+    st = np.stack([-0.5 * np.eye(3)] * 2).astype(complex)
+    st[at[0], at[1], at[1]] = math.nan
+    assert math.isnan(_min_eigenvalue([np.eye(2)[None], st]))
+    p = _prep((2,), {0: np.diag([1.0, 2.0])},
+              [{0: np.eye(2)}, {0: np.diag([1.0, 0.0])}], [2.0, 0.5])
+    sol = solve(p)
+    c = p.objective_stacks[0].copy()
+    c[0, at[1] % 2, at[1] % 2] = math.nan
+    with pytest.raises(CertificationError, match="slack eigenvalue nan"):
+        certify_upper_bound(dataclasses.replace(p, objective_stacks=[c]), sol)
+
+
 def _jacobi_min(blocks):
     # Jacobi is real symmetric only; the real embedding of a Hermitian
     # block carries the same eigenvalues, each twice
     return min(float(jacobi_eigvalsh(real_embed(blk))[0]) for blk in blocks)
-
-
-def _doubled(scen):
-    g = scen.generation_index - 1
-    return mdi.Scenario(double_ensemble(scen.ensemble), double_statistics(scen.observed),
-                        mode=scen.mode, generation_index=g * scen.n_states + g + 1)
 
 
 @pytest.mark.parametrize("name, doubled", [
@@ -193,7 +204,7 @@ def test_slack_eigenvalue_matches_jacobi_on_presets(name, doubled):
     # the batched LAPACK minimum over the final slack agrees with the
     # per-block cyclic Jacobi minimum to Jacobi's own stopping tolerance
     scen = cli.realize(cli.load_scenario_spec(name))
-    p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    p, _ = mdi.build_sdp(doubled_scenario(scen) if doubled else scen)
     sol = solve(p)
     slack = sol.slack_blocks
     lam = _min_eigenvalue(p.stack_groups(slack))
@@ -288,13 +299,14 @@ def test_preprocess_and_solver_share_the_row_product_kernel(name, monkeypatch):
 # (solved by two other tests) and of the doubled two-copy problems; a
 # rewrite of the solver loop must keep the iterations, a rewrite of the
 # assembly or the row selection the kept rows (the dimension of the row
-# space)
+# space). fig6-2s-m2, fig6-4s-m2 and the doubled problems are solved on
+# one block per orbit of their copy swap: kept rows of the reduced problem
 TRAJECTORY_PINS = [
     ("fig3-blue", False, 13, 7), ("fig3-green", False, 8, 9), ("fig3-red", False, 3, 7),
     ("fig4", False, 20, 10), ("fig5", False, 20, 11), ("fig6-2s-m1", False, 9, 12),
-    ("fig6-2s-m2", False, 73, 12), ("fig6-4s-m1", False, 11, 9),
-    ("fig6-4s-m2", False, 109, 10), ("fig7-3o", False, 18, 8), ("fig7-proj", False, 11, 9),
-    ("fig7-3o", True, 264, 12), ("fig7-proj", True, 109, 13),
+    ("fig6-2s-m2", False, 41, 12), ("fig6-4s-m1", False, 11, 9),
+    ("fig6-4s-m2", False, 60, 10), ("fig7-3o", False, 18, 8), ("fig7-proj", False, 11, 9),
+    ("fig7-3o", True, 141, 12), ("fig7-proj", True, 60, 12),
 ]
 
 
@@ -302,7 +314,7 @@ TRAJECTORY_PINS = [
                          ids=[f"{n}-{d}-{i}" for n, d, _, i in TRAJECTORY_PINS])
 def test_solver_trajectory_is_pinned(name, doubled, kept, iterations):
     scen = cli.realize(cli.load_scenario_spec(name))
-    prob, rep = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    prob, rep = mdi.build_sdp(doubled_scenario(scen) if doubled else scen)
     assert len(rep.kept_rows) == kept
     sol = solve(prob)
     assert sol.status == core.OPTIMAL
@@ -421,7 +433,7 @@ def test_singular_factor_takes_least_squares_for_both_directions(j, monkeypatch)
     # both come from lstsq with that iteration's S, the others from the
     # elimination, and the run reaches the unpatched optimum
     scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
-    p, _ = mdi.build_sdp(_doubled(scen))
+    p, _ = mdi.build_sdp(doubled_scenario(scen))
     assert p.arrow.blocks  # the doubled problem keeps its diagonal blocks
     reference = solve(p)
     real_factor, real_lstsq, factored, lstsq_calls = core.ArrowPlan.factor, np.linalg.lstsq, [], []
@@ -489,7 +501,7 @@ def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch
     for name in ("cholesky", "inv"):
         counted(np.linalg, name, name)
     scen = cli.realize(cli.load_scenario_spec("fig7-3o"))
-    p, _ = mdi.build_sdp(_doubled(scen) if doubled else scen)
+    p, _ = mdi.build_sdp(doubled_scenario(scen) if doubled else scen)
     assert counts == {"factor": 1, "apply": 1, "cholesky": 0, "inv": 0}
     sol = solve(p)
     assert sol.status == core.OPTIMAL
