@@ -1,18 +1,22 @@
 """Dense linear-algebra kernels: Hermitian checks, eigen-solves and row selection.
 
-Pure functions; inputs are never mutated. Matrices are plain numpy
-arrays (complex Hermitian or real symmetric). is_hermitian,
-require_hermitian and min_eigenvalue take one matrix or a (..., s, s)
-stack, so a caller checks all its operators in one call. The library's
-one Hermitian rule is relative to each matrix's own scale: m is
-Hermitian iff |m - m^dag| <= 1e-12 * max(1, max|m|) entrywise. Hermitian
-blocks are at most the source's dimension: dim 32 for a tensor power
-(quantum._MAX_TENSOR_DIM), while a density-matrix source sets no cap.
-row_space_basis reads the m x m Gram matrix of the constraint rows (m at
-most 569 for the bundled presets, 4337 for the two-state product source
-at four copies) and needs one m x m work array. Every eigenvalue and
-eigenvector the library uses comes from LAPACK through numpy;
-jacobi_eigvalsh is a pure-Python reference that only the tests call.
+Pure functions; inputs are never mutated. Matrices are numpy arrays
+(complex Hermitian or real symmetric), one matrix or a (..., s, s) stack,
+so a caller checks all its operators in one call. This module is the one
+rule for what a Hermitian check accepts and what a smallest eigenvalue
+is: m is Hermitian iff all its entries are finite and
+|m - m^dag| <= 1e-12 * max(1, max|m|) entrywise (require_hermitian names
+the first fault), and lowest_eigenvalues, unchecked, makes the one
+batched eigvalsh call behind every smallest eigenvalue, nan for a matrix
+with a non-finite entry (masked first: LAPACK's batched eigvalsh reads a
+nan diagonal as finite) and everywhere when LAPACK does not converge.
+min_eigenvalue is the two in turn. No other module calls LAPACK's eigen
+solvers; jacobi_eigvalsh is a pure-Python reference for the tests. Blocks
+are at most dim 32 for a tensor power (quantum._MAX_TENSOR_DIM); a
+density-matrix source sets no cap. row_space_basis reads the m x m Gram
+matrix of the constraint rows (m at most 569 for the bundled presets,
+4337 for the two-state product source at four copies) and needs one
+m x m work array.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ __all__ = [
     "require_hermitian",
     "jacobi_eigvalsh",
     "eigh_hermitian",
+    "lowest_eigenvalues",
     "min_eigenvalue",
     "row_space_basis",
 ]
@@ -43,22 +48,33 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """True if a is a square matrix, or a (..., s, s) stack of them, and
-    every matrix m has |m - m^dag| <= HERMITIAN_TOL * max(1, max|m|)
-    entrywise."""
-    a = np.asarray(a)
+def _hermitian_fault(a: np.ndarray) -> str | None:
+    """Why a is not a Hermitian matrix or stack of them; None if it is."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        return False
+        return f"expected a square matrix or a stack of them, got shape {a.shape}"
+    finite = np.isfinite(a)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        return f"matrix entry {at} is {a[at]}, not finite"
     asym = np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    return not (asym > HERMITIAN_TOL * scale).any()
+    off = asym > HERMITIAN_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if off.any():
+        at = f" at {tuple(np.argwhere(off)[0].tolist())}" if a.ndim > 2 else ""
+        return f"matrix is not Hermitian (symmetric if real) within tolerance{at}"
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """True if a is a square matrix or a (..., s, s) stack, all finite, and
+    every m has |m - m^dag| <= HERMITIAN_TOL * max(1, max|m|) entrywise."""
+    return _hermitian_fault(np.asarray(a)) is None
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """a as an array; NotHermitianError, naming the first fault, unless
+    is_hermitian(a)."""
     a = np.asarray(a)
-    if not is_hermitian(a):
-        raise NotHermitianError("matrix is not hermitian within tolerance")
+    if (fault := _hermitian_fault(a)) is not None:
+        raise NotHermitianError(fault)
     return a
 
 
@@ -74,12 +90,10 @@ def jacobi_eigvalsh(
     sorted ascending. Nothing in the library calls it: the tests keep it as
     a reference independent of LAPACK.
     """
-    m = np.array(a, dtype=float, copy=True)
+    m = require_hermitian(np.array(a, dtype=float, copy=True))
+    if m.ndim != 2:
+        raise ValueError("expected one matrix")
     n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-10 * max(1.0, np.max(np.abs(m), initial=0.0)):
-        raise ValueError("matrix is not symmetric")
     m = 0.5 * (m + m.T)
     if n == 1:
         return m[0, :1].copy()
@@ -131,10 +145,24 @@ def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
+def lowest_eigenvalues(h: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of each matrix of a Hermitian (..., s, s) stack
+    (a scalar for one matrix) from one eigvalsh call on the lower triangles.
+    Unchecked: nan where an entry is not finite, everywhere on no convergence."""
+    h = np.asarray(h)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if not finite.all():
+        h = np.where(finite[..., None, None], h, 0.0)
+    try:
+        lam = np.linalg.eigvalsh(h)[..., 0]
+    except np.linalg.LinAlgError:  # no convergence
+        lam = np.nan
+    return np.where(finite, lam, np.nan)[()]
+
+
 def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh); for a
-    (..., s, s) stack, the array of each matrix's smallest eigenvalue."""
-    return np.linalg.eigvalsh(require_hermitian(h))[..., 0]
+    """lowest_eigenvalues(h) after require_hermitian(h)."""
+    return lowest_eigenvalues(require_hermitian(h))
 
 
 def row_space_basis(gram: np.ndarray) -> tuple[list[int], list[int]]:

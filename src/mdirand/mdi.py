@@ -538,9 +538,6 @@ def build_sdp(
     # e_kk - e_00, d^2 - 1 of them
     traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
     rhos = np.stack([s.mat for s in scenario.ensemble.states])
-    # per live face: basis, traceless and states compressed onto V_x
-    comp = [[faces[x].conj().T @ h @ faces[x] for h in (basis, traceless, rhos)]
-            for x in live]
     gen = scenario.generation_index - 1
     span = np.arange(d2)
     # family ii of (f, e), the one row group of the blocks (f, x, e): the
@@ -564,7 +561,11 @@ def build_sdp(
             first = (f * n_l + xi) * n_o
             if not any(emit[first:first + n_o]):
                 continue
-            bx, tx, rx = comp[xi]
+            # basis, traceless and states compressed onto V_x, or as they
+            # are on a full face (V_x = I exactly)
+            v = faces[x]
+            bx, tx, rx = ((basis, traceless, rhos) if np.array_equal(v, np.eye(d))
+                          else [v.conj().T @ h @ v for h in (basis, traceless, rhos)])
             # i: family 0 only; iii: -basis on family 0, +basis on family a
             norm, norm_c = ([[0]], [np.eye(bx.shape[-1])[None]]) if f == 0 else ([], [])
             others = range(1, n_fam) if f == 0 else [f]
@@ -591,7 +592,6 @@ def build_sdp(
         coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
         objective += [None, None] * (n_s * n_l)
         block_dims += [1, 1] * (n_s * n_l)
-    del comp  # so from_blocks holds only the blocks' data
     raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
     del rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)

@@ -214,9 +214,9 @@ def bloch_to_density(r: np.ndarray) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    if float(np.linalg.norm(r)) > 1.0 + BLOCH_TOL:
-        raise ValueError("Bloch vector norm exceeds 1")
-    return DensityMatrix(0.5 * _bloch_operator(r))
+    if (norm := float(np.linalg.norm(r))) > 1.0 + BLOCH_TOL:
+        raise ValueError(f"Bloch vector norm {norm:.12g} exceeds 1")
+    return DensityMatrix(0.5 * _bloch_operator(r))  # rejects a nan component
 
 
 def _bloch_operator(r: np.ndarray) -> np.ndarray:

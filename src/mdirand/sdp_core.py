@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import is_hermitian, row_space_basis
+from .linalg import require_hermitian, row_space_basis
 
 __all__ = [
     "OPTIMAL",
@@ -234,8 +234,7 @@ class SdpProblem:
             ):
                 raise ValueError("constraint block has wrong shape")
         for a in {id(a): a for a in [*coeffs, *objective] if a is not None}.values():
-            if not (np.all(np.isfinite(a)) and is_hermitian(a)):
-                raise ValueError("constraint blocks must be finite and symmetric (Hermitian)")
+            require_hermitian(a)  # names a non-finite entry or a non-Hermitian matrix
         size_groups = list(by_size.values())
         groups = [np.asarray(r, dtype=np.intp) for r in groups]
         grouped = np.concatenate([np.zeros(0, dtype=np.intp), *groups])

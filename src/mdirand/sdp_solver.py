@@ -43,12 +43,16 @@ certified_upper_bound is the smallest of them, returned with the logged
 iterate it belongs to. It rests on a backward-stable floating-point
 eigenvalue, not a verified one; an exact verifier is still open (see
 ROADMAP.md).
+
+The certificate and the step lengths read every eigenvalue from
+linalg.lowest_eigenvalues, the library's one rule: a slack with a nan
+eigenvalue (a non-finite entry, no LAPACK convergence) gives no bound,
+and a side of a step with one gets no step.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,7 @@ import numpy as np
 # not called: the benchmark traces this name; the import goes when
 # ROADMAP item 1 drops that span target
 from .linalg import jacobi_eigvalsh  # noqa: F401
+from .linalg import lowest_eigenvalues
 from .sdp_core import (
     INFEASIBLE,
     NEAR_OPTIMAL,
@@ -96,6 +101,9 @@ class SolverOptions:
     verbose: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("gap_tol", "feas_tol", "relax"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         if self.gap_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.relax < 0 or self.max_iter < 0:
@@ -114,26 +122,6 @@ class _Iterate:
     min_eig: float
 
 
-def _min_eigenvalue(stacks: Iterable[np.ndarray]) -> float:
-    """Smallest eigenvalue over all group stacks; nan if an entry is not
-    finite.
-
-    One batched LAPACK eigvalsh per stack, each stack taken from the
-    iterable as it is needed; each matrix is read from its lower triangle.
-    Finiteness is checked here: numpy's batched eigvalsh returns finite
-    values for a stack with a nan on its diagonal.
-    """
-    lam = math.inf
-    try:
-        for st in stacks:
-            if not np.isfinite(st).all():
-                return math.nan
-            lam = min(lam, float(np.min(np.linalg.eigvalsh(st))))
-    except np.linalg.LinAlgError:  # no convergence
-        return math.nan
-    return lam
-
-
 def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
     """L^-1 for L = chol(X) of every group stack; None when a block is
     not numerically positive definite."""
@@ -145,37 +133,22 @@ def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
 
 def _step_lengths(l_inv: list[np.ndarray], sides: list[list[np.ndarray]]) -> list[float]:
     """min(1, STEP_FRACTION * alpha_max) for each side, alpha_max the
-    largest step keeping every X + alpha_max * dX PSD, from one batched
-    LAPACK eigvalsh call per group for all sides.
+    largest step keeping every X + alpha_max * dX PSD, from one
+    lowest_eigenvalues call per group for all sides.
 
     alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)) for X = L L^dag.
     sides lists the directions dX, each one stack per group; l_inv[g]
     stacks the factors L^-1 (from _inverse_cholesky) of every side's group
     g in the same order, as the solver stacks [L_x^-1; L_z^-1] once per
-    iteration. A side whose products are not finite gets 0.0 and leaves
-    the other sides' steps as they are; if eigvalsh fails, every side gets
-    0.0.
+    iteration. A side with a nan eigenvalue gets 0.0 and leaves the other
+    sides' steps as they are.
     """
     lam = np.inf
-    try:
-        for li, *ds in zip(l_inv, *sides):
-            prod = li @ np.concatenate(ds) @ li.conj().transpose(0, 2, 1)
-            per_side = prod.reshape(len(sides), -1)  # a view: one row per side
-            finite = np.isfinite(per_side.sum(axis=1))  # false on a nan or inf entry
-            if not finite.all():
-                per_side[~finite] = 0.0  # eigvalsh then reads finite entries only
-            lam_g = np.linalg.eigvalsh(prod)[:, 0].reshape(len(sides), -1).min(axis=1)
-            lam = np.minimum(lam, np.where(finite, lam_g, np.nan))
-    except np.linalg.LinAlgError:  # no convergence
-        return [0.0] * len(sides)
+    for li, *ds in zip(l_inv, *sides):
+        prod = li @ np.concatenate(ds) @ li.conj().transpose(0, 2, 1)
+        lam = np.minimum(lam, lowest_eigenvalues(prod).reshape(len(sides), -1).min(axis=1))
     return [0.0 if math.isnan(v) else min(1.0, STEP_FRACTION / -v) if v < 0.0 else 1.0
             for v in lam.tolist()]
-
-
-def _step_length(l_inv: list[np.ndarray] | None, ds: list[np.ndarray]) -> float:
-    """The _step_lengths step of one side, X given by its factor l_inv
-    from _inverse_cholesky; 0.0 when l_inv is None."""
-    return 0.0 if l_inv is None else _step_lengths(l_inv, [ds])[0]
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -195,15 +168,14 @@ def _max_norm(stacks: list[np.ndarray]) -> float:
 
 def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
     """The true slack A*(y) - C as group stacks, Hermitian part, and its
-    smallest eigenvalue.
+    smallest eigenvalue, nan if any block's is.
 
-    The eigenvalue comes from _min_eigenvalue. LAPACK's eigvalsh is
-    backward stable: its eigenvalues are exact for some S + E with
-    ||E||_2 of order n * u * ||S||_2 (u = 2**-53, n the block size).
-    That is not a verified bound.
+    LAPACK's eigvalsh (linalg.lowest_eigenvalues) is backward stable: its
+    eigenvalues are exact for some S + E with ||E||_2 of order
+    n * u * ||S||_2 (u = 2**-53, n the block size), not a verified bound.
     """
     slack = [_sym(a - c) for a, c in zip(p.adjoint(y), p.objective_stacks)]
-    return slack, _min_eigenvalue(slack)
+    return slack, float(np.concatenate([lowest_eigenvalues(st) for st in slack]).min())
 
 
 def _shifted_bound(p: SdpProblem, dual: float, min_eig: float) -> float:
@@ -397,7 +369,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
             dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
             if l_both is None:  # X not numerically positive definite: no primal step
-                return dx, dy, dz, 0.0, _step_length(lz, dz)
+                return dx, dy, dz, 0.0, _step_lengths(lz, [dz])[0]
             return dx, dy, dz, *_step_lengths(l_both, [dx, dz])
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>

@@ -690,3 +690,43 @@ def test_finite_q_endgame_on_one_blas_thread(tmp_path):
     record = json.loads(proc.stdout)
     assert record["status"] in ("optimal", "near-optimal")
     assert abs(record["rate_bits"] - 0.5790300632077048) <= 1e-7
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep"])
+@pytest.mark.parametrize("flag, value", [
+    ("--gap-tol", "nan"), ("--gap-tol", "inf"), ("--feas-tol", "nan"), ("--feas-tol", "inf"),
+    ("--relax", "nan"), ("--relax", "inf"),
+])
+def test_non_finite_solver_flags_exit_before_any_solve(capsys, monkeypatch, command, flag, value):
+    # a nan tolerance ended numerical-failure, an infinite one optimal at a
+    # looser bound, and a nan or infinite band "b must be finite" from the
+    # assembled problem; each now stops at the options, naming the field
+    def no_solve(*args):
+        raise AssertionError("solved with a non-finite solver option")
+
+    monkeypatch.setattr(cli.mdi, "guessing_probability", no_solve)
+    extra = ["--param", "eta", *_GRID] if command == "sweep" else []
+    assert cli.main([command, "fig3-green", flag, value, *extra]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    field = flag[2:].replace("-", "_")
+    assert captured.err.startswith(f"error: solver options: {field} must be finite (got {value})")
+    assert captured.out == ""
+
+
+def test_serial_sweep_reaches_every_traced_call(monkeypatch, capsys):
+    # the benchmark's traced run wraps these module attributes, and its
+    # per-operation times come from the cli._sweep_worker spans: a serial
+    # sweep that called the worker, or one of the layers below it, under
+    # another name would leave those spans empty
+    calls = []
+    for module, name in ((cli, "_sweep_worker"), (mdi, "guessing_probability"),
+                         (mdi, "build_sdp"), (mdi, "solve")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["sweep", "fig3-blue", "--param", "eta", *_GRID]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["optimal"] * 3
+    assert calls == ["_sweep_worker", "guessing_probability", "build_sdp", "solve"] * 3

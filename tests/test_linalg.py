@@ -1,12 +1,19 @@
+import ast
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mdirand import linalg
 from mdirand.linalg import (
     ConvergenceError,
     NotHermitianError,
     eigh_hermitian,
     is_hermitian,
     jacobi_eigvalsh,
+    lowest_eigenvalues,
     min_eigenvalue,
     row_space_basis,
 )
@@ -173,3 +180,61 @@ def test_linalg_functions_do_not_mutate_inputs():
     for fn in (eigh_hermitian, min_eigenvalue):
         fn(h)
         assert np.array_equal(h, snap_h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_entries_fail_the_one_hermitian_rule(bad):
+    # nan and inf compare False against the tolerance, so without its own
+    # finiteness test the rule would pass them: numpy's eigvalsh then gives
+    # min_eigenvalue([[nan, 0], [0, 1]]) == 0.0
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 2, 0] = bad
+    assert not is_hermitian(stack) and not is_hermitian(stack[1])
+    for h, at in ((stack, "(1, 2, 0)"), (stack[1], "(2, 0)")):
+        with pytest.raises(NotHermitianError, match=re.escape(f"matrix entry {at} is")):
+            min_eigenvalue(h)
+    with pytest.raises(NotHermitianError, match="not finite"):
+        min_eigenvalue([[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_lowest_eigenvalues_is_nan_exactly_where_an_entry_is_not_finite():
+    # a stack of -0.5 I with a nan on one matrix's diagonal: numpy's batched
+    # eigvalsh reads it as finite; the helper masks that matrix only
+    st = np.stack([-0.5 * np.eye(3)] * 3).astype(complex)
+    st[1, 1, 1] = math.nan
+    st[2, 0, 2] = st[2, 2, 0] = math.inf
+    lam = lowest_eigenvalues(st)
+    assert lam[0] == -0.5 and np.isnan(lam[1:]).all()
+    assert math.isnan(lowest_eigenvalues(st[1])) and lowest_eigenvalues(st[0]) == -0.5
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    h = a + a.conj().transpose(0, 2, 1)
+    assert np.array_equal(lowest_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0])
+    assert np.array_equal(min_eigenvalue(h), lowest_eigenvalues(h))
+
+
+def test_lowest_eigenvalues_is_nan_everywhere_without_convergence(monkeypatch):
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert np.isnan(lowest_eigenvalues(np.stack([np.eye(2)] * 3))).all()
+
+
+def test_eigen_solves_are_called_from_linalg_only():
+    # every eigenvalue the library reads goes through linalg's one rule
+    # (finite entries, nan for a masked matrix); another module calling
+    # LAPACK's eigvalsh or eigh directly would split that rule again
+    pkg = Path(linalg.__file__).parent
+    calls = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh"):
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                calls += [f"{path.name}:{node.lineno}" for a in node.names
+                          if a.name in ("eigvalsh", "eigh")]
+    assert len(list(pkg.glob("*.py"))) > 5
+    assert calls == []

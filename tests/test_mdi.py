@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdirand import cli, mdi
-from mdirand.linalg import row_space_basis
+from mdirand.linalg import lowest_eigenvalues, row_space_basis
 from mdirand.quantum import (
     DensityMatrix,
     ObservedStatistics,
@@ -584,7 +584,7 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     # full problem's optimum, and its dual y, expanded to the full problem's
     # raw rows as y_i = s_i y_R / |R|, is a dual point of the full problem
     # with the same value b.y
-    from mdirand.sdp_solver import _min_eigenvalue, solve
+    from mdirand.sdp_solver import solve
 
     scen = SYMMETRIC_CASES[name]()
     sym, live, _ = mdi._block_orbits(scen, mdi.face_bases(scen))
@@ -608,7 +608,8 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     assert kept.size == raw.n_constraints
     y = np.where(red >= 0, wt * y_red[red], 0.0)
     slack = [a - c for a, c in zip(raw_full.adjoint(y), raw_full.objective_stacks)]
-    assert _min_eigenvalue([0.5 * (s + s.conj().transpose(0, 2, 1)) for s in slack]) >= -1e-9
+    assert all(lowest_eigenvalues(0.5 * (s + s.conj().transpose(0, 2, 1))).min() >= -1e-9
+               for s in slack)
     assert abs(float(raw_full.b @ y) - sol.certified_upper_bound) <= 1e-9
 
 
@@ -645,3 +646,17 @@ def test_four_copies_solve_on_their_orbits():
     res = mdi.guessing_probability(scen)
     assert res.status == OPTIMAL
     assert abs(res.rate_bits - 0.5516150510) <= 1e-7
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_strategy_validate_rejects_non_finite_operators(bad):
+    # an all-nan strategy passed every check before: each comparison of a
+    # nan deviation against STRATEGY_TOL is False
+    scen = _fig3_red(eta=0.9)
+    shape = (scen.n_states, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim)
+    with pytest.raises(ValueError, match=r"matrix entry \(0, 0, 0, 0, 0\) is .*not finite"):
+        mdi.EffectiveStrategy(np.full(shape, bad, dtype=complex)).validate(scen)
+    ops = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators.copy()
+    ops[1, 0, 1, 1, 0] = bad
+    with pytest.raises(ValueError, match=r"matrix entry \(1, 0, 1, 1, 0\) is"):
+        mdi.EffectiveStrategy(ops).validate(scen)

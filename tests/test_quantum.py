@@ -242,3 +242,21 @@ def test_unbiasedness_identity_for_extremal_specs():
         plus = q.bloch_to_density([1.0, 0.0, 0.0])
         for e in povm.elements:
             assert np.trace(plus.mat @ e).real == pytest.approx(1.0 / n, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_states_and_povms_reject_non_finite_entries(bad):
+    # nan fails no tolerance comparison: the trace, norm, completeness and
+    # eigenvalue checks all passed such inputs before linalg's Hermitian
+    # rule tested finiteness
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match=r"matrix entry \(1, 1\) is .*not finite"):
+        q.DensityMatrix(rho)
+    with pytest.raises(ValueError, match="not finite" if math.isnan(bad) else "norm inf"):
+        q.bloch_to_density([bad, 0.0, 0.0])
+    elems = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    elems[1] = elems[1].astype(complex)
+    elems[1][0, 1] = elems[1][1, 0] = bad
+    with pytest.raises(ValueError, match=r"matrix entry \(1, 0, 1\) is .*not finite"):
+        q.Povm(tuple(elems))

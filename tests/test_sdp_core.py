@@ -70,8 +70,8 @@ def test_problem_rejects_asymmetric_constraint():
     ([[np.inf]], [1.0]), ([[1.0]], [np.nan]), ([[1.0]], [np.inf]),
 ])
 def test_problem_rejects_non_finite_data(objective, b):
-    # NaN compares False in the hermiticity check, so finiteness is its
-    # own check; solve would otherwise start from a non-finite iterate
+    # NaN compares False against any tolerance, so the Hermitian rule tests
+    # finiteness first; solve would otherwise start from a non-finite iterate
     with pytest.raises(ValueError, match="finite"):
         core.SdpProblem.from_rows((1,), {0: objective}, [{0: np.eye(1)}], b)
 
@@ -551,3 +551,13 @@ def test_no_lu_solve_reaches_a_threaded_size(name, doubled, monkeypatch):
     if (name, doubled) == ("fig7-3o", True):
         assert [rows.shape for rows in p.arrow.blocks] == [(3, 9), (3, 15)]
         assert p.arrow.border.size == 69
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["constraint", "objective"])
+def test_problem_names_a_non_finite_block_entry(bad, where):
+    a = np.eye(2)
+    a[1, 0] = a[0, 1] = bad
+    objective, constraint = (np.eye(2), a) if where == "constraint" else (a, np.eye(2))
+    with pytest.raises(ValueError, match=r"^matrix entry \((0, )?0, 1\) is .*not finite$"):
+        core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))

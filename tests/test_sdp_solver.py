@@ -6,7 +6,7 @@ import pytest
 
 from mdirand import cli, mdi, sdp_solver
 from mdirand import sdp_core as core
-from mdirand.linalg import jacobi_eigvalsh
+from mdirand.linalg import jacobi_eigvalsh, lowest_eigenvalues
 from mdirand.sdp_core import SCHUR_CHUNK
 from mdirand.sdp_solver import (
     STEP_FRACTION,
@@ -14,8 +14,7 @@ from mdirand.sdp_solver import (
     SolverOptions,
     _dual_slack,
     _inverse_cholesky,
-    _min_eigenvalue,
-    _step_length,
+    _step_lengths,
     certify_upper_bound,
     solve,
 )
@@ -181,7 +180,7 @@ def test_non_finite_slack_is_never_certified(at):
     # and a slack with such an entry must not give a bound
     st = np.stack([-0.5 * np.eye(3)] * 2).astype(complex)
     st[at[0], at[1], at[1]] = math.nan
-    assert math.isnan(_min_eigenvalue([np.eye(2)[None], st]))
+    assert np.isnan(lowest_eigenvalues(st)).tolist() == [at[0] == 0, at[0] == 1]
     p = _prep((2,), {0: np.diag([1.0, 2.0])},
               [{0: np.eye(2)}, {0: np.diag([1.0, 0.0])}], [2.0, 0.5])
     sol = solve(p)
@@ -207,7 +206,7 @@ def test_slack_eigenvalue_matches_jacobi_on_presets(name, doubled):
     p, _ = mdi.build_sdp(doubled_scenario(scen) if doubled else scen)
     sol = solve(p)
     slack = sol.slack_blocks
-    lam = _min_eigenvalue(p.stack_groups(slack))
+    lam = float(np.concatenate([lowest_eigenvalues(st) for st in p.stack_groups(slack)]).min())
     scale = max(1.0, max(float(np.linalg.norm(blk)) for blk in slack))
     assert abs(lam - _jacobi_min(slack)) <= 1e-12 * scale
     assert sol.dual_min_eigenvalue == lam
@@ -532,7 +531,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
 
     for scale in (0.05, 0.5, 5.0):
         ds = [scale * _sym(rng.standard_normal((s, s))) for s in dims]
-        alpha = _step_length(_inverse_cholesky(stacked(xs)), stacked(ds))
+        alpha = _step_lengths(_inverse_cholesky(stacked(xs)), [stacked(ds)])[0]
         assert 0.0 < alpha <= 1.0
         assert _min_eig([x + alpha * d for x, d in zip(xs, ds)]) > 0.0
         if alpha == 1.0:
@@ -541,7 +540,7 @@ def test_step_length_matches_eigvalsh_oracle(seed):
             edge = [x + (alpha / fraction) * d for x, d in zip(xs, ds)]
             assert abs(_min_eig(edge)) <= 1e-9 * x_norm
     psd = [r @ r.T for r in (rng.standard_normal((s, s)) for s in dims)]
-    assert _step_length(_inverse_cholesky(stacked(xs)), stacked(psd)) == 1.0
+    assert _step_lengths(_inverse_cholesky(stacked(xs)), [stacked(psd)])[0] == 1.0
 
 
 @pytest.mark.parametrize("bad", [None, "primal", "dual"])
@@ -561,7 +560,7 @@ def test_merged_step_lengths_match_each_side_alone(bad):
     if bad is not None:
         (dx if bad == "primal" else dz)[2][0, 1, 1] = np.nan
     both = sdp_solver._step_lengths([np.concatenate(p) for p in zip(lx, lz)], [dx, dz])
-    alone = [_step_length(lx, dx), _step_length(lz, dz)]
+    alone = [_step_lengths(lx, [dx])[0], _step_lengths(lz, [dz])[0]]
     assert both == alone
     assert (both[0] == 0.0) == (bad == "primal") and (both[1] == 0.0) == (bad == "dual")
 
@@ -680,6 +679,12 @@ def test_options_validation():
         SolverOptions(feas_tol=-1e-9)
     with pytest.raises(ValueError):
         SolverOptions(relax=-0.1)
+    # nan fails every comparison and inf passes "> 0": neither may reach
+    # the stopping rule or the statistics band
+    for field in ("gap_tol", "feas_tol", "relax"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SolverOptions(**{field: value})
 
 
 def test_options_reject_negative_max_iter():
