@@ -604,7 +604,10 @@ def main(argv=None) -> int:
     p_val.add_argument("scenario", help="scenario JSON path or preset name")
     p_val.set_defaults(func=cmd_validate)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed its message: 2 for malformed flags, 0 for --help
+        return EXIT_SCHEMA if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # SchemaError included

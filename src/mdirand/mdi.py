@@ -23,9 +23,9 @@ Two accounting modes:
   all statistics with the same objective, and copying one family to every
   input gives a feasible per-input strategy back.
 
-A product scenario of m copies whose states, statistics and faces the
-permutations of the copies leave unchanged is solved on one block per
-orbit of S_m, each weighted by its orbit size (see build_sdp).
+Every scenario is solved on one block per orbit of its copy group (see
+build_sdp): S_m for a product scenario of m copies that the copy
+permutations leave unchanged, else the order-1 group.
 """
 from __future__ import annotations
 
@@ -161,7 +161,7 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class _CopySymmetry:
-    """S_m permuting the m copies of a product scenario.
+    """S_m permuting the m copies of a product scenario; m = 1: the order-1 group.
 
     Row g of each array maps every state, outcome and computational-basis
     index to its image under the g-th permutation of the copies' digits
@@ -191,8 +191,10 @@ def _moved(mats: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
     return mats[..., inv, :][..., inv]
 
 
-def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray]) -> _CopySymmetry | None:
-    """The copy-permutation group S_m of a product scenario, or None.
+def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
+                   look: bool = True) -> _CopySymmetry:
+    """The copy-permutation group of the scenario: S_m of a product
+    scenario, else the order-1 group (identity maps, copies == 1).
 
     Candidates have d = d0^m, n_s = n0^m and n_o = o0^m, m >= 2, tried from
     the largest m down. S_m is kept when every adjacent transposition maps
@@ -201,10 +203,10 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray]) -> _CopySymmetry
     (finite-q) or fixes the generation input (asymptotic), and maps each
     face onto the face of the permuted outcome, of equal rank, all within
     SYMMETRY_TOL. A dimension that is no power m >= 2 (every qubit
-    scenario) returns at once.
+    scenario) tries no candidate, and look=False (a band) tries none.
     """
     sizes = (scenario.n_states, scenario.n_outcomes, scenario.dim)
-    for m in range(int(math.log2(scenario.dim)), 1, -1):
+    for m in range(int(math.log2(scenario.dim)) if look else 1, 1, -1):
         roots = [round(n ** (1.0 / m)) for n in sizes]
         if any(r**m != n for r, n in zip(roots, sizes)):
             continue
@@ -214,7 +216,7 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray]) -> _CopySymmetry
             group = list(itertools.permutations(range(m)))
             return _CopySymmetry(m, *[np.stack([_digit_map(r, p) for p in group])
                                       for r in roots])
-    return None
+    return _CopySymmetry(1, *[np.arange(n)[None] for n in sizes])
 
 
 def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarray,
@@ -242,10 +244,9 @@ def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarra
 
 
 def _live_images(sym: _CopySymmetry, live: list[int]) -> np.ndarray:
-    """(|G|, L) image of each live outcome, as its position x' in live."""
-    pos = np.zeros(sym.outcomes.shape[1], dtype=np.intp)
-    pos[live] = np.arange(len(live))
-    return pos[sym.outcomes[:, live]]
+    """(|G|, L) image of each live outcome, as its position x' in live
+    (the group maps live outcomes onto live ones)."""
+    return np.searchsorted(live, sym.outcomes[:, live])
 
 
 def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int) -> np.ndarray:
@@ -258,88 +259,98 @@ def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int) -> 
 
 def _block_orbits(
     scenario: Scenario, faces: list[np.ndarray], look: bool = True
-) -> tuple[_CopySymmetry | None, list[int], np.ndarray]:
-    """build_sdp's blocks: the copy symmetry (None without one, or when
+) -> tuple[_CopySymmetry, list[int], np.ndarray]:
+    """build_sdp's blocks: the copy group (see _copy_symmetry; order 1 when
     look is False), the live outcomes (nonempty face) and, for every block
     k in the numbering (f L + x') n_o + e, canon[k], the first block of
-    its orbit (k itself without a symmetry)."""
+    its orbit (k itself under the order-1 group)."""
     n_o = scenario.n_outcomes
     n_fam = scenario.n_states if scenario.mode == MODE_FINITE_Q else 1
     live = [x for x in range(n_o) if faces[x].shape[1] > 0]
-    sym = _copy_symmetry(scenario, faces) if look else None
-    if sym is None:
-        return None, live, np.arange(n_fam * len(live) * n_o)
+    sym = _copy_symmetry(scenario, faces, look)
     return sym, live, _block_images(sym, n_fam, live, n_o).min(axis=0)
 
 
-def _row_orbits(
-    sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row orbits of build_sdp's raw rows (relax = 0).
+def _row_offsets(d: int, n_s: int, n_fam: int, n_o: int, n_l: int, band: bool) -> tuple[int, ...]:
+    """The first rows o3, o4, o5 of build_sdp's families iii, iv and band
+    rows (family ii starts at row 1), and its raw row count m."""
+    o3 = 1 + n_fam * n_o * (d * d - 1)
+    o4 = o3 + (n_fam - 1) * n_l * d * d
+    return o3, o4, o4 + n_s * n_l, o4 + n_s * n_l * (2 if band else 1)
 
-    A copy permutation maps each _hermitian_basis element to +- another
-    (its basis map fixes index 0, so the traceless e_kk - e_00 too), and
-    so maps every raw row i to +- a row. Returns the canonical rows (the
-    smallest index of each orbit that no stabilizer element maps to its
-    own negative, in increasing order), each raw row's reduced index (-1
-    when its orbit is negated: such rows vanish on symmetric points) and
-    its weight s_i / |R|, s_i the sign that carries the canonical row onto
-    row i and |R| the orbit size (0 when dropped).
+
+def _row_orbits(
+    sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int, band: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row orbits of build_sdp's raw rows, with its band rows if band.
+
+    A copy permutation maps each _hermitian_basis element to +- another (its
+    basis map fixes index 0, so the traceless e_kk - e_00 too), and so maps
+    every raw row i to +- a row; a band row moves with its statistics row.
+    Returns the canonical rows (the smallest index of each orbit that no
+    stabilizer element maps to its own negative, in increasing order), each
+    raw row's reduced index (-1 when its orbit is negated: such rows vanish
+    on symmetric points) and its weight s_i / |R|, s_i the sign that carries
+    the canonical row onto row i and |R| the orbit size (0 when dropped).
+    The order-1 group maps every row to itself with weight 1.
     """
     h = sym.hilbert
     n_g, d = h.shape
     d2, n_l = d * d, len(live)
-    # image and sign of each basis element; the pair k < l has its
-    # symmetric element at pair[k, l] and its antisymmetric one next
-    k, l = np.triu_indices(d, 1)
+    # image of each basis element; the pair k < l has its symmetric
+    # element at pair[k, l] and its antisymmetric one next
+    k, l = np.nonzero(np.arange(d)[:, None] < np.arange(d))
     pair = np.zeros((d, d), dtype=np.intp)
     pair[k, l] = pair[l, k] = d + 2 * np.arange(k.size)
     hk, hl = h[:, k], h[:, l]
     bas = np.empty((n_g, d2), dtype=np.intp)
     bas[:, :d], bas[:, d::2], bas[:, d + 1::2] = h, pair[hk, hl], pair[hk, hl] + 1
-    bas_s = np.ones((n_g, d2))
-    bas_s[:, d + 1::2] = np.where(hk < hl, 1.0, -1.0)
     # traceless: the off-diagonal elements, then e_kk - e_00 for k >= 1
     tl = np.concatenate([bas[:, d:] - d, d2 - d - 1 + h[:, 1:]], axis=1)
-    tl_s = np.concatenate([bas_s[:, d:], np.ones((n_g, d - 1))], axis=1)
     fam, a = sym.states[:, :n_fam, None, None], sym.states[:, :, None]
     lx = _live_images(sym, live)
-    o3 = 1 + n_fam * n_o * (d2 - 1)
-    o4 = o3 + (n_fam - 1) * n_l * d2
-    parts = [  # (image, sign) of rows i, ii, iii and iv
-        (np.zeros((n_g, 1), dtype=np.intp), np.ones((n_g, 1))),
-        (1 + (fam * n_o + sym.outcomes[:, None, :, None]) * (d2 - 1) + tl[:, None, None],
-         tl_s[:, None, None]),
-        (o3 + ((fam[:, 1:] - 1) * n_l + lx[:, None, :, None]) * d2 + bas[:, None, None],
-         bas_s[:, None, None]),
-        (o4 + a * n_l + lx[:, None, :], np.ones((n_g, 1, 1))),
+    o3, o4, o5, _ = _row_offsets(d, a.shape[1], n_fam, n_o, n_l, band)
+    parts = [  # images of rows i, ii, iii, iv and the band rows
+        np.zeros((n_g, 1), dtype=np.intp),
+        1 + (fam * n_o + sym.outcomes[:, None, :, None]) * (d2 - 1) + tl[:, None, None],
+        o3 + ((fam[:, 1:] - 1) * n_l + lx[:, None, :, None]) * d2 + bas[:, None, None],
+        *[o + a * n_l + lx[:, None, :] for o in ([o4, o5] if band else [o4])],
     ]
-    img = np.concatenate([i.reshape(n_g, -1) for i, _ in parts], axis=1)
-    sign = np.concatenate([np.broadcast_to(s, i.shape).reshape(n_g, -1) for i, s in parts],
-                          axis=1)
-    m = img.shape[1]
-    rows = np.arange(m)
+    img = np.concatenate([i.reshape(n_g, -1) for i in parts], axis=1)
+    rows = np.arange(img.shape[1])
+    if n_g == 1:  # the identity
+        return rows, rows, np.ones(rows.size)
+    # signs: an antisymmetric element turns when its pair's order does
+    bas_s = np.ones((n_g, d2))
+    bas_s[:, d + 1::2] = np.where(hk < hl, 1.0, -1.0)
+    tl_s = np.concatenate([bas_s[:, d:], np.ones((n_g, d - 1))], axis=1)
+    signs = [1.0, tl_s[:, None, None], bas_s[:, None, None]] + [1.0] * (len(parts) - 3)
+    sign = np.concatenate([np.broadcast_to(s, i.shape).reshape(n_g, -1)
+                           for i, s in zip(parts, signs)], axis=1)
     canon = img.min(axis=0)
     negated = np.any((img == rows) & (sign < 0.0), axis=0)
     kept = np.flatnonzero((canon == rows) & ~negated)
-    index = np.full(m, -1)
+    index = np.full(rows.size, -1)
     index[kept] = np.arange(kept.size)
     red = index[canon]
-    s = sign[img.argmin(axis=0), rows]
-    return kept, red, np.where(red >= 0, s / np.bincount(canon, minlength=m)[canon], 0.0)
+    s = sign[img.argmin(axis=0), rows] / np.bincount(canon, minlength=rows.size)[canon]
+    return kept, red, np.where(red >= 0, s, 0.0)
 
 
 def _orbit_sums(rows: np.ndarray, coef: np.ndarray, red: np.ndarray,
                 wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One representative block's rows in reduced numbering and their
     coefficients: (1/|R|) sum_{i in R} s_i A_i over each row orbit R, one
-    real product over the stack's real view."""
-    r = red[rows]
+    real product over the stack's real view. A block whose rows are each
+    their own orbit (weight 1) keeps its stack, the same array."""
+    r, w = red[rows], wt[rows]
+    if (w == 1.0).all():
+        return r, coef
     on = np.flatnonzero(r >= 0)
     touched = np.zeros(red.max() + 1, dtype=bool)
     touched[r[on]] = True
     mix = np.zeros((np.count_nonzero(touched), rows.size))
-    mix[np.cumsum(touched)[r[on]] - 1, on] = wt[rows[on]]
+    mix[np.cumsum(touched)[r[on]] - 1, on] = w[on]
     s = coef.shape[-1]
     sums = mix @ coef.view(float).reshape(rows.size, -1)
     return np.flatnonzero(touched), sums.view(complex).reshape(-1, s, s)
@@ -418,14 +429,9 @@ def build_sdp(
 ) -> tuple[SdpProblem, PreprocessReport]:
     """Assemble and preprocess the guessing-probability SDP.
 
-    One PSD block per (family f, outcome x, guess e). ``finite-q`` keeps
-    one family M_{x,e|a} per input a, because its objective weighs every
-    input's guess. ``asymptotic`` uses a single family M_{x,e}: its
-    objective reads only the generation input, and with family iii every
-    input's outcome marginal is the same operator, so the generation
-    family of any feasible point meets every statistics row with the same
-    objective; conversely, copying one family to every input satisfies
-    i-iv. Both problems therefore have the same optimum.
+    One PSD block per (family f, outcome x, guess e): one family M_{x,e|a}
+    per input a in ``finite-q``, a single family M_{x,e} in ``asymptotic``,
+    which has the same optimum (see the module docstring).
 
     Each block is compressed onto the certified range V_x of its outcome
     marginal (see face_bases; the generic full-rank case keeps the full
@@ -449,49 +455,48 @@ def build_sdp(
          (a > 1, live x);
     iv.  observed statistics, one row per (a, live x) on input a's family;
          with opts.relax > 0 each row is widened to a +-relax band by two
-         1x1 slack blocks t, t' and one more row per statistics row:
+         1x1 slack blocks t, t' and one band row per statistics row:
          stat + t = target + relax and t + t' = 2 relax.
 
-    Rows are numbered family by family, F being the number of families
-    and x' the position of x among the live outcomes: i. 0;
-    ii. 1 + (f n_o + e)(d^2 - 1) + j; iii. from the end of ii,
-    ((a - 1) L + x') d^2 + j; iv. from the end of iii, a L + x', ending
-    at 1 + F n_o (d^2 - 1) + (F - 1) L d^2 + n_s L; the slack rows last,
-    in the order of iv. So block (f, x, e) meets, in increasing row order,
-    the identity (i, family 0 only), the traceless basis (ii), -basis on
-    family 0 and +basis on the others (iii) and the weighted states (iv),
-    and is written directly in the layout of SdpProblem.from_blocks, with
-    the family-ii rows of each (f, e) as one row group. Rows
-    whose coefficients vanish (the statistics of an input with probability
-    0) are still emitted; the row selection of preprocessing drops them. A
+    Rows are numbered family by family (_row_offsets owns the first row
+    of each), x' being the position of x among the live outcomes: i. 0;
+    ii. 1 + (f n_o + e)(d^2 - 1) + j; iii. from o3, ((a - 1) L + x') d^2 + j;
+    iv. from o4, a L + x'; the band rows from o5, in the order of iv. So
+    block (f, x, e) meets, in increasing row order, the identity (i,
+    family 0 only), the traceless basis (ii), -basis on family 0 and
+    +basis on the others (iii) and the weighted states (iv), and is
+    written directly in the layout of SdpProblem.from_blocks, with the
+    family-ii rows of each (f, e) as one row group. Rows whose
+    coefficients vanish (the statistics of an input with probability 0)
+    are still emitted; the row selection of preprocessing drops them. A
     nonzero target on an outcome with an empty face raises
     InfeasibleProblemError. The raw row count is checked against
     opts.max_constraints right after face_bases, before anything of the
     problem's size is allocated.
 
-    A product scenario of m copies whose data the copy permutations S_m
-    leave unchanged (see _copy_symmetry; relax = 0 only) is solved on its
-    symmetric points, which hold an optimum: averaging any feasible point
-    over the group keeps it feasible and keeps its value. g moves block k
-    to g.k by the permutation unitary U_g, conjugated onto the faces, and
-    maps each raw row i to s_i times a row. The problem then keeps, in the
-    numbering above, the first block of each block orbit O_k and the first
-    row of each row orbit R, and leaves out a row orbit that a stabilizer
-    element maps to its own negative (it vanishes on symmetric points).
-    Its variable X_k stands for the sum over the orbit, |O_k| times its
-    member, and its data are group averages, in closed form:
-    A'_{R,k} = (1/|R|) sum_{i in R} s_i A_{i,k} and b_R the mean of
-    s_i b_i. On symmetric data A'_{R,k} equals the group average
-    (1/|G|) sum_g Q_g^dag A_{i,g.k} Q_g, Q_g = V_{g.x}^dag U_g V_x, which
-    k's stabilizer leaves unchanged, so no invariance rows are needed;
-    C_k, invariant too, is kept. The
-    family-ii rows of one orbit of (f, e) form one row group, and the
-    blocks get the weights |O_k| (SdpProblem.from_blocks), so that the
-    solver follows the full problem's central path. The unreduced stacks
-    are never formed. A dual y_R of this problem gives the full problem the
-    dual y_i = s_i y_R / |R|, of the same value, whose slack on each block
-    g.k is the reduced slack of k conjugated by U_g (up to SYMMETRY_TOL
-    times |y|), so the certified bound holds for both.
+    Every scenario is solved on the symmetric points of its copy group G
+    (see _copy_symmetry): S_m for a product scenario of m copies whose data
+    the copy permutations leave unchanged, else, and always under a band,
+    the order-1 group. They hold an optimum: averaging a feasible point over
+    G keeps it feasible and keeps its value. g moves block k to g.k by the
+    permutation unitary U_g, conjugated onto the faces, and maps each raw
+    row i to s_i times a row (_row_orbits). The problem keeps the first
+    block of each block orbit O_k and the first row of each row orbit R, and
+    leaves out a row orbit that a stabilizer element maps to its own
+    negative (it vanishes on symmetric points). X_k stands for the sum over
+    the orbit, |O_k| times its member; the data are group averages in closed
+    form: A'_{R,k} = (1/|R|) sum_{i in R} s_i A_{i,k} and b_R the mean of
+    s_i b_i. On symmetric data A'_{R,k} equals the average (1/|G|) sum_g
+    Q_g^dag A_{i,g.k} Q_g, Q_g = V_{g.x}^dag U_g V_x, which k's stabilizer
+    leaves unchanged, so no invariance rows are needed; C_k, invariant too,
+    is kept. The family-ii rows of one orbit of (f, e) form one row group,
+    and the blocks get the weights |O_k| (SdpProblem.from_blocks), so that
+    the solver follows the full problem's central path; the unreduced
+    stacks are never formed. A dual y_R gives the full problem the dual
+    y_i = s_i y_R / |R| of the same value, whose slack on block g.k is the
+    reduced slack of k conjugated by U_g (up to SYMMETRY_TOL times |y|), so
+    the certified bound holds for both. Under the order-1 group each orbit
+    is one block or one row, of weight 1.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
@@ -504,18 +509,14 @@ def build_sdp(
 
     faces = face_bases(scenario) if relax == 0.0 else [np.eye(d, dtype=complex)] * n_o
     n_l = sum(v.shape[1] > 0 for v in faces)
-    # first rows of families iii, iv and of the slack rows; ii starts at 1
-    o3 = 1 + n_fam * n_o * (d2 - 1)
-    o4 = o3 + (n_fam - 1) * n_l * d2
-    o5 = o4 + n_s * n_l
-    m = o5 + (n_s * n_l if relax > 0.0 else 0)
+    o3, o4, o5, m = _row_offsets(d, n_s, n_fam, n_o, n_l, relax > 0.0)
     n_main = n_fam * n_l * n_o
     if m > opts.max_constraints:
         raise ValueError(
             f"{m} raw constraints on {n_main} blocks of size up to "
             f"{max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
         )
-    # the blocks to emit: one per orbit of the copy permutations, or all
+    # the blocks to emit: one per orbit of the copy group
     sym, live, canon = _block_orbits(scenario, faces, look=relax == 0.0)
     first_of_orbit = canon == np.arange(n_main)
     emit = first_of_orbit.tolist()
@@ -540,18 +541,15 @@ def build_sdp(
     rhos = np.stack([s.mat for s in scenario.ensemble.states])
     gen = scenario.generation_index - 1
     span = np.arange(d2)
-    # family ii of (f, e), the one row group of the blocks (f, x, e): the
-    # diagonal blocks of the Schur matrix's arrow
+    # the raw family-ii rows of (f, e)
     guess = [1 + (f * n_o + e) * (d2 - 1) + span[:-1] for f in range(n_fam) for e in range(n_o)]
-    groups, weights = guess, None
-    if sym is not None:
-        weights = np.bincount(canon, minlength=n_main)[first_of_orbit]
-        kept, red, wt = _row_orbits(sym, n_fam, live, n_o)
-        ok = red >= 0
-        b = np.bincount(red[ok], (wt * b)[ok], minlength=kept.size)
-        # the guess-marginal rows of one orbit of (f, e): one row group
-        ii = np.flatnonzero((kept >= 1) & (kept < o3))
-        groups = np.split(ii, np.flatnonzero(np.diff((kept[ii] - 1) // (d2 - 1))) + 1)
+    weights = np.bincount(canon, minlength=n_main)[first_of_orbit]
+    kept, red, wt = _row_orbits(sym, n_fam, live, n_o, relax > 0.0)
+    ok = red >= 0
+    b = np.bincount(red[ok], (wt * b)[ok], minlength=kept.size)
+    # the guess-marginal rows of one orbit of (f, e): one row group
+    ii = np.flatnonzero((kept >= 1) & (kept < o3))
+    groups = np.split(ii, np.flatnonzero(np.diff((kept[ii] - 1) // (d2 - 1))) + 1)
     block_dims: list[int] = []
     rows: list[np.ndarray] = []
     coeffs: list[np.ndarray] = []
@@ -580,18 +578,19 @@ def build_sdp(
             for e in range(n_o):
                 if not emit[first + e]:
                     continue
-                r = np.concatenate([*norm, guess[f * n_o + e], *ind, stat])
-                r, c = (r, coef) if sym is None else _orbit_sums(r, coef, red, wt)
+                r, c = _orbit_sums(np.concatenate([*norm, guess[f * n_o + e], *ind, stat]),
+                                   coef, red, wt)
                 rows.append(r)
                 coeffs.append(c)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])
     if relax > 0.0:
         for t in range(n_s * n_l):
-            rows += [np.array([o4 + t, o5 + t]), np.array([o5 + t])]
+            rows += [red[[o4 + t, o5 + t]], red[[o5 + t]]]
         coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
         objective += [None, None] * (n_s * n_l)
         block_dims += [1, 1] * (n_s * n_l)
+        weights = np.concatenate([weights, np.ones(2 * n_s * n_l)])
     raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
     del rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
@@ -599,15 +598,15 @@ def build_sdp(
 
 def symmetry_summary(scenario: Scenario) -> str | None:
     """'S_m: k of n blocks' when build_sdp (relax = 0) solves the scenario
-    on one block per orbit of its copy permutations, else None, also when
-    the statistics force no face (build_sdp then reports them
-    infeasible)."""
+    on one block per orbit of its copy permutations; None for the order-1
+    group, and when the statistics force no face (build_sdp then reports
+    them infeasible)."""
     try:
         faces = face_bases(scenario)
     except InfeasibleProblemError:
         return None
     sym, _, canon = _block_orbits(scenario, faces)
-    if sym is None:
+    if sym.copies == 1:
         return None
     orbits = np.count_nonzero(canon == np.arange(canon.size))
     return f"S_{sym.copies}: {orbits} of {canon.size} blocks"
@@ -779,24 +778,21 @@ class EffectiveStrategy:
     def from_solution(cls, scenario: Scenario, sol: SdpSolution) -> "EffectiveStrategy":
         """Recover complex operators from the primal blocks.
 
-        Re-derives the outcome faces and the copy symmetry from the
-        scenario (build_sdp is deterministic) and expands each compressed
-        Hermitian block S back to the full space as V S V^dag; sol must
-        solve the exact problem (relax = 0), whose faces those are. A block
-        X_k that stands for an orbit of the copy permutations g is spread
-        over it as M_b = (1/|G|) sum_{g: g.k = b} U_g V X_k V^dag U_g^dag.
-        In asymptotic mode the SDP holds a single family, which is copied
-        to every input.
+        Re-derives the outcome faces and the copy group from the scenario
+        (build_sdp is deterministic) and expands each compressed Hermitian
+        block S back to the full space as V S V^dag; sol must solve the
+        exact problem (relax = 0), whose faces those are. Each block X_k
+        stands for an orbit of the group (itself under the order-1 group)
+        and is spread over it as M_b = (1/|G|) sum_{g: g.k = b} U_g V X_k
+        V^dag U_g^dag. In asymptotic mode the SDP holds a single family,
+        which is copied to every input.
         """
         d = scenario.dim
         n_s, n_o = scenario.n_states, scenario.n_outcomes
         n_fam = n_s if scenario.mode == MODE_FINITE_Q else 1
         faces = face_bases(scenario)
         sym, live, canon = _block_orbits(scenario, faces)
-        if sym is None:
-            images, hilbert = canon[None], np.arange(d)[None]
-        else:
-            images, hilbert = _block_images(sym, n_fam, live, n_o), sym.hilbert
+        images = _block_images(sym, n_fam, live, n_o)
         reps = np.flatnonzero(canon == np.arange(canon.size))
         expanded = []
         for k, blk in zip(reps, sol.x_blocks):  # block k = (f L + x') n_o + e
@@ -804,7 +800,7 @@ class EffectiveStrategy:
             expanded.append(v @ blk @ v.conj().T)
         full = np.stack(expanded)
         ops = np.zeros((images.shape[1], d, d), dtype=complex)
-        for img, h in zip(images, hilbert):
+        for img, h in zip(images, sym.hilbert):
             ops[img[reps]] += _moved(full, h) / len(images)
         out = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
         out[:, live] = ops.reshape(n_fam, len(live), n_o, d, d)
@@ -828,6 +824,8 @@ class EffectiveStrategy:
         n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
         if ops.shape != (n_s, n_o, n_o, d, d):
             raise ValueError("strategy shape does not match the scenario")
+        finite = np.isfinite(ops).all(axis=(-2, -1))
+        ops = np.where(finite[..., None, None], ops, 0.0)  # the first check names them
         eye = np.eye(d)
         guess = ops.sum(axis=1)  # sum over x: [a, e]
         outcome = ops.sum(axis=2)  # sum over e: [a, x]
@@ -838,6 +836,7 @@ class EffectiveStrategy:
             return np.max(np.abs(m), axis=(-2, -1))
 
         for bad, names, what in (
+            (~finite, "axe", "operator is not finite"),
             (min_eigenvalue(ops) < -STRATEGY_TOL, "axe", "operator is not PSD"),
             (dev(guess.sum(axis=1) - eye) > STRATEGY_TOL, "a", "normalization fails"),
             (dev(guess - guess[..., :1, :1] * eye) > STRATEGY_TOL, "ae",

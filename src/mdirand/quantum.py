@@ -214,9 +214,12 @@ def bloch_to_density(r: np.ndarray) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have three components")
+    if not np.isfinite(r).all():
+        k = int(np.argmin(np.isfinite(r)))
+        raise ValueError(f"Bloch vector component {k} is {r[k]}, not finite")
     if (norm := float(np.linalg.norm(r))) > 1.0 + BLOCH_TOL:
         raise ValueError(f"Bloch vector norm {norm:.12g} exceeds 1")
-    return DensityMatrix(0.5 * _bloch_operator(r))  # rejects a nan component
+    return DensityMatrix(0.5 * _bloch_operator(r))
 
 
 def _bloch_operator(r: np.ndarray) -> np.ndarray:

@@ -443,7 +443,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
         return p, PreprocessReport(p.n_constraints, list(range(p.n_constraints)), [], 0.0, 0.0)
     m = p.n_constraints
     notes: list[str] = []
-    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
+    identity = [np.tile(np.eye(s.shape[-1], dtype=complex), (len(s), 1, 1)) for s in p.group_stacks]
     g = p.schur_matrix(identity, identity)
     kept, dropped = row_space_basis(g)
     b_kept = p.b[kept]

@@ -13,3 +13,11 @@ def doubled_scenario(scen):
 def doubled_preset(name):
     """Two copies of the preset name at its own eta."""
     return doubled_scenario(cli.realize(cli.load_scenario_spec(name)))
+
+
+def force_order_one_group(monkeypatch):
+    """Make build_sdp solve every scenario through the order-1 copy group,
+    as under a band (look=False): all blocks and all rows, none reduced."""
+    real = mdi._copy_symmetry
+    monkeypatch.setattr(mdi, "_copy_symmetry",
+                        lambda scen, faces, look=True: real(scen, faces, False))

@@ -713,6 +713,23 @@ def test_non_finite_solver_flags_exit_before_any_solve(capsys, monkeypatch, comm
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "fig3-green", "--bogus"],
+    ["rate", "fig3-green", "--gap-tol", "abc"],
+    ["rate", "fig3-green", "--feas-tol", "-inf"],
+    ["sweep", "fig3-green", "--param", "eta", "--from", "0", "--to", "1"],
+])
+def test_malformed_flags_exit_1_with_the_usage_message(capsys, argv):
+    # README: exit 1 for malformed scenarios or flags, 2 for solver
+    # failures; argparse's own usage errors exited 2
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: mdirand ") and "error: " in captured.err
+    assert captured.out == ""
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: mdirand ")
+
+
 def test_serial_sweep_reaches_every_traced_call(monkeypatch, capsys):
     # the benchmark's traced run wraps these module attributes, and its
     # per-operation times come from the cli._sweep_worker spans: a serial

@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from mdirand.quantum import (
 )
 from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
-from scenarios import doubled_preset
+from scenarios import doubled_preset, force_order_one_group
 from sdp_rows import real_coords
 
 
@@ -99,7 +101,8 @@ def test_honest_strategy_satisfies_every_kept_row(name):
     # objective value, read off the real views; in the preset's mode and
     # in finite-q. The honest device is symmetric under the copy
     # permutations of a product preset, so on its reduced problem the
-    # block of each orbit's first member, times the orbit size, does
+    # block of each orbit's first member, times the orbit size, does (the
+    # order-1 group of every other preset has orbits of size one)
     spec = cli.load_scenario_spec(name)
     base = cli.realize(spec)
     povm = cli._build_povm(spec)
@@ -112,11 +115,10 @@ def test_honest_strategy_satisfies_every_kept_row(name):
                   for x, v in enumerate(faces) if v.shape[1] > 0
                   for e in range(scen.n_outcomes)]
         sym = mdi._copy_symmetry(scen, faces)
-        if sym is not None:
-            live = [x for x, v in enumerate(faces) if v.shape[1] > 0]
-            canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes).min(axis=0)
-            size = np.bincount(canon)
-            blocks = [size[k] * blocks[k] for k in np.unique(canon)]
+        live = [x for x, v in enumerate(faces) if v.shape[1] > 0]
+        canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes).min(axis=0)
+        size = np.bincount(canon)
+        blocks = [size[k] * blocks[k] for k in np.unique(canon)]
         assert len(blocks) == prob.n_blocks
         xs = prob.stack_groups(blocks)
         assert np.max(np.abs(prob.apply_constraints(xs) - prob.b)) <= 1e-12
@@ -568,12 +570,12 @@ SYMMETRIC_CASES = {
 }
 
 
-def _build_raw(scen, monkeypatch):
+def _build_raw(scen, monkeypatch, opts=None):
     """build_sdp's problem, its report and the raw problem it preprocessed."""
     raws = []
     real = mdi.preprocess
     monkeypatch.setattr(mdi, "preprocess", lambda p: raws.append(p) or real(p))
-    prob, rep = mdi.build_sdp(scen)
+    prob, rep = mdi.build_sdp(scen, opts)
     monkeypatch.setattr(mdi, "preprocess", real)
     return prob, rep, raws[0]
 
@@ -588,10 +590,10 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
 
     scen = SYMMETRIC_CASES[name]()
     sym, live, _ = mdi._block_orbits(scen, mdi.face_bases(scen))
-    assert sym is not None
+    assert sym.copies > 1
     prob, rep, raw = _build_raw(scen, monkeypatch)
     sol = solve(prob)
-    monkeypatch.setattr(mdi, "_copy_symmetry", lambda *args: None)
+    force_order_one_group(monkeypatch)
     full, _, raw_full = _build_raw(scen, monkeypatch)
     full_sol = solve(full)
     assert prob.n_blocks < full.n_blocks
@@ -613,6 +615,63 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     assert abs(float(raw_full.b @ y) - sol.certified_upper_bound) <= 1e-9
 
 
+@pytest.mark.parametrize("name, relax", [
+    *[pytest.param(n, 0.0, id=n) for n in cli.preset_names()
+      if cli.load_scenario_spec(n)["copies"] == 1],
+    pytest.param("fig6-2s-m2", 1e-3, id="fig6-2s-m2-band"),
+])
+def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeypatch):
+    # a scenario without copy symmetry, or any under a band, is solved
+    # through the order-1 group: the identity on every raw row (the band
+    # rows too, counted by the row layout, not by _row_orbits) and on
+    # every block, each of weight 1
+    scen = cli.realize(cli.load_scenario_spec(name))
+    n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
+    faces = (mdi.face_bases(scen) if relax == 0.0
+             else [np.eye(scen.dim, dtype=complex)] * scen.n_outcomes)
+    sym, live, canon = mdi._block_orbits(scen, faces, look=relax == 0.0)
+    assert sym.copies == 1
+    assert np.array_equal(canon, np.arange(n_fam * len(live) * scen.n_outcomes))
+    kept, red, wt = mdi._row_orbits(sym, n_fam, live, scen.n_outcomes, band=relax > 0.0)
+    m = mdi._row_offsets(scen.dim, scen.n_states, n_fam, scen.n_outcomes, len(live),
+                         relax > 0.0)[-1]
+    assert np.array_equal(kept, np.arange(m)) and np.array_equal(red, np.arange(m))
+    assert np.array_equal(wt, np.ones(m))
+    _, rep, raw = _build_raw(scen, monkeypatch, SolverOptions(relax=relax))
+    assert rep.n_raw == raw.n_constraints == m
+    assert raw.n_blocks == canon.size + (2 * scen.n_states * len(live) if relax else 0)
+    assert all(np.array_equal(w, np.ones(w.size)) for w in raw.group_weights)
+    if relax == 0.0:
+        assert mdi.symmetry_summary(scen) is None
+
+
+def test_no_function_compares_the_copy_group_with_none():
+    # every scenario goes through its copy group, the order-1 group
+    # included; a group that may be None, and a test of it against None,
+    # would split the build path in two again
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def is_group(node):  # sym, _CopySymmetry, _copy_symmetry(...), x.sym
+        name = getattr(node, "id", getattr(node, "attr", ""))
+        return "sym" in name.lower() or isinstance(node, ast.Call) and is_group(node.func)
+
+    pkg = Path(mdi.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                pair = [node.left, *node.comparators]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+                pair = [node.left, node.right]  # an annotation _CopySymmetry | None
+            else:
+                continue
+            if any(map(is_none, pair)) and any(map(is_group, pair)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(pkg.glob("*.py"))) > 5
+    assert found == []
+
+
 @pytest.mark.parametrize("spoil", ["generation", "table"])
 def test_broken_copy_symmetry_keeps_the_full_problem(spoil):
     # fig6-2s-m2 with a generation input that the copy swap moves, or with
@@ -629,7 +688,7 @@ def test_broken_copy_symmetry_keeps_the_full_problem(spoil):
         table[1, 1] -= eps
         return mdi.Scenario(scen.ensemble, ObservedStatistics(table))
 
-    assert mdi._copy_symmetry(spoiled(1e-9), mdi.face_bases(spoiled(1e-9))) is None
+    assert mdi._copy_symmetry(spoiled(1e-9), mdi.face_bases(spoiled(1e-9))).copies == 1
     prob, _ = mdi.build_sdp(spoiled(1e-9))
     assert prob.n_blocks == 16
     assert mdi.guessing_probability(spoiled(1e-9)).ok
@@ -654,9 +713,9 @@ def test_strategy_validate_rejects_non_finite_operators(bad):
     # nan deviation against STRATEGY_TOL is False
     scen = _fig3_red(eta=0.9)
     shape = (scen.n_states, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim)
-    with pytest.raises(ValueError, match=r"matrix entry \(0, 0, 0, 0, 0\) is .*not finite"):
+    with pytest.raises(ValueError, match=r"operator is not finite at \(a=0, x=0, e=0\)"):
         mdi.EffectiveStrategy(np.full(shape, bad, dtype=complex)).validate(scen)
     ops = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators.copy()
     ops[1, 0, 1, 1, 0] = bad
-    with pytest.raises(ValueError, match=r"matrix entry \(1, 0, 1, 1, 0\) is"):
+    with pytest.raises(ValueError, match=r"operator is not finite at \(a=1, x=0, e=1\)"):
         mdi.EffectiveStrategy(ops).validate(scen)

@@ -10,7 +10,7 @@ from mdirand.quantum import (
     tomographic_set,
 )
 from mdirand.sdp_solver import solve
-from scenarios import doubled_preset
+from scenarios import doubled_preset, force_order_one_group
 from sdp_rows import real_coords, row_maps
 
 
@@ -505,7 +505,7 @@ def test_block_weights_move_the_path_not_the_optimum(weights):
 def test_schur_matrix_is_an_arrow_over_the_guess_groups(monkeypatch):
     # doubled extremal3 on all its blocks (no copy symmetry): preprocessing
     # keeps the layout [row 0 | 9 groups of 15 | border]
-    monkeypatch.setattr(mdi, "_copy_symmetry", lambda *args: None)
+    force_order_one_group(monkeypatch)
     p, _ = mdi.build_sdp(doubled_preset("fig7-3o"))
     assert [rows.shape for rows in p.arrow.blocks] == [(9, 15)]
     assert np.array_equal(p.arrow.blocks[0].reshape(-1), np.arange(1, 136))
