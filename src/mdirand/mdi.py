@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sdp_solver
 from .linalg import eigh_hermitian, min_eigenvalue, row_space_basis
 from .quantum import (
     ObservedStatistics,
@@ -271,32 +272,61 @@ def _block_orbits(
     return sym, live, _block_images(sym, n_fam, live, n_o).min(axis=0)
 
 
-def _row_offsets(d: int, n_s: int, n_fam: int, n_o: int, n_l: int, band: bool) -> tuple[int, ...]:
-    """The first rows o3, o4, o5 of build_sdp's families iii, iv and band
-    rows (family ii starts at row 1), and its raw row count m."""
-    o3 = 1 + n_fam * n_o * (d * d - 1)
-    o4 = o3 + (n_fam - 1) * n_l * d * d
-    return o3, o4, o4 + n_s * n_l, o4 + n_s * n_l * (2 if band else 1)
+def _raw_rows(fam: np.ndarray, states: np.ndarray, outcomes: np.ndarray, live: np.ndarray,
+              basis: np.ndarray, traceless: np.ndarray, band: bool) -> tuple[np.ndarray, ...]:
+    """The numbers of build_sdp's raw rows under index maps, the one place
+    that numbers them.
+
+    The maps share their leading axes (none for the identity, one per group
+    element in _row_orbits) and give the image of each family, input,
+    outcome, live outcome (as its position x' among the L live ones), basis
+    element and traceless element. Returns the image of the rows of family
+    i (one row), ii (f, e, j), iii (a - 1, x', j), iv (a, x') and of the
+    band rows (a, x'; none unless band), in these shapes after the leading
+    axes. The identity maps give 0, 1, ... in that order, each family in C
+    order, so the raw row count is the total size (_identity_rows).
+    """
+    n_fam, n_s, n_o, n_l, d2 = (a.shape[-1] for a in (fam, states, outcomes, live, basis))
+    o3 = 1 + n_fam * n_o * (d2 - 1)
+    o4 = o3 + (n_fam - 1) * n_l * d2
+    guess = (1 + (fam[..., :, None, None] * n_o + outcomes[..., None, :, None]) * (d2 - 1)
+             + traceless[..., None, None, :])
+    ind = (o3 + ((fam[..., 1:, None, None] - 1) * n_l + live[..., None, :, None]) * d2
+           + basis[..., None, None, :])
+    stat = o4 + states[..., :, None] * n_l + live[..., None, :]
+    norm = np.zeros(fam.shape[:-1] + (1,), dtype=np.intp)
+    return norm, guess, ind, stat, (stat + n_s * n_l)[..., :n_s if band else 0, :]
+
+
+def _identity_rows(n_fam: int, n_s: int, n_o: int, n_l: int, d: int,
+                   band: bool) -> tuple[np.ndarray, ...]:
+    """build_sdp's own row numbers: _raw_rows under the identity maps."""
+    return _raw_rows(*[np.arange(n) for n in (n_fam, n_s, n_o, n_l, d * d, d * d - 1)], band)
 
 
 def _row_orbits(
-    sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int, band: bool = False
+    sym: _CopySymmetry, n_fam: int, live: list[int], band: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row orbits of build_sdp's raw rows, with its band rows if band.
 
     A copy permutation maps each _hermitian_basis element to +- another (its
     basis map fixes index 0, so the traceless e_kk - e_00 too), and so maps
-    every raw row i to +- a row; a band row moves with its statistics row.
-    Returns the canonical rows (the smallest index of each orbit that no
-    stabilizer element maps to its own negative, in increasing order), each
-    raw row's reduced index (-1 when its orbit is negated: such rows vanish
-    on symmetric points) and its weight s_i / |R|, s_i the sign that carries
-    the canonical row onto row i and |R| the orbit size (0 when dropped).
-    The order-1 group maps every row to itself with weight 1.
+    every raw row i to +- a row (_raw_rows of the group's maps); a band row
+    moves with its statistics row. Returns the canonical rows (the smallest
+    index of each orbit that no stabilizer element maps to its own
+    negative, in increasing order), each raw row's reduced index (-1 when
+    its orbit is negated: such rows vanish on symmetric points) and its
+    weight s_i / |R|, s_i the sign that carries the canonical row onto row i
+    and |R| the orbit size (0 when dropped). The order-1 group maps every
+    row to itself with weight 1, and needs only the row count.
     """
     h = sym.hilbert
     n_g, d = h.shape
-    d2, n_l = d * d, len(live)
+    sizes = (n_fam, sym.states.shape[1], sym.outcomes.shape[1], len(live), d)
+    rows = np.arange(sum(p.size for p in _identity_rows(*sizes, band)))
+    if n_g == 1:  # the identity
+        return rows, rows, np.ones(rows.size)
+    d2 = d * d
     # image of each basis element; the pair k < l has its symmetric
     # element at pair[k, l] and its antisymmetric one next
     k, l = np.nonzero(np.arange(d)[:, None] < np.arange(d))
@@ -307,24 +337,14 @@ def _row_orbits(
     bas[:, :d], bas[:, d::2], bas[:, d + 1::2] = h, pair[hk, hl], pair[hk, hl] + 1
     # traceless: the off-diagonal elements, then e_kk - e_00 for k >= 1
     tl = np.concatenate([bas[:, d:] - d, d2 - d - 1 + h[:, 1:]], axis=1)
-    fam, a = sym.states[:, :n_fam, None, None], sym.states[:, :, None]
-    lx = _live_images(sym, live)
-    o3, o4, o5, _ = _row_offsets(d, a.shape[1], n_fam, n_o, n_l, band)
-    parts = [  # images of rows i, ii, iii, iv and the band rows
-        np.zeros((n_g, 1), dtype=np.intp),
-        1 + (fam * n_o + sym.outcomes[:, None, :, None]) * (d2 - 1) + tl[:, None, None],
-        o3 + ((fam[:, 1:] - 1) * n_l + lx[:, None, :, None]) * d2 + bas[:, None, None],
-        *[o + a * n_l + lx[:, None, :] for o in ([o4, o5] if band else [o4])],
-    ]
+    parts = _raw_rows(sym.states[:, :n_fam], sym.states, sym.outcomes, _live_images(sym, live),
+                      bas, tl, band)
     img = np.concatenate([i.reshape(n_g, -1) for i in parts], axis=1)
-    rows = np.arange(img.shape[1])
-    if n_g == 1:  # the identity
-        return rows, rows, np.ones(rows.size)
     # signs: an antisymmetric element turns when its pair's order does
     bas_s = np.ones((n_g, d2))
     bas_s[:, d + 1::2] = np.where(hk < hl, 1.0, -1.0)
     tl_s = np.concatenate([bas_s[:, d:], np.ones((n_g, d - 1))], axis=1)
-    signs = [1.0, tl_s[:, None, None], bas_s[:, None, None]] + [1.0] * (len(parts) - 3)
+    signs = [1.0, tl_s[:, None, None], bas_s[:, None, None], 1.0, 1.0]
     sign = np.concatenate([np.broadcast_to(s, i.shape).reshape(n_g, -1)
                            for i, s in zip(parts, signs)], axis=1)
     canon = img.min(axis=0)
@@ -458,21 +478,16 @@ def build_sdp(
          1x1 slack blocks t, t' and one band row per statistics row:
          stat + t = target + relax and t + t' = 2 relax.
 
-    Rows are numbered family by family (_row_offsets owns the first row
-    of each), x' being the position of x among the live outcomes: i. 0;
-    ii. 1 + (f n_o + e)(d^2 - 1) + j; iii. from o3, ((a - 1) L + x') d^2 + j;
-    iv. from o4, a L + x'; the band rows from o5, in the order of iv. So
-    block (f, x, e) meets, in increasing row order, the identity (i,
-    family 0 only), the traceless basis (ii), -basis on family 0 and
-    +basis on the others (iii) and the weighted states (iv), and is
-    written directly in the layout of SdpProblem.from_blocks, with the
-    family-ii rows of each (f, e) as one row group. Rows whose
-    coefficients vanish (the statistics of an input with probability 0)
-    are still emitted; the row selection of preprocessing drops them. A
-    nonzero target on an outcome with an empty face raises
-    InfeasibleProblemError. The raw row count is checked against
-    opts.max_constraints right after face_bases, before anything of the
-    problem's size is allocated.
+    Rows are numbered family by family by _raw_rows, whose identity image
+    gives every row list, the place of b and the band rows. So block
+    (f, x, e) meets, in increasing row order, the identity (i, family 0
+    only), the traceless basis (ii), -basis on family 0 and +basis on the
+    others (iii) and the weighted states (iv), and is written directly in
+    the layout of SdpProblem.from_blocks, with the family-ii rows of each
+    (f, e) as one row group. Rows whose coefficients vanish (the statistics
+    of an input with probability 0) are still emitted; the row selection of
+    preprocessing drops them. A nonzero target on an outcome with an empty
+    face raises InfeasibleProblemError.
 
     Every scenario is solved on the symmetric points of its copy group G
     (see _copy_symmetry): S_m for a product scenario of m copies whose data
@@ -497,28 +512,32 @@ def build_sdp(
     reduced slack of k conjugated by U_g (up to SYMMETRY_TOL times |y|), so
     the certified bound holds for both. Under the order-1 group each orbit
     is one block or one row, of weight 1.
+
+    The reduced rows are counted from the faces and the group's index maps
+    alone: more than sdp_solver.MAX_CONSTRAINTS of them raise ValueError,
+    naming the count, the blocks and the largest block size, before the
+    basis, any face compression or any coefficient stack exists.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
+    band = relax > 0.0
     d = scenario.dim
-    d2 = d * d
     n_s = scenario.n_states
     n_o = scenario.n_outcomes
     finite_q = scenario.mode == MODE_FINITE_Q
     n_fam = n_s if finite_q else 1
 
-    faces = face_bases(scenario) if relax == 0.0 else [np.eye(d, dtype=complex)] * n_o
-    n_l = sum(v.shape[1] > 0 for v in faces)
-    o3, o4, o5, m = _row_offsets(d, n_s, n_fam, n_o, n_l, relax > 0.0)
-    n_main = n_fam * n_l * n_o
-    if m > opts.max_constraints:
-        raise ValueError(
-            f"{m} raw constraints on {n_main} blocks of size up to "
-            f"{max(v.shape[1] for v in faces)} exceed the cap {opts.max_constraints}"
-        )
-    # the blocks to emit: one per orbit of the copy group
-    sym, live, canon = _block_orbits(scenario, faces, look=relax == 0.0)
-    first_of_orbit = canon == np.arange(n_main)
+    faces = [np.eye(d, dtype=complex)] * n_o if band else face_bases(scenario)
+    # the blocks and rows to emit: one per orbit of the copy group
+    sym, live, canon = _block_orbits(scenario, faces, look=not band)
+    n_l = len(live)
+    first_of_orbit = canon == np.arange(canon.size)
+    kept, red, wt = _row_orbits(sym, n_fam, live, band)
+    norm, guess, ind, stat, band_rows = _identity_rows(n_fam, n_s, n_o, n_l, d, band)
+    if kept.size > (cap := sdp_solver.MAX_CONSTRAINTS):
+        blocks = np.count_nonzero(first_of_orbit) + 2 * band_rows.size
+        raise ValueError(f"{kept.size} constraint rows on {blocks} blocks of size up to "
+                         f"{max(v.shape[1] for v in faces)} exceed the cap {cap}")
     emit = first_of_orbit.tolist()
 
     probs = scenario.ensemble.probs
@@ -529,10 +548,16 @@ def build_sdp(
         raise InfeasibleProblemError(
             "constraint places a nonzero value on an impossible outcome"
         )
-    b = np.zeros(m)
+    b = np.zeros(red.size)
     b[0] = d
-    b[o4:o5] = (weights[:, None] * cond[:, live]).reshape(-1) + relax
-    b[o5:] = 2.0 * relax
+    b[stat] = weights[:, None] * cond[:, live] + relax
+    b[band_rows] = 2.0 * relax
+    # orbit means; a left-out row (red -1, weight 0) falls into the dropped bin
+    b = np.bincount(red + 1, wt * b, minlength=kept.size + 1)[1:]
+    # the guess-marginal rows of one orbit of (f, e), the kept rows in the
+    # range of its first member: one row group
+    ends = np.searchsorted(kept, [guess[..., :1], guess[..., -1:] + 1]).reshape(2, -1)
+    groups = [np.arange(lo, hi) for lo, hi in ends.T]
 
     basis = _hermitian_basis(d)
     # deviations from multiples of the identity: off-diagonal elements and
@@ -540,21 +565,15 @@ def build_sdp(
     traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
     rhos = np.stack([s.mat for s in scenario.ensemble.states])
     gen = scenario.generation_index - 1
-    span = np.arange(d2)
-    # the raw family-ii rows of (f, e)
-    guess = [1 + (f * n_o + e) * (d2 - 1) + span[:-1] for f in range(n_fam) for e in range(n_o)]
-    weights = np.bincount(canon, minlength=n_main)[first_of_orbit]
-    kept, red, wt = _row_orbits(sym, n_fam, live, n_o, relax > 0.0)
-    ok = red >= 0
-    b = np.bincount(red[ok], (wt * b)[ok], minlength=kept.size)
-    # the guess-marginal rows of one orbit of (f, e): one row group
-    ii = np.flatnonzero((kept >= 1) & (kept < o3))
-    groups = np.split(ii, np.flatnonzero(np.diff((kept[ii] - 1) // (d2 - 1))) + 1)
+    weights = np.bincount(canon, minlength=canon.size)[first_of_orbit]
     block_dims: list[int] = []
     rows: list[np.ndarray] = []
     coeffs: list[np.ndarray] = []
     objective: list[np.ndarray | None] = []
     for f in range(n_fam):
+        # i: family 0 only; iii: -basis on family 0, +basis on family a
+        norm_f, ind_f = ([norm], ind) if f == 0 else ([], ind[f - 1:f])
+        stat_f = stat[f:f + 1] if finite_q else stat
         for xi, x in enumerate(live):
             first = (f * n_l + xi) * n_o
             if not any(emit[first:first + n_o]):
@@ -564,33 +583,29 @@ def build_sdp(
             v = faces[x]
             bx, tx, rx = ((basis, traceless, rhos) if np.array_equal(v, np.eye(d))
                           else [v.conj().T @ h @ v for h in (basis, traceless, rhos)])
-            # i: family 0 only; iii: -basis on family 0, +basis on family a
-            norm, norm_c = ([[0]], [np.eye(bx.shape[-1])[None]]) if f == 0 else ([], [])
-            others = range(1, n_fam) if f == 0 else [f]
-            ind = [o3 + ((a - 1) * n_l + xi) * d2 + span for a in others]
-            ind_c = [-bx if f == 0 else bx] * len(ind)
             if finite_q:
-                stat, stat_c = [o4 + f * n_l + xi], float(probs[f]) * rx[f:f + 1]
+                stat_c = float(probs[f]) * rx[f:f + 1]
                 obj = stat_c[0] if probs[f] > 0.0 else None
             else:
-                stat, stat_c, obj = o4 + np.arange(n_s) * n_l + xi, rx, rx[gen]
-            coef = np.concatenate([*norm_c, tx, *ind_c, stat_c])
+                stat_c, obj = rx, rx[gen]
+            norm_c = [np.eye(bx.shape[-1])[None]] if f == 0 else []
+            coef = np.concatenate([*norm_c, tx, *[-bx if f == 0 else bx] * len(ind_f), stat_c])
             for e in range(n_o):
                 if not emit[first + e]:
                     continue
-                r, c = _orbit_sums(np.concatenate([*norm, guess[f * n_o + e], *ind, stat]),
-                                   coef, red, wt)
+                r, c = _orbit_sums(np.concatenate([*norm_f, guess[f, e], *ind_f[:, xi],
+                                                   stat_f[:, xi]]), coef, red, wt)
                 rows.append(r)
                 coeffs.append(c)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])
-    if relax > 0.0:
-        for t in range(n_s * n_l):
-            rows += [red[[o4 + t, o5 + t]], red[[o5 + t]]]
-        coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * (n_s * n_l)
-        objective += [None, None] * (n_s * n_l)
-        block_dims += [1, 1] * (n_s * n_l)
-        weights = np.concatenate([weights, np.ones(2 * n_s * n_l)])
+    # the slack blocks t, t' of each statistics row and its band row, if any
+    for i, j in zip(stat.reshape(-1), band_rows.reshape(-1)):
+        rows += [red[[i, j]], red[[j]]]
+    coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * band_rows.size
+    objective += [None, None] * band_rows.size
+    block_dims += [1, 1] * band_rows.size
+    weights = np.concatenate([weights, np.ones(2 * band_rows.size)])
     raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
     del rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)

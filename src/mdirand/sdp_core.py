@@ -216,7 +216,8 @@ class SdpProblem:
         (len(rows[k]), s, s) stack of their coefficient matrices and
         objective[k] is C_k, or None for zero. b and every matrix must be
         finite, every matrix Hermitian; blocks may share one coefficient
-        stack or objective matrix, which is then checked once. groups are
+        stack, which is then checked once, and the objective matrices are
+        checked as one stack per size group. groups are
         disjoint sets of rows, the diagonal blocks of the arrow plan; a
         block touched by the rows of two groups raises ValueError. weights
         are the blocks' multiplicities w_k, ones by default (see
@@ -233,7 +234,7 @@ class SdpProblem:
                 c is not None and np.shape(c) != (s, s)
             ):
                 raise ValueError("constraint block has wrong shape")
-        for a in {id(a): a for a in [*coeffs, *objective] if a is not None}.values():
+        for a in {id(a): a for a in coeffs}.values():
             require_hermitian(a)  # names a non-finite entry or a non-Hermitian matrix
         size_groups = list(by_size.values())
         groups = [np.asarray(r, dtype=np.intp) for r in groups]
@@ -260,7 +261,7 @@ class SdpProblem:
                 raise ValueError("a block is touched by the rows of two row groups")
             group_rows.append(idx)
             group_stacks.append(st)
-            objective_stacks.append(obj)
+            objective_stacks.append(require_hermitian(obj))
         arrow = ArrowPlan.from_groups(groups, b.size)
         w = np.ones(len(block_dims)) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (len(block_dims),) or not np.all(w > 0.0):

@@ -72,6 +72,7 @@ from .sdp_core import (
 )
 
 __all__ = [
+    "MAX_CONSTRAINTS",
     "SolverOptions",
     "SolverError",
     "CertificationError",
@@ -89,15 +90,21 @@ class CertificationError(SolverError):
 
 
 STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
+# most constraint rows of a problem (its dense Schur matrix is then 200 MB):
+# solve checks its kept rows, mdi.build_sdp its reduced rows before assembly
+MAX_CONSTRAINTS = 5000
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The settings of one solve, each one a command-line flag of `rate`
+    and `sweep` (see cli); the size cap is MAX_CONSTRAINTS, not a
+    setting."""
+
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
     relax: float = 0.0          # half-width of the statistics band, 0 = exact
-    max_constraints: int = 5000
     verbose: bool = False
 
     def __post_init__(self) -> None:
@@ -238,17 +245,17 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     start is X_k = w_k b_scale I and Z_k = b_scale I, mu = <X, Z> / n with
     n = sum_k w_k s_k, and the centering target is X_k Z_k = nu w_k I. A
     block that stands for the sum of w_k symmetric copies so follows their
-    central path; unit weights are the plain barrier.
+    central path; unit weights are the plain barrier. A problem with no
+    constraint or more than MAX_CONSTRAINTS raises ValueError.
     """
     opts = opts or SolverOptions()
     if not p.preprocessed:
         raise ValueError("problem must be preprocessed before solving")
     if p.n_constraints == 0:
         raise ValueError("problem has no constraints")
-    if p.n_constraints > opts.max_constraints:
-        raise ValueError(
-            f"{p.n_constraints} constraints exceed the cap {opts.max_constraints}"
-        )
+    if p.n_constraints > MAX_CONSTRAINTS:
+        raise ValueError(f"{p.n_constraints} constraint rows on {p.n_blocks} blocks of size up to "
+                         f"{max(p.block_dims)} exceed the cap {MAX_CONSTRAINTS}")
 
     m = p.n_constraints
     c = p.objective_stacks

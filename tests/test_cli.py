@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -449,13 +450,15 @@ def test_cli_and_rate_load_no_scipy():
 
 
 def test_oversized_scenario_fails_before_assembly(tmp_path):
-    # fig6-2s-m3 at five copies: 33761 raw rows on 1024 blocks of size 32,
-    # about 18 GB of stacks. The raw-row cap stops it right after the
-    # faces, so it exits with a size message even under a 2 GiB
-    # address-space limit. Never run this spec without such a limit.
+    # fig6-2s-m3 at five copies, generating on the state (0, 0, 0, 0, 1):
+    # the copy permutations move it, so no symmetry reduces the 33761 raw
+    # rows on 1024 blocks of size 32, about 18 GB of stacks. The row cap
+    # stops it once the rows are counted, so it exits with a size message
+    # even under a 2 GiB address-space limit. Never run this spec without
+    # such a limit.
     resource = pytest.importorskip("resource")
     spec = cli.load_scenario_spec("fig6-2s-m3")
-    spec["copies"] = 5
+    spec.update(copies=5, generation_index=2)
     path = tmp_path / "m5.json"
     path.write_text(json.dumps(spec))
 
@@ -472,6 +475,18 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
     assert proc.returncode == cli.EXIT_SCHEMA
     assert "33761" in proc.stderr
     assert "MemoryError" not in proc.stderr
+
+
+def test_every_solver_option_is_a_command_line_flag():
+    # a run's settings are its flags: each SolverOptions field is one of
+    # the solver flags of rate and sweep, and reaches the options it builds
+    parser = argparse.ArgumentParser()
+    cli._add_solver_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"help"}
+    assert dests == {f.name for f in dataclasses.fields(SolverOptions)}
+    args = parser.parse_args(["--gap-tol", "1e-7", "--feas-tol", "2e-7", "--max-iter", "5",
+                              "--relax", "0.01", "--verbose"])
+    assert cli._solver_options(args) == SolverOptions(1e-7, 2e-7, 5, 0.01, True)
 
 
 def test_canonical_form_resolves_the_alias_and_fills_defaults():

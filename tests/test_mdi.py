@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdirand import cli, mdi
+from mdirand import cli, mdi, sdp_core, sdp_solver
 from mdirand.linalg import lowest_eigenvalues, row_space_basis
 from mdirand.quantum import (
     DensityMatrix,
@@ -60,19 +60,41 @@ def test_raw_row_count_formula():
     assert rep4_q.n_raw == 113
 
 
-def test_raw_row_cap_checked_before_assembly():
-    # fig6-2s-m3 has 569 raw rows (561 kept) on 64 blocks of size 8; a
-    # cap below the raw count fires right after face_bases, before any
-    # tensor of the problem's size exists
+def test_raw_row_cap_checked_before_assembly(monkeypatch):
+    # fig6-2s-m3 has 569 raw rows on 64 blocks of size 8, and 137 rows on
+    # 20 orbit blocks once reduced by S_3; a cap below the reduced count
+    # fires once the orbits are counted, before any tensor of the
+    # problem's size exists
     scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
+    monkeypatch.setattr(sdp_solver, "MAX_CONSTRAINTS", 136)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="569 raw constraints on 64 blocks of size up to 8"):
-            mdi.build_sdp(scen, SolverOptions(max_constraints=560))
+        with pytest.raises(ValueError, match="137 constraint rows on 20 blocks of size up to 8"):
+            mdi.build_sdp(scen)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_row_cap_reads_the_reduced_rows(monkeypatch):
+    # a cap between the 137 reduced and the 569 raw rows of fig6-2s-m3
+    # admits it: the build and the solve (133 kept rows) both fit
+    monkeypatch.setattr(sdp_solver, "MAX_CONSTRAINTS", 200)
+    res = mdi.guessing_probability(cli.realize(cli.load_scenario_spec("fig6-2s-m3")))
+    assert res.status == OPTIMAL
+    assert abs(res.rate_bits - 0.4851337486) <= 1e-7
+
+
+def test_build_checks_each_stack_once(monkeypatch):
+    # fig3-blue at eta 0.9 has four full faces, one coefficient stack each,
+    # and one block size: from_blocks checks the four stacks and the one
+    # stack of objective matrices, not each objective matrix again
+    calls = []
+    real = sdp_core.require_hermitian
+    monkeypatch.setattr(sdp_core, "require_hermitian", lambda a: calls.append(a) or real(a))
+    mdi.build_sdp(_fig3_blue(eta=0.9))
+    assert len(calls) == 5
 
 
 def test_built_problem_holds_its_stacks_once():
@@ -450,8 +472,8 @@ def test_relaxation_band_widens_feasible_set():
 
 # rate_bits of the per-input asymptotic formulation (one family per input,
 # tied by family iii), as stored in perfbench/reference.json; fig6-2s-m3,
-# which is not benchmarked, was solved with that formulation under
-# SolverOptions(max_constraints=10000) (7232 kept rows, 51 iterations). The
+# which is not benchmarked, was solved with that formulation under a
+# constraint cap raised to 10000 (7232 kept rows, 51 iterations). The
 # single-family SDP has the same optimum, so it must match within 1e-7,
 # the ROADMAP gate for any change to the formulation.
 PER_INPUT_RATES = {
@@ -606,7 +628,7 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     y_red = np.zeros(raw.n_constraints)
     y_red[rep.kept_rows] = sol.y / scales
     n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
-    kept, red, wt = mdi._row_orbits(sym, n_fam, live, scen.n_outcomes)
+    kept, red, wt = mdi._row_orbits(sym, n_fam, live)
     assert kept.size == raw.n_constraints
     y = np.where(red >= 0, wt * y_red[red], 0.0)
     slack = [a - c for a, c in zip(raw_full.adjoint(y), raw_full.objective_stacks)]
@@ -623,8 +645,8 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
 def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeypatch):
     # a scenario without copy symmetry, or any under a band, is solved
     # through the order-1 group: the identity on every raw row (the band
-    # rows too, counted by the row layout, not by _row_orbits) and on
-    # every block, each of weight 1
+    # rows too, as _raw_rows numbers them) and on every block, each of
+    # weight 1
     scen = cli.realize(cli.load_scenario_spec(name))
     n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
     faces = (mdi.face_bases(scen) if relax == 0.0
@@ -632,9 +654,9 @@ def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeyp
     sym, live, canon = mdi._block_orbits(scen, faces, look=relax == 0.0)
     assert sym.copies == 1
     assert np.array_equal(canon, np.arange(n_fam * len(live) * scen.n_outcomes))
-    kept, red, wt = mdi._row_orbits(sym, n_fam, live, scen.n_outcomes, band=relax > 0.0)
-    m = mdi._row_offsets(scen.dim, scen.n_states, n_fam, scen.n_outcomes, len(live),
-                         relax > 0.0)[-1]
+    kept, red, wt = mdi._row_orbits(sym, n_fam, live, band=relax > 0.0)
+    m = sum(r.size for r in mdi._identity_rows(n_fam, scen.n_states, scen.n_outcomes, len(live),
+                                               scen.dim, relax > 0.0))
     assert np.array_equal(kept, np.arange(m)) and np.array_equal(red, np.arange(m))
     assert np.array_equal(wt, np.ones(m))
     _, rep, raw = _build_raw(scen, monkeypatch, SolverOptions(relax=relax))
@@ -705,6 +727,15 @@ def test_four_copies_solve_on_their_orbits():
     res = mdi.guessing_probability(scen)
     assert res.status == OPTIMAL
     assert abs(res.rate_bits - 0.5516150510) <= 1e-7
+
+
+def test_four_state_four_copies_fit_the_default_cap():
+    # fig6-4s-m2 at four copies: 8177 raw rows, 656 on the S_4 orbits,
+    # within the default cap
+    spec = dict(cli.load_scenario_spec("fig6-4s-m2"), copies=4)
+    res = mdi.guessing_probability(cli.realize(spec), SolverOptions())
+    assert res.status == OPTIMAL
+    assert abs(res.rate_bits - 1.8077114351) <= 1e-7
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -693,16 +693,16 @@ def test_options_reject_negative_max_iter():
         SolverOptions(max_iter=-1)
 
 
-def test_solve_rejects_unpreprocessed_or_oversized():
+def test_solve_rejects_unpreprocessed_or_oversized(monkeypatch):
     raw = core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0]))
     with pytest.raises(ValueError):
         solve(raw)
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(sdp_solver, "MAX_CONSTRAINTS", 1)
+    with pytest.raises(ValueError, match="2 constraint rows on 1 blocks of size up to 2 exceed"):
         solve(
             _prep((2,), {0: np.eye(2)},
                   [{0: np.diag([1.0, 0.0])}, {0: np.diag([0.0, 1.0])}],
                   [0.3, 0.3]),
-            SolverOptions(max_constraints=1),
         )
 
 
