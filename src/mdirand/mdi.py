@@ -158,6 +158,11 @@ def _hermitian_basis(d: int) -> np.ndarray:
 # qubit presets, eta from 0 to 1, the largest is 1.5e-15 (face projectors
 # of rank-deficient faces at eta = 1)
 SYMMETRY_TOL = 1e-12
+# most entries of the row-image table of _row_orbits, the copy group's
+# order times the raw row count (about 35 bytes each at its peak, so
+# 600 MB): _row_orbits refuses a scenario above it before the table exists.
+# Five copies of the four-state Fig. 6 source need 7.9 million.
+MAX_ROW_IMAGES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -272,23 +277,33 @@ def _block_orbits(
     return sym, live, _block_images(sym, n_fam, live, n_o).min(axis=0)
 
 
-def _raw_rows(fam: np.ndarray, states: np.ndarray, outcomes: np.ndarray, live: np.ndarray,
-              basis: np.ndarray, traceless: np.ndarray, band: bool) -> tuple[np.ndarray, ...]:
-    """The numbers of build_sdp's raw rows under index maps, the one place
-    that numbers them.
-
-    The maps share their leading axes (none for the identity, one per group
-    element in _row_orbits) and give the image of each family, input,
-    outcome, live outcome (as its position x' among the L live ones), basis
-    element and traceless element. Returns the image of the rows of family
-    i (one row), ii (f, e, j), iii (a - 1, x', j), iv (a, x') and of the
-    band rows (a, x'; none unless band), in these shapes after the leading
-    axes. The identity maps give 0, 1, ... in that order, each family in C
-    order, so the raw row count is the total size (_identity_rows).
-    """
-    n_fam, n_s, n_o, n_l, d2 = (a.shape[-1] for a in (fam, states, outcomes, live, basis))
+def _row_starts(n_fam: int, n_s: int, n_o: int, n_l: int, d2: int,
+                band: bool) -> tuple[int, int, int]:
+    """Where build_sdp's raw rows of families iii and iv start, and the raw
+    row count, for n_fam families, n_s inputs, n_o outcomes, n_l live ones
+    and d2 basis elements: counted without allocating a row."""
     o3 = 1 + n_fam * n_o * (d2 - 1)
     o4 = o3 + (n_fam - 1) * n_l * d2
+    return o3, o4, o4 + n_s * n_l * (1 + band)
+
+
+def _raw_rows(n_fam: int, states: np.ndarray, outcomes: np.ndarray, live: np.ndarray,
+              basis: np.ndarray, traceless: np.ndarray, band: bool) -> tuple[np.ndarray, ...]:
+    """The numbers of build_sdp's raw rows under index maps, the one place
+    that numbers them (at the starts of _row_starts).
+
+    The maps share their leading axes (none for the identity, one per group
+    element in _row_orbits) and give the image of each input, outcome, live
+    outcome (as its position x' among the L live ones), basis element and
+    traceless element; family f is input f's family. Returns the image of
+    the rows of family i (one row), ii (f, e, j), iii (a - 1, x', j), iv
+    (a, x') and of the band rows (a, x'; none unless band), in these shapes
+    after the leading axes. The identity maps give 0, 1, ... in that order,
+    each family in C order (_identity_rows).
+    """
+    fam = states[..., :n_fam]
+    n_s, n_o, n_l, d2 = (a.shape[-1] for a in (states, outcomes, live, basis))
+    o3, o4, _ = _row_starts(n_fam, n_s, n_o, n_l, d2, band)
     guess = (1 + (fam[..., :, None, None] * n_o + outcomes[..., None, :, None]) * (d2 - 1)
              + traceless[..., None, None, :])
     ind = (o3 + ((fam[..., 1:, None, None] - 1) * n_l + live[..., None, :, None]) * d2
@@ -301,7 +316,7 @@ def _raw_rows(fam: np.ndarray, states: np.ndarray, outcomes: np.ndarray, live: n
 def _identity_rows(n_fam: int, n_s: int, n_o: int, n_l: int, d: int,
                    band: bool) -> tuple[np.ndarray, ...]:
     """build_sdp's own row numbers: _raw_rows under the identity maps."""
-    return _raw_rows(*[np.arange(n) for n in (n_fam, n_s, n_o, n_l, d * d, d * d - 1)], band)
+    return _raw_rows(n_fam, *[np.arange(n) for n in (n_s, n_o, n_l, d * d, d * d - 1)], band)
 
 
 def _row_orbits(
@@ -318,15 +333,20 @@ def _row_orbits(
     its orbit is negated: such rows vanish on symmetric points) and its
     weight s_i / |R|, s_i the sign that carries the canonical row onto row i
     and |R| the orbit size (0 when dropped). The order-1 group maps every
-    row to itself with weight 1, and needs only the row count.
+    row to itself with weight 1. The image table holds |G| times the raw
+    row count of entries, about 35 bytes each at its peak; more than
+    MAX_ROW_IMAGES raise ValueError before it exists.
     """
     h = sym.hilbert
     n_g, d = h.shape
-    sizes = (n_fam, sym.states.shape[1], sym.outcomes.shape[1], len(live), d)
-    rows = np.arange(sum(p.size for p in _identity_rows(*sizes, band)))
+    d2 = d * d
+    n_raw = _row_starts(n_fam, sym.states.shape[1], sym.outcomes.shape[1], len(live), d2, band)[-1]
+    if n_g * n_raw > MAX_ROW_IMAGES:
+        raise ValueError(f"{n_raw} raw constraint rows under {n_g} copy permutations: "
+                         f"{n_g * n_raw} row images exceed the cap {MAX_ROW_IMAGES}")
+    rows = np.arange(n_raw)
     if n_g == 1:  # the identity
         return rows, rows, np.ones(rows.size)
-    d2 = d * d
     # image of each basis element; the pair k < l has its symmetric
     # element at pair[k, l] and its antisymmetric one next
     k, l = np.nonzero(np.arange(d)[:, None] < np.arange(d))
@@ -337,8 +357,7 @@ def _row_orbits(
     bas[:, :d], bas[:, d::2], bas[:, d + 1::2] = h, pair[hk, hl], pair[hk, hl] + 1
     # traceless: the off-diagonal elements, then e_kk - e_00 for k >= 1
     tl = np.concatenate([bas[:, d:] - d, d2 - d - 1 + h[:, 1:]], axis=1)
-    parts = _raw_rows(sym.states[:, :n_fam], sym.states, sym.outcomes, _live_images(sym, live),
-                      bas, tl, band)
+    parts = _raw_rows(n_fam, sym.states, sym.outcomes, _live_images(sym, live), bas, tl, band)
     img = np.concatenate([i.reshape(n_g, -1) for i in parts], axis=1)
     # signs: an antisymmetric element turns when its pair's order does
     bas_s = np.ones((n_g, d2))
@@ -516,7 +535,10 @@ def build_sdp(
     The reduced rows are counted from the faces and the group's index maps
     alone: more than sdp_solver.MAX_CONSTRAINTS of them raise ValueError,
     naming the count, the blocks and the largest block size, before the
-    basis, any face compression or any coefficient stack exists.
+    basis, any face compression or any coefficient stack exists. Counting
+    them takes a table of |G| images of every raw row; _row_orbits raises
+    ValueError for a table above MAX_ROW_IMAGES entries, naming the raw
+    rows and |G|, before it is built.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
@@ -533,11 +555,11 @@ def build_sdp(
     n_l = len(live)
     first_of_orbit = canon == np.arange(canon.size)
     kept, red, wt = _row_orbits(sym, n_fam, live, band)
-    norm, guess, ind, stat, band_rows = _identity_rows(n_fam, n_s, n_o, n_l, d, band)
     if kept.size > (cap := sdp_solver.MAX_CONSTRAINTS):
-        blocks = np.count_nonzero(first_of_orbit) + 2 * band_rows.size
+        blocks = np.count_nonzero(first_of_orbit) + 2 * n_s * n_l * band
         raise ValueError(f"{kept.size} constraint rows on {blocks} blocks of size up to "
                          f"{max(v.shape[1] for v in faces)} exceed the cap {cap}")
+    norm, guess, ind, stat, band_rows = _identity_rows(n_fam, n_s, n_o, n_l, d, band)
     emit = first_of_orbit.tolist()
 
     probs = scenario.ensemble.probs

@@ -449,6 +449,23 @@ def test_cli_and_rate_load_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _rate_under_2_gib(path):
+    """`rate` on a scenario file in a subprocess limited to 2 GiB of
+    address space."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mdirand", "rate", str(path)],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 def test_oversized_scenario_fails_before_assembly(tmp_path):
     # fig6-2s-m3 at five copies, generating on the state (0, 0, 0, 0, 1):
     # the copy permutations move it, so no symmetry reduces the 33761 raw
@@ -456,24 +473,30 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
     # stops it once the rows are counted, so it exits with a size message
     # even under a 2 GiB address-space limit. Never run this spec without
     # such a limit.
-    resource = pytest.importorskip("resource")
     spec = cli.load_scenario_spec("fig6-2s-m3")
     spec.update(copies=5, generation_index=2)
     path = tmp_path / "m5.json"
     path.write_text(json.dumps(spec))
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdirand", "rate", str(path)],
-        capture_output=True, text=True, timeout=120, preexec_fn=limit,
-        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = _rate_under_2_gib(path)
     assert proc.returncode == cli.EXIT_SCHEMA
     assert "33761" in proc.stderr
+    assert "MemoryError" not in proc.stderr
+
+
+def test_symmetric_oversized_scenario_fails_before_the_orbit_count(tmp_path):
+    # fig6-2s-m3 at five copies in finite-q mode keeps S_5, but one family
+    # per input makes 2064385 raw rows: 248 million row images, several
+    # GB to count the orbits. The row-image cap stops it before that
+    # table exists, so it exits with a size message even under a 2 GiB
+    # address-space limit. Never run this spec without such a limit.
+    spec = cli.load_scenario_spec("fig6-2s-m3")
+    spec.update(copies=5, mode="finite-q")
+    del spec["generation_index"]
+    path = tmp_path / "m5q.json"
+    path.write_text(json.dumps(spec))
+    proc = _rate_under_2_gib(path)
+    assert proc.returncode == cli.EXIT_SCHEMA
+    assert "2064385 raw constraint rows under 120 copy permutations" in proc.stderr
     assert "MemoryError" not in proc.stderr
 
 

@@ -77,6 +77,23 @@ def test_raw_row_cap_checked_before_assembly(monkeypatch):
     assert peak < 2**20
 
 
+def test_row_image_cap_checked_before_the_orbit_count(monkeypatch):
+    # fig6-2s-m3 has 569 raw rows and a copy group of order 6, so counting
+    # its orbits takes 3414 row images; a cap below that fires before the
+    # image table exists
+    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
+    monkeypatch.setattr(mdi, "MAX_ROW_IMAGES", 3413)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="569 raw constraint rows under 6 copy permutations: "
+                                             "3414 row images exceed the cap 3413"):
+            mdi.build_sdp(scen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_row_cap_reads_the_reduced_rows(monkeypatch):
     # a cap between the 137 reduced and the 569 raw rows of fig6-2s-m3
     # admits it: the build and the solve (133 kept rows) both fit
@@ -655,8 +672,9 @@ def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeyp
     assert sym.copies == 1
     assert np.array_equal(canon, np.arange(n_fam * len(live) * scen.n_outcomes))
     kept, red, wt = mdi._row_orbits(sym, n_fam, live, band=relax > 0.0)
-    m = sum(r.size for r in mdi._identity_rows(n_fam, scen.n_states, scen.n_outcomes, len(live),
-                                               scen.dim, relax > 0.0))
+    sizes = (n_fam, scen.n_states, scen.n_outcomes, len(live))
+    m = sum(r.size for r in mdi._identity_rows(*sizes, scen.dim, relax > 0.0))
+    assert mdi._row_starts(*sizes, scen.dim**2, relax > 0.0)[-1] == m
     assert np.array_equal(kept, np.arange(m)) and np.array_equal(red, np.arange(m))
     assert np.array_equal(wt, np.ones(m))
     _, rep, raw = _build_raw(scen, monkeypatch, SolverOptions(relax=relax))
