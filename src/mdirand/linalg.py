@@ -14,9 +14,10 @@ min_eigenvalue is the two in turn. No other module calls LAPACK's eigen
 solvers; jacobi_eigvalsh is a pure-Python reference for the tests. Blocks
 are at most dim 32 for a tensor power (quantum._MAX_TENSOR_DIM); a
 density-matrix source sets no cap. row_space_basis reads the m x m Gram
-matrix of the constraint rows (m at most 569 for the bundled presets,
-4337 for the two-state product source at four copies) and needs one
-m x m work array.
+matrix of the constraint rows left by the copy symmetry (m at most 137
+for the bundled presets, fig6-2s-m3; 361 and 843 for the two-state
+product source at four and five copies, 656 and 1579 for the four-state
+one) or of the states (m = n_s) and needs one m x m work array.
 """
 from __future__ import annotations
 

@@ -158,28 +158,20 @@ def _hermitian_basis(d: int) -> np.ndarray:
 # qubit presets, eta from 0 to 1, the largest is 1.5e-15 (face projectors
 # of rank-deficient faces at eta = 1)
 SYMMETRY_TOL = 1e-12
-# most entries of the row-image table of _row_orbits, the copy group's
-# order times the raw row count (about 35 bytes each at its peak, so
-# 600 MB): _row_orbits refuses a scenario above it before the table exists.
-# Five copies of the four-state Fig. 6 source need 7.9 million.
-MAX_ROW_IMAGES = 1 << 24
 
 
 @dataclass(frozen=True)
 class _CopySymmetry:
     """S_m permuting the m copies of a product scenario; m = 1: the order-1 group.
 
-    Row g of each array maps every state, outcome and computational-basis
-    index to its image under the g-th permutation of the copies' digits
-    (first copy slowest, as tensor_ensemble orders them); row 0 is the
-    identity. A matrix M moves to M' with M'[h[i], h[j]] = M[i, j], h the
-    basis map: the conjugation by the permutation unitary U_g.
+    roots holds the number of states, outcomes and computational-basis
+    vectors of one copy (the scenario's own under the order-1 group); an
+    index is the tuple of its m per-copy digits, first copy slowest, as
+    tensor_ensemble orders them.
     """
 
     copies: int
-    states: np.ndarray
-    outcomes: np.ndarray
-    hilbert: np.ndarray
+    roots: tuple[int, int, int]
 
 
 def _digit_map(base: int, perm: tuple[int, ...]) -> np.ndarray:
@@ -188,6 +180,23 @@ def _digit_map(base: int, perm: tuple[int, ...]) -> np.ndarray:
     shape = (base,) * len(perm)
     digits = np.unravel_index(np.arange(base ** len(perm)), shape)
     return np.ravel_multi_index([digits[k] for k in perm], shape)
+
+
+def _smallest_images(tuples, roots: tuple[int, ...], m: int) -> np.ndarray:
+    """The smallest image under the copy permutations of each tuple of
+    indices, the index arrays broadcast together, raveled as
+    np.ravel_multi_index does over the sizes roots[i]**m. Index i is the
+    tuple of its m per-copy digits in base roots[i], first copy slowest, so
+    the smallest image puts the copies in increasing order of their
+    per-copy digit tuples, each read as one number c in the mixed radix
+    of roots."""
+    r = np.array(roots)
+    power = r[:, None] ** np.arange(m - 1, -1, -1)  # of each copy's digit
+    # the per-copy numbers of each tuple, sorted
+    code = sum(np.take(np.arange(n**m)[:, None] // p % n * w, i, axis=0)
+               for i, n, p, w in zip(tuples, roots, power, np.cumprod([1, *r[:0:-1]])[::-1]))
+    code.sort(axis=-1)
+    return np.ravel_multi_index([c @ p for c, p in zip(np.unravel_index(code, roots), power)], r**m)
 
 
 def _moved(mats: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
@@ -200,7 +209,7 @@ def _moved(mats: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
 def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
                    look: bool = True) -> _CopySymmetry:
     """The copy-permutation group of the scenario: S_m of a product
-    scenario, else the order-1 group (identity maps, copies == 1).
+    scenario, else the order-1 group (copies == 1).
 
     Candidates have d = d0^m, n_s = n0^m and n_o = o0^m, m >= 2, tried from
     the largest m down. S_m is kept when every adjacent transposition maps
@@ -213,16 +222,14 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
     """
     sizes = (scenario.n_states, scenario.n_outcomes, scenario.dim)
     for m in range(int(math.log2(scenario.dim)) if look else 1, 1, -1):
-        roots = [round(n ** (1.0 / m)) for n in sizes]
+        roots = tuple(round(n ** (1.0 / m)) for n in sizes)
         if any(r**m != n for r, n in zip(roots, sizes)):
             continue
         swaps = [(*range(k), k + 1, k, *range(k + 2, m)) for k in range(m - 1)]
         if all(_is_invariant(scenario, faces, *[_digit_map(r, p) for r in roots])
                for p in swaps):
-            group = list(itertools.permutations(range(m)))
-            return _CopySymmetry(m, *[np.stack([_digit_map(r, p) for p in group])
-                                      for r in roots])
-    return _CopySymmetry(1, *[np.arange(n)[None] for n in sizes])
+            return _CopySymmetry(m, roots)
+    return _CopySymmetry(1, sizes)
 
 
 def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarray,
@@ -249,18 +256,20 @@ def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarra
     )
 
 
-def _live_images(sym: _CopySymmetry, live: list[int]) -> np.ndarray:
-    """(|G|, L) image of each live outcome, as its position x' in live
-    (the group maps live outcomes onto live ones)."""
-    return np.searchsorted(live, sym.outcomes[:, live])
-
-
-def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int], n_o: int) -> np.ndarray:
-    """(|G|, n_fam L n_o) image of every block (f, x, e) of build_sdp, in
-    its numbering (f L + x') n_o + e."""
-    fam = sym.states[:, :n_fam]  # state 0 is fixed: the single family stays
-    out = (fam[:, :, None, None] * len(live) + _live_images(sym, live)[:, None, :, None]) * n_o
-    return (out + sym.outcomes[:, None, None, :]).reshape(len(fam), -1)
+def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int],
+                  n_o: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (|G|, n_fam L n_o) image of every block (f, x, e) of build_sdp,
+    in its numbering (f L + x') n_o + e (the group maps live outcomes onto
+    live ones, x' the position in live), and the (|G|, d) basis maps: row
+    g under the g-th permutation of the copies' digits, row 0 the
+    identity. A matrix M moves to M' with M'[h[i], h[j]] = M[i, j], h the
+    basis map: the conjugation by the permutation unitary U_g."""
+    group = list(itertools.permutations(range(sym.copies)))
+    states, outcomes, hilbert = (np.stack([_digit_map(r, p) for p in group]) for r in sym.roots)
+    fam = states[:, :n_fam]  # state 0 is fixed: the single family stays
+    out = (fam[:, :, None, None] * len(live)
+           + np.searchsorted(live, outcomes[:, live])[:, None, :, None]) * n_o
+    return (out + outcomes[:, None, None, :]).reshape(len(fam), -1), hilbert
 
 
 def _block_orbits(
@@ -269,12 +278,18 @@ def _block_orbits(
     """build_sdp's blocks: the copy group (see _copy_symmetry; order 1 when
     look is False), the live outcomes (nonempty face) and, for every block
     k in the numbering (f L + x') n_o + e, canon[k], the first block of
-    its orbit (k itself under the order-1 group)."""
+    its orbit, the smallest image of (f, x, e) (k itself under the order-1
+    group)."""
     n_o = scenario.n_outcomes
     n_fam = scenario.n_states if scenario.mode == MODE_FINITE_Q else 1
     live = [x for x in range(n_o) if faces[x].shape[1] > 0]
     sym = _copy_symmetry(scenario, faces, look)
-    return sym, live, _block_images(sym, n_fam, live, n_o).min(axis=0)
+    if sym.copies == 1:
+        return sym, live, np.arange(n_fam * len(live) * n_o)
+    blocks = np.ix_(range(n_fam), live, range(n_o))
+    first = _smallest_images(blocks, sym.roots[:2] + sym.roots[1:2], sym.copies)  # n0, o0, o0
+    ident = np.ravel_multi_index(blocks, (scenario.n_states, n_o, n_o))
+    return sym, live, np.searchsorted(ident.reshape(-1), first.reshape(-1))
 
 
 def _row_starts(n_fam: int, n_s: int, n_o: int, n_l: int, d2: int,
@@ -287,36 +302,18 @@ def _row_starts(n_fam: int, n_s: int, n_o: int, n_l: int, d2: int,
     return o3, o4, o4 + n_s * n_l * (1 + band)
 
 
-def _raw_rows(n_fam: int, states: np.ndarray, outcomes: np.ndarray, live: np.ndarray,
-              basis: np.ndarray, traceless: np.ndarray, band: bool) -> tuple[np.ndarray, ...]:
-    """The numbers of build_sdp's raw rows under index maps, the one place
-    that numbers them (at the starts of _row_starts).
-
-    The maps share their leading axes (none for the identity, one per group
-    element in _row_orbits) and give the image of each input, outcome, live
-    outcome (as its position x' among the L live ones), basis element and
-    traceless element; family f is input f's family. Returns the image of
-    the rows of family i (one row), ii (f, e, j), iii (a - 1, x', j), iv
-    (a, x') and of the band rows (a, x'; none unless band), in these shapes
-    after the leading axes. The identity maps give 0, 1, ... in that order,
-    each family in C order (_identity_rows).
-    """
-    fam = states[..., :n_fam]
-    n_s, n_o, n_l, d2 = (a.shape[-1] for a in (states, outcomes, live, basis))
-    o3, o4, _ = _row_starts(n_fam, n_s, n_o, n_l, d2, band)
-    guess = (1 + (fam[..., :, None, None] * n_o + outcomes[..., None, :, None]) * (d2 - 1)
-             + traceless[..., None, None, :])
-    ind = (o3 + ((fam[..., 1:, None, None] - 1) * n_l + live[..., None, :, None]) * d2
-           + basis[..., None, None, :])
-    stat = o4 + states[..., :, None] * n_l + live[..., None, :]
-    norm = np.zeros(fam.shape[:-1] + (1,), dtype=np.intp)
-    return norm, guess, ind, stat, (stat + n_s * n_l)[..., :n_s if band else 0, :]
-
-
-def _identity_rows(n_fam: int, n_s: int, n_o: int, n_l: int, d: int,
-                   band: bool) -> tuple[np.ndarray, ...]:
-    """build_sdp's own row numbers: _raw_rows under the identity maps."""
-    return _raw_rows(n_fam, *[np.arange(n) for n in (n_s, n_o, n_l, d * d, d * d - 1)], band)
+def _raw_rows(n_fam: int, n_s: int, n_o: int, n_l: int, d: int,
+              band: bool) -> tuple[np.ndarray, ...]:
+    """The numbers of build_sdp's raw rows, the one place that numbers them
+    (at the starts of _row_starts): the rows of family i (one row), ii
+    (f, e, j), iii (a - 1, x', j), iv (a, x') and the band rows (a, x';
+    none unless band), in these shapes, each family in C order; j is a
+    traceless (ii) or basis (iii) element and x' the position of x among
+    the n_l live outcomes."""
+    o3, o4, n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)
+    shapes = [(1,), (n_fam, n_o, d * d - 1), (n_fam - 1, n_l, d * d), (n_s, n_l), (n_s * band, n_l)]
+    parts = np.split(np.arange(n_raw), [1, o3, o4, o4 + n_s * n_l])
+    return tuple(p.reshape(s) for p, s in zip(parts, shapes))
 
 
 def _row_orbits(
@@ -324,55 +321,59 @@ def _row_orbits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row orbits of build_sdp's raw rows, with its band rows if band.
 
-    A copy permutation maps each _hermitian_basis element to +- another (its
-    basis map fixes index 0, so the traceless e_kk - e_00 too), and so maps
-    every raw row i to +- a row (_raw_rows of the group's maps); a band row
-    moves with its statistics row. Returns the canonical rows (the smallest
-    index of each orbit that no stabilizer element maps to its own
-    negative, in increasing order), each raw row's reduced index (-1 when
-    its orbit is negated: such rows vanish on symmetric points) and its
-    weight s_i / |R|, s_i the sign that carries the canonical row onto row i
-    and |R| the orbit size (0 when dropped). The order-1 group maps every
-    row to itself with weight 1. The image table holds |G| times the raw
-    row count of entries, about 35 bytes each at its peak; more than
-    MAX_ROW_IMAGES raise ValueError before it exists.
+    A raw row is the tuple of an input a (the family f for ii), an outcome
+    (the guess e for ii) and the pair (k, l) of its basis element: e_kk
+    (k = l; e_kk - e_00 for ii, every permutation fixing index 0) or the
+    symmetric or antisymmetric element of k < l; rows i, iv and the band
+    have (0, 0). A copy permutation maps the row to the row of the permuted
+    tuple, its pair put in order, and negates an antisymmetric element
+    whose pair it turns round. So the first row of an orbit is the smaller
+    of the smallest images (_smallest_images) of the tuple with (k, l) and
+    with (l, k); an antisymmetric row takes the sign -1 when the second is
+    smaller, and when they are equal some stabilizer element maps the row
+    to its own negative. A band row moves with its statistics row.
+
+    Returns the canonical rows (the smallest index of each orbit that no
+    stabilizer element maps to its own negative, in increasing order),
+    each raw row's reduced index (-1 when its orbit is negated: such rows
+    vanish on symmetric points) and its weight s_i / |R|, s_i the sign
+    that carries the canonical row onto row i and |R| the orbit size (0
+    when dropped). The order-1 group maps every row to itself with weight
+    1. Memory and time grow with the raw rows times the copies.
     """
-    h = sym.hilbert
-    n_g, d = h.shape
-    d2 = d * d
-    n_raw = _row_starts(n_fam, sym.states.shape[1], sym.outcomes.shape[1], len(live), d2, band)[-1]
-    if n_g * n_raw > MAX_ROW_IMAGES:
-        raise ValueError(f"{n_raw} raw constraint rows under {n_g} copy permutations: "
-                         f"{n_g * n_raw} row images exceed the cap {MAX_ROW_IMAGES}")
+    (n0, o0, d0), m = sym.roots, sym.copies
+    n_s, n_o, n_l, d = n0**m, o0**m, len(live), d0**m
+    n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
     rows = np.arange(n_raw)
-    if n_g == 1:  # the identity
-        return rows, rows, np.ones(rows.size)
-    # image of each basis element; the pair k < l has its symmetric
-    # element at pair[k, l] and its antisymmetric one next
-    k, l = np.nonzero(np.arange(d)[:, None] < np.arange(d))
-    pair = np.zeros((d, d), dtype=np.intp)
-    pair[k, l] = pair[l, k] = d + 2 * np.arange(k.size)
-    hk, hl = h[:, k], h[:, l]
-    bas = np.empty((n_g, d2), dtype=np.intp)
-    bas[:, :d], bas[:, d::2], bas[:, d + 1::2] = h, pair[hk, hl], pair[hk, hl] + 1
-    # traceless: the off-diagonal elements, then e_kk - e_00 for k >= 1
-    tl = np.concatenate([bas[:, d:] - d, d2 - d - 1 + h[:, 1:]], axis=1)
-    parts = _raw_rows(n_fam, sym.states, sym.outcomes, _live_images(sym, live), bas, tl, band)
-    img = np.concatenate([i.reshape(n_g, -1) for i in parts], axis=1)
-    # signs: an antisymmetric element turns when its pair's order does
-    bas_s = np.ones((n_g, d2))
-    bas_s[:, d + 1::2] = np.where(hk < hl, 1.0, -1.0)
-    tl_s = np.concatenate([bas_s[:, d:], np.ones((n_g, d - 1))], axis=1)
-    signs = [1.0, tl_s[:, None, None], bas_s[:, None, None], 1.0, 1.0]
-    sign = np.concatenate([np.broadcast_to(s, i.shape).reshape(n_g, -1)
-                           for i, s in zip(parts, signs)], axis=1)
-    canon = img.min(axis=0)
-    negated = np.any((img == rows) & (sign < 0.0), axis=0)
+    if m == 1:  # the identity
+        return rows, rows, np.ones(n_raw)
+    # basis element j (_hermitian_basis): e_kk for k = bk[j] = bl[j] < d,
+    # then per pair bk[j] < bl[j] the symmetric and the antisymmetric one
+    pairs = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    bk, bl = (np.concatenate([np.arange(d), np.repeat(i, 2)]) for i in pairs)
+    b_anti = np.r_[np.zeros(d, dtype=bool), np.arange(d * d - d) % 2 == 1]
+    # every raw row as (family, input, outcome, basis element); the
+    # traceless element t is basis element tl[t]
+    tl = np.concatenate([np.arange(d, d * d), np.arange(1, d)])
+    f, a, x, j = tup = np.zeros((4, n_raw), dtype=np.intp)
+    fam, xs = np.arange(n_s)[:, None, None], np.asarray(live)[:, None]
+    for raw, values in zip(_raw_rows(n_fam, n_s, n_o, n_l, d, band)[1:], (  # ii, iii, iv, band
+            (1, fam[:n_fam], np.arange(n_o)[:, None], tl), (2, fam[1:n_fam], xs, np.arange(d * d)),
+            (3, fam[:, 0], xs[:, 0], 0), (4, fam[:n_s * band, 0], xs[:, 0], 0))):
+        for field, v in zip(tup, values):
+            field[raw] = v
+    k, l, anti = bk[j], bl[j], b_anti[j]
+    both = _smallest_images((a, x, np.array([k, l]), np.array([l, k])), (n0, o0, d0, d0), m)
+    # a row is its family, its tuple and its kind, the first of its orbit
+    # the same with the smaller image; negation holds for a whole orbit
+    lead = f * (n_s * n_o * d * d)
+    row = (lead + np.ravel_multi_index((a, x, k, l), (n_s, n_o, d, d))) * 2 + anti
+    order = np.argsort(row)
+    canon = order[np.searchsorted(row, (lead + np.minimum(*both)) * 2 + anti, sorter=order)]
+    negated = anti & (both[0] == both[1])
     kept = np.flatnonzero((canon == rows) & ~negated)
-    index = np.full(rows.size, -1)
-    index[kept] = np.arange(kept.size)
-    red = index[canon]
-    s = sign[img.argmin(axis=0), rows] / np.bincount(canon, minlength=rows.size)[canon]
+    red = np.where(negated, -1, np.searchsorted(kept, canon))
+    s = np.where(anti & (both[1] < both[0]), -1.0, 1.0) / np.bincount(canon, minlength=n_raw)[canon]
     return kept, red, np.where(red >= 0, s, 0.0)
 
 
@@ -532,13 +533,15 @@ def build_sdp(
     the certified bound holds for both. Under the order-1 group each orbit
     is one block or one row, of weight 1.
 
-    The reduced rows are counted from the faces and the group's index maps
-    alone: more than sdp_solver.MAX_CONSTRAINTS of them raise ValueError,
-    naming the count, the blocks and the largest block size, before the
-    basis, any face compression or any coefficient stack exists. Counting
-    them takes a table of |G| images of every raw row; _row_orbits raises
-    ValueError for a table above MAX_ROW_IMAGES entries, naming the raw
-    rows and |G|, before it is built.
+    The cap sdp_solver.MAX_CONSTRAINTS bounds the reduced rows, checked
+    twice before the basis, any face compression or any coefficient stack
+    exists; each refusal raises ValueError naming the count, the blocks
+    and the largest block size. First, before any array over the raw rows,
+    a bound in closed form: only antisymmetric rows of ii and iii can
+    vanish, and an orbit holds at most |G| rows, so at least
+    ceil((raw rows - antisymmetric rows) / |G|) rows remain ("at least"
+    in the message; under the order-1 group the raw row count, exact).
+    Then the count of _row_orbits.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
@@ -554,12 +557,15 @@ def build_sdp(
     sym, live, canon = _block_orbits(scenario, faces, look=not band)
     n_l = len(live)
     first_of_orbit = canon == np.arange(canon.size)
+    # the cap on the closed-form bound, then on the count (see above)
+    shape = (np.count_nonzero(first_of_orbit) + 2 * n_s * n_l * band,
+             max(v.shape[1] for v in faces))
+    anti = (n_fam * n_o + (n_fam - 1) * n_l) * (d * (d - 1) // 2) * (sym.copies > 1)
+    n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
+    sdp_solver.check_rows(-(-(n_raw - anti) // math.factorial(sym.copies)), *shape, sym.copies > 1)
     kept, red, wt = _row_orbits(sym, n_fam, live, band)
-    if kept.size > (cap := sdp_solver.MAX_CONSTRAINTS):
-        blocks = np.count_nonzero(first_of_orbit) + 2 * n_s * n_l * band
-        raise ValueError(f"{kept.size} constraint rows on {blocks} blocks of size up to "
-                         f"{max(v.shape[1] for v in faces)} exceed the cap {cap}")
-    norm, guess, ind, stat, band_rows = _identity_rows(n_fam, n_s, n_o, n_l, d, band)
+    sdp_solver.check_rows(kept.size, *shape)
+    norm, guess, ind, stat, band_rows = _raw_rows(n_fam, n_s, n_o, n_l, d, band)
     emit = first_of_orbit.tolist()
 
     probs = scenario.ensemble.probs
@@ -829,7 +835,7 @@ class EffectiveStrategy:
         n_fam = n_s if scenario.mode == MODE_FINITE_Q else 1
         faces = face_bases(scenario)
         sym, live, canon = _block_orbits(scenario, faces)
-        images = _block_images(sym, n_fam, live, n_o)
+        images, hilbert = _block_images(sym, n_fam, live, n_o)
         reps = np.flatnonzero(canon == np.arange(canon.size))
         expanded = []
         for k, blk in zip(reps, sol.x_blocks):  # block k = (f L + x') n_o + e
@@ -837,7 +843,7 @@ class EffectiveStrategy:
             expanded.append(v @ blk @ v.conj().T)
         full = np.stack(expanded)
         ops = np.zeros((images.shape[1], d, d), dtype=complex)
-        for img, h in zip(images, sym.hilbert):
+        for img, h in zip(images, hilbert):
             ops[img[reps]] += _moved(full, h) / len(images)
         out = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
         out[:, live] = ops.reshape(n_fam, len(live), n_o, d, d)

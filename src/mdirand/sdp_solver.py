@@ -95,6 +95,14 @@ STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
 MAX_CONSTRAINTS = 5000
 
 
+def check_rows(rows: int, blocks: int, size: int, bound: bool = False) -> None:
+    """Raise ValueError, naming the rows, the blocks and the largest block
+    size, when the rows (at least rows, if bound) exceed MAX_CONSTRAINTS."""
+    if rows > MAX_CONSTRAINTS:
+        raise ValueError(f"{'at least ' * bound}{rows} constraint rows on {blocks} blocks of "
+                         f"size up to {size} exceed the cap {MAX_CONSTRAINTS}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """The settings of one solve, each one a command-line flag of `rate`
@@ -253,9 +261,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         raise ValueError("problem must be preprocessed before solving")
     if p.n_constraints == 0:
         raise ValueError("problem has no constraints")
-    if p.n_constraints > MAX_CONSTRAINTS:
-        raise ValueError(f"{p.n_constraints} constraint rows on {p.n_blocks} blocks of size up to "
-                         f"{max(p.block_dims)} exceed the cap {MAX_CONSTRAINTS}")
+    check_rows(p.n_constraints, p.n_blocks, max(p.block_dims))
 
     m = p.n_constraints
     c = p.objective_stacks

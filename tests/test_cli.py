@@ -485,10 +485,10 @@ def test_oversized_scenario_fails_before_assembly(tmp_path):
 
 def test_symmetric_oversized_scenario_fails_before_the_orbit_count(tmp_path):
     # fig6-2s-m3 at five copies in finite-q mode keeps S_5, but one family
-    # per input makes 2064385 raw rows: 248 million row images, several
-    # GB to count the orbits. The row-image cap stops it before that
-    # table exists, so it exits with a size message even under a 2 GiB
-    # address-space limit. Never run this spec without such a limit.
+    # per input makes 2064385 raw rows, at least 8871 of them left by S_5.
+    # That bound stops it before any per-row array exists, so it exits
+    # with a size message even under a 2 GiB address-space limit. Never
+    # run this spec without such a limit.
     spec = cli.load_scenario_spec("fig6-2s-m3")
     spec.update(copies=5, mode="finite-q")
     del spec["generation_index"]
@@ -496,7 +496,8 @@ def test_symmetric_oversized_scenario_fails_before_the_orbit_count(tmp_path):
     path.write_text(json.dumps(spec))
     proc = _rate_under_2_gib(path)
     assert proc.returncode == cli.EXIT_SCHEMA
-    assert "2064385 raw constraint rows under 120 copy permutations" in proc.stderr
+    assert "at least 8871 constraint rows on 792 blocks of size up to 32 exceed the cap 5000" \
+        in proc.stderr
     assert "MemoryError" not in proc.stderr
 
 

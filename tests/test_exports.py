@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +29,39 @@ def test_no_module_reads_the_environment(name):
     names = {n.attr if isinstance(n, ast.Attribute) else n.id
              for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name))}
     assert names.isdisjoint({"environ", "getenv"})
+
+
+# the functions under src/ that no code there calls, each kept for a reason
+UNCALLED = {
+    "is_hermitian": "linalg's public test of the Hermitian rule that require_hermitian enforces",
+    "jacobi_eigvalsh": "the values-only reference the tests compare LAPACK against, and a "
+                       "span target of the benchmark",
+    "check_extremal": "quantum's public check of an extremal POVM, run by the tests",
+    "honest_strategy": "the honest device's feasible strategy, which the tests check the "
+                       "assembled problem against",
+    "from_rows": "SdpProblem stated by per-row maps, how the tests write small problems",
+    "stack_groups": "SdpProblem's packing of per-block matrices into its group stacks, for "
+                    "the tests' primal points",
+    "from_solution": "EffectiveStrategy read back from a solution, applying every U_g",
+    "objective_value": "EffectiveStrategy's objective, checked against the SDP's by the tests",
+    "validate": "EffectiveStrategy's feasibility check, run by the tests",
+}
+
+
+def test_every_function_is_called_or_an_entry_point():
+    # a function or method that no code under src/ calls or passes on is
+    # an entry point (the package's __all__, the console script cli.main)
+    # or named in UNCALLED with its reason, so a helper that a change
+    # leaves without callers cannot linger; a name that gains a caller
+    # leaves UNCALLED
+    defined, used = set(), set()
+    for path in Path(mdirand.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dunder = {n for n in defined if n.startswith("__") and n.endswith("__")}
+    assert defined - used - dunder - set(mdirand.__all__) - {"main"} == set(UNCALLED)

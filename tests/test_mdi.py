@@ -25,6 +25,7 @@ from mdirand.quantum import (
 )
 from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
+import orbit_tables
 from scenarios import doubled_preset, force_order_one_group
 from sdp_rows import real_coords
 
@@ -77,21 +78,23 @@ def test_raw_row_cap_checked_before_assembly(monkeypatch):
     assert peak < 2**20
 
 
-def test_row_image_cap_checked_before_the_orbit_count(monkeypatch):
-    # fig6-2s-m3 has 569 raw rows and a copy group of order 6, so counting
-    # its orbits takes 3414 row images; a cap below that fires before the
-    # image table exists
-    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m3"))
-    monkeypatch.setattr(mdi, "MAX_ROW_IMAGES", 3413)
+def test_reduced_row_bound_checked_before_any_row_array():
+    # fig6-2s-m3 at five copies in finite-q mode has 2064385 raw rows, of
+    # which 999936 are antisymmetric; an S_5 orbit holds at most 120 rows,
+    # so at least ceil(1064449 / 120) = 8871 rows are left, above the cap.
+    # That bound fires before any array over the raw rows (16 MB each)
+    # exists
+    spec = dict(cli.load_scenario_spec("fig6-2s-m3"), copies=5, mode=mdi.MODE_FINITE_Q)
+    scen = cli.realize(spec)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="569 raw constraint rows under 6 copy permutations: "
-                                             "3414 row images exceed the cap 3413"):
+        with pytest.raises(ValueError, match="at least 8871 constraint rows on 792 blocks of "
+                                             "size up to 32 exceed the cap 5000"):
             mdi.build_sdp(scen)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 2**23
 
 
 def test_row_cap_reads_the_reduced_rows(monkeypatch):
@@ -155,7 +158,7 @@ def test_honest_strategy_satisfies_every_kept_row(name):
                   for e in range(scen.n_outcomes)]
         sym = mdi._copy_symmetry(scen, faces)
         live = [x for x, v in enumerate(faces) if v.shape[1] > 0]
-        canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes).min(axis=0)
+        canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes)[0].min(axis=0)
         size = np.bincount(canon)
         blocks = [size[k] * blocks[k] for k in np.unique(canon)]
         assert len(blocks) == prob.n_blocks
@@ -654,6 +657,35 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     assert abs(float(raw_full.b @ y) - sol.certified_upper_bound) <= 1e-9
 
 
+ORBIT_CASES = {
+    **{name: (make, 0.0) for name, make in SYMMETRIC_CASES.items()},
+    "fig6-2s-m4": (lambda: cli.realize(dict(cli.load_scenario_spec("fig6-2s-m3"), copies=4)), 0.0),
+    "fig6-4s-m4": (lambda: cli.realize(dict(cli.load_scenario_spec("fig6-4s-m2"), copies=4)), 0.0),
+    "fig6-2s-m3-finite-q": (lambda: _finite_q(cli.realize(cli.load_scenario_spec("fig6-2s-m3"))),
+                            0.0),
+    "fig6-2s-m2-band": (lambda: cli.realize(cli.load_scenario_spec("fig6-2s-m2")), 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_orbits_by_canonical_form_match_the_image_tables(name):
+    # the block and row orbits read off sorted per-copy digits equal, bit
+    # for bit, those of the tables of every image under every copy
+    # permutation (orbit_tables), in the preset's mode and in finite-q
+    # (7681 raw rows for fig6-2s-m3) and under a band (the order-1 group)
+    make, relax = ORBIT_CASES[name]
+    scen = make()
+    n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
+    faces = (mdi.face_bases(scen) if relax == 0.0
+             else [np.eye(scen.dim, dtype=complex)] * scen.n_outcomes)
+    sym, live, canon = mdi._block_orbits(scen, faces, look=relax == 0.0)
+    assert (sym.copies > 1) == (relax == 0.0)
+    assert np.array_equal(canon, orbit_tables.block_canon(sym, n_fam, live, scen.n_outcomes))
+    for new, ref in zip(mdi._row_orbits(sym, n_fam, live, relax > 0.0),
+                        orbit_tables.row_orbits(sym, n_fam, live, relax > 0.0)):
+        assert new.dtype == ref.dtype and np.array_equal(new, ref)
+
+
 @pytest.mark.parametrize("name, relax", [
     *[pytest.param(n, 0.0, id=n) for n in cli.preset_names()
       if cli.load_scenario_spec(n)["copies"] == 1],
@@ -673,7 +705,7 @@ def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeyp
     assert np.array_equal(canon, np.arange(n_fam * len(live) * scen.n_outcomes))
     kept, red, wt = mdi._row_orbits(sym, n_fam, live, band=relax > 0.0)
     sizes = (n_fam, scen.n_states, scen.n_outcomes, len(live))
-    m = sum(r.size for r in mdi._identity_rows(*sizes, scen.dim, relax > 0.0))
+    m = sum(r.size for r in mdi._raw_rows(*sizes, scen.dim, relax > 0.0))
     assert mdi._row_starts(*sizes, scen.dim**2, relax > 0.0)[-1] == m
     assert np.array_equal(kept, np.arange(m)) and np.array_equal(red, np.arange(m))
     assert np.array_equal(wt, np.ones(m))
