@@ -29,7 +29,6 @@ permutations leave unchanged, else the order-1 group.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -153,10 +152,10 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 # largest entry mismatch that a copy permutation may leave between the
-# states (relative to max(1, largest entry)), the statistics or the face
-# projectors it relates; on the bundled product presets and the doubled
-# qubit presets, eta from 0 to 1, the largest is 1.5e-15 (face projectors
-# of rank-deficient faces at eta = 1)
+# states (relative to max(1, largest entry)), the statistics, the face
+# projectors or the input probabilities it relates; on the bundled product
+# presets and the doubled qubit presets, eta from 0 to 1, the largest is
+# 1.5e-15 (face projectors of rank-deficient faces at eta = 1)
 SYMMETRY_TOL = 1e-12
 
 
@@ -167,19 +166,12 @@ class _CopySymmetry:
     roots holds the number of states, outcomes and computational-basis
     vectors of one copy (the scenario's own under the order-1 group); an
     index is the tuple of its m per-copy digits, first copy slowest, as
-    tensor_ensemble orders them.
+    tensor_ensemble orders them, and a copy permutation acts on an array
+    by transposing those digits (_permuted).
     """
 
     copies: int
     roots: tuple[int, int, int]
-
-
-def _digit_map(base: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Index map of one copy permutation on base**m indices: copy k of the
-    image holds the digit of copy perm[k]."""
-    shape = (base,) * len(perm)
-    digits = np.unravel_index(np.arange(base ** len(perm)), shape)
-    return np.ravel_multi_index([digits[k] for k in perm], shape)
 
 
 def _smallest_images(tuples, roots: tuple[int, ...], m: int) -> np.ndarray:
@@ -199,11 +191,15 @@ def _smallest_images(tuples, roots: tuple[int, ...], m: int) -> np.ndarray:
     return np.ravel_multi_index([c @ p for c, p in zip(np.unravel_index(code, roots), power)], r**m)
 
 
-def _moved(mats: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
-    """U mats U^dag for the basis permutation hilbert, on a stack."""
-    inv = np.empty_like(hilbert)
-    inv[hilbert] = np.arange(hilbert.size)
-    return mats[..., inv, :][..., inv]
+def _permuted(a: np.ndarray, roots: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """The image of a under the copy permutation perm: each axis i, of size
+    roots[i]**m, split into its m per-copy digits (first copy slowest, as
+    tensor_ensemble orders them), and copy k of the image given the digit
+    of copy perm[k]. On a (states, d, d) stack this maps state a to g.a and
+    conjugates by the permutation unitary U_g."""
+    m = len(perm)
+    axes = [i * m + k for i in range(a.ndim) for k in perm]
+    return a.reshape([r for r in roots for _ in perm]).transpose(axes).reshape(a.shape)
 
 
 def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
@@ -212,64 +208,33 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
     scenario, else the order-1 group (copies == 1).
 
     Candidates have d = d0^m, n_s = n0^m and n_o = o0^m, m >= 2, tried from
-    the largest m down. S_m is kept when every adjacent transposition maps
-    each state onto the state of the permuted index and each statistics
-    entry onto the permuted entry, keeps the input probabilities
-    (finite-q) or fixes the generation input (asymptotic), and maps each
-    face onto the face of the permuted outcome, of equal rank, all within
-    SYMMETRY_TOL. A dimension that is no power m >= 2 (every qubit
-    scenario) tries no candidate, and look=False (a band) tries none.
+    the largest m down. S_m is kept when every adjacent transposition
+    leaves each of these unchanged within SYMMETRY_TOL: the states (over
+    max(1, largest entry)), the statistics, the face projectors (so the
+    face ranks, their traces, exactly) and the input probabilities
+    (finite-q) or the indicator of the generation input (asymptotic: its m
+    digits are equal). They are stacked once per candidate. A dimension
+    that is no power m >= 2 (every qubit scenario) tries no candidate, and
+    look=False (a band) tries none.
     """
     sizes = (scenario.n_states, scenario.n_outcomes, scenario.dim)
     for m in range(int(math.log2(scenario.dim)) if look else 1, 1, -1):
         roots = tuple(round(n ** (1.0 / m)) for n in sizes)
         if any(r**m != n for r, n in zip(roots, sizes)):
             continue
+        n0, o0, d0 = roots
+        rhos = np.stack([s.mat for s in scenario.ensemble.states])
+        rhos /= max(1.0, float(np.max(np.abs(rhos))))
+        source = (scenario.ensemble.probs if scenario.mode == MODE_FINITE_Q
+                  else np.eye(sizes[0])[scenario.generation_index - 1])
+        data = [(rhos, (n0, d0, d0)),
+                (scenario.observed.conditionals, (n0, o0)),
+                (np.stack([v @ v.conj().T for v in faces]), (o0, d0, d0)), (source, (n0,))]
         swaps = [(*range(k), k + 1, k, *range(k + 2, m)) for k in range(m - 1)]
-        if all(_is_invariant(scenario, faces, *[_digit_map(r, p) for r in roots])
-               for p in swaps):
+        if all(np.max(np.abs(_permuted(a, r, p) - a)) <= SYMMETRY_TOL
+               for p in swaps for a, r in data):
             return _CopySymmetry(m, roots)
     return _CopySymmetry(1, sizes)
-
-
-def _is_invariant(scenario: Scenario, faces: list[np.ndarray], states: np.ndarray,
-                  outcomes: np.ndarray, hilbert: np.ndarray) -> bool:
-    """Whether one copy permutation, given by its index maps, leaves the
-    scenario and its faces unchanged (see _copy_symmetry)."""
-    rhos = np.stack([s.mat for s in scenario.ensemble.states])
-    cond = scenario.observed.conditionals
-    if scenario.mode == MODE_FINITE_Q:
-        probs = scenario.ensemble.probs
-        source_ok = np.max(np.abs(probs[states] - probs)) <= SYMMETRY_TOL
-    else:
-        gen = scenario.generation_index - 1
-        source_ok = states[gen] == gen
-    ranks = np.array([v.shape[1] for v in faces])
-    proj = np.stack([v @ v.conj().T for v in faces])
-    scale = max(1.0, float(np.max(np.abs(rhos))))
-    return bool(
-        source_ok
-        and np.max(np.abs(_moved(rhos, hilbert) - rhos[states])) <= SYMMETRY_TOL * scale
-        and np.max(np.abs(cond[states][:, outcomes] - cond)) <= SYMMETRY_TOL
-        and np.array_equal(ranks[outcomes], ranks)
-        and np.max(np.abs(_moved(proj, hilbert) - proj[outcomes])) <= SYMMETRY_TOL
-    )
-
-
-def _block_images(sym: _CopySymmetry, n_fam: int, live: list[int],
-                  n_o: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (|G|, n_fam L n_o) image of every block (f, x, e) of build_sdp,
-    in its numbering (f L + x') n_o + e (the group maps live outcomes onto
-    live ones, x' the position in live), and the (|G|, d) basis maps: row
-    g under the g-th permutation of the copies' digits, row 0 the
-    identity. A matrix M moves to M' with M'[h[i], h[j]] = M[i, j], h the
-    basis map: the conjugation by the permutation unitary U_g."""
-    group = list(itertools.permutations(range(sym.copies)))
-    states, outcomes, hilbert = (np.stack([_digit_map(r, p) for p in group]) for r in sym.roots)
-    fam = states[:, :n_fam]  # state 0 is fixed: the single family stays
-    out = (fam[:, :, None, None] * len(live)
-           + np.searchsorted(live, outcomes[:, live])[:, None, :, None]) * n_o
-    return (out + outcomes[:, None, None, :]).reshape(len(fam), -1), hilbert
 
 
 def _block_orbits(
@@ -827,27 +792,29 @@ class EffectiveStrategy:
         exact problem (relax = 0), whose faces those are. Each block X_k
         stands for an orbit of the group (itself under the order-1 group)
         and is spread over it as M_b = (1/|G|) sum_{g: g.k = b} U_g V X_k
-        V^dag U_g^dag. In asymptotic mode the SDP holds a single family,
-        which is copied to every input.
+        V^dag U_g^dag: the expanded blocks, in a zero operator tensor, are
+        summed over S_m along the coset chain S_{j+1} = U_{k<=j} (k j) S_j,
+        each (k j) one transpose of the copies' digits (_permuted). In
+        asymptotic mode the SDP holds a single family, which is copied to
+        every input.
         """
         d = scenario.dim
         n_s, n_o = scenario.n_states, scenario.n_outcomes
         n_fam = n_s if scenario.mode == MODE_FINITE_Q else 1
         faces = face_bases(scenario)
         sym, live, canon = _block_orbits(scenario, faces)
-        images, hilbert = _block_images(sym, n_fam, live, n_o)
         reps = np.flatnonzero(canon == np.arange(canon.size))
-        expanded = []
-        for k, blk in zip(reps, sol.x_blocks):  # block k = (f L + x') n_o + e
-            v = faces[live[k // n_o % len(live)]]
-            expanded.append(v @ blk @ v.conj().T)
-        full = np.stack(expanded)
-        ops = np.zeros((images.shape[1], d, d), dtype=complex)
-        for img, h in zip(images, hilbert):
-            ops[img[reps]] += _moved(full, h) / len(images)
-        out = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
-        out[:, live] = ops.reshape(n_fam, len(live), n_o, d, d)
-        return cls(out)
+        ops = np.zeros((n_fam, n_o, n_o, d, d), dtype=complex)
+        # block k = (f L + x') n_o + e
+        for f, xi, e, blk in zip(*np.unravel_index(reps, (n_fam, len(live), n_o)), sol.x_blocks):
+            v = faces[live[xi]]
+            ops[f, live[xi], e] = v @ blk @ v.conj().T
+        (n0, o0, d0), m = sym.roots, sym.copies
+        roots = (n0 if n_fam > 1 else 1, o0, o0, d0, d0)
+        for j in range(1, m):
+            swaps = [(*range(k), j, *range(k + 1, j), k, *range(j + 1, m)) for k in range(j)]
+            ops = sum((_permuted(ops, roots, p) for p in swaps), ops)
+        return cls(np.broadcast_to(ops / math.factorial(m), (n_s, n_o, n_o, d, d)).copy())
 
     def objective_value(self, scenario: Scenario) -> float:
         """Probability that the guess matches the outcome, weighted as the

@@ -375,8 +375,9 @@ def honest_statistics(ensemble: StateEnsemble, povm: Povm) -> ObservedStatistics
     """Born-rule table P(x|a) = tr(rho_a M_x) for an honest device."""
     if ensemble.dim != povm.dim:
         raise ValueError("ensemble and POVM dimensions differ")
-    rhos = np.stack([s.mat for s in ensemble.states])
-    vals = np.trace(rhos[:, None] @ np.stack(povm.elements), axis1=-2, axis2=-1)
+    # one state at a time: the (states, outcomes, d, d) products are never held
+    elements = np.stack(povm.elements)
+    vals = np.stack([np.trace(s.mat @ elements, axis1=-2, axis2=-1) for s in ensemble.states])
     if np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("Born probability has an imaginary part")
     return ObservedStatistics(vals.real)

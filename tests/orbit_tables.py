@@ -1,6 +1,8 @@
-"""The copy-group orbits from image tables: the image of every block and
-every raw row of mdi.build_sdp under every copy permutation, the
-reference that mdi's canonical forms are checked against bit for bit."""
+"""The copy group from image tables: the image of every block and every
+raw row of mdi.build_sdp under every copy permutation, the reference that
+mdi's canonical forms are checked against bit for bit, and the group
+average of a solution's blocks that mdi.EffectiveStrategy.from_solution
+is checked against. The index maps here are the tables' own, not mdi's."""
 import itertools
 
 import numpy as np
@@ -8,9 +10,62 @@ import numpy as np
 from mdirand import mdi
 
 
+def digit_map(base, perm):
+    """Index map of one copy permutation on base**m indices: copy k of the
+    image holds the digit of copy perm[k]."""
+    shape = (base,) * len(perm)
+    digits = np.unravel_index(np.arange(base ** len(perm)), shape)
+    return np.ravel_multi_index([digits[k] for k in perm], shape)
+
+
+def moved(mats, hilbert):
+    """U mats U^dag for the basis permutation hilbert, on a stack."""
+    inv = np.empty_like(hilbert)
+    inv[hilbert] = np.arange(hilbert.size)
+    return mats[..., inv, :][..., inv]
+
+
+def block_images(sym, n_fam, live, n_o):
+    """The (|G|, n_fam L n_o) image of every block (f, x, e) of
+    mdi.build_sdp, in its numbering (f L + x') n_o + e (x' the position of
+    x in live), and the (|G|, d) basis maps: row g under the g-th
+    permutation of the copies' digits, row 0 the identity. A matrix M
+    moves to M' with M'[h[i], h[j]] = M[i, j], h the basis map: the
+    conjugation by the permutation unitary U_g."""
+    group = list(itertools.permutations(range(sym.copies)))
+    states, outcomes, hilbert = (np.stack([digit_map(r, p) for p in group]) for r in sym.roots)
+    fam = states[:, :n_fam]  # state 0 is fixed: the single family stays
+    out = (fam[:, :, None, None] * len(live)
+           + np.searchsorted(live, outcomes[:, live])[:, None, :, None]) * n_o
+    return (out + outcomes[:, None, None, :]).reshape(len(fam), -1), hilbert
+
+
 def block_canon(sym, n_fam, live, n_o):
     """canon of mdi._block_orbits: the smallest image of each block."""
-    return mdi._block_images(sym, n_fam, live, n_o)[0].min(axis=0)
+    return block_images(sym, n_fam, live, n_o)[0].min(axis=0)
+
+
+def twirl(scenario, x_blocks):
+    """The operators of mdi.EffectiveStrategy.from_solution for the orbit
+    blocks x_blocks: each block, expanded by its face, moved onto its
+    image under every copy permutation by the index maps, over |G|."""
+    n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
+    n_fam = n_s if scenario.mode == mdi.MODE_FINITE_Q else 1
+    faces = mdi.face_bases(scenario)
+    sym, live, _ = mdi._block_orbits(scenario, faces)
+    images, hilbert = block_images(sym, n_fam, live, n_o)
+    reps = np.unique(images.min(axis=0))
+    expanded = []
+    for k, blk in zip(reps, x_blocks):  # block k = (f L + x') n_o + e
+        v = faces[live[k // n_o % len(live)]]
+        expanded.append(v @ blk @ v.conj().T)
+    full = np.stack(expanded)
+    ops = np.zeros((images.shape[1], d, d), dtype=complex)
+    for img, h in zip(images, hilbert):
+        ops[img[reps]] += moved(full, h) / len(images)
+    out = np.zeros((n_s, n_o, n_o, d, d), dtype=complex)
+    out[:, live] = ops.reshape(n_fam, len(live), n_o, d, d)
+    return out
 
 
 def _row_images(n_fam, states, outcomes, live, basis, traceless, band):
@@ -33,7 +88,7 @@ def row_orbits(sym, n_fam, live, band=False):
     """(kept, red, wt) of mdi._row_orbits from the table of every raw
     row's image, and its sign, under every copy permutation."""
     group = list(itertools.permutations(range(sym.copies)))
-    states, outcomes, h = (np.stack([mdi._digit_map(r, p) for p in group]) for r in sym.roots)
+    states, outcomes, h = (np.stack([digit_map(r, p) for p in group]) for r in sym.roots)
     n_g, d = h.shape
     d2 = d * d
     n_raw = mdi._row_starts(n_fam, states.shape[1], outcomes.shape[1], len(live), d2, band)[-1]

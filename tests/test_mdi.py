@@ -158,7 +158,7 @@ def test_honest_strategy_satisfies_every_kept_row(name):
                   for e in range(scen.n_outcomes)]
         sym = mdi._copy_symmetry(scen, faces)
         live = [x for x, v in enumerate(faces) if v.shape[1] > 0]
-        canon = mdi._block_images(sym, n_fam, live, scen.n_outcomes)[0].min(axis=0)
+        canon = orbit_tables.block_canon(sym, n_fam, live, scen.n_outcomes)
         size = np.bincount(canon)
         blocks = [size[k] * blocks[k] for k in np.unique(canon)]
         assert len(blocks) == prob.n_blocks
@@ -686,6 +686,27 @@ def test_orbits_by_canonical_form_match_the_image_tables(name):
         assert new.dtype == ref.dtype and np.array_equal(new, ref)
 
 
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
+    # from_solution spreads each orbit block over its orbit by transposing
+    # the copies' digits along a coset chain; it equals the average over
+    # every copy permutation, each moving the blocks by its index maps
+    # (orbit_tables.twirl), on random Hermitian blocks that no stabilizer
+    # leaves unchanged
+    scen = SYMMETRIC_CASES[name]()
+    faces = mdi.face_bases(scen)
+    _, live, canon = mdi._block_orbits(scen, faces)
+    rng = np.random.default_rng(0)
+    blocks = []
+    for k in np.flatnonzero(canon == np.arange(canon.size)):
+        r = faces[live[k // scen.n_outcomes % len(live)]].shape[1]
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        blocks.append(g + g.conj().T)
+    sol = sdp_core.SdpSolution(OPTIMAL, blocks, np.zeros(0), [], *[math.nan] * 7)
+    ops = mdi.EffectiveStrategy.from_solution(scen, sol).operators
+    assert np.max(np.abs(ops - orbit_tables.twirl(scen, blocks))) <= 1e-15
+
+
 @pytest.mark.parametrize("name, relax", [
     *[pytest.param(n, 0.0, id=n) for n in cli.preset_names()
       if cli.load_scenario_spec(n)["copies"] == 1],
@@ -744,28 +765,56 @@ def test_no_function_compares_the_copy_group_with_none():
     assert found == []
 
 
-@pytest.mark.parametrize("spoil", ["generation", "table"])
+@pytest.mark.parametrize("spoil", ["generation", "table", "state", "probs", "face", "face-rank"])
 def test_broken_copy_symmetry_keeps_the_full_problem(spoil):
-    # fig6-2s-m2 with a generation input that the copy swap moves, or with
-    # one table entry moved by 1e-9 (and its row mended), has no symmetry:
-    # build_sdp keeps all 16 blocks; a move of 1e-14 is within tolerance
-    scen = cli.realize(cli.load_scenario_spec("fig6-2s-m2"))
-    assert mdi.build_sdp(scen)[0].n_blocks == 10
+    # fig6-2s-m2 with a generation input that the copy swap moves, with one
+    # table entry moved by 1e-9 (and its row mended), with state (0, 1)
+    # mixed with 1e-9 of white noise or, in finite-q, with the input
+    # probabilities of the swap partners (0, 1) and (1, 0) moved by +-1e-9,
+    # has no symmetry: build_sdp keeps all 16 blocks (64, not 36, in
+    # finite-q). At eta = 1 (face ranks 4, 2, 2, 1) the face of outcome
+    # (0, 1), turned by 1e-9 towards |00> or cut to rank 1, breaks it too.
+    # A move of 1e-14 is within tolerance
+    base = cli.realize(cli.load_scenario_spec("fig6-2s-m2"), eta=1.0 if "face" in spoil else None)
+    scen = _finite_q(base) if spoil == "probs" else base
+    n_sym, n_full = (36, 64) if spoil == "probs" else (10, 16)
+    assert mdi._copy_symmetry(scen, mdi.face_bases(scen)).copies == 2
 
     def spoiled(eps):
+        """The spoiled scenario and its faces."""
+        ens, table, faces = scen.ensemble, scen.observed.conditionals.copy(), None
         if spoil == "generation":  # state (0, 1): the swap maps it to (1, 0)
-            return mdi.Scenario(scen.ensemble, scen.observed, generation_index=2)
-        table = scen.observed.conditionals.copy()
-        table[1, 0] += eps
-        table[1, 1] -= eps
-        return mdi.Scenario(scen.ensemble, ObservedStatistics(table))
+            return mdi.Scenario(ens, scen.observed, generation_index=2), None
+        if spoil == "state":
+            rho = (1.0 - eps) * ens.states[1].mat + eps / 4.0 * np.eye(4)
+            ens = StateEnsemble((ens.states[0], DensityMatrix(rho), *ens.states[2:]), ens.probs)
+        elif spoil == "probs":
+            ens = ens.with_probs(ens.probs + np.array([0.0, eps, -eps, 0.0]))
+        elif spoil == "table":
+            table[1, 0] += eps
+            table[1, 1] -= eps
+        else:
+            faces = mdi.face_bases(scen)
+            turn = np.eye(4)
+            turn[:2, :2] = [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]]
+            faces[1] = faces[1][:, :1] if spoil == "face-rank" else turn @ faces[1]
+        return mdi.Scenario(ens, ObservedStatistics(table), mode=scen.mode), faces
 
-    assert mdi._copy_symmetry(spoiled(1e-9), mdi.face_bases(spoiled(1e-9))).copies == 1
-    prob, _ = mdi.build_sdp(spoiled(1e-9))
-    assert prob.n_blocks == 16
-    assert mdi.guessing_probability(spoiled(1e-9)).ok
-    if spoil == "table":
-        assert mdi.build_sdp(spoiled(1e-14))[0].n_blocks == 10
+    def group(eps):
+        new, faces = spoiled(eps)
+        return mdi._copy_symmetry(new, mdi.face_bases(new) if faces is None else faces).copies
+
+    assert group(1e-9) == 1
+    if spoil not in ("generation", "face-rank"):
+        assert group(1e-14) == 2
+    if "face" in spoil:  # the faces are no input of build_sdp
+        return
+    assert mdi.build_sdp(scen)[0].n_blocks == n_sym
+    prob, _ = mdi.build_sdp(spoiled(1e-9)[0])
+    assert prob.n_blocks == n_full
+    assert mdi.guessing_probability(spoiled(1e-9)[0]).ok
+    if spoil != "generation":
+        assert mdi.build_sdp(spoiled(1e-14)[0])[0].n_blocks == n_sym
 
 
 def test_four_copies_solve_on_their_orbits():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_honest_statistics_matches_the_per_entry_born_rule(copies):
     want = np.array([[np.trace(s.mat @ m).real for m in povm.elements] for s in ens.states])
     raw = q.ObservedStatistics(want).conditionals
     assert np.array_equal(q.honest_statistics(ens, povm).conditionals, raw)
+
+
+def test_honest_statistics_holds_no_per_entry_product():
+    # four copies of the tomographic source with extremal4: 256 states and
+    # 256 outcomes of dimension 16, whose (states, outcomes, d, d) product
+    # would be 256 MiB; the table is taken one state at a time
+    ens = q.tensor_ensemble(q.tomographic_set(), 4)
+    povm = q.tensor_povm(q.povm_from_bloch(q.extremal4()), 4)
+    tracemalloc.start()
+    try:
+        q.honest_statistics(ens, povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_require_distribution_is_the_rule_of_every_probability_check():
