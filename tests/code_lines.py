@@ -1,0 +1,49 @@
+"""Code lines of the package under src/mdirand: per module and in total,
+the lines that are not blank, not comment-only and not inside a module,
+class or function docstring.
+
+    python tests/code_lines.py
+"""
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mdirand"
+
+
+def docstring_lines(tree):
+    """The line numbers of every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source):
+    """The number of lines of source that hold a token other than a comment,
+    outside the docstrings."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def main():
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        n = code_lines(path.read_text(encoding="utf-8"))
+        total += n
+        print(f"{path.name:16} {n:5}")
+    print(f"{'total':16} {total:5}")
+
+
+if __name__ == "__main__":
+    main()

@@ -149,9 +149,11 @@ def test_honest_strategy_satisfies_every_kept_row(name):
     base = cli.realize(spec)
     povm = cli._build_povm(spec)
     for scen in {base.mode: base, mdi.MODE_FINITE_Q: _finite_q(base)}.values():
-        ops = mdi.honest_strategy(scen, povm, spec["device"]["eta"]).operators
         prob, _ = mdi.build_sdp(scen)
         n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
+        # the honest device's one family, on each of the SDP's families
+        ops = np.broadcast_to(mdi.honest_strategy(scen, povm, spec["device"]["eta"]).operators,
+                              (n_fam, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim))
         faces = mdi.face_bases(scen)
         blocks = [v.conj().T @ ops[f, x, e] @ v for f in range(n_fam)
                   for x, v in enumerate(faces) if v.shape[1] > 0
@@ -363,7 +365,7 @@ def test_honest_strategy_is_feasible_and_lower_bounds_sdp():
 
 def test_effective_strategy_round_trip():
     # validate() checks every input's normalization, statistics and input
-    # independence, so the asymptotic single family copied to every input
+    # independence, so the asymptotic single family, shared by every input,
     # is feasible for the per-input problem, and finite-q families f > 0,
     # normalized only through input independence, are normalized; the
     # eta = 1 fig3-green faces have ranks 1 and 2
@@ -385,6 +387,10 @@ def test_strategy_validate_rejects_bad_shapes_and_violations():
     wrong = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.5)  # stats mismatch
     with pytest.raises(ValueError):
         wrong.validate(scen)
+    # one family shared by every input, or one per input: two of four is neither
+    two = np.repeat(mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators, 2, axis=0)
+    with pytest.raises(ValueError, match="strategy shape does not match the scenario"):
+        mdi.EffectiveStrategy(two).validate(scen)
 
 
 def test_asymptotic_classical_bound_uses_generation_row():
@@ -686,14 +692,10 @@ def test_orbits_by_canonical_form_match_the_image_tables(name):
         assert new.dtype == ref.dtype and np.array_equal(new, ref)
 
 
-@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
-def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
-    # from_solution spreads each orbit block over its orbit by transposing
-    # the copies' digits along a coset chain; it equals the average over
-    # every copy permutation, each moving the blocks by its index maps
-    # (orbit_tables.twirl), on random Hermitian blocks that no stabilizer
-    # leaves unchanged
-    scen = SYMMETRIC_CASES[name]()
+def _random_orbit_solution(scen):
+    """A solution of the scenario's exact problem whose blocks, one per
+    block orbit, are random Hermitian matrices of their face's rank, which
+    no stabilizer leaves unchanged."""
     faces = mdi.face_bases(scen)
     _, live, canon = mdi._block_orbits(scen, faces)
     rng = np.random.default_rng(0)
@@ -702,9 +704,20 @@ def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
         r = faces[live[k // scen.n_outcomes % len(live)]].shape[1]
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         blocks.append(g + g.conj().T)
-    sol = sdp_core.SdpSolution(OPTIMAL, blocks, np.zeros(0), [], *[math.nan] * 7)
+    return sdp_core.SdpSolution(OPTIMAL, blocks, np.zeros(0), [], *[math.nan] * 7)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
+    # from_solution spreads each orbit block over its orbit by transposing
+    # the copies' digits along a coset chain; it equals the average over
+    # every copy permutation, each moving the blocks by its index maps
+    # (orbit_tables.twirl), on random Hermitian blocks that no stabilizer
+    # leaves unchanged
+    scen = SYMMETRIC_CASES[name]()
+    sol = _random_orbit_solution(scen)
     ops = mdi.EffectiveStrategy.from_solution(scen, sol).operators
-    assert np.max(np.abs(ops - orbit_tables.twirl(scen, blocks))) <= 1e-15
+    assert np.max(np.abs(ops - orbit_tables.twirl(scen, sol.x_blocks))) <= 1e-15
 
 
 @pytest.mark.parametrize("name, relax", [
@@ -837,6 +850,59 @@ def test_four_state_four_copies_fit_the_default_cap():
     assert abs(res.rate_bits - 1.8077114351) <= 1e-7
 
 
+def test_four_copy_strategies_hold_one_family():
+    # the asymptotic SDP and the honest device each have one family, which
+    # every input shares: at four copies of fig6-4s-m2 (256 inputs, d = 16)
+    # neither is copied to the inputs, where 256 copies took 258 MiB
+    # (from_solution) and 1073 MiB (honest_strategy, validate and
+    # objective_value)
+    spec = dict(cli.load_scenario_spec("fig6-4s-m2"), copies=4)
+    scen, eta = cli.realize(spec), spec["device"]["eta"]
+    sol = _random_orbit_solution(scen)
+    tracemalloc.start()
+    try:
+        ops = mdi.EffectiveStrategy.from_solution(scen, sol).operators
+        _, solved_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        honest = mdi.honest_strategy(scen, cli._build_povm(spec), eta)
+        honest.validate(scen)
+        value = honest.objective_value(scen)
+        _, honest_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ops.shape == (1, 16, 16, 16, 16)
+    assert honest.operators.shape == (1, 16, 16, 16, 16)
+    assert abs(value - (eta / scen.n_outcomes + 1.0 - eta)) <= 1e-12
+    assert solved_peak < 8 * 2**20
+    assert honest_peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("make, solved, message", [
+    pytest.param(lambda: cli.realize(cli.load_scenario_spec("fig6-2s-m2")), None,
+                 r"solution has 48 blocks, exact problem 10$", id="fig6-2s-m2-band"),
+    pytest.param(lambda: cli.realize(cli.load_scenario_spec("fig3-blue")), None,
+                 r"solution has 48 blocks, exact problem 16; block 0 has size 2, its face "
+                 r"rank 1$", id="fig3-blue-band"),
+    pytest.param(_fig3_blue, lambda: _fig3_blue(eta=0.9),
+                 r"solution has 16 blocks, exact problem 16; block 0 has size 2, its face "
+                 r"rank 1$", id="fig3-blue-full-faces"),
+])
+def test_strategy_from_solution_refuses_another_problem(make, solved, message):
+    # from_solution pairs the exact problem's orbit representatives with
+    # the solution's blocks: a --relax band (identity faces, no copy
+    # reduction, two slack blocks per statistics row) or a scenario with
+    # other faces solves another problem, whose blocks it refuses before
+    # expanding any; a band solution of fig6-2s-m2 was read as a strategy
+    # of value 0.188 against the SDP's 0.770
+    from mdirand.sdp_solver import solve
+
+    scen = make()
+    opts = SolverOptions(relax=1e-3 if solved is None else 0.0)
+    prob, _ = mdi.build_sdp(scen if solved is None else solved(), opts)
+    with pytest.raises(ValueError, match=message):
+        mdi.EffectiveStrategy.from_solution(scen, solve(prob, opts))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_strategy_validate_rejects_non_finite_operators(bad):
     # an all-nan strategy passed every check before: each comparison of a
@@ -845,7 +911,8 @@ def test_strategy_validate_rejects_non_finite_operators(bad):
     shape = (scen.n_states, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim)
     with pytest.raises(ValueError, match=r"operator is not finite at \(a=0, x=0, e=0\)"):
         mdi.EffectiveStrategy(np.full(shape, bad, dtype=complex)).validate(scen)
-    ops = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators.copy()
+    ops = np.repeat(mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators,
+                    scen.n_states, axis=0)
     ops[1, 0, 1, 1, 0] = bad
     with pytest.raises(ValueError, match=r"operator is not finite at \(a=1, x=0, e=1\)"):
         mdi.EffectiveStrategy(ops).validate(scen)

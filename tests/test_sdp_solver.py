@@ -478,6 +478,25 @@ def test_failed_cholesky_of_z_stops_with_the_post_loop_status(k, monkeypatch):
     _assert_best_bound_returned(sol)
 
 
+def test_failed_cholesky_of_x_takes_only_a_dual_step(monkeypatch):
+    # without X's factor the primal step length has no eigenvalue to come
+    # from: that iteration takes no primal step, its dual step comes from
+    # Z's factor alone, and the run goes on; X at iteration 3 is the
+    # seventh factorization, X's and Z's alternating
+    p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
+    real, calls = sdp_solver._inverse_cholesky, []
+
+    def inverse_cholesky_or_none(stacks):
+        calls.append(None)
+        return None if len(calls) == 7 else real(stacks)
+
+    monkeypatch.setattr(sdp_solver, "_inverse_cholesky", inverse_cholesky_or_none)
+    sol = solve(p)
+    assert sol.iterations[3].step_primal == 0.0 and sol.iterations[3].step_dual > 0.0
+    assert sol.status in (core.OPTIMAL, _stopped_status(sol, SolverOptions()))
+    assert math.isfinite(sol.certified_upper_bound)
+
+
 @pytest.mark.parametrize("doubled", [False, True])
 def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch):
     # build_sdp's only factorization is preprocess's elimination of the
