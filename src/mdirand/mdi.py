@@ -202,8 +202,7 @@ def _permuted(a: np.ndarray, roots: tuple[int, ...], perm: tuple[int, ...]) -> n
     return a.reshape([r for r in roots for _ in perm]).transpose(axes).reshape(a.shape)
 
 
-def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
-                   look: bool = True) -> _CopySymmetry:
+def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray]) -> _CopySymmetry:
     """The copy-permutation group of the scenario: S_m of a product
     scenario, else the order-1 group (copies == 1).
 
@@ -214,11 +213,10 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
     face ranks, their traces, exactly) and the input probabilities
     (finite-q) or the indicator of the generation input (asymptotic: its m
     digits are equal). They are stacked once per candidate. A dimension
-    that is no power m >= 2 (every qubit scenario) tries no candidate, and
-    look=False (a band) tries none.
+    that is no power m >= 2 (every qubit scenario) tries no candidate.
     """
     sizes = (scenario.n_states, scenario.n_outcomes, scenario.dim)
-    for m in range(int(math.log2(scenario.dim)) if look else 1, 1, -1):
+    for m in range(int(math.log2(scenario.dim)), 1, -1):
         roots = tuple(round(n ** (1.0 / m)) for n in sizes)
         if any(r**m != n for r, n in zip(roots, sizes)):
             continue
@@ -238,17 +236,16 @@ def _copy_symmetry(scenario: Scenario, faces: list[np.ndarray],
 
 
 def _block_orbits(
-    scenario: Scenario, faces: list[np.ndarray], look: bool = True
+    scenario: Scenario, faces: list[np.ndarray]
 ) -> tuple[_CopySymmetry, list[int], np.ndarray]:
-    """build_sdp's blocks: the copy group (see _copy_symmetry; order 1 when
-    look is False), the live outcomes (nonempty face) and, for every block
-    k in the numbering (f L + x') n_o + e, canon[k], the first block of
-    its orbit, the smallest image of (f, x, e) (k itself under the order-1
-    group)."""
+    """build_sdp's blocks: the copy group (see _copy_symmetry), the live
+    outcomes (nonempty face) and, for every block k in the numbering
+    (f L + x') n_o + e, canon[k], the first block of its orbit, the
+    smallest image of (f, x, e) (k itself under the order-1 group)."""
     n_o = scenario.n_outcomes
     n_fam = scenario.n_states if scenario.mode == MODE_FINITE_Q else 1
     live = [x for x in range(n_o) if faces[x].shape[1] > 0]
-    sym = _copy_symmetry(scenario, faces, look)
+    sym = _copy_symmetry(scenario, faces)
     if sym.copies == 1:
         return sym, live, np.arange(n_fam * len(live) * n_o)
     blocks = np.ix_(range(n_fam), live, range(n_o))
@@ -461,7 +458,8 @@ def build_sdp(
     iv.  observed statistics, one row per (a, live x) on input a's family;
          with opts.relax > 0 each row is widened to a +-relax band by two
          1x1 slack blocks t, t' and one band row per statistics row:
-         stat + t = target + relax and t + t' = 2 relax.
+         stat + t = target + relax and t + t' = 2 relax; the band rows
+         come last.
 
     Rows are numbered family by family by _raw_rows, whose identity image
     gives every row list, the place of b and the band rows. So block
@@ -475,12 +473,13 @@ def build_sdp(
     face raises InfeasibleProblemError.
 
     Every scenario is solved on the symmetric points of its copy group G
-    (see _copy_symmetry): S_m for a product scenario of m copies whose data
-    the copy permutations leave unchanged, else, and always under a band,
-    the order-1 group. They hold an optimum: averaging a feasible point over
-    G keeps it feasible and keeps its value. g moves block k to g.k by the
-    permutation unitary U_g, conjugated onto the faces, and maps each raw
-    row i to s_i times a row (_row_orbits). The problem keeps the first
+    (see _copy_symmetry), with or without a band: S_m for a product
+    scenario of m copies whose data the copy permutations leave unchanged,
+    else the order-1 group. They hold an optimum: averaging a feasible
+    point over G keeps it feasible and keeps its value (a band has the
+    same width on every row, and its faces are the identity). g moves
+    block k to g.k by the permutation unitary U_g, conjugated onto the
+    faces, and maps each raw row i to s_i times a row (_row_orbits). The problem keeps the first
     block of each block orbit O_k and the first row of each row orbit R, and
     leaves out a row orbit that a stabilizer element maps to its own
     negative (it vanishes on symmetric points). X_k stands for the sum over
@@ -495,41 +494,49 @@ def build_sdp(
     stacks are never formed. A dual y_R gives the full problem the dual
     y_i = s_i y_R / |R| of the same value, whose slack on block g.k is the
     reduced slack of k conjugated by U_g (up to SYMMETRY_TOL times |y|), so
-    the certified bound holds for both. Under the order-1 group each orbit
+    the certified bound holds for both. A band row moves with its
+    statistics row, so the slack pairs of the rows of a statistics-row
+    orbit R form one block orbit: the pair of R's first row stands for
+    their sum, with coefficients 1/|R| in the orbit-mean rows of R and of
+    its band rows and the weight |R|. Under the order-1 group each orbit
     is one block or one row, of weight 1.
 
     The cap sdp_solver.MAX_CONSTRAINTS bounds the reduced rows, checked
     twice before the basis, any face compression or any coefficient stack
     exists; each refusal raises ValueError naming the count, the blocks
-    and the largest block size. First, before any array over the raw rows,
-    a bound in closed form: only antisymmetric rows of ii and iii can
-    vanish, and an orbit holds at most |G| rows, so at least
-    ceil((raw rows - antisymmetric rows) / |G|) rows remain ("at least"
-    in the message; under the order-1 group the raw row count, exact).
-    Then the count of _row_orbits.
+    (two slack blocks per statistics-row orbit under a band) and the
+    largest block size. First, before any array over the raw rows, bounds
+    in closed form: only antisymmetric rows of ii and iii can vanish, and
+    an orbit holds at most |G| rows, so at least
+    ceil((raw rows - antisymmetric rows) / |G|) rows and
+    ceil(statistics rows / |G|) statistics-row orbits remain ("at least"
+    in the message; under the order-1 group the raw counts, exact). Then
+    the counts of _row_orbits.
     """
     opts = opts or SolverOptions()
     relax = opts.relax
     band = relax > 0.0
-    d = scenario.dim
-    n_s = scenario.n_states
-    n_o = scenario.n_outcomes
+    d, n_s, n_o = scenario.dim, scenario.n_states, scenario.n_outcomes
     finite_q = scenario.mode == MODE_FINITE_Q
     n_fam = n_s if finite_q else 1
 
     faces = [np.eye(d, dtype=complex)] * n_o if band else face_bases(scenario)
     # the blocks and rows to emit: one per orbit of the copy group
-    sym, live, canon = _block_orbits(scenario, faces, look=not band)
+    sym, live, canon = _block_orbits(scenario, faces)
     n_l = len(live)
     first_of_orbit = canon == np.arange(canon.size)
-    # the cap on the closed-form bound, then on the count (see above)
-    shape = (np.count_nonzero(first_of_orbit) + 2 * n_s * n_l * band,
-             max(v.shape[1] for v in faces))
+    # the cap on the closed-form bounds, then on the counts (see above)
+    order, n_band = math.factorial(sym.copies), n_s * n_l * band
+    n_blocks, size = np.count_nonzero(first_of_orbit), max(v.shape[1] for v in faces)
     anti = (n_fam * n_o + (n_fam - 1) * n_l) * (d * (d - 1) // 2) * (sym.copies > 1)
     n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
-    sdp_solver.check_rows(-(-(n_raw - anti) // math.factorial(sym.copies)), *shape, sym.copies > 1)
+    sdp_solver.check_rows(-(-(n_raw - anti) // order), n_blocks + 2 * -(-n_band // order), size,
+                          sym.copies > 1)
     kept, red, wt = _row_orbits(sym, n_fam, live, band)
-    sdp_solver.check_rows(kept.size, *shape)
+    # under a band, the first band row j of each statistics-row orbit: the
+    # band rows are the last raw rows, and j - n_band is j's statistics row
+    slack = kept[np.searchsorted(kept, n_raw - n_band):]
+    sdp_solver.check_rows(kept.size, n_blocks + 2 * slack.size, size)
     norm, guess, ind, stat, band_rows = _raw_rows(n_fam, n_s, n_o, n_l, d, band)
     emit = first_of_orbit.tolist()
 
@@ -592,13 +599,17 @@ def build_sdp(
                 coeffs.append(c)
                 objective.append(obj if e == x else None)
                 block_dims.append(coef.shape[-1])
-    # the slack blocks t, t' of each statistics row and its band row, if any
-    for i, j in zip(stat.reshape(-1), band_rows.reshape(-1)):
-        rows += [red[[i, j]], red[[j]]]
-    coeffs += [np.ones((2, 1, 1)), np.ones((1, 1, 1))] * band_rows.size
-    objective += [None, None] * band_rows.size
-    block_dims += [1, 1] * band_rows.size
-    weights = np.concatenate([weights, np.ones(2 * band_rows.size)])
+    if band:  # the slack blocks t, t' of each statistics-row orbit R and
+        # its band row: coefficients 1 on the rows i and j, as orbit means
+        # 1/|R| (one pair of stacks per |R|, so from_blocks checks each once)
+        stacks = {w: [np.full((k, 1, 1), w) for k in (2, 1)] for w in set(wt[slack].tolist())}
+        for j in slack.tolist():
+            i = j - n_band
+            rows += [red[[i, j]], red[[j]]]
+            coeffs += stacks[wt[j]]
+        objective += [None, None] * slack.size
+        block_dims += [1, 1] * slack.size
+        weights = np.concatenate([weights, np.repeat(np.rint(1.0 / wt[slack]), 2)])  # |R|
     raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
     del rows, coeffs, objective  # so preprocess holds only the stacks
     return preprocess(raw)
@@ -624,14 +635,14 @@ def classical_min_entropy(stats: ObservedStatistics, probs: np.ndarray) -> float
     """Min-entropy of the outcome given the input, from the conditional
     table and the source's input probabilities."""
     best = float(probs @ np.max(stats.conditionals, axis=1))
-    return -math.log2(best)
+    return 0.0 - math.log2(best)  # +0.0, not -0.0, for a deterministic table
 
 
 def input_cost(probs: np.ndarray) -> float:
     """Shannon entropy (bits) of the input distribution."""
     p = np.asarray(probs, dtype=float)
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0 for a deterministic input
 
 
 @dataclass
@@ -656,12 +667,10 @@ class RateResult:
 
 
 def _classical_bound(scenario: Scenario) -> float:
-    if scenario.mode == MODE_FINITE_Q:
-        return classical_min_entropy(scenario.observed, scenario.ensemble.probs)
-    # vanishing test fraction: only the generation state contributes
-    return -math.log2(float(np.max(
-        scenario.observed.conditionals[scenario.generation_index - 1]
-    )))
+    # vanishing test fraction (asymptotic): only the generation state contributes
+    probs = (scenario.ensemble.probs if scenario.mode == MODE_FINITE_Q
+             else np.eye(1, scenario.n_states, scenario.generation_index - 1)[0])
+    return classical_min_entropy(scenario.observed, probs)
 
 
 def guessing_probability(

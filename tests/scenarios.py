@@ -17,7 +17,7 @@ def doubled_preset(name):
 
 def force_order_one_group(monkeypatch):
     """Make build_sdp solve every scenario through the order-1 copy group,
-    as under a band (look=False): all blocks and all rows, none reduced."""
-    real = mdi._copy_symmetry
-    monkeypatch.setattr(mdi, "_copy_symmetry",
-                        lambda scen, faces, look=True: real(scen, faces, False))
+    as it solves a scenario without copy symmetry: all blocks and all rows,
+    none reduced."""
+    monkeypatch.setattr(mdi, "_copy_symmetry", lambda scen, faces: mdi._CopySymmetry(
+        1, (scen.n_states, scen.n_outcomes, scen.dim)))

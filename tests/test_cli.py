@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,6 +267,22 @@ def test_sweep_alpha_matches_classical_bound_at_unit_eta(tmp_path, capsys):
     for line in out.read_text().splitlines()[1:]:
         cells = line.split(",")
         assert abs(float(cells[1]) - float(cells[4])) < 1e-4
+
+
+def test_deterministic_table_reports_positive_zero_bounds(capsys):
+    # -log2(1) and -sum 1 log2 1 are -0.0: the classical bound of a
+    # deterministic table and the input cost of a deterministic input were
+    # printed as -0 in the sweep CSV and in rate's output
+    argv = ["sweep", "fig4", "--param", "alpha", "--from", "0.9", "--to", "1",
+            "--steps", "2", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1,0,0,1,0,optimal"
+    scen = cli.realize(cli.load_scenario_spec("fig4"), alpha=1.0)
+    asymptotic = mdi.Scenario(scen.ensemble, scen.observed)
+    for bound in (mdi.classical_min_entropy(scen.observed, scen.ensemble.probs),
+                  mdi.guessing_probability(asymptotic).classical_bound_bits,
+                  mdi.input_cost(np.array([1.0, 0.0]))):
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
 
 
 def test_sweep_alpha_requires_angle_source(capsys):

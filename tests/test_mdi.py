@@ -628,21 +628,28 @@ def _build_raw(scen, monkeypatch, opts=None):
     return prob, rep, raws[0]
 
 
-@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
-def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
+@pytest.mark.parametrize("name, relax", [
+    *[pytest.param(n, 0.0, id=n) for n in sorted(SYMMETRIC_CASES)],
+    *[pytest.param(n, 1e-3, id=f"{n}-band") for n in ("fig6-2s-m2", "fig6-2s-m2-finite-q")],
+])
+def test_reduced_problem_certifies_the_full_one(name, relax, monkeypatch):
     # the problem on one block per orbit of the copy permutations has the
     # full problem's optimum, and its dual y, expanded to the full problem's
     # raw rows as y_i = s_i y_R / |R|, is a dual point of the full problem
-    # with the same value b.y
+    # with the same value b.y; under a band too, whose slack pair of each
+    # statistics-row orbit R stands for the pairs of R's rows
     from mdirand.sdp_solver import solve
 
     scen = SYMMETRIC_CASES[name]()
-    sym, live, _ = mdi._block_orbits(scen, mdi.face_bases(scen))
+    opts = SolverOptions(relax=relax)
+    faces = (mdi.face_bases(scen) if relax == 0.0
+             else [np.eye(scen.dim, dtype=complex)] * scen.n_outcomes)
+    sym, live, _ = mdi._block_orbits(scen, faces)
     assert sym.copies > 1
-    prob, rep, raw = _build_raw(scen, monkeypatch)
+    prob, rep, raw = _build_raw(scen, monkeypatch, opts)
     sol = solve(prob)
     force_order_one_group(monkeypatch)
-    full, _, raw_full = _build_raw(scen, monkeypatch)
+    full, _, raw_full = _build_raw(scen, monkeypatch, opts)
     full_sol = solve(full)
     assert prob.n_blocks < full.n_blocks
     assert sol.status == full_sol.status == OPTIMAL
@@ -654,7 +661,7 @@ def test_reduced_problem_certifies_the_full_one(name, monkeypatch):
     y_red = np.zeros(raw.n_constraints)
     y_red[rep.kept_rows] = sol.y / scales
     n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
-    kept, red, wt = mdi._row_orbits(sym, n_fam, live)
+    kept, red, wt = mdi._row_orbits(sym, n_fam, live, relax > 0.0)
     assert kept.size == raw.n_constraints
     y = np.where(red >= 0, wt * y_red[red], 0.0)
     slack = [a - c for a, c in zip(raw_full.adjoint(y), raw_full.objective_stacks)]
@@ -678,14 +685,15 @@ def test_orbits_by_canonical_form_match_the_image_tables(name):
     # the block and row orbits read off sorted per-copy digits equal, bit
     # for bit, those of the tables of every image under every copy
     # permutation (orbit_tables), in the preset's mode and in finite-q
-    # (7681 raw rows for fig6-2s-m3) and under a band (the order-1 group)
+    # (7681 raw rows for fig6-2s-m3) and under a band (its band rows
+    # permuted with the statistics rows)
     make, relax = ORBIT_CASES[name]
     scen = make()
     n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
     faces = (mdi.face_bases(scen) if relax == 0.0
              else [np.eye(scen.dim, dtype=complex)] * scen.n_outcomes)
-    sym, live, canon = mdi._block_orbits(scen, faces, look=relax == 0.0)
-    assert (sym.copies > 1) == (relax == 0.0)
+    sym, live, canon = mdi._block_orbits(scen, faces)
+    assert sym.copies > 1
     assert np.array_equal(canon, orbit_tables.block_canon(sym, n_fam, live, scen.n_outcomes))
     for new, ref in zip(mdi._row_orbits(sym, n_fam, live, relax > 0.0),
                         orbit_tables.row_orbits(sym, n_fam, live, relax > 0.0)):
@@ -723,10 +731,10 @@ def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
 @pytest.mark.parametrize("name, relax", [
     *[pytest.param(n, 0.0, id=n) for n in cli.preset_names()
       if cli.load_scenario_spec(n)["copies"] == 1],
-    pytest.param("fig6-2s-m2", 1e-3, id="fig6-2s-m2-band"),
+    pytest.param("fig3-blue", 1e-3, id="fig3-blue-band"),
 ])
 def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeypatch):
-    # a scenario without copy symmetry, or any under a band, is solved
+    # a scenario without copy symmetry, with or without a band, is solved
     # through the order-1 group: the identity on every raw row (the band
     # rows too, as _raw_rows numbers them) and on every block, each of
     # weight 1
@@ -734,7 +742,7 @@ def test_order_one_group_maps_every_row_and_block_to_itself(name, relax, monkeyp
     n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
     faces = (mdi.face_bases(scen) if relax == 0.0
              else [np.eye(scen.dim, dtype=complex)] * scen.n_outcomes)
-    sym, live, canon = mdi._block_orbits(scen, faces, look=relax == 0.0)
+    sym, live, canon = mdi._block_orbits(scen, faces)
     assert sym.copies == 1
     assert np.array_equal(canon, np.arange(n_fam * len(live) * scen.n_outcomes))
     kept, red, wt = mdi._row_orbits(sym, n_fam, live, band=relax > 0.0)
@@ -879,7 +887,7 @@ def test_four_copy_strategies_hold_one_family():
 
 @pytest.mark.parametrize("make, solved, message", [
     pytest.param(lambda: cli.realize(cli.load_scenario_spec("fig6-2s-m2")), None,
-                 r"solution has 48 blocks, exact problem 10$", id="fig6-2s-m2-band"),
+                 r"solution has 30 blocks, exact problem 10$", id="fig6-2s-m2-band"),
     pytest.param(lambda: cli.realize(cli.load_scenario_spec("fig3-blue")), None,
                  r"solution has 48 blocks, exact problem 16; block 0 has size 2, its face "
                  r"rank 1$", id="fig3-blue-band"),
@@ -889,8 +897,8 @@ def test_four_copy_strategies_hold_one_family():
 ])
 def test_strategy_from_solution_refuses_another_problem(make, solved, message):
     # from_solution pairs the exact problem's orbit representatives with
-    # the solution's blocks: a --relax band (identity faces, no copy
-    # reduction, two slack blocks per statistics row) or a scenario with
+    # the solution's blocks: a --relax band (identity faces, two slack
+    # blocks per statistics-row orbit) or a scenario with
     # other faces solves another problem, whose blocks it refuses before
     # expanding any; a band solution of fig6-2s-m2 was read as a strategy
     # of value 0.188 against the SDP's 0.770
