@@ -24,7 +24,6 @@ from .mdi import (
     guessing_probability,
     honest_scenario,
     input_cost,
-    two_copy_delta,
     two_copy_detail,
 )
 from .quantum import (
@@ -86,7 +85,6 @@ __all__ = [
     "guessing_probability",
     "classical_min_entropy",
     "input_cost",
-    "two_copy_delta",
     "two_copy_detail",
     "angle_sweep",
     "solve",

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "NotHermitianError",
     "ConvergenceError",
-    "is_hermitian",
     "require_hermitian",
     "jacobi_eigvalsh",
     "eigh_hermitian",
@@ -64,15 +63,10 @@ def _hermitian_fault(a: np.ndarray) -> str | None:
         return f"matrix is not Hermitian (symmetric if real) within tolerance{at}"
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """True if a is a square matrix or a (..., s, s) stack, all finite, and
-    every m has |m - m^dag| <= HERMITIAN_TOL * max(1, max|m|) entrywise."""
-    return _hermitian_fault(np.asarray(a)) is None
-
-
 def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """a as an array; NotHermitianError, naming the first fault, unless
-    is_hermitian(a)."""
+    """a as an array; NotHermitianError, naming the first fault, unless a
+    is a square matrix or a (..., s, s) stack, all finite, and every m has
+    |m - m^dag| <= HERMITIAN_TOL * max(1, max|m|) entrywise."""
     a = np.asarray(a)
     if (fault := _hermitian_fault(a)) is not None:
         raise NotHermitianError(fault)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp_solver
-from .linalg import eigh_hermitian, min_eigenvalue, row_space_basis
+from .linalg import eigh_hermitian, row_space_basis
 from .quantum import (
     ObservedStatistics,
     Povm,
@@ -54,7 +54,6 @@ from .sdp_core import (
     InfeasibleProblemError,
     PreprocessReport,
     SdpProblem,
-    SdpSolution,
     preprocess,
 )
 from .sdp_solver import SolverOptions, solve
@@ -63,7 +62,6 @@ __all__ = [
     "MODE_ASYMPTOTIC",
     "MODE_FINITE_Q",
     "Scenario",
-    "EffectiveStrategy",
     "RateResult",
     "TwoCopyResult",
     "honest_scenario",
@@ -73,10 +71,8 @@ __all__ = [
     "guessing_probability",
     "classical_min_entropy",
     "input_cost",
-    "two_copy_delta",
     "two_copy_detail",
     "angle_sweep",
-    "honest_strategy",
 ]
 
 MODE_ASYMPTOTIC = "asymptotic"
@@ -84,8 +80,6 @@ MODE_FINITE_Q = "finite-q"
 
 # face eigenvalues at or below this times max(1, lambda_max) count as zero
 FACE_TOL_ZERO = 1e-11
-# largest residual of each EffectiveStrategy.validate condition
-STRATEGY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,8 @@ class Scenario:
                 f"{self.observed.n_states} statistics rows for {self.ensemble.n_states} states"
             )
         if not 1 <= self.generation_index <= self.ensemble.n_states:
-            raise ValueError("generation_index out of range")
+            raise ValueError(f"generation_index {self.generation_index} out of range "
+                             f"1..{self.ensemble.n_states}")
 
     @property
     def dim(self) -> int:
@@ -441,10 +436,9 @@ def build_sdp(
     coefficients V_x^dag H V_x. The faces are exact for the exact table
     only: a table inside a band of opts.relax > 0 may have full-rank
     marginals where the observed one has not, so with a band every V_x is
-    the identity, and EffectiveStrategy.from_solution, which re-derives the
-    exact faces, expands exact solutions only. Only outcomes with a nonempty
-    face (live x, L of them) get blocks, numbered (f, x, e) in that order,
-    then the slack blocks. Constraint families, in row order:
+    the identity. Only outcomes with a nonempty face (live x, L of them)
+    get blocks, numbered (f, x, e) in that order, then the slack blocks.
+    Constraint families, in row order:
 
     i.   normalization: sum_{x,e} tr M_{x,e|0} = d, one row, I_r = V_x^dag V_x
          on each family-0 block; ii makes the sum a multiple of the
@@ -680,7 +674,12 @@ def guessing_probability(
 
     The reported rate -log2(p_guess_upper) is a one-sided lower bound on
     the certifiable randomness; bounds above 1 are clamped (with a note
-    beyond 1 + 1e-8) and rates below 1e-7 snap to zero.
+    beyond 1 + 1e-8) and rates below 1e-7 snap to zero. A finite bound at
+    or below 0, whatever the solver's status, proves the statistics
+    infeasible: averaging a feasible point over the cyclic relabelings of
+    the guess keeps it feasible at value 1/n_o, so every feasible optimum
+    is at least 1/n_o. It is reported infeasible-detected, with no bound
+    and a note naming it.
     """
     opts = opts or SolverOptions()
     cost = input_cost(scenario.ensemble.probs) if scenario.mode == MODE_FINITE_Q else 0.0
@@ -700,7 +699,11 @@ def guessing_probability(
         )
     sol = solve(problem, opts)
     notes = list(report.notes)
-    p_up = sol.certified_upper_bound
+    status, p_up = sol.status, sol.certified_upper_bound
+    if math.isfinite(p_up) and p_up <= 0.0:
+        notes.append(f"certified guessing bound {p_up:.3e} <= 0: no strategy reproduces "
+                     "the statistics")
+        status, p_up = INFEASIBLE, math.nan
     if math.isfinite(p_up):
         if p_up > 1.0 + 1e-8:
             notes.append(f"guessing bound {p_up:.3e} above 1; clamped")
@@ -712,7 +715,7 @@ def guessing_probability(
         rate = math.nan
     log_d = math.log2(scenario.dim)
     return RateResult(
-        status=sol.status,
+        status=status,
         p_guess_upper=p_up,
         rate_bits=rate,
         rate_per_qubit=rate / log_d if log_d > 0 else math.nan,
@@ -758,11 +761,6 @@ def two_copy_detail(
     return TwoCopyResult(delta_bits=delta, single=single, doubled=doubled)
 
 
-def two_copy_delta(scenario: Scenario, opts: SolverOptions | None = None) -> float:
-    """Rate difference rate(single) - rate(two copies)/2, in bits."""
-    return two_copy_detail(scenario, opts).delta_bits
-
-
 def angle_sweep(
     alphas,
     eta: float = 1.0,
@@ -777,124 +775,3 @@ def angle_sweep(
         scen = honest_scenario(ens, povm, eta=eta, mode=MODE_FINITE_Q)
         out.append((float(alpha), guessing_probability(scen, opts)))
     return out
-
-
-@dataclass
-class EffectiveStrategy:
-    """Detector-side strategy: one operator per (family, outcome, guess).
-
-    A family holds the operators M_{x,e} that one input sees. There is
-    either one family per input, as finite-q solves it, or a single family
-    shared by every input: the asymptotic SDP's one family, or any
-    input-independent strategy such as the honest device.
-    """
-
-    operators: np.ndarray  # complex, shape (n_f, n_o, n_o, d, d), [f, x, e]; n_f = 1 or n_s
-
-    def __post_init__(self) -> None:
-        ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 5 or ops.shape[1] != ops.shape[2] or ops.shape[3] != ops.shape[4]:
-            raise ValueError("operators must have shape (n_f, n_o, n_o, d, d)")
-        object.__setattr__(self, "operators", ops)
-
-    @classmethod
-    def from_solution(cls, scenario: Scenario, sol: SdpSolution) -> "EffectiveStrategy":
-        """Recover complex operators from the primal blocks.
-
-        Re-derives the outcome faces and the copy group from the scenario
-        (build_sdp is deterministic) and expands each compressed Hermitian
-        block S back to the full space as V S V^dag; sol must solve the
-        exact problem (relax = 0), whose faces those are, and a solution
-        whose blocks are not one per orbit, each of its face's rank, raises
-        ValueError. Each block X_k stands for an orbit of the group (itself
-        under the order-1 group) and is spread over it as M_b = (1/|G|)
-        sum_{g: g.k = b} U_g V X_k V^dag U_g^dag: the expanded blocks, in a
-        zero operator tensor, are summed over S_m along the coset chain
-        S_{j+1} = U_{k<=j} (k j) S_j, each (k j) one transpose of the
-        copies' digits (_permuted). The strategy has the SDP's families:
-        one per input in finite-q, the single shared one in asymptotic mode.
-        """
-        d, n_o = scenario.dim, scenario.n_outcomes
-        n_fam = scenario.n_states if scenario.mode == MODE_FINITE_Q else 1
-        faces = face_bases(scenario)
-        sym, live, canon = _block_orbits(scenario, faces)
-        reps = np.flatnonzero(canon == np.arange(canon.size))
-        fs, xs, es = np.unravel_index(reps, (n_fam, len(live), n_o))  # k = (f L + x') n_o + e
-        sizes, ranks = [len(blk) for blk in sol.x_blocks], [faces[live[xi]].shape[1] for xi in xs]
-        if sizes != ranks:
-            k = next((k for k, (s, r) in enumerate(zip(sizes, ranks)) if s != r), None)
-            at = "" if k is None else f"; block {k} has size {sizes[k]}, its face rank {ranks[k]}"
-            raise ValueError(f"solution has {len(sizes)} blocks, exact problem {len(ranks)}{at}")
-        ops = np.zeros((n_fam, n_o, n_o, d, d), dtype=complex)
-        for f, xi, e, blk in zip(fs, xs, es, sol.x_blocks):
-            v = faces[live[xi]]
-            ops[f, live[xi], e] = v @ blk @ v.conj().T
-        (n0, o0, d0), m = sym.roots, sym.copies
-        roots = (n0 if n_fam > 1 else 1, o0, o0, d0, d0)
-        for j in range(1, m):
-            swaps = [(*range(k), j, *range(k + 1, j), k, *range(j + 1, m)) for k in range(j)]
-            ops = sum((_permuted(ops, roots, p) for p in swaps), ops)
-        return cls(ops / math.factorial(m))
-
-    def objective_value(self, scenario: Scenario) -> float:
-        """Probability that the guess matches the outcome, weighted as the
-        SDP objective weighs it; a single family serves every input."""
-        rho = np.stack([s.mat for s in scenario.ensemble.states])
-        # per input a: sum_x tr(M_{x,x|a} rho_a), a single family broadcast
-        hits = np.einsum("axxij,aji->a", self.operators, rho).real
-        if scenario.mode == MODE_FINITE_Q:
-            return float(scenario.ensemble.probs @ hits)
-        return float(hits[scenario.generation_index - 1])
-
-    def validate(self, scenario: Scenario) -> None:
-        """Raise unless all feasibility conditions hold within STRATEGY_TOL;
-        the message names the first violating index. The operators hold one
-        family per input or a single family that every input shares (its
-        index a is then 0); each input's statistics are read from its own
-        family or the shared one by broadcasting, with no per-input copy."""
-        ops = self.operators
-        n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim
-        if ops.shape[0] not in (1, n_s) or ops.shape[1:] != (n_o, n_o, d, d):
-            raise ValueError("strategy shape does not match the scenario")
-        finite = np.isfinite(ops).all(axis=(-2, -1))
-        ops = np.where(finite[..., None, None], ops, 0.0)  # the first check names them
-        eye = np.eye(d)
-        guess = ops.sum(axis=1)  # sum over x: [a, e]
-        outcome = ops.sum(axis=2)  # sum over e: [a, x]
-        rho = np.stack([s.mat for s in scenario.ensemble.states])
-        stats = np.einsum("axij,aji->ax", outcome, rho).real
-
-        def dev(m):
-            return np.max(np.abs(m), axis=(-2, -1))
-
-        for bad, names, what in (
-            (~finite, "axe", "operator is not finite"),
-            (min_eigenvalue(ops) < -STRATEGY_TOL, "axe", "operator is not PSD"),
-            (dev(guess.sum(axis=1) - eye) > STRATEGY_TOL, "a", "normalization fails"),
-            (dev(guess - guess[..., :1, :1] * eye) > STRATEGY_TOL, "ae",
-             "guess marginal is not proportional to identity"),
-            (dev(outcome - outcome[:1]) > STRATEGY_TOL, "ax",
-             "outcome marginal depends on the input"),
-            (np.abs(stats - scenario.observed.conditionals) > STRATEGY_TOL, "ax",
-             "statistics mismatch"),
-        ):
-            if bad.any():
-                at = ", ".join(f"{n}={i}" for n, i in zip(names, np.argwhere(bad)[0]))
-                raise ValueError(f"{what} at ({at})")
-
-
-def honest_strategy(scenario: Scenario, povm: Povm, eta: float) -> EffectiveStrategy:
-    """Feasible strategy for honest statistics mixed with white noise.
-
-    With probability eta the device measures honestly and the guess is an
-    independent uniform coin; with probability 1 - eta it outputs uniform
-    noise the guesser already knows. Objective value eta/n_o + (1 - eta).
-    The device does not depend on the input, so the strategy is one family
-    that every input shares.
-    """
-    if povm.dim != scenario.dim or povm.n_outcomes != scenario.n_outcomes:
-        raise ValueError("POVM does not match the scenario")
-    n_o, d = scenario.n_outcomes, scenario.dim
-    ops = np.repeat((eta / n_o) * np.stack(povm.elements)[None, :, None], n_o, axis=2)  # [f, x, e]
-    ops[0, range(n_o), range(n_o)] += ((1.0 - eta) / n_o) * np.eye(d)
-    return EffectiveStrategy(ops)

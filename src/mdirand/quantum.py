@@ -31,7 +31,6 @@ __all__ = [
     "extremal4",
     "extremal3",
     "check_unbiased",
-    "check_extremal",
     "extremal_diagnosis",
     "tomographic_set",
     "angle_states",
@@ -292,7 +291,8 @@ def check_unbiased(spec: BlochPovmSpec) -> bool:
 
 
 def extremal_diagnosis(spec: BlochPovmSpec) -> str | None:
-    """None if the Bloch POVM is extremal, else a short failure reason."""
+    """None if the Bloch POVM is extremal (rank-one elements with linearly
+    independent Bloch coordinates), else a short failure reason."""
     n = spec.n_outcomes
     if n > 4:
         return "more than four outcomes cannot be extremal for a qubit"
@@ -306,11 +306,6 @@ def extremal_diagnosis(spec: BlochPovmSpec) -> str | None:
             return "directions are coplanar"
         return "elements are linearly dependent"
     return None
-
-
-def check_extremal(spec: BlochPovmSpec) -> bool:
-    """Rank-one elements with linearly independent Bloch coordinates."""
-    return extremal_diagnosis(spec) is None
 
 
 def tomographic_set() -> StateEnsemble:
@@ -342,14 +337,16 @@ def _check_copies(dim: int, copies: int) -> None:
     if copies < 1:
         raise ValueError("copies must be >= 1")
     if dim**copies > _MAX_TENSOR_DIM:
-        raise ValueError("tensor product dimension exceeds 32")
+        # the power as dim^copies: str() refuses an int of over 4300 digits
+        raise ValueError(f"tensor product dimension {dim}^{copies} exceeds {_MAX_TENSOR_DIM}")
 
 
 def tensor_ensemble(base: StateEnsemble, copies: int) -> StateEnsemble:
     """All tensor products of `copies` base states, row-major index order.
 
     The joint index runs over (a_1, ..., a_m) with the first factor slowest;
-    probabilities multiply. Refuses products with dimension above 32.
+    probabilities multiply. Refuses products with dimension above
+    _MAX_TENSOR_DIM (32), naming the dimension.
     """
     _check_copies(base.dim, copies)
     combos = list(itertools.product(range(base.n_states), repeat=copies))

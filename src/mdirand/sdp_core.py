@@ -21,9 +21,7 @@ bincount over m + 1 bins (the last one dropped) scatters it back to rows.
 apply_constraints and adjoint take and return block variables in the same
 layout: one (n_g, s, s) complex stack per group. SdpProblem.from_blocks
 packs per-block row lists and coefficient stacks into this layout;
-SdpProblem.from_rows takes one {block: matrix} map per row, for
-hand-written problems, and hands it to from_blocks. preprocess renumbers
-the rows of the stacks.
+preprocess renumbers the rows of the stacks.
 
 Every product with A goes through three methods: A(X), A*(y) and the
 row-product kernel schur_matrix(X, W), S_ij = Re tr(A_i X A_j W). The
@@ -181,8 +179,7 @@ class SdpProblem:
     product with A reads. objective_stacks[g] is the
     (n_g, s, s) stack of C. Every stack is complex128, every matrix
     Hermitian. from_blocks packs per-block data into this layout and is
-    the only packer; from_rows states a problem by per-row maps
-    {block: matrix}. apply_constraints (A), adjoint (A*) and
+    the only packer. apply_constraints (A), adjoint (A*) and
     schur_matrix (the row products Re tr(A_i X A_j W); X = W = I gives
     the Gram matrix) are the only products with A. arrow is the plan of
     the row groups given to from_blocks, no block touched by two of them:
@@ -269,20 +266,6 @@ class SdpProblem:
         return cls(block_dims, b, size_groups, group_rows, group_stacks, objective_stacks, arrow,
                    [w[g] for g in size_groups])
 
-    @classmethod
-    def from_rows(cls, block_dims: Sequence[int], objective: dict[int, np.ndarray],
-                  constraints: list[dict[int, np.ndarray]], b: np.ndarray) -> SdpProblem:
-        """Problem from an objective map {block: C_k} and one map
-        {block: A_ik} per constraint row i."""
-        if len(constraints) != np.size(b):
-            raise ValueError("need one b value per constraint")
-        rows = [[i for i, row in enumerate(constraints) if k in row]
-                for k in range(len(block_dims))]
-        coeffs = [np.array([constraints[i][k] for i in r] or np.zeros((0, s, s)))
-                  for k, (r, s) in enumerate(zip(rows, block_dims))]
-        obj = [objective.get(k) for k in range(len(block_dims))]
-        return cls.from_blocks(block_dims, b, rows, coeffs, obj)
-
     @property
     def n_constraints(self) -> int:
         return self.b.size
@@ -290,10 +273,6 @@ class SdpProblem:
     @property
     def n_blocks(self) -> int:
         return len(self.block_dims)
-
-    def stack_groups(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-block list -> one (n_g, s, s) complex stack per size group."""
-        return [np.stack([blocks[k] for k in g], dtype=complex) for g in self.size_groups]
 
     def unstack_groups(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
         """One stack per size group -> per-block list, in block order."""

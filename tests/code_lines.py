@@ -1,6 +1,7 @@
-"""Code lines of the package under src/mdirand: per module and in total,
-the lines that are not blank, not comment-only and not inside a module,
-class or function docstring.
+"""Code lines of the package under src/mdirand and of the tests under
+tests/: one table each, per module and in total, of the lines that are not
+blank, not comment-only and not inside a module, class or function
+docstring. Code moved between the two shows on both sides.
 
     python tests/code_lines.py
 """
@@ -9,7 +10,8 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mdirand"
+ROOT = Path(__file__).resolve().parent.parent
+SRC, TESTS = ROOT / "src" / "mdirand", ROOT / "tests"
 
 
 def docstring_lines(tree):
@@ -37,12 +39,14 @@ def code_lines(source):
 
 
 def main():
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.name:16} {n:5}")
-    print(f"{'total':16} {total:5}")
+    for directory in (SRC, TESTS):
+        print(f"{directory.relative_to(ROOT)}/")
+        total = 0
+        for path in sorted(directory.glob("*.py")):
+            n = code_lines(path.read_text(encoding="utf-8"))
+            total += n
+            print(f"  {path.name:28} {n:5}")
+        print(f"  {'total':28} {total:5}")
 
 
 if __name__ == "__main__":

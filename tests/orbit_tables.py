@@ -1,7 +1,7 @@
 """The copy group from image tables: the image of every block and every
 raw row of mdi.build_sdp under every copy permutation, the reference that
 mdi's canonical forms are checked against bit for bit, and the group
-average of a solution's blocks that mdi.EffectiveStrategy.from_solution
+average of a solution's blocks that strategy.EffectiveStrategy.from_solution
 is checked against. The index maps here are the tables' own, not mdi's."""
 import itertools
 
@@ -46,7 +46,7 @@ def block_canon(sym, n_fam, live, n_o):
 
 
 def twirl(scenario, x_blocks):
-    """The operators of mdi.EffectiveStrategy.from_solution for the orbit
+    """The operators of strategy.EffectiveStrategy.from_solution for the orbit
     blocks x_blocks: each block, expanded by its face, moved onto its
     image under every copy permutation by the index maps, over |G|."""
     n_s, n_o, d = scenario.n_states, scenario.n_outcomes, scenario.dim

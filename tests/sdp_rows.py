@@ -1,6 +1,27 @@
-"""Per-row and real views of an SdpProblem, for oracles that state a
-problem row by row or need real symmetric matrices."""
+"""Per-row, per-block and real views of an SdpProblem, for oracles that
+state a problem row by row, pack per-block points into its group stacks
+or need real symmetric matrices."""
 import numpy as np
+
+from mdirand.sdp_core import SdpProblem
+
+
+def from_rows(block_dims, objective, constraints, b):
+    """Problem from an objective map {block: C_k} and one map
+    {block: A_ik} per constraint row i, packed by SdpProblem.from_blocks."""
+    if len(constraints) != np.size(b):
+        raise ValueError("need one b value per constraint")
+    rows = [[i for i, row in enumerate(constraints) if k in row]
+            for k in range(len(block_dims))]
+    coeffs = [np.array([constraints[i][k] for i in r] or np.zeros((0, s, s)))
+              for k, (r, s) in enumerate(zip(rows, block_dims))]
+    obj = [objective.get(k) for k in range(len(block_dims))]
+    return SdpProblem.from_blocks(block_dims, b, rows, coeffs, obj)
+
+
+def stack_groups(p, blocks):
+    """Per-block list -> one (n_g, s, s) complex stack per size group of p."""
+    return [np.stack([blocks[k] for k in g], dtype=complex) for g in p.size_groups]
 
 
 def row_maps(p):

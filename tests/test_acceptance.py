@@ -24,7 +24,8 @@ from mdirand.quantum import (
     tomographic_set,
 )
 from mdirand import sdp_core, sdp_solver
-from sdp_rows import row_maps
+from sdp_rows import from_rows, row_maps
+from strategy import honest_strategy
 
 
 def _rate(ensemble, povm, eta, mode=mdi.MODE_ASYMPTOTIC):
@@ -84,7 +85,7 @@ def test_6_two_copy_attack_never_beats_independent_attacks():
         t0 = time.monotonic()
         for eta in (0.80, 0.85, 0.90, 0.95, 1.00):
             scen = mdi.honest_scenario(tomographic_set(), povm, eta=eta)
-            assert mdi.two_copy_delta(scen) >= -1e-6, (povm.n_outcomes, eta)
+            assert mdi.two_copy_detail(scen).delta_bits >= -1e-6, (povm.n_outcomes, eta)
         assert time.monotonic() - t0 < 120.0
 
 
@@ -150,7 +151,7 @@ def test_8_solver_matches_reference_oracle():
         x0 = rng.standard_normal((3, 3))
         x0 = x0 @ x0.T + 0.3 * np.eye(3)
         rows = [np.eye(3)] + [_sym(rng, 3) for _ in range(n_extra)]
-        raw = sdp_core.SdpProblem.from_rows(
+        raw = from_rows(
             block_dims=[3],
             objective={0: _sym(rng, 3)},
             constraints=[{0: a} for a in rows],
@@ -170,7 +171,7 @@ def test_8_solver_matches_reference_oracle():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     c = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
-    raw = sdp_core.SdpProblem.from_rows(
+    raw = from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: np.eye(3)}], b=np.array([1.0]),
     )
@@ -188,7 +189,7 @@ def test_8_solver_matches_reference_oracle():
             rows.append(e)
             vals.append(float(np.sum(e * target)))
     c = _sym(np.random.default_rng(11), 3)
-    raw = sdp_core.SdpProblem.from_rows(
+    raw = from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: a} for a in rows], b=np.array(vals),
     )
@@ -222,7 +223,7 @@ def test_9_module_invariants_hold(tmp_path):
     # weak duality: every certified bound dominates the known optimum
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     c = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
-    problem, _ = sdp_core.preprocess(sdp_core.SdpProblem.from_rows(
+    problem, _ = sdp_core.preprocess(from_rows(
         block_dims=[3], objective={0: c},
         constraints=[{0: np.eye(3)}], b=np.array([1.0]),
     ))
@@ -238,7 +239,7 @@ def test_9_module_invariants_hold(tmp_path):
 
     # the honest device is feasible, so it lower-bounds the SDP optimum
     scen = mdi.honest_scenario(tomographic_set(), sigma_z_povm(), eta=0.8)
-    strat = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.8)
+    strat = honest_strategy(scen, sigma_z_povm(), eta=0.8)
     strat.validate(scen)
     res = mdi.guessing_probability(scen)
     assert strat.objective_value(scen) <= res.p_guess_upper + 1e-7

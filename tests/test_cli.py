@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,29 @@ def test_infeasible_statistics_exit_solver_failure(tmp_path, capsys):
     code = cli.main(["rate", str(path)])
     capsys.readouterr()
     assert code == cli.EXIT_SOLVER
+
+
+@pytest.mark.parametrize("max_iter", [2, 3, 5])
+def test_nonpositive_certified_bound_reports_infeasible(tmp_path, capsys, max_iter):
+    # |0> and |+> cannot give P(0|0) = 0.99 and P(0|+) = 0.01; cut short,
+    # the solver ends numerical-failure with a negative certified bound,
+    # whose log2 raised "math domain error" (exit 1, the schema's code)
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "source": {"kind": "bloch", "vectors": [[0, 0, 1], [1, 0, 0]]},
+        "statistics": {"conditionals": [[0.99, 0.01], [0.01, 0.99]]},
+    }))
+    code = cli.main(["rate", str(path), "--max-iter", str(max_iter), "--json"])
+    assert code == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    record = json.loads(captured.out)
+    assert record["status"] == "infeasible-detected"
+    assert math.isnan(record["rate_bits"]) and math.isnan(record["p_guess_upper"])
+    note, = record["notes"]
+    assert re.fullmatch(r"certified guessing bound -\d\.\d{3}e[+-]\d\d <= 0: no strategy "
+                        r"reproduces the statistics", note)
 
 
 def test_schema_rejects_device_and_statistics_together():
@@ -370,7 +394,7 @@ def test_statistics_row_count_error_names_its_field(tmp_path, capsys):
     scen["generation_index"] = 3
     path.write_text(json.dumps(scen))
     assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
-    assert capsys.readouterr().err == "error: generation_index out of range\n"
+    assert capsys.readouterr().err == "error: generation_index 3 out of range 1..2\n"
 
 
 def test_validate_input_distribution_uses_the_rate_rule(tmp_path, capsys):
@@ -673,7 +697,7 @@ def _qutrit_source(spec):
 
 @pytest.mark.parametrize("spoil, argv, msg, checks", [
     (lambda s: s.update(copies=6), [],
-     "copies: tensor product dimension exceeds 32", ["povm validity", "scenario build"]),
+     "copies: tensor product dimension 2^6 exceeds 32", ["povm validity", "scenario build"]),
     (_qutrit_source, [], "device: ensemble and POVM dimensions differ", ["scenario build"]),
     (None, ["--alpha", "2"], "--alpha: must lie in [0, 1]", []),
 ], ids=["copies-6", "qutrit-source", "alpha-flag"])

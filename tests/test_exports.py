@@ -33,21 +33,8 @@ def test_no_module_reads_the_environment(name):
 
 # the functions under src/ that no code there calls, each kept for a reason
 UNCALLED = {
-    "is_hermitian": "linalg's public test of the Hermitian rule that require_hermitian enforces",
     "jacobi_eigvalsh": "the values-only reference the tests compare LAPACK against, and a "
                        "span target of the benchmark",
-    "check_extremal": "quantum's public check of an extremal POVM, run by the tests",
-    "honest_strategy": "the honest device's feasible strategy, one family that every input "
-                       "shares, which the tests check the assembled problem against",
-    "from_rows": "SdpProblem stated by per-row maps, how the tests write small problems",
-    "stack_groups": "SdpProblem's packing of per-block matrices into its group stacks, for "
-                    "the tests' primal points",
-    "from_solution": "EffectiveStrategy read back from a solution of the exact problem, with "
-                     "the SDP's families, each orbit block averaged over the copy permutations",
-    "objective_value": "EffectiveStrategy's objective, checked against the SDP's by the tests; "
-                       "a shared family is broadcast to every input",
-    "validate": "EffectiveStrategy's feasibility check of one family per input or one shared "
-                "family, run by the tests",
 }
 
 

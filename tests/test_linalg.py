@@ -11,10 +11,10 @@ from mdirand.linalg import (
     ConvergenceError,
     NotHermitianError,
     eigh_hermitian,
-    is_hermitian,
     jacobi_eigvalsh,
     lowest_eigenvalues,
     min_eigenvalue,
+    require_hermitian,
     row_space_basis,
 )
 
@@ -69,19 +69,22 @@ def test_min_eigenvalue_rejects_non_hermitian():
 def test_hermitian_rule_is_relative_and_takes_stacks():
     big = np.array([[1e6, 1.0], [1.0 + 1e-7, 2.0]])  # off by 1e-13 of its scale
     small = np.array([[0.5, 0.1], [0.1 + 2e-12, 0.5]])  # off by 2e-12, scale 1
-    assert is_hermitian(big) and not is_hermitian(small)
+    require_hermitian(big)
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        require_hermitian(small)
     rng = np.random.default_rng(17)
     a = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
     stack = a + np.swapaxes(a, -1, -2).conj()
-    assert is_hermitian(stack)
+    require_hermitian(stack)
     lam = min_eigenvalue(stack)
     assert lam.shape == (3, 4)
     assert np.array_equal(lam, np.linalg.eigvalsh(stack)[..., 0])
     stack[2, 1, 0, 1] += 1e-9  # one matrix of the stack off
-    assert not is_hermitian(stack)
-    with pytest.raises(NotHermitianError):
-        min_eigenvalue(stack)
-    assert not is_hermitian(np.zeros((2, 3)))
+    for fn in (require_hermitian, min_eigenvalue):
+        with pytest.raises(NotHermitianError, match=re.escape("at (2, 1)")):
+            fn(stack)
+    with pytest.raises(NotHermitianError, match="expected a square matrix"):
+        require_hermitian(np.zeros((2, 3)))
 
 
 def test_jacobi_eigvalsh_matches_lapack_oracle():
@@ -189,10 +192,10 @@ def test_non_finite_entries_fail_the_one_hermitian_rule(bad):
     # min_eigenvalue([[nan, 0], [0, 1]]) == 0.0
     stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
     stack[1, 2, 0] = bad
-    assert not is_hermitian(stack) and not is_hermitian(stack[1])
     for h, at in ((stack, "(1, 2, 0)"), (stack[1], "(2, 0)")):
-        with pytest.raises(NotHermitianError, match=re.escape(f"matrix entry {at} is")):
-            min_eigenvalue(h)
+        for fn in (require_hermitian, min_eigenvalue):
+            with pytest.raises(NotHermitianError, match=re.escape(f"matrix entry {at} is")):
+                fn(h)
     with pytest.raises(NotHermitianError, match="not finite"):
         min_eigenvalue([[math.nan, 0.0], [0.0, 1.0]])
 

@@ -27,7 +27,8 @@ from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
 import orbit_tables
 from scenarios import doubled_preset, force_order_one_group
-from sdp_rows import real_coords
+from sdp_rows import real_coords, stack_groups
+from strategy import EffectiveStrategy, honest_strategy
 
 
 def _fig3_blue(eta=1.0, mode=mdi.MODE_ASYMPTOTIC):
@@ -152,7 +153,7 @@ def test_honest_strategy_satisfies_every_kept_row(name):
         prob, _ = mdi.build_sdp(scen)
         n_fam = scen.n_states if scen.mode == mdi.MODE_FINITE_Q else 1
         # the honest device's one family, on each of the SDP's families
-        ops = np.broadcast_to(mdi.honest_strategy(scen, povm, spec["device"]["eta"]).operators,
+        ops = np.broadcast_to(honest_strategy(scen, povm, spec["device"]["eta"]).operators,
                               (n_fam, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim))
         faces = mdi.face_bases(scen)
         blocks = [v.conj().T @ ops[f, x, e] @ v for f in range(n_fam)
@@ -164,11 +165,11 @@ def test_honest_strategy_satisfies_every_kept_row(name):
         size = np.bincount(canon)
         blocks = [size[k] * blocks[k] for k in np.unique(canon)]
         assert len(blocks) == prob.n_blocks
-        xs = prob.stack_groups(blocks)
+        xs = stack_groups(prob, blocks)
         assert np.max(np.abs(prob.apply_constraints(xs) - prob.b)) <= 1e-12
         value = sum(float(real_coords(c) @ real_coords(x))
                     for c, x in zip(prob.objective_stacks, xs))
-        assert abs(value - mdi.EffectiveStrategy(ops).objective_value(scen)) <= 1e-12
+        assert abs(value - EffectiveStrategy(ops).objective_value(scen)) <= 1e-12
 
 
 def _haar_unitary(rng):
@@ -355,7 +356,7 @@ def test_impossible_statistics_raise_or_flag():
 def test_honest_strategy_is_feasible_and_lower_bounds_sdp():
     povm = povm_from_bloch(extremal4())
     scen = mdi.honest_scenario(tomographic_set(), povm, eta=0.9)
-    strat = mdi.honest_strategy(scen, povm, eta=0.9)
+    strat = honest_strategy(scen, povm, eta=0.9)
     strat.validate(scen)
     obj = strat.objective_value(scen)
     assert abs(obj - (0.9 / 4 + 0.1)) < 1e-12
@@ -375,7 +376,7 @@ def test_effective_strategy_round_trip():
     for scen in (_fig3_red(eta=0.9), _finite_q(_fig3_blue(eta=0.9)), green):
         prob, _ = mdi.build_sdp(scen)
         sol = solve(prob)
-        strat = mdi.EffectiveStrategy.from_solution(scen, sol)
+        strat = EffectiveStrategy.from_solution(scen, sol)
         strat.validate(scen)
         assert abs(strat.objective_value(scen) - sol.primal_objective) < 1e-9
 
@@ -383,14 +384,14 @@ def test_effective_strategy_round_trip():
 def test_strategy_validate_rejects_bad_shapes_and_violations():
     scen = _fig3_red(eta=0.9)
     with pytest.raises(ValueError):
-        mdi.EffectiveStrategy(np.zeros((4, 2, 2, 2)))
-    wrong = mdi.honest_strategy(scen, sigma_z_povm(), eta=0.5)  # stats mismatch
+        EffectiveStrategy(np.zeros((4, 2, 2, 2)))
+    wrong = honest_strategy(scen, sigma_z_povm(), eta=0.5)  # stats mismatch
     with pytest.raises(ValueError):
         wrong.validate(scen)
     # one family shared by every input, or one per input: two of four is neither
-    two = np.repeat(mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators, 2, axis=0)
+    two = np.repeat(honest_strategy(scen, sigma_z_povm(), eta=0.9).operators, 2, axis=0)
     with pytest.raises(ValueError, match="strategy shape does not match the scenario"):
-        mdi.EffectiveStrategy(two).validate(scen)
+        EffectiveStrategy(two).validate(scen)
 
 
 def test_asymptotic_classical_bound_uses_generation_row():
@@ -437,7 +438,7 @@ def test_two_copy_wiring_and_deterministic_case():
     scen = _fig3_red(eta=0.9)
     detail = mdi.two_copy_detail(scen)
     assert detail.delta_bits == detail.single.rate_bits - 0.5 * detail.doubled.rate_bits
-    assert mdi.two_copy_delta(scen) == detail.delta_bits
+    assert mdi.two_copy_detail(scen).delta_bits == detail.delta_bits
     # deterministic statistics: both rates vanish, delta exactly 0
     ens = StateEnsemble(
         (bloch_to_density([0, 0, 1.0]), bloch_to_density([0, 0, -1.0])),
@@ -546,7 +547,7 @@ def test_recovered_strategy_brackets_certified_bound(name):
     scen = cli.realize(cli.load_scenario_spec(name))
     prob, _ = mdi.build_sdp(scen)
     sol = solve(prob)
-    strat = mdi.EffectiveStrategy.from_solution(scen, sol)
+    strat = EffectiveStrategy.from_solution(scen, sol)
     strat.validate(scen)
     lower = strat.objective_value(scen)
     assert lower <= sol.certified_upper_bound + 1e-9
@@ -571,7 +572,7 @@ def test_production_paths_call_no_jacobi(monkeypatch):
         assert mdi.guessing_probability(scen).ok
     scen = cli.realize(cli.load_scenario_spec("fig3-blue"))
     prob, _ = mdi.build_sdp(scen)
-    mdi.EffectiveStrategy.from_solution(scen, solve(prob)).validate(scen)
+    EffectiveStrategy.from_solution(scen, solve(prob)).validate(scen)
 
 
 @pytest.mark.parametrize("name", [
@@ -656,7 +657,7 @@ def test_reduced_problem_certifies_the_full_one(name, relax, monkeypatch):
     rate, full_rate = (-math.log2(s.certified_upper_bound) for s in (sol, full_sol))
     assert abs(rate - full_rate) <= 1e-7
     # y on the reduced problem's raw rows: y / scale on kept rows, 0 on dropped
-    identity = raw.stack_groups([np.eye(s) for s in raw.block_dims])
+    identity = stack_groups(raw, [np.eye(s) for s in raw.block_dims])
     scales = np.sqrt(np.diag(raw.schur_matrix(identity, identity))[rep.kept_rows])
     y_red = np.zeros(raw.n_constraints)
     y_red[rep.kept_rows] = sol.y / scales
@@ -724,7 +725,7 @@ def test_strategy_from_orbit_blocks_is_the_full_group_average(name):
     # leaves unchanged
     scen = SYMMETRIC_CASES[name]()
     sol = _random_orbit_solution(scen)
-    ops = mdi.EffectiveStrategy.from_solution(scen, sol).operators
+    ops = EffectiveStrategy.from_solution(scen, sol).operators
     assert np.max(np.abs(ops - orbit_tables.twirl(scen, sol.x_blocks))) <= 1e-15
 
 
@@ -869,10 +870,10 @@ def test_four_copy_strategies_hold_one_family():
     sol = _random_orbit_solution(scen)
     tracemalloc.start()
     try:
-        ops = mdi.EffectiveStrategy.from_solution(scen, sol).operators
+        ops = EffectiveStrategy.from_solution(scen, sol).operators
         _, solved_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        honest = mdi.honest_strategy(scen, cli._build_povm(spec), eta)
+        honest = honest_strategy(scen, cli._build_povm(spec), eta)
         honest.validate(scen)
         value = honest.objective_value(scen)
         _, honest_peak = tracemalloc.get_traced_memory()
@@ -908,7 +909,7 @@ def test_strategy_from_solution_refuses_another_problem(make, solved, message):
     opts = SolverOptions(relax=1e-3 if solved is None else 0.0)
     prob, _ = mdi.build_sdp(scen if solved is None else solved(), opts)
     with pytest.raises(ValueError, match=message):
-        mdi.EffectiveStrategy.from_solution(scen, solve(prob, opts))
+        EffectiveStrategy.from_solution(scen, solve(prob, opts))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -918,9 +919,9 @@ def test_strategy_validate_rejects_non_finite_operators(bad):
     scen = _fig3_red(eta=0.9)
     shape = (scen.n_states, scen.n_outcomes, scen.n_outcomes, scen.dim, scen.dim)
     with pytest.raises(ValueError, match=r"operator is not finite at \(a=0, x=0, e=0\)"):
-        mdi.EffectiveStrategy(np.full(shape, bad, dtype=complex)).validate(scen)
-    ops = np.repeat(mdi.honest_strategy(scen, sigma_z_povm(), eta=0.9).operators,
+        EffectiveStrategy(np.full(shape, bad, dtype=complex)).validate(scen)
+    ops = np.repeat(honest_strategy(scen, sigma_z_povm(), eta=0.9).operators,
                     scen.n_states, axis=0)
     ops[1, 0, 1, 1, 0] = bad
     with pytest.raises(ValueError, match=r"operator is not finite at \(a=1, x=0, e=1\)"):
-        mdi.EffectiveStrategy(ops).validate(scen)
+        EffectiveStrategy(ops).validate(scen)

@@ -46,7 +46,7 @@ def test_extremal4_constants():
     assert np.allclose(np.linalg.norm(spec.directions, axis=1), 1.0, atol=1e-12)
     assert np.allclose(spec.weights @ spec.directions, 0.0, atol=1e-12)
     assert q.check_unbiased(spec)
-    assert q.check_extremal(spec)
+    assert q.extremal_diagnosis(spec) is None
 
 
 def test_extremal3_constants():
@@ -55,7 +55,7 @@ def test_extremal3_constants():
     assert np.allclose(np.linalg.norm(spec.directions, axis=1), 1.0, atol=1e-12)
     assert np.allclose(spec.weights @ spec.directions, 0.0, atol=1e-12)
     assert q.check_unbiased(spec)
-    assert q.check_extremal(spec)
+    assert q.extremal_diagnosis(spec) is None
 
 
 def test_extremal4_outcome_probabilities_on_zero_state():
@@ -102,10 +102,8 @@ def test_check_extremal_rejects_coplanar_and_shrunk():
         ]
     )
     spec = q.BlochPovmSpec(np.full(4, 0.25), dirs)
-    assert not q.check_extremal(spec)
     assert q.extremal_diagnosis(spec) == "directions are coplanar"
     shrunk = q.BlochPovmSpec(np.array([0.5, 0.5]), np.array([[0, 0, 0.9], [0, 0, -0.9]]))
-    assert not q.check_extremal(shrunk)
     assert "rank one" in q.extremal_diagnosis(shrunk)
 
 

@@ -11,7 +11,7 @@ from mdirand.quantum import (
 )
 from mdirand.sdp_solver import solve
 from scenarios import doubled_preset, force_order_one_group
-from sdp_rows import real_coords, row_maps
+from sdp_rows import from_rows, real_coords, row_maps, stack_groups
 
 
 def _sym(m):
@@ -20,7 +20,7 @@ def _sym(m):
 
 def _random_rows(rng, dims=(3, 2), m=6):
     """Random symmetric-constraint rows, no dependencies planted, as the
-    (block_dims, objective, constraints, b) that SdpProblem.from_rows takes."""
+    (block_dims, objective, constraints, b) that sdp_rows.from_rows takes."""
     constraints = []
     for _ in range(m):
         constraints.append({k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)})
@@ -30,12 +30,12 @@ def _random_rows(rng, dims=(3, 2), m=6):
 
 
 def _random_problem(rng, dims=(3, 2), m=6):
-    return core.SdpProblem.from_rows(*_random_rows(rng, dims, m))
+    return from_rows(*_random_rows(rng, dims, m))
 
 
 def _gram(p):
     """The Gram matrix <A_i, A_j> as preprocess builds it."""
-    identity = p.stack_groups([np.eye(s) for s in p.block_dims])
+    identity = stack_groups(p, [np.eye(s) for s in p.block_dims])
     g = p.schur_matrix(identity, identity)
     return 0.5 * (g + g.T)
 
@@ -55,7 +55,7 @@ def test_problem_rejects_wrong_block_shape():
     # a wrong objective block, then a wrong constraint block
     for objective, constraint in ((np.eye(3), np.eye(2)), (np.eye(2), np.eye(3))):
         with pytest.raises(ValueError, match="wrong shape"):
-            core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
+            from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
 def test_problem_rejects_asymmetric_constraint():
@@ -63,7 +63,7 @@ def test_problem_rejects_asymmetric_constraint():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     for objective, constraint in ((np.eye(2), a), (a, np.eye(2))):
         with pytest.raises(ValueError, match="symmetric"):
-            core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
+            from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
 
 
 @pytest.mark.parametrize("objective, b", [
@@ -73,7 +73,7 @@ def test_problem_rejects_non_finite_data(objective, b):
     # NaN compares False against any tolerance, so the Hermitian rule tests
     # finiteness first; solve would otherwise start from a non-finite iterate
     with pytest.raises(ValueError, match="finite"):
-        core.SdpProblem.from_rows((1,), {0: objective}, [{0: np.eye(1)}], b)
+        from_rows((1,), {0: objective}, [{0: np.eye(1)}], b)
 
 
 def test_problem_rejects_complex_symmetric_constraint():
@@ -81,12 +81,12 @@ def test_problem_rejects_complex_symmetric_constraint():
     # transpose: a transpose-only check would accept it
     a = np.array([[0.0, 1.0j], [1.0j, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([1.0]))
+        from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([1.0]))
 
 
 def test_problem_rejects_b_length_mismatch():
     with pytest.raises(ValueError):
-        core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0, 2.0]))
+        from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0, 2.0]))
 
 
 def test_adjoint_is_adjoint_of_constraint_map():
@@ -95,8 +95,8 @@ def test_adjoint_is_adjoint_of_constraint_map():
     # of one size touched by uneven row counts (the padded group layout)
     rng = np.random.default_rng(7)
     dims, obj, cons, b = _random_rows(rng)
-    p = core.SdpProblem.from_rows(dims, obj, cons, b)
-    untouched = core.SdpProblem.from_rows(dims + (2,), obj, cons, b)
+    p = from_rows(dims, obj, cons, b)
+    untouched = from_rows(dims + (2,), obj, cons, b)
     assert untouched.size_groups[1] == [1, 2]
     assert np.all(untouched.group_rows[1][1] == untouched.n_constraints)
     dims = (2, 3, 2, 1, 2)
@@ -106,7 +106,7 @@ def test_adjoint_is_adjoint_of_constraint_map():
     cons_u.insert(3, {k: 2.0 * mm for k, mm in cons_u[0].items()})
     b_u = rng.standard_normal(len(cons_u))
     b_u[3] = 2.0 * b_u[0]
-    uneven = core.SdpProblem.from_rows(dims, {}, cons_u, b_u)
+    uneven = from_rows(dims, {}, cons_u, b_u)
     counts = [int(np.sum(rows < uneven.n_constraints)) for rows in uneven.group_rows[0]]
     assert len(set(counts)) > 1
     assert uneven.group_rows[0].shape == (3, max(counts))
@@ -114,7 +114,7 @@ def test_adjoint_is_adjoint_of_constraint_map():
         xs = [_sym(rng.standard_normal((s, s))) for s in q.block_dims]
         y = rng.standard_normal(q.n_constraints)
         rows = _dense_rows(q.block_dims, q_cons)
-        ax = q.apply_constraints(q.stack_groups(xs))
+        ax = q.apply_constraints(stack_groups(q, xs))
         assert np.allclose(ax, rows @ np.concatenate([real_coords(x) for x in xs]),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(_gram(q), rows @ rows.T, rtol=1e-12, atol=1e-12)
@@ -141,8 +141,8 @@ def test_adjoint_is_adjoint_of_constraint_map():
     assert np.any((rows_0[:, :-1] == k) & (rows_0[:, 1:] < k))
     kept = rep.kept_rows
     scales = np.sqrt(np.diag(_gram(uneven)))[kept]
-    xs = uneven.stack_groups([_sym(rng.standard_normal((s, s))) for s in dims])
-    ws = uneven.stack_groups([a @ a.T for a in (rng.standard_normal((s, s)) for s in dims)])
+    xs = stack_groups(uneven, [_sym(rng.standard_normal((s, s))) for s in dims])
+    ws = stack_groups(uneven, [a @ a.T for a in (rng.standard_normal((s, s)) for s in dims)])
     assert np.allclose(out.apply_constraints(xs), uneven.apply_constraints(xs)[kept] / scales,
                        rtol=1e-12, atol=1e-12)
     y = rng.standard_normal(k)
@@ -167,19 +167,19 @@ def test_complex_hermitian_products_match_dense_oracle():
     dims, m = (3, 2, 3), 5
     cons = [{k: _herm(rng, s) for k, s in enumerate(dims) if rng.random() < 0.7 or k == i % 3}
             for i in range(m)]
-    p = core.SdpProblem.from_rows(dims, {0: _herm(rng, 3)}, cons, rng.standard_normal(m))
+    p = from_rows(dims, {0: _herm(rng, 3)}, cons, rng.standard_normal(m))
     xs = [_herm(rng, s) for s in dims]
     ws = [a @ a.conj().T for a in (_herm(rng, s) for s in dims)]
     y = rng.standard_normal(m)
     ax = [sum(np.trace(a @ xs[k]).real for k, a in blk.items()) for blk in cons]
-    assert np.allclose(p.apply_constraints(p.stack_groups(xs)), ax, rtol=1e-12, atol=1e-12)
+    assert np.allclose(p.apply_constraints(stack_groups(p, xs)), ax, rtol=1e-12, atol=1e-12)
     for k, got in enumerate(p.unstack_groups(p.adjoint(y))):
         want = sum(y[i] * blk[k] for i, blk in enumerate(cons) if k in blk)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     want = np.array([[sum(np.trace(a @ xs[k] @ cons[j][k] @ ws[k]).real
                           for k, a in cons[i].items() if k in cons[j])
                       for j in range(m)] for i in range(m)])
-    got = p.schur_matrix(p.stack_groups(xs), p.stack_groups(ws))
+    got = p.schur_matrix(stack_groups(p, xs), stack_groups(p, ws))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -189,7 +189,7 @@ def test_duplicate_constraint_removed_and_reported():
     dup = {k: mm.copy() for k, mm in rows[1].items()}
     cons = rows + [dup]
     b = np.concatenate([b0, [b0[1]]])
-    raw = core.SdpProblem.from_rows(dims, obj, cons, b)
+    raw = from_rows(dims, obj, cons, b)
     out, rep = core.preprocess(raw)
     assert rep.n_raw == 5
     assert rep.dropped_rows == [4]
@@ -204,7 +204,7 @@ def test_contradictory_duplicate_is_infeasible():
     dup = {k: mm.copy() for k, mm in rows[0].items()}
     cons = rows + [dup]
     b = np.concatenate([b0, [b0[0] + 0.5]])
-    raw = core.SdpProblem.from_rows(dims, obj, cons, b)
+    raw = from_rows(dims, obj, cons, b)
     with pytest.raises(core.InfeasibleProblemError):
         core.preprocess(raw)
 
@@ -217,7 +217,7 @@ def test_linear_combination_row_dropped_consistently():
         combo[k] = 2.0 * rows[0].get(k, 0.0) - 3.0 * rows[2].get(k, 0.0)
     cons = rows + [combo]
     b = np.concatenate([b0, [2.0 * b0[0] - 3.0 * b0[2]]])
-    out, rep = core.preprocess(core.SdpProblem.from_rows(dims, obj, cons, b))
+    out, rep = core.preprocess(from_rows(dims, obj, cons, b))
     assert rep.dropped_rows == [4]
     assert rep.max_consistency_residual < 1e-9
     assert out.n_constraints == 4
@@ -238,7 +238,7 @@ def test_kept_count_matches_svd_rank_oracle(seed):
             combo[k] = sum(w[i] * cons[i].get(k, 0.0) for i in range(5))
         cons.append(combo)
         b.append(float(w @ np.array(b[:5])))
-    raw = core.SdpProblem.from_rows(dims, obj, cons, np.array(b))
+    raw = from_rows(dims, obj, cons, np.array(b))
     out, rep = core.preprocess(raw)
     rank = np.linalg.matrix_rank(_dense_rows(dims, cons), tol=1e-9)
     assert len(rep.kept_rows) == rank
@@ -282,9 +282,9 @@ def test_feasible_points_still_satisfy_kept_rows(seed):
     b = [sum(float(np.sum(mm * x0[k])) for k, mm in blk.items()) for blk in cons]
     cons.append({k: cons[0][k] + cons[1][k] for k in range(len(dims))})
     b.append(b[0] + b[1])
-    raw = core.SdpProblem.from_rows(dims, {0: np.eye(3)}, cons, np.array(b))
+    raw = from_rows(dims, {0: np.eye(3)}, cons, np.array(b))
     out, rep = core.preprocess(raw)
-    resid = out.apply_constraints(out.stack_groups(x0)) - out.b
+    resid = out.apply_constraints(stack_groups(out, x0)) - out.b
     assert np.max(np.abs(resid)) < 1e-9
 
 
@@ -294,7 +294,7 @@ def test_certificate_vector_reproduces_identity():
     cons = [{k: np.eye(s) for k, s in enumerate(dims)}]  # total trace row
     for _ in range(4):
         cons.append({k: _sym(rng.standard_normal((s, s))) for k, s in enumerate(dims)})
-    raw = core.SdpProblem.from_rows(dims, {0: np.eye(3)}, cons, rng.standard_normal(5))
+    raw = from_rows(dims, {0: np.eye(3)}, cons, rng.standard_normal(5))
     out, rep = core.preprocess(raw)
     assert out.cert_vector is not None
     assert rep.cert_residual < 1e-9
@@ -307,7 +307,7 @@ def test_certificate_vector_reproduces_identity():
 def test_no_certificate_when_identity_not_reachable():
     # single off-diagonal constraint cannot combine to the identity
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    raw = core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([0.3]))
+    raw = from_rows((2,), {0: np.eye(2)}, [{0: a}], np.array([0.3]))
     out, rep = core.preprocess(raw)
     assert out.cert_vector is None
     assert any("identity" in n for n in rep.notes)
@@ -454,8 +454,8 @@ def _assert_arrow(p):
     # between the rows of two different row groups, and block elimination
     # over them solves with it
     rng = np.random.default_rng(12)
-    x, w = (p.stack_groups([a @ a.conj().T + np.eye(len(a))
-                            for a in (_herm(rng, k) for k in p.block_dims)]) for _ in range(2))
+    x, w = (stack_groups(p, [a @ a.conj().T + np.eye(len(a))
+                             for a in (_herm(rng, k) for k in p.block_dims)]) for _ in range(2))
     s = p.schur_matrix(x, w)
     label = np.full(p.n_constraints, -1)
     for j, rows in enumerate(r for blocks in p.arrow.blocks for r in blocks):
@@ -488,7 +488,7 @@ def test_block_weights_move_the_path_not_the_optimum(weights):
     x0 = [np.eye(s) for s in dims]
     b = np.array([sum(float(np.sum(mm * x0[k])) for k, mm in row.items())
                   for row in constraints])
-    plain = core.SdpProblem.from_rows(dims, objective, constraints, b)
+    plain = from_rows(dims, objective, constraints, b)
     rows = [np.arange(len(constraints))] * 3
     coeffs = [np.array([row[k] for row in constraints]) for k in range(3)]
     p = core.SdpProblem.from_blocks(dims, b, rows, coeffs, [objective[k] for k in range(3)],
@@ -560,4 +560,4 @@ def test_problem_names_a_non_finite_block_entry(bad, where):
     a[1, 0] = a[0, 1] = bad
     objective, constraint = (np.eye(2), a) if where == "constraint" else (a, np.eye(2))
     with pytest.raises(ValueError, match=r"^matrix entry \((0, )?0, 1\) is .*not finite$"):
-        core.SdpProblem.from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))
+        from_rows((2,), {0: objective}, [{0: constraint}], np.array([1.0]))

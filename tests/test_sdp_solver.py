@@ -19,7 +19,7 @@ from mdirand.sdp_solver import (
     solve,
 )
 from scenarios import doubled_scenario
-from sdp_rows import real_embed, row_maps
+from sdp_rows import from_rows, real_embed, row_maps, stack_groups
 
 
 def _sym(m):
@@ -27,7 +27,7 @@ def _sym(m):
 
 
 def _prep(dims, objective, constraints, b):
-    raw = core.SdpProblem.from_rows(tuple(dims), objective, constraints, np.asarray(b, float))
+    raw = from_rows(tuple(dims), objective, constraints, np.asarray(b, float))
     out, _ = core.preprocess(raw)
     return out
 
@@ -206,7 +206,7 @@ def test_slack_eigenvalue_matches_jacobi_on_presets(name, doubled):
     p, _ = mdi.build_sdp(doubled_scenario(scen) if doubled else scen)
     sol = solve(p)
     slack = sol.slack_blocks
-    lam = float(np.concatenate([lowest_eigenvalues(st) for st in p.stack_groups(slack)]).min())
+    lam = float(np.concatenate([lowest_eigenvalues(st) for st in stack_groups(p, slack)]).min())
     scale = max(1.0, max(float(np.linalg.norm(blk)) for blk in slack))
     assert abs(lam - _jacobi_min(slack)) <= 1e-12 * scale
     assert sol.dual_min_eigenvalue == lam
@@ -253,7 +253,7 @@ def test_schur_matrix_matches_dense_oracle():
                if rng.random() < 0.6}
         blk.setdefault(i % 24, _sym(rng.standard_normal((12, 12))))
         cons.append(blk)
-    p = core.SdpProblem.from_rows(dims, {}, cons, rng.standard_normal(m))
+    p = from_rows(dims, {}, cons, rng.standard_normal(m))
     assert p.size_groups[2] == [25, 27] and np.all(p.group_rows[2][1] == m)
     big = p.size_groups[0]
     counts = [int(np.sum(rows < m)) for rows in p.group_rows[0]]
@@ -263,7 +263,7 @@ def test_schur_matrix_matches_dense_oracle():
     xs = [_random_pd(rng, s) for s in dims]
     zinvs = [np.linalg.inv(_random_pd(rng, s)) for s in dims]
     zinvs = [_sym(z) for z in zinvs]
-    got = p.schur_matrix(p.stack_groups(xs), p.stack_groups(zinvs))
+    got = p.schur_matrix(stack_groups(p, xs), stack_groups(p, zinvs))
     want = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
@@ -713,7 +713,7 @@ def test_options_reject_negative_max_iter():
 
 
 def test_solve_rejects_unpreprocessed_or_oversized(monkeypatch):
-    raw = core.SdpProblem.from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0]))
+    raw = from_rows((2,), {0: np.eye(2)}, [{0: np.eye(2)}], np.array([1.0]))
     with pytest.raises(ValueError):
         solve(raw)
     monkeypatch.setattr(sdp_solver, "MAX_CONSTRAINTS", 1)
