@@ -54,6 +54,7 @@ from .sdp_core import (
     InfeasibleProblemError,
     PreprocessReport,
     SdpProblem,
+    apply_rhs,
     preprocess,
 )
 from .sdp_solver import SolverOptions, solve
@@ -421,6 +422,120 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     return faces
 
 
+# build_sdp's last constraint map: one entry, dropped before another is built
+_last_map: _ConstraintMap | None = None
+
+
+@dataclass(frozen=True)
+class _ConstraintMap:
+    """The statistics-free part of build_sdp for the inputs of _assemble
+    whose exact form (_exact) is key: their row orbits (_row_orbits) and
+    the preprocessed problem, whose row map apply_rhs applies to the b of
+    each scenario. Every array is read-only."""
+
+    key: tuple
+    orbits: tuple[np.ndarray, np.ndarray, np.ndarray]
+    problem: SdpProblem
+
+
+def _exact(x):
+    """x with every array, also inside lists and tuples, replaced by its
+    dtype, shape and bytes: two of these are equal exactly when every
+    array is the same bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return tuple(_exact(v) for v in x)
+    return x
+
+
+def _read_only(p: SdpProblem) -> SdpProblem:
+    """p, with every array of its data and of its row map made read-only."""
+    rm = p.row_map
+    for a in (p.b, p.cert_vector, *p.group_rows, *p.group_stacks, *p.objective_stacks,
+              *p.group_weights, *p.arrow.blocks, p.arrow.border, rm.kept, rm.dropped,
+              rm.scales, rm.dependence, rm.cert_u):
+        if a is not None:
+            a.flags.writeable = False
+    return p
+
+
+def _assemble(rhos: np.ndarray, mode: str, source, band: bool, faces: list[np.ndarray],
+              sym: _CopySymmetry, live: list[int], canon: np.ndarray,
+              orbits: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray) -> SdpProblem:
+    """build_sdp's raw problem on one block per orbit, for the states rhos,
+    the mode, its source (the input probabilities in finite-q, the
+    generation index in asymptotic), a band or none, the faces, the copy
+    group, the live outcomes, the block orbits canon and the row orbits
+    (kept, red, wt) of _row_orbits; b, the orbit-mean right-hand side, is
+    only carried into the problem. Nothing else is read."""
+    n_s, d = rhos.shape[:2]
+    n_o, n_l = len(faces), len(live)
+    finite_q = mode == MODE_FINITE_Q
+    n_fam = n_s if finite_q else 1
+    kept, red, wt = orbits
+    first_of_orbit = canon == np.arange(canon.size)
+    emit = first_of_orbit.tolist()
+    norm, guess, ind, stat, _ = _raw_rows(n_fam, n_s, n_o, n_l, d, band)
+    n_band = n_s * n_l * band
+    slack = kept[np.searchsorted(kept, red.size - n_band):]
+    # the guess-marginal rows of one orbit of (f, e), the kept rows in the
+    # range of its first member: one row group
+    ends = np.searchsorted(kept, [guess[..., :1], guess[..., -1:] + 1]).reshape(2, -1)
+    groups = [np.arange(lo, hi) for lo, hi in ends.T]
+
+    basis = _hermitian_basis(d)
+    # deviations from multiples of the identity: off-diagonal elements and
+    # e_kk - e_00, d^2 - 1 of them
+    traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
+    weights = np.bincount(canon, minlength=canon.size)[first_of_orbit]
+    block_dims: list[int] = []
+    rows: list[np.ndarray] = []
+    coeffs: list[np.ndarray] = []
+    objective: list[np.ndarray | None] = []
+    for f in range(n_fam):
+        # i: family 0 only; iii: -basis on family 0, +basis on family a
+        norm_f, ind_f = ([norm], ind) if f == 0 else ([], ind[f - 1:f])
+        stat_f = stat[f:f + 1] if finite_q else stat
+        for xi, x in enumerate(live):
+            first = (f * n_l + xi) * n_o
+            if not any(emit[first:first + n_o]):
+                continue
+            # basis, traceless and states compressed onto V_x, or as they
+            # are on a full face (V_x = I exactly)
+            v = faces[x]
+            bx, tx, rx = ((basis, traceless, rhos) if np.array_equal(v, np.eye(d))
+                          else [v.conj().T @ h @ v for h in (basis, traceless, rhos)])
+            if finite_q:
+                stat_c = float(source[f]) * rx[f:f + 1]
+                obj = stat_c[0] if source[f] > 0.0 else None
+            else:
+                stat_c, obj = rx, rx[source - 1]
+            norm_c = [np.eye(bx.shape[-1])[None]] if f == 0 else []
+            coef = np.concatenate([*norm_c, tx, *[-bx if f == 0 else bx] * len(ind_f), stat_c])
+            for e in range(n_o):
+                if not emit[first + e]:
+                    continue
+                r, c = _orbit_sums(np.concatenate([*norm_f, guess[f, e], *ind_f[:, xi],
+                                                   stat_f[:, xi]]), coef, red, wt)
+                rows.append(r)
+                coeffs.append(c)
+                objective.append(obj if e == x else None)
+                block_dims.append(coef.shape[-1])
+    if band:  # the slack blocks t, t' of each statistics-row orbit R and
+        # its band row: coefficients 1 on the rows i and j, as orbit means
+        # 1/|R| (one pair of stacks per |R|, so from_blocks checks each once)
+        stacks = {w: [np.full((k, 1, 1), w) for k in (2, 1)] for w in set(wt[slack].tolist())}
+        for j in slack.tolist():
+            i = j - n_band
+            rows += [red[[i, j]], red[[j]]]
+            coeffs += stacks[wt[j]]
+        objective += [None, None] * slack.size
+        block_dims += [1, 1] * slack.size
+        weights = np.concatenate([weights, np.repeat(np.rint(1.0 / wt[slack]), 2)])  # |R|
+    return SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
+
+
 def build_sdp(
     scenario: Scenario, opts: SolverOptions | None = None
 ) -> tuple[SdpProblem, PreprocessReport]:
@@ -506,7 +621,20 @@ def build_sdp(
     ceil(statistics rows / |G|) statistics-row orbits remain ("at least"
     in the message; under the order-1 group the raw counts, exact). Then
     the counts of _row_orbits.
+
+    The statistics enter only b and the checks; the rest, the constraint
+    map, is _assemble's, a function of the states, the mode with its input
+    probabilities (finite-q) or its generation index (asymptotic), whether
+    there is a band, the faces, the copy group, the live outcomes and the
+    block orbits. build_sdp keeps the last map it built, read-only. When
+    these inputs are bit for bit those of the kept map, it skips the row
+    orbits, the assembly and preprocess, and applies this scenario's b to
+    the kept map through sdp_core.apply_rhs, with which preprocess ends
+    too: every dropped row is checked against its kept rows as on a new
+    map. face_bases, both caps and the dead-outcome check run for every
+    scenario. A kept map is dropped before a different one is built.
     """
+    global _last_map
     opts = opts or SolverOptions()
     relax = opts.relax
     band = relax > 0.0
@@ -518,95 +646,47 @@ def build_sdp(
     # the blocks and rows to emit: one per orbit of the copy group
     sym, live, canon = _block_orbits(scenario, faces)
     n_l = len(live)
-    first_of_orbit = canon == np.arange(canon.size)
     # the cap on the closed-form bounds, then on the counts (see above)
     order, n_band = math.factorial(sym.copies), n_s * n_l * band
-    n_blocks, size = np.count_nonzero(first_of_orbit), max(v.shape[1] for v in faces)
+    n_blocks, size = np.count_nonzero(canon == np.arange(canon.size)), max(v.shape[1] for v in faces)
     anti = (n_fam * n_o + (n_fam - 1) * n_l) * (d * (d - 1) // 2) * (sym.copies > 1)
     n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
     sdp_solver.check_rows(-(-(n_raw - anti) // order), n_blocks + 2 * -(-n_band // order), size,
                           sym.copies > 1)
-    kept, red, wt = _row_orbits(sym, n_fam, live, band)
+    rhos = np.stack([s.mat for s in scenario.ensemble.states])
+    inputs = (rhos, scenario.mode, scenario.ensemble.probs if finite_q
+              else scenario.generation_index, band, faces, sym, live, canon)
+    key = _exact(inputs)
+    if _last_map is not None and _last_map.key == key:
+        cmap = _last_map
+        kept, red, wt = orbits = cmap.orbits
+    else:
+        cmap = _last_map = None  # the old map goes before a new one is built
+        kept, red, wt = orbits = _row_orbits(sym, n_fam, live, band)
     # under a band, the first band row j of each statistics-row orbit: the
     # band rows are the last raw rows, and j - n_band is j's statistics row
     slack = kept[np.searchsorted(kept, n_raw - n_band):]
     sdp_solver.check_rows(kept.size, n_blocks + 2 * slack.size, size)
-    norm, guess, ind, stat, band_rows = _raw_rows(n_fam, n_s, n_o, n_l, d, band)
-    emit = first_of_orbit.tolist()
 
-    probs = scenario.ensemble.probs
     cond = scenario.observed.conditionals
-    weights = probs if finite_q else np.ones(n_s)
+    weights = scenario.ensemble.probs if finite_q else np.ones(n_s)
     dead = [x for x in range(n_o) if x not in live]
     if np.any(np.abs(weights[:, None] * cond[:, dead]) > 1e-12):
         raise InfeasibleProblemError(
             "constraint places a nonzero value on an impossible outcome"
         )
+    _, _, _, stat, band_rows = _raw_rows(n_fam, n_s, n_o, n_l, d, band)
     b = np.zeros(red.size)
     b[0] = d
     b[stat] = weights[:, None] * cond[:, live] + relax
     b[band_rows] = 2.0 * relax
     # orbit means; a left-out row (red -1, weight 0) falls into the dropped bin
     b = np.bincount(red + 1, wt * b, minlength=kept.size + 1)[1:]
-    # the guess-marginal rows of one orbit of (f, e), the kept rows in the
-    # range of its first member: one row group
-    ends = np.searchsorted(kept, [guess[..., :1], guess[..., -1:] + 1]).reshape(2, -1)
-    groups = [np.arange(lo, hi) for lo, hi in ends.T]
-
-    basis = _hermitian_basis(d)
-    # deviations from multiples of the identity: off-diagonal elements and
-    # e_kk - e_00, d^2 - 1 of them
-    traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
-    rhos = np.stack([s.mat for s in scenario.ensemble.states])
-    gen = scenario.generation_index - 1
-    weights = np.bincount(canon, minlength=canon.size)[first_of_orbit]
-    block_dims: list[int] = []
-    rows: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
-    objective: list[np.ndarray | None] = []
-    for f in range(n_fam):
-        # i: family 0 only; iii: -basis on family 0, +basis on family a
-        norm_f, ind_f = ([norm], ind) if f == 0 else ([], ind[f - 1:f])
-        stat_f = stat[f:f + 1] if finite_q else stat
-        for xi, x in enumerate(live):
-            first = (f * n_l + xi) * n_o
-            if not any(emit[first:first + n_o]):
-                continue
-            # basis, traceless and states compressed onto V_x, or as they
-            # are on a full face (V_x = I exactly)
-            v = faces[x]
-            bx, tx, rx = ((basis, traceless, rhos) if np.array_equal(v, np.eye(d))
-                          else [v.conj().T @ h @ v for h in (basis, traceless, rhos)])
-            if finite_q:
-                stat_c = float(probs[f]) * rx[f:f + 1]
-                obj = stat_c[0] if probs[f] > 0.0 else None
-            else:
-                stat_c, obj = rx, rx[gen]
-            norm_c = [np.eye(bx.shape[-1])[None]] if f == 0 else []
-            coef = np.concatenate([*norm_c, tx, *[-bx if f == 0 else bx] * len(ind_f), stat_c])
-            for e in range(n_o):
-                if not emit[first + e]:
-                    continue
-                r, c = _orbit_sums(np.concatenate([*norm_f, guess[f, e], *ind_f[:, xi],
-                                                   stat_f[:, xi]]), coef, red, wt)
-                rows.append(r)
-                coeffs.append(c)
-                objective.append(obj if e == x else None)
-                block_dims.append(coef.shape[-1])
-    if band:  # the slack blocks t, t' of each statistics-row orbit R and
-        # its band row: coefficients 1 on the rows i and j, as orbit means
-        # 1/|R| (one pair of stacks per |R|, so from_blocks checks each once)
-        stacks = {w: [np.full((k, 1, 1), w) for k in (2, 1)] for w in set(wt[slack].tolist())}
-        for j in slack.tolist():
-            i = j - n_band
-            rows += [red[[i, j]], red[[j]]]
-            coeffs += stacks[wt[j]]
-        objective += [None, None] * slack.size
-        block_dims += [1, 1] * slack.size
-        weights = np.concatenate([weights, np.repeat(np.rint(1.0 / wt[slack]), 2)])  # |R|
-    raw = SdpProblem.from_blocks(block_dims, b, rows, coeffs, objective, groups, weights)
-    del rows, coeffs, objective  # so preprocess holds only the stacks
-    return preprocess(raw)
+    if cmap is not None:
+        return apply_rhs(cmap.problem, b)
+    problem, report = preprocess(_assemble(*inputs, orbits, b))
+    _last_map = _ConstraintMap(key, orbits, _read_only(problem))
+    return problem, report
 
 
 def symmetry_summary(scenario: Scenario) -> str | None:
@@ -679,7 +759,10 @@ def guessing_probability(
     infeasible: averaging a feasible point over the cyclic relabelings of
     the guess keeps it feasible at value 1/n_o, so every feasible optimum
     is at least 1/n_o. It is reported infeasible-detected, with no bound
-    and a note naming it.
+    and a note naming it. When the solver itself reports infeasible-detected
+    (with no bound), the smallest finite certified bound of its iterates is
+    that proof when it is at most 0; otherwise a note says that the primal
+    residual diverged and infeasibility is not proven.
     """
     opts = opts or SolverOptions()
     cost = input_cost(scenario.ensemble.probs) if scenario.mode == MODE_FINITE_Q else 0.0
@@ -700,10 +783,16 @@ def guessing_probability(
     sol = solve(problem, opts)
     notes = list(report.notes)
     status, p_up = sol.status, sol.certified_upper_bound
+    if status == INFEASIBLE:  # the solver reports no bound; its iterates may hold a proof
+        p_up = min((r.certified_bound for r in sol.iterations
+                    if math.isfinite(r.certified_bound)), default=math.nan)
     if math.isfinite(p_up) and p_up <= 0.0:
         notes.append(f"certified guessing bound {p_up:.3e} <= 0: no strategy reproduces "
                      "the statistics")
         status, p_up = INFEASIBLE, math.nan
+    elif status == INFEASIBLE:
+        notes.append("primal residual diverged; infeasibility is not proven")
+        p_up = math.nan
     if math.isfinite(p_up):
         if p_up > 1.0 + 1e-8:
             notes.append(f"guessing bound {p_up:.3e} above 1; clamped")

@@ -334,10 +334,21 @@ _MAX_TENSOR_DIM = 32
 
 
 def _check_copies(dim: int, copies: int) -> None:
+    """Refuse a tensor power of copies factors of dimension dim above
+    _MAX_TENSOR_DIM, comparing copies with the largest admissible exponent
+    so that dim**copies is never formed, and any power of a 1-dimensional
+    factor, whose copies would only multiply the work."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if dim**copies > _MAX_TENSOR_DIM:
-        # the power as dim^copies: str() refuses an int of over 4300 digits
+    if dim == 1:
+        if copies > 1:
+            raise ValueError(f"copies {copies} of dimension 1: a tensor power needs "
+                             "dimension >= 2")
+        return
+    largest = 0  # the largest k with dim**k <= _MAX_TENSOR_DIM
+    while dim ** (largest + 1) <= _MAX_TENSOR_DIM:
+        largest += 1
+    if copies > largest:
         raise ValueError(f"tensor product dimension {dim}^{copies} exceeds {_MAX_TENSOR_DIM}")
 
 

@@ -60,7 +60,9 @@ __all__ = [
     "SdpSolution",
     "IterationRecord",
     "PreprocessReport",
+    "RowMap",
     "preprocess",
+    "apply_rhs",
 ]
 
 OPTIMAL = "optimal"
@@ -202,6 +204,7 @@ class SdpProblem:
     preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
+    row_map: RowMap | None = field(default=None, repr=False)  # set by preprocess
 
     @classmethod
     def from_blocks(cls, block_dims: Sequence[int], b: np.ndarray, rows: list[np.ndarray],
@@ -399,6 +402,25 @@ class PreprocessReport:
     notes: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class RowMap:
+    """What preprocess derives from A alone, for apply_rhs to apply to a b
+    of n_raw raw rows: the kept and the dropped raw rows, each kept row's
+    Frobenius norm, each dropped row in terms of the kept ones (column j:
+    dropped[j] = dependence[:, j] @ kept rows) and the identity direction u
+    over the unscaled kept rows (sum_i u_i A_i = identity; None when the
+    identity is not in the row space)."""
+
+    n_raw: int
+    kept: np.ndarray
+    dropped: np.ndarray
+    scales: np.ndarray
+    dependence: np.ndarray
+    cert_u: np.ndarray | None
+    cert_residual: float
+    notes: tuple[str, ...]
+
+
 def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop dependent constraint rows, check consistency, rescale.
 
@@ -408,16 +430,16 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     with the kept rows' Gram block, positive definite by the selection and
     an arrow over the row groups in kept numbering, factored by block
     elimination (ArrowPlan.factor) as the solver factors its Schur matrix.
-    Dependent rows must be reproducible from kept rows with matching b
-    (residual below the consistency tolerance), otherwise the problem is
-    inconsistent and InfeasibleProblemError is raised. Kept rows are scaled
-    to unit Frobenius norm; scaling never moves the optimal objective. The
-    result keeps p's layout and objective stacks and renumbers each row
-    where it sits: kept rows become 0..k-1 in order, dropped rows dummy
-    slots k that A, A* and the row-product kernel ignore. The arrow plan is
-    renumbered alike, its blocks kept from ARROW_MIN_ROWS kept rows on.
-    Also computes the certificate vector w with A*(w) = identity when the
-    identity lies in the row space (used to repair dual infeasibility).
+    Kept rows are scaled to unit Frobenius norm; scaling never moves the
+    optimal objective. The result keeps p's layout and objective stacks
+    and renumbers each row where it sits: kept rows become 0..k-1 in
+    order, dropped rows dummy slots k that A, A* and the row-product
+    kernel ignore. The arrow plan is renumbered alike, its blocks kept
+    from ARROW_MIN_ROWS kept rows on. Also computes the certificate vector
+    w with A*(w) = identity when the identity lies in the row space (used
+    to repair dual infeasibility). None of this reads b: it is kept as the
+    result's row_map, and p.b goes in last, through apply_rhs, which
+    checks that every dependent row is reproduced by the kept rows.
     """
     if p.preprocessed:
         return p, PreprocessReport(p.n_constraints, list(range(p.n_constraints)), [], 0.0, 0.0)
@@ -425,8 +447,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     notes: list[str] = []
     identity = [np.tile(np.eye(s.shape[-1], dtype=complex), (len(s), 1, 1)) for s in p.group_stacks]
     g = p.schur_matrix(identity, identity)
-    kept, dropped = row_space_basis(g)
-    b_kept = p.b[kept]
+    kept, dropped = (np.array(r, dtype=np.intp) for r in row_space_basis(g))
     scales = np.sqrt(np.diag(g)[kept])
     k = len(kept)
     new_index = np.full(m + 1, k, dtype=np.intp)  # dropped rows -> dummy k
@@ -440,24 +461,14 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     del g, rhs  # the m x m arrays go before the rescaled stacks exist
     u, coeffs = sol[:, 0], sol[:, 1:]
 
-    resid = np.abs(p.b[dropped] - b_kept @ coeffs)
-    max_resid = float(np.max(resid, initial=0.0))
-    if max_resid > CONSISTENCY_TOL:
-        j = int(np.argmax(resid > CONSISTENCY_TOL))
-        raise InfeasibleProblemError(
-            f"constraint {dropped[j]} contradicts the rows it depends on "
-            f"(residual {resid[j]:.3e})"
-        )
     u_raw = np.zeros(m)
     u_raw[kept] = u
     cert_residual = max(
         float(np.max(np.abs(a - e))) for a, e in zip(p.adjoint(u_raw), identity)
     )
     cert_vector = None
-    cert_b = float("nan")
     if cert_residual < 1e-9:
         cert_vector = u * scales  # valid for the rescaled rows
-        cert_b = float(b_kept @ u)
     else:
         notes.append("identity not in constraint row space; no certificate shift")
 
@@ -465,18 +476,44 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     group_rows = [new_index[rows] for rows in p.group_rows]
     group_stacks = [st / scale[rows][:, :, None, None]
                     for rows, st in zip(group_rows, p.group_stacks)]
+    row_map = RowMap(m, kept, dropped, scales, coeffs, None if cert_vector is None else u,
+                     cert_residual, tuple(notes))
+    out = replace(p, group_rows=group_rows, group_stacks=group_stacks, arrow=arrow,
+                  preprocessed=True, cert_vector=cert_vector, row_map=row_map)
+    return apply_rhs(out, p.b)
 
-    out = replace(
-        p, b=b_kept / scales, group_rows=group_rows, group_stacks=group_stacks, arrow=arrow,
-        preprocessed=True, cert_vector=cert_vector, cert_b=cert_b,
-    )
+
+def apply_rhs(p: SdpProblem, b: np.ndarray) -> tuple[SdpProblem, PreprocessReport]:
+    """The preprocessed problem p with the raw right-hand side b, and its
+    report: b on the kept rows, rescaled, and cert_b = b_kept . u, from
+    p.row_map. Every dropped row's b must be reproduced by the kept rows
+    it depends on within CONSISTENCY_TOL, otherwise the problem is
+    inconsistent and InfeasibleProblemError is raised. The result shares
+    p's stacks; preprocess ends here, and a problem whose A is unchanged
+    takes a new b here alone."""
+    rm = p.row_map
+    b = np.asarray(b, dtype=float)
+    if b.shape != (rm.n_raw,):
+        raise ValueError(f"b has shape {b.shape}, not the {rm.n_raw} raw rows of the row map")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
+    b_kept = b[rm.kept]
+    resid = np.abs(b[rm.dropped] - b_kept @ rm.dependence)
+    max_resid = float(np.max(resid, initial=0.0))
+    if max_resid > CONSISTENCY_TOL:
+        j = int(np.argmax(resid > CONSISTENCY_TOL))
+        raise InfeasibleProblemError(
+            f"constraint {rm.dropped[j]} contradicts the rows it depends on "
+            f"(residual {resid[j]:.3e})"
+        )
+    cert_b = float("nan") if rm.cert_u is None else float(b_kept @ rm.cert_u)
+    out = replace(p, b=b_kept / rm.scales, cert_b=cert_b)
     report = PreprocessReport(
-        n_raw=m,
-        kept_rows=kept,
-        dropped_rows=dropped,
+        n_raw=rm.n_raw,
+        kept_rows=rm.kept.tolist(),
+        dropped_rows=rm.dropped.tolist(),
         max_consistency_residual=max_resid,
-        cert_residual=cert_residual,
-        notes=notes,
+        cert_residual=rm.cert_residual,
+        notes=list(rm.notes),
     )
     return out, report
-

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -127,18 +128,21 @@ def test_infeasible_statistics_exit_solver_failure(tmp_path, capsys):
     assert code == cli.EXIT_SOLVER
 
 
-@pytest.mark.parametrize("max_iter", [2, 3, 5])
+@pytest.mark.parametrize("max_iter", [2, 3, 5, None])
 def test_nonpositive_certified_bound_reports_infeasible(tmp_path, capsys, max_iter):
     # |0> and |+> cannot give P(0|0) = 0.99 and P(0|+) = 0.01; cut short,
     # the solver ends numerical-failure with a negative certified bound,
-    # whose log2 raised "math domain error" (exit 1, the schema's code)
+    # whose log2 raised "math domain error" (exit 1, the schema's code);
+    # at the default cap it ends infeasible-detected on its diverging
+    # bound, which its iterates log and which is the same proof
     path = tmp_path / "impossible.json"
     path.write_text(json.dumps({
         "schema_version": 1,
         "source": {"kind": "bloch", "vectors": [[0, 0, 1], [1, 0, 0]]},
         "statistics": {"conditionals": [[0.99, 0.01], [0.01, 0.99]]},
     }))
-    code = cli.main(["rate", str(path), "--max-iter", str(max_iter), "--json"])
+    cap = [] if max_iter is None else ["--max-iter", str(max_iter)]
+    code = cli.main(["rate", str(path), *cap, "--json"])
     assert code == cli.EXIT_SOLVER
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -228,15 +232,20 @@ def test_sweep_csv_shape_and_monotone_eta(tmp_path, capsys):
 
 
 def test_sweep_is_byte_deterministic_across_runs_and_jobs(tmp_path, capsys):
-    argv = ["sweep", "fig5", "--param", "q", "--from", "0.3", "--to", "0.7",
-            "--steps", "3"]
-    outs = []
-    for jobs, tag in (("1", "a"), ("1", "b"), ("2", "c")):
-        path = tmp_path / f"{tag}.csv"
-        assert cli.main(argv + ["--jobs", jobs, "--out", str(path)]) == 0
-        outs.append(path.read_bytes())
-    capsys.readouterr()
-    assert outs[0] == outs[1] == outs[2]
+    # finite-q q sweeps build a new constraint map at every point; on the
+    # eta sweep the points 0.98 and 0.99 share one, and eta = 1 (faces of
+    # lower rank) has its own, in this process and in each pool worker
+    for name, argv in (
+            ("q", ["sweep", "fig5", "--param", "q", "--from", "0.3", "--to", "0.7"]),
+            ("eta", ["sweep", "fig3-blue", "--param", "eta", "--from", "0.98", "--to", "1.0"])):
+        outs = []
+        for jobs, tag in (("1", "a"), ("1", "b"), ("2", "c")):
+            path = tmp_path / f"{name}-{tag}.csv"
+            assert cli.main(argv + ["--steps", "3", "--jobs", jobs, "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].count(b",optimal\n") == 3
 
 
 def test_sweep_jobs_validated_and_capped(monkeypatch, capsys):
@@ -715,6 +724,24 @@ def test_realize_names_the_field_of_every_scenario_error(tmp_path, capsys, spoil
         out = capsys.readouterr().out
         for check in checks:
             assert f"{check}: FAIL ({msg})\n" in out
+
+
+def test_huge_copies_of_a_qutrit_are_refused_at_once(tmp_path, capsys):
+    # the guard compares copies with the largest admissible exponent:
+    # forming 3**10000000 first took seconds before the refusal
+    path = tmp_path / "qutrit.json"
+    diag = [{"real": np.diag(e).tolist()} for e in np.eye(3)]
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "source": {"kind": "density", "matrices": diag[:2]},
+        "device": {"kind": "elements", "elements": diag, "eta": 1.0},
+        "copies": 10_000_000,
+    }))
+    t0 = time.perf_counter()
+    assert cli.main(["rate", str(path)]) == cli.EXIT_SCHEMA
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == (
+        "error: copies: tensor product dimension 3^10000000 exceeds 32\n")
 
 
 @pytest.mark.parametrize("preset, argv, msg", [

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 from functools import reduce
@@ -925,3 +927,140 @@ def test_strategy_validate_rejects_non_finite_operators(bad):
     ops[1, 0, 1, 1, 0] = bad
     with pytest.raises(ValueError, match=r"operator is not finite at \(a=1, x=0, e=1\)"):
         EffectiveStrategy(ops).validate(scen)
+
+
+# --- the kept constraint map ---------------------------------------------
+
+def _digest(x, h=None):
+    """sha256 over every array and value of a problem, its row map and its
+    arrow plan, with dtypes and shapes."""
+    h = h or hashlib.sha256()
+    if isinstance(x, np.ndarray):
+        h.update(f"{x.dtype.str}{x.shape}".encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            _digest(getattr(x, f.name), h)
+    elif isinstance(x, (list, tuple)):
+        h.update(f"[{len(x)}".encode())
+        for v in x:
+            _digest(v, h)
+    else:
+        h.update(repr(x).encode())
+    return h.hexdigest()
+
+
+def _cold(scen, opts=None):
+    """build_sdp of scen with no kept map: its problem's digest and its report."""
+    mdi._last_map = None
+    prob, rep = mdi.build_sdp(scen, opts)
+    return _digest(prob), repr(rep)
+
+
+def _count_preprocess(monkeypatch):
+    calls = []
+    real = mdi.preprocess
+    monkeypatch.setattr(mdi, "preprocess", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+def test_eta_grid_built_warm_equals_each_point_built_cold(monkeypatch):
+    # the statistics enter only b: the 20 points eta < 1 of the fig3-blue
+    # grid share one map, and eta = 1, whose faces are of lower rank, has
+    # its own; each warm build is bit for bit the cold one
+    grid = [_fig3_blue(eta=float(e)) for e in np.linspace(0.8, 1.0, 21)]
+    calls = _count_preprocess(monkeypatch)
+    warm = []
+    for scen in grid:
+        prob, rep = mdi.build_sdp(scen)
+        warm.append((_digest(prob), repr(rep)))
+    assert len(calls) == 2
+    assert warm == [_cold(scen) for scen in grid]
+    assert len(calls) == 23
+
+
+def test_rebuilt_identical_scenario_factors_nothing(monkeypatch):
+    scen = _fig3_blue(eta=0.9)
+    mdi.build_sdp(scen)
+    factors = []
+    real = sdp_core.ArrowPlan.factor
+    monkeypatch.setattr(sdp_core.ArrowPlan, "factor",
+                        lambda self, s: factors.append(s) or real(self, s))
+    prob, _ = mdi.build_sdp(scen)
+    assert factors == []
+    # the kept map is read-only: the problem it lends out shares its stacks
+    assert not prob.group_stacks[0].flags.writeable
+    with pytest.raises(ValueError):
+        prob.group_stacks[0][0] = 0.0
+
+
+def test_reused_map_checks_every_dropped_row(monkeypatch):
+    # |0>, |1>, |+>, |->: rho_0 + rho_1 = rho_+ + rho_-, so one statistics
+    # row per outcome is dropped, and a table must satisfy
+    # P(x|0) + P(x|1) = P(x|+) + P(x|-); no zero entry, so both tables
+    # below have full faces and share one map
+    ens = StateEnsemble(tuple(bloch_to_density(v) for v in
+                              ([0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0])),
+                       np.full(4, 0.25))
+    good = mdi.honest_scenario(ens, sigma_z_povm(), eta=0.9)
+    bad = mdi.Scenario(ens, ObservedStatistics(np.array([[0.9, 0.1], [0.9, 0.1],
+                                                         [0.5, 0.5], [0.5, 0.5]])))
+    mdi.build_sdp(good)
+    calls = _count_preprocess(monkeypatch)
+    with pytest.raises(InfeasibleProblemError, match="contradicts the rows it depends on"):
+        mdi.build_sdp(bad)
+    assert calls == []
+    # and so does a cold build
+    mdi._last_map = None
+    with pytest.raises(InfeasibleProblemError, match="contradicts the rows it depends on"):
+        mdi.build_sdp(bad)
+    assert len(calls) == 1
+
+
+def _fig5(q):
+    return cli.realize(cli.load_scenario_spec("fig5"), q=q)
+
+
+@pytest.mark.parametrize("before, after, opts_before, opts_after", [
+    pytest.param(lambda: _fig3_blue(eta=0.9), lambda: _fig3_blue(eta=1.0), None, None,
+                 id="faces"),
+    pytest.param(lambda: _fig5(0.3), lambda: _fig5(0.5), None, None, id="input-weights"),
+    pytest.param(lambda: _fig3_blue(eta=0.9),
+                 lambda: mdi.Scenario(*(lambda s: (s.ensemble, s.observed))(_fig3_blue(eta=0.9)),
+                                      generation_index=2), None, None, id="generation-index"),
+    pytest.param(lambda: _fig3_blue(eta=0.9), lambda: _fig3_blue(eta=0.9), None,
+                 SolverOptions(relax=1e-3), id="relax"),
+])
+def test_a_changed_input_rebuilds_the_map(before, after, opts_before, opts_after, monkeypatch):
+    mdi.build_sdp(before(), opts_before)
+    calls = _count_preprocess(monkeypatch)
+    prob, rep = mdi.build_sdp(after(), opts_after)
+    assert len(calls) == 1
+    assert (_digest(prob), repr(rep)) == _cold(after(), opts_after)
+
+
+def test_band_width_is_no_input_of_the_map(monkeypatch):
+    # a band's faces are the identity and its slack blocks carry 1/|R|:
+    # the width enters only b, so two widths share one map
+    scen = _fig3_blue(eta=0.9)
+    mdi.build_sdp(scen, SolverOptions(relax=1e-3))
+    calls = _count_preprocess(monkeypatch)
+    prob, rep = mdi.build_sdp(scen, SolverOptions(relax=2e-3))
+    assert calls == []
+    assert (_digest(prob), repr(rep)) == _cold(scen, SolverOptions(relax=2e-3))
+
+
+def test_unproven_infeasibility_is_named(monkeypatch):
+    # a solver exit on a diverging primal residual, with only positive
+    # certified bounds logged, proves nothing: the note says so
+    real = mdi.solve
+
+    def diverged(p, opts=None):
+        return dataclasses.replace(real(p, opts), status=INFEASIBLE,
+                                   certified_upper_bound=math.nan)
+
+    monkeypatch.setattr(mdi, "solve", diverged)
+    res = mdi.guessing_probability(_fig3_blue(eta=0.9))
+    assert res.status == INFEASIBLE and math.isnan(res.rate_bits)
+    assert math.isnan(res.p_guess_upper)
+    assert res.notes == ["primal residual diverged; infeasibility is not proven"]

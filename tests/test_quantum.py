@@ -210,6 +210,22 @@ def test_tensor_ensemble_ordering_and_cap():
         q.tensor_ensemble(base, 6)  # 2**6 = 64 > 32
 
 
+def test_copies_guard_reads_the_largest_exponent():
+    # the cap is met at 2^5 and 3^3 and refused one copy later, with the
+    # power named as written, never formed
+    q._check_copies(2, 5)
+    q._check_copies(3, 3)
+    for dim, copies in [(2, 6), (3, 4), (33, 1), (3, 10_000_000)]:
+        with pytest.raises(ValueError, match=rf"^tensor product dimension {dim}\^{copies} "
+                                             r"exceeds 32$"):
+            q._check_copies(dim, copies)
+    # a 1-dimensional factor passes every dimension test; its copies would
+    # only multiply the states
+    q._check_copies(1, 1)
+    with pytest.raises(ValueError, match=r"^copies 2 of dimension 1: "):
+        q._check_copies(1, 2)
+
+
 def test_tensor_povm_matches_kron():
     z2 = q.tensor_povm(q.sigma_z_povm(), 2)
     assert z2.n_outcomes == 4
