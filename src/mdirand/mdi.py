@@ -133,18 +133,45 @@ def honest_scenario(
     return Scenario(ensemble, stats, mode=mode, generation_index=generation_index)
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d, d) basis: the e_kk, then for each k < l the symmetric and
-    the antisymmetric imaginary element."""
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    j = d
-    for k in range(d):
-        for l in range(k + 1, d):
-            basis[j, k, l] = basis[j, l, k] = 1.0
-            basis[j + 1, k, l], basis[j + 1, l, k] = 1.0j, -1.0j
-            j += 2
-    return basis
+def _basis_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian basis of d x d matrices as index pairs, the one place
+    that states its order: element j is (k[j], l[j], anti[j]). The d^2
+    basis elements come first: e_kk (j = k < d), then for each k < l, in
+    row order, the symmetric element (1 at (k, l) and (l, k)) and the
+    antisymmetric imaginary one (i at (k, l), -i at (l, k)). The d^2 - 1
+    traceless elements follow: the off-diagonal elements, then e_kk - e_00
+    (-1 at (0, 0)) for k = 1..d-1, each with the pair of its e_kk."""
+    k, l = (np.concatenate([np.arange(d), np.repeat(v, 2)])
+            for v in np.nonzero(np.arange(d)[:, None] < np.arange(d)))
+    anti = np.concatenate([np.zeros(d, dtype=bool), np.arange(d * d - d) % 2 == 1])
+    order = np.concatenate([np.arange(d * d), np.arange(d, d * d), np.arange(1, d)])
+    return k[order], l[order], anti[order]
+
+
+def _on_face(q: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis and the traceless elements (_basis_pairs) and the states
+    rhos compressed onto the isometry q (d x r) as Q^dag H Q; q = I exactly
+    gives them as they are. No element is multiplied as a d x d matrix:
+    column c of an element B is zero or v e_i (v one of 1, i, -i, -1), so
+    column c of Q^dag B is column c of Q^dag P for the probe P that holds
+    v e_i in every column, or for the zero probe. The probes go through
+    the d x d product that B would, so every entry of Q^dag B, a signed
+    zero too, is the one that product gives; Q^dag B is then multiplied
+    by q, as the states are. Any isometry will do, not only a face."""
+    d = len(q)
+    k, l, anti = _basis_pairs(d)
+    j, p = np.arange(k.size), np.arange(4 * d)
+    # probe u d + i: v e_i in every column, v the u-th of 1, i, -i, -1; the last: zero
+    probes = np.zeros((4 * d + 1, d, d), dtype=complex)
+    probes[p, p % d] = np.repeat(np.array([1.0, 1.0j, -1.0j, -1.0]), d)[:, None]
+    full = np.array_equal(q, np.eye(d))
+    src = probes if full else q.conj().T @ probes
+    out = np.broadcast_to(src[4 * d], (k.size, *src.shape[1:])).copy()  # the zero columns
+    # v at (k, l) and (l, k), and -1 at (0, 0) for e_kk - e_00
+    out[j, :, l], out[j, :, k] = src[d * anti + k, :, l], src[2 * d * anti + l, :, k]
+    out[2 * d * d - d:, :, 0] = src[3 * d, :, 0]
+    out, rhos = (out, rhos) if full else (out @ q, q.conj().T @ rhos @ q)
+    return out[:d * d], out[d * d:], rhos
 
 
 # largest entry mismatch that a copy permutation may leave between the
@@ -280,10 +307,10 @@ def _row_orbits(
     """The row orbits of build_sdp's raw rows, with its band rows if band.
 
     A raw row is the tuple of an input a (the family f for ii), an outcome
-    (the guess e for ii) and the pair (k, l) of its basis element: e_kk
-    (k = l; e_kk - e_00 for ii, every permutation fixing index 0) or the
-    symmetric or antisymmetric element of k < l; rows i, iv and the band
-    have (0, 0). A copy permutation maps the row to the row of the permuted
+    (the guess e for ii) and the pair (k, l) of its element of
+    _basis_pairs: e_kk (k = l; e_kk - e_00 for ii, every permutation fixing
+    index 0) or the symmetric or antisymmetric element of k < l; rows i,
+    iv and the band have (0, 0). A copy permutation maps the row to the row of the permuted
     tuple, its pair put in order, and negates an antisymmetric element
     whose pair it turns round. So the first row of an orbit is the smaller
     of the smallest images (_smallest_images) of the tuple with (k, l) and
@@ -305,22 +332,17 @@ def _row_orbits(
     rows = np.arange(n_raw)
     if m == 1:  # the identity
         return rows, rows, np.ones(n_raw)
-    # basis element j (_hermitian_basis): e_kk for k = bk[j] = bl[j] < d,
-    # then per pair bk[j] < bl[j] the symmetric and the antisymmetric one
-    pairs = np.nonzero(np.arange(d)[:, None] < np.arange(d))
-    bk, bl = (np.concatenate([np.arange(d), np.repeat(i, 2)]) for i in pairs)
-    b_anti = np.r_[np.zeros(d, dtype=bool), np.arange(d * d - d) % 2 == 1]
-    # every raw row as (family, input, outcome, basis element); the
-    # traceless element t is basis element tl[t]
-    tl = np.concatenate([np.arange(d, d * d), np.arange(1, d)])
+    # every raw row as (family, input, outcome, element of _basis_pairs):
+    # a traceless element (ii) or a basis element (iii)
     f, a, x, j = tup = np.zeros((4, n_raw), dtype=np.intp)
     fam, xs = np.arange(n_s)[:, None, None], np.asarray(live)[:, None]
     for raw, values in zip(_raw_rows(n_fam, n_s, n_o, n_l, d, band)[1:], (  # ii, iii, iv, band
-            (1, fam[:n_fam], np.arange(n_o)[:, None], tl), (2, fam[1:n_fam], xs, np.arange(d * d)),
-            (3, fam[:, 0], xs[:, 0], 0), (4, fam[:n_s * band, 0], xs[:, 0], 0))):
+            (1, fam[:n_fam], np.arange(n_o)[:, None], d * d + np.arange(d * d - 1)),
+            (2, fam[1:n_fam], xs, np.arange(d * d)), (3, fam[:, 0], xs[:, 0], 0),
+            (4, fam[:n_s * band, 0], xs[:, 0], 0))):
         for field, v in zip(tup, values):
             field[raw] = v
-    k, l, anti = bk[j], bl[j], b_anti[j]
+    k, l, anti = (v[j] for v in _basis_pairs(d))
     both = _smallest_images((a, x, np.array([k, l]), np.array([l, k])), (n0, o0, d0, d0), m)
     # a row is its family, its tuple and its kind, the first of its orbit
     # the same with the smaller image; negation holds for a whole orbit
@@ -379,22 +401,32 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     of the feasible set (eigenvalues are only cut at the 1e-11 noise floor,
     far below every reported tolerance). Statistics that force a negative
     marginal raise InfeasibleProblemError.
+
+    No basis matrix is formed. The coordinates t[a, j] = Re tr(B_j rho_a)
+    of the states in the basis B_j of _basis_pairs are read off their
+    entries, and the marginals sum_j c_j B_j are scattered from their
+    coefficients c; every zero of either is made +0, the sign that a BLAS
+    product with the dense basis gives it.
     """
-    d = scenario.dim
-    n_s = scenario.n_states
-    n_o = scenario.n_outcomes
-    rhos = [s.mat for s in scenario.ensemble.states]
+    d, n_s, n_o = scenario.dim, scenario.n_states, scenario.n_outcomes
+    rhos = np.stack([s.mat for s in scenario.ensemble.states])
     cond = scenario.observed.conditionals
-    span_rows = np.stack(rhos).view(float).reshape(n_s, -1)
+    part = rhos.view(float).reshape(n_s, d, d, 2)  # the real and imaginary parts
+    span_rows = part.reshape(n_s, -1)
     kept, _ = row_space_basis(span_rows @ span_rows.T)
     faces: list[np.ndarray] = []
     if len(kept) == d * d:
-        basis = _hermitian_basis(d)
-        # t[a, j] = Re tr(B_j rho_a), the dot product of the real views
-        t = span_rows @ basis.view(float).reshape(d * d, -1).T
+        k, l, anti = (v[:d * d] for v in _basis_pairs(d))
+        # t[a, j] = Re tr(B_j rho_a): Re rho_kk, Re(rho_kl + rho_lk) or
+        # Im(rho_kl - rho_lk); lower weighs the entry (l, k)
+        comp, lower = 1 * anti, np.where(anti, -1.0, k < l)
+        t = part[:, l, k, comp] * lower + part[:, k, l, comp] + 0.0
         coef, *_ = np.linalg.lstsq(t, cond, rcond=None)
         resid = np.max(np.abs(t @ coef - cond), axis=0)
-        marginals = np.tensordot(coef, basis, axes=(0, 0))
+        # the marginals sum_j coef[j, x] B_j, scattered onto their parts
+        marginals = np.zeros((n_o, d, d, 2))
+        marginals[:, l, k, comp], marginals[:, k, l, comp] = coef.T * lower, coef.T
+        marginals = marginals.view(complex)[..., 0] + 0.0
         for x in range(n_o):
             if resid[x] > 1e-9:
                 raise InfeasibleProblemError(
@@ -415,8 +447,7 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
             if not zeros:
                 faces.append(np.eye(d, dtype=complex))
                 continue
-            f = sum(rhos[a] for a in zeros)
-            vals, vecs = eigh_hermitian(f)
+            vals, vecs = eigh_hermitian(sum(rhos[a] for a in zeros))
             cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
             faces.append(vecs[:, vals <= cut])
     return faces
@@ -484,15 +515,8 @@ def _assemble(rhos: np.ndarray, mode: str, source, band: bool, faces: list[np.nd
     ends = np.searchsorted(kept, [guess[..., :1], guess[..., -1:] + 1]).reshape(2, -1)
     groups = [np.arange(lo, hi) for lo, hi in ends.T]
 
-    basis = _hermitian_basis(d)
-    # deviations from multiples of the identity: off-diagonal elements and
-    # e_kk - e_00, d^2 - 1 of them
-    traceless = np.concatenate([basis[d:], basis[1:d] - basis[0]])
     weights = np.bincount(canon, minlength=canon.size)[first_of_orbit]
-    block_dims: list[int] = []
-    rows: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
-    objective: list[np.ndarray | None] = []
+    block_dims, rows, coeffs, objective = [], [], [], []  # per block, as from_blocks takes them
     for f in range(n_fam):
         # i: family 0 only; iii: -basis on family 0, +basis on family a
         norm_f, ind_f = ([norm], ind) if f == 0 else ([], ind[f - 1:f])
@@ -501,11 +525,8 @@ def _assemble(rhos: np.ndarray, mode: str, source, band: bool, faces: list[np.nd
             first = (f * n_l + xi) * n_o
             if not any(emit[first:first + n_o]):
                 continue
-            # basis, traceless and states compressed onto V_x, or as they
-            # are on a full face (V_x = I exactly)
-            v = faces[x]
-            bx, tx, rx = ((basis, traceless, rhos) if np.array_equal(v, np.eye(d))
-                          else [v.conj().T @ h @ v for h in (basis, traceless, rhos)])
+            # basis, traceless and states compressed onto V_x
+            bx, tx, rx = _on_face(faces[x], rhos)
             if finite_q:
                 stat_c = float(source[f]) * rx[f:f + 1]
                 obj = stat_c[0] if source[f] > 0.0 else None
@@ -548,7 +569,8 @@ def build_sdp(
     Each block is compressed onto the certified range V_x of its outcome
     marginal (see face_bases; the generic full-rank case keeps the full
     dimension d): a complex Hermitian block of the face rank r_x, with
-    coefficients V_x^dag H V_x. The faces are exact for the exact table
+    coefficients V_x^dag H V_x (_on_face, which reads the basis elements
+    off their index pairs). The faces are exact for the exact table
     only: a table inside a band of opts.relax > 0 may have full-rank
     marginals where the observed one has not, so with a band every V_x is
     the identity. Only outcomes with a nonempty face (live x, L of them)
@@ -611,10 +633,10 @@ def build_sdp(
     is one block or one row, of weight 1.
 
     The cap sdp_solver.MAX_CONSTRAINTS bounds the reduced rows, checked
-    twice before the basis, any face compression or any coefficient stack
-    exists; each refusal raises ValueError naming the count, the blocks
-    (two slack blocks per statistics-row orbit under a band) and the
-    largest block size. First, before any array over the raw rows, bounds
+    twice before any face compression or any coefficient stack exists;
+    each refusal raises ValueError naming the count, the blocks (two slack
+    blocks per statistics-row orbit under a band) and the largest block
+    size. First, before any array over the raw rows, bounds
     in closed form: only antisymmetric rows of ii and iii can vanish, and
     an orbit holds at most |G| rows, so at least
     ceil((raw rows - antisymmetric rows) / |G|) rows and

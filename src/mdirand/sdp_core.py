@@ -201,7 +201,6 @@ class SdpProblem:
     objective_stacks: list[np.ndarray] = field(repr=False)
     arrow: ArrowPlan = field(repr=False)
     group_weights: list[np.ndarray] = field(repr=False)
-    preprocessed: bool = False
     cert_vector: np.ndarray | None = None  # w with sum_i w_i A_i = identity
     cert_b: float = float("nan")           # b . w
     row_map: RowMap | None = field(default=None, repr=False)  # set by preprocess
@@ -268,6 +267,9 @@ class SdpProblem:
             raise ValueError("need one positive weight per block")
         return cls(block_dims, b, size_groups, group_rows, group_stacks, objective_stacks, arrow,
                    [w[g] for g in size_groups])
+
+    # whether preprocess made this problem: it then has its row map
+    preprocessed = property(lambda self: self.row_map is not None)
 
     @property
     def n_constraints(self) -> int:
@@ -479,7 +481,7 @@ def preprocess(p: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     row_map = RowMap(m, kept, dropped, scales, coeffs, None if cert_vector is None else u,
                      cert_residual, tuple(notes))
     out = replace(p, group_rows=group_rows, group_stacks=group_stacks, arrow=arrow,
-                  preprocessed=True, cert_vector=cert_vector, row_map=row_map)
+                  cert_vector=cert_vector, row_map=row_map)
     return apply_rhs(out, p.b)
 
 

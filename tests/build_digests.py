@@ -1,0 +1,102 @@
+"""One sha256 per built problem, to check that a change to the build keeps
+every problem bit for bit. Each line is a build's name and the digest of
+b, of every array of mdi.build_sdp's preprocessed SdpProblem (its group
+rows and stacks, objective stacks, weights, arrow plan, row map and
+certificate vector) and of the faces of mdi.face_bases.
+
+The builds: the 12 presets in asymptotic and in finite-q mode, with and
+without --relax 1e-3; the two doubled problems of two_copy_detail (fig7-3o,
+fig7-proj); four copies of both Fig. 6 sources at their preset eta and at
+eta = 1; with --m5, five copies of both sources too. Names given on the
+command line keep only those builds. A build that raises prints the
+exception's type instead of a digest.
+
+    python tests/build_digests.py [--m5] [NAME ...]
+
+Run it on two checkouts and diff the outputs.
+"""
+import argparse
+import hashlib
+
+import numpy as np
+
+from mdirand import cli, mdi, quantum
+from mdirand.sdp_solver import SolverOptions
+
+MODES = (mdi.MODE_ASYMPTOTIC, mdi.MODE_FINITE_Q)
+SOURCES = {"fig6-2s": "fig6-2s-m2", "fig6-4s": "fig6-4s-m2"}  # the two Fig. 6 sources
+
+
+def _scenario(preset, eta=None, **spec):
+    return cli.realize({**cli.load_scenario_spec(preset), **spec}, eta=eta)
+
+
+def _doubled(preset):
+    s = _scenario(preset)
+    g = s.generation_index - 1
+    return mdi.Scenario(quantum.double_ensemble(s.ensemble),
+                        quantum.double_statistics(s.observed), mode=s.mode,
+                        generation_index=g * s.n_states + g + 1)
+
+
+def builds(m5=False):
+    """(name, scenario maker, relax) of every build, in a fixed order."""
+    for preset in cli.preset_names():
+        for mode in MODES:
+            for relax in (0.0, 1e-3):
+                name = f"{preset}/{mode}" + ("/relax" if relax else "")
+                yield name, lambda p=preset, m=mode: _scenario(p, mode=m), relax
+    for preset in ("fig7-3o", "fig7-proj"):
+        yield f"{preset}/doubled", lambda p=preset: _doubled(p), 0.0
+    for copies, etas in ((4, (None, 1.0)),) + (((5, (None,)),) if m5 else ()):
+        for source, preset in SOURCES.items():
+            for eta in etas:
+                name = f"{source}-x{copies}" + ("" if eta is None else f"/eta{eta:g}")
+                yield name, lambda p=preset, c=copies, e=eta: _scenario(p, e, copies=c), 0.0
+
+
+def arrays(p, faces):
+    """(name, array) of everything the digest covers, in a fixed order."""
+    named = [("b", p.b), ("block_dims", np.array(p.block_dims)), ("cert_b", np.array(p.cert_b)),
+             ("cert_vector", p.cert_vector)]
+    for g in range(len(p.size_groups)):
+        named += [(f"{field}[{g}]", getattr(p, field)[g]) for field in
+                  ("group_rows", "group_stacks", "objective_stacks", "group_weights")]
+    named += [(f"arrow.blocks[{i}]", a) for i, a in enumerate(p.arrow.blocks)]
+    named += [("arrow.border", p.arrow.border)]
+    named += [(f"row_map.{f}", getattr(p.row_map, f)) for f in
+              ("kept", "dropped", "scales", "dependence", "cert_u")]
+    return named + [(f"face[{x}]", v) for x, v in enumerate(faces)]
+
+
+def digest(named):
+    h = hashlib.sha256()
+    for name, a in named:
+        h.update(name.encode())
+        if a is not None:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--m5", action="store_true", help="add the five-copy builds")
+    parser.add_argument("names", nargs="*", help="keep only these builds")
+    args = parser.parse_args()
+    for name, make, relax in builds(args.m5):
+        if args.names and name not in args.names:
+            continue
+        mdi._last_map = None  # every build is a cold one
+        try:
+            scenario = make()
+            problem, _ = mdi.build_sdp(scenario, SolverOptions(relax=relax))
+            line = digest(arrays(problem, mdi.face_bases(scenario)))
+        except Exception as exc:  # the same failure on both sides compares equal
+            line = type(exc).__name__
+        print(f"{name} {line}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Per-row, per-block and real views of an SdpProblem, for oracles that
 state a problem row by row, pack per-block points into its group stacks
-or need real symmetric matrices."""
+or need real symmetric matrices, and the dense Hermitian basis that
+mdi's index-pair basis is checked against."""
 import numpy as np
 
 from mdirand.sdp_core import SdpProblem
@@ -51,3 +52,19 @@ def real_embed(h):
     Hermitian h, with every eigenvalue of h twice."""
     a, b = np.real(h), np.imag(h)
     return np.block([[a, -b], [b, a]])
+
+
+def hermitian_basis(d):
+    """The dense (d^2, d, d) Hermitian basis, set entry by entry in the
+    order of mdi._basis_pairs: the e_kk, then for each k < l the symmetric
+    and the antisymmetric imaginary element; and its d^2 - 1 traceless
+    elements, the off-diagonal ones, then e_kk - e_00."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    j = d
+    for k in range(d):
+        for l in range(k + 1, d):
+            basis[j, k, l] = basis[j, l, k] = 1.0
+            basis[j + 1, k, l], basis[j + 1, l, k] = 1.0j, -1.0j
+            j += 2
+    return basis, np.concatenate([basis[d:], basis[1:d] - basis[0]])

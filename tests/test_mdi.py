@@ -14,6 +14,7 @@ from mdirand.linalg import lowest_eigenvalues, row_space_basis
 from mdirand.quantum import (
     DensityMatrix,
     ObservedStatistics,
+    Povm,
     StateEnsemble,
     bloch_to_density,
     double_ensemble,
@@ -29,7 +30,7 @@ from mdirand.sdp_core import INFEASIBLE, OPTIMAL, InfeasibleProblemError
 from mdirand.sdp_solver import SolverOptions
 import orbit_tables
 from scenarios import doubled_preset, force_order_one_group
-from sdp_rows import real_coords, stack_groups
+from sdp_rows import hermitian_basis, real_coords, stack_groups
 from strategy import EffectiveStrategy, honest_strategy
 
 
@@ -306,6 +307,71 @@ def test_face_bases_spanning_and_zero_pattern_routes(make, spanning, ranks_noise
         faces = mdi.face_bases(scen)
         assert (n_kept[-1] == scen.dim ** 2) is spanning
         assert [v.shape[1] for v in faces] == (ranks or [scen.dim] * len(faces))
+
+
+def _isometry(rng, d, r, real=False):
+    z = rng.standard_normal((d, d)) + (0.0 if real else 1j * rng.standard_normal((d, d)))
+    return np.linalg.qr(z + 0j)[0][:, :r]
+
+
+def _random_density(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_elements_compress_as_the_dense_products(d):
+    # bytes, not only values: a signed zero can steer LAPACK's Householder
+    # signs, and so the faces; q = I gives the dense elements themselves
+    basis, traceless = hermitian_basis(d)
+    rng = np.random.default_rng(d)
+    rhos = np.stack([_random_density(rng, d) for _ in range(3)])
+    qs = [_isometry(rng, d, r, real) for r in range(1, d + 1) for real in (False, True)]
+    for q in [np.eye(d, dtype=complex), *qs]:
+        full = np.array_equal(q, np.eye(d))
+        for got, h in zip(mdi._on_face(q, rhos), (basis, traceless, rhos)):
+            want = h if full else q.conj().T @ h @ q
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("source", ["qutrit", "tomographic"])
+def test_face_bases_coordinates_and_marginals_are_the_dense_products(source, monkeypatch):
+    # t = Re tr(B_j rho_a) and the marginals sum_j c_j B_j, read off and
+    # scattered without a basis, equal byte for byte the products with the
+    # dense basis; the tomographic source has exactly zero imaginary parts,
+    # and the qutrit source one real state whose upper entries have -0 ones
+    rng = np.random.default_rng(3)
+    if source == "qutrit":
+        real = _random_density(rng, 3).real + 0j
+        upper = np.triu_indices(3, 1)
+        real[upper] = real[upper].conj()
+        states = (DensityMatrix(real), *(DensityMatrix(_random_density(rng, 3)) for _ in range(9)))
+        u = _isometry(rng, 3, 3)
+        scen = mdi.honest_scenario(StateEnsemble(states, np.full(10, 0.1)),
+                                   Povm(tuple(np.outer(c, c.conj()) for c in u.T)), eta=0.9)
+    else:
+        scen = _fig3_blue(eta=0.9)
+    seen = {"marginals": []}
+    lstsq, eigh = np.linalg.lstsq, mdi.eigh_hermitian
+
+    def spy_lstsq(t, cond, rcond=None):
+        seen["t"], seen["fit"] = t.copy(), lstsq(t, cond, rcond=rcond)
+        return seen["fit"]
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    monkeypatch.setattr(mdi, "eigh_hermitian",
+                        lambda m: seen["marginals"].append(m.copy()) or eigh(m))
+    mdi.face_bases(scen)
+    d = scen.dim
+    basis, _ = hermitian_basis(d)
+    span_rows = np.stack([s.mat for s in scen.ensemble.states]).view(float)
+    dense_t = span_rows.reshape(scen.n_states, -1) @ basis.view(float).reshape(d * d, -1).T
+    assert seen["t"].tobytes() == dense_t.tobytes()
+    dense = np.tensordot(seen["fit"][0], basis, axes=(0, 0))
+    assert len(seen["marginals"]) == scen.n_outcomes
+    assert np.stack(seen["marginals"]).tobytes() == dense.tobytes()
 
 
 def test_face_bases_zero_probability_outcome_dropped():

@@ -321,6 +321,16 @@ def test_preprocess_is_idempotent():
     assert rep.dropped_rows == []
 
 
+def test_preprocessed_is_read_off_the_row_map():
+    # one fact, not two fields that preprocess sets together
+    raw = _random_problem(np.random.default_rng(5), m=4)
+    assert not raw.preprocessed and raw.row_map is None
+    out, _ = core.preprocess(raw)
+    assert out.preprocessed and out.row_map is not None
+    with pytest.raises(AttributeError):
+        out.preprocessed = False
+
+
 # every bundled preset whose raw SDP has at most 150 rows
 SMALL_PRESETS = ["fig3-blue", "fig3-green", "fig3-red", "fig4", "fig5",
                  "fig6-2s-m1", "fig6-2s-m2", "fig6-4s-m1", "fig6-4s-m2",
