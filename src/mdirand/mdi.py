@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -453,8 +454,12 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
     return faces
 
 
-# build_sdp's last constraint map: one entry, dropped before another is built
-_last_map: _ConstraintMap | None = None
+# the bytes that build_sdp's kept constraint maps, all but the most
+# recently used one, may hold together: every preset map fits, and both
+# four-copy maps of the Fig. 6 sources together
+MAP_BUDGET = 64 << 20
+# build_sdp's kept constraint maps by key, the most recently used last
+_maps: dict[tuple, _ConstraintMap] = {}
 
 
 @dataclass(frozen=True)
@@ -462,11 +467,24 @@ class _ConstraintMap:
     """The statistics-free part of build_sdp for the inputs of _assemble
     whose exact form (_exact) is key: their row orbits (_row_orbits) and
     the preprocessed problem, whose row map apply_rhs applies to the b of
-    each scenario. Every array is read-only."""
+    each scenario. Every array is read-only. nbytes, what it costs to keep,
+    counts the bytes of the key, the orbits and every array of the problem
+    and of its row map."""
 
     key: tuple
     orbits: tuple[np.ndarray, np.ndarray, np.ndarray]
     problem: SdpProblem
+
+    @cached_property
+    def nbytes(self) -> int:
+        return _nbytes((self.key, self.orbits, _arrays(self.problem)))
+
+
+def _nbytes(x) -> int:
+    """The bytes of every array and bytes object in x, also inside lists and tuples."""
+    if isinstance(x, (list, tuple)):
+        return sum(map(_nbytes, x))
+    return x.nbytes if isinstance(x, np.ndarray) else len(x) if isinstance(x, bytes) else 0
 
 
 def _exact(x):
@@ -480,12 +498,17 @@ def _exact(x):
     return x
 
 
+def _arrays(p: SdpProblem) -> list:
+    """Every array of p's data and of its row map, None where there is none."""
+    rm = p.row_map
+    return [p.b, p.cert_vector, *p.group_rows, *p.group_stacks, *p.objective_stacks,
+            *p.group_weights, *p.arrow.blocks, p.arrow.border, rm.kept, rm.dropped,
+            rm.scales, rm.dependence, rm.cert_u]
+
+
 def _read_only(p: SdpProblem) -> SdpProblem:
     """p, with every array of its data and of its row map made read-only."""
-    rm = p.row_map
-    for a in (p.b, p.cert_vector, *p.group_rows, *p.group_stacks, *p.objective_stacks,
-              *p.group_weights, *p.arrow.blocks, p.arrow.border, rm.kept, rm.dropped,
-              rm.scales, rm.dependence, rm.cert_u):
+    for a in _arrays(p):
         if a is not None:
             a.flags.writeable = False
     return p
@@ -648,15 +671,18 @@ def build_sdp(
     map, is _assemble's, a function of the states, the mode with its input
     probabilities (finite-q) or its generation index (asymptotic), whether
     there is a band, the faces, the copy group, the live outcomes and the
-    block orbits. build_sdp keeps the last map it built, read-only. When
-    these inputs are bit for bit those of the kept map, it skips the row
-    orbits, the assembly and preprocess, and applies this scenario's b to
-    the kept map through sdp_core.apply_rhs, with which preprocess ends
-    too: every dropped row is checked against its kept rows as on a new
-    map. face_bases, both caps and the dead-outcome check run for every
-    scenario. A kept map is dropped before a different one is built.
+    block orbits. build_sdp keeps the maps it builds, read-only, keyed by
+    these inputs, bit for bit, the most recently used last. When a kept
+    map has this scenario's inputs, it skips the row orbits, the assembly
+    and preprocess, and applies this scenario's b to that map through
+    sdp_core.apply_rhs, with which preprocess ends too: every dropped row
+    is checked against its kept rows as on a new map. face_bases, both
+    caps and the dead-outcome check run for every scenario. The maps other
+    than the one just used hold at most MAP_BUDGET bytes, counted by
+    _ConstraintMap.nbytes: the oldest are dropped until they do, before a
+    new map is built, so a map above the budget is dropped before any
+    other is built.
     """
-    global _last_map
     opts = opts or SolverOptions()
     relax = opts.relax
     band = relax > 0.0
@@ -679,11 +705,14 @@ def build_sdp(
     inputs = (rhos, scenario.mode, scenario.ensemble.probs if finite_q
               else scenario.generation_index, band, faces, sym, live, canon)
     key = _exact(inputs)
-    if _last_map is not None and _last_map.key == key:
-        cmap = _last_map
+    cmap = _maps.pop(key, None)
+    # the maps that this one will follow: the oldest go until they fit the budget
+    while sum(m.nbytes for m in _maps.values()) > MAP_BUDGET:
+        del _maps[next(iter(_maps))]
+    if cmap is not None:
+        _maps[cmap.key] = cmap  # under its own key: one copy of the key's bytes
         kept, red, wt = orbits = cmap.orbits
     else:
-        cmap = _last_map = None  # the old map goes before a new one is built
         kept, red, wt = orbits = _row_orbits(sym, n_fam, live, band)
     # under a band, the first band row j of each statistics-row orbit: the
     # band rows are the last raw rows, and j - n_band is j's statistics row
@@ -707,7 +736,7 @@ def build_sdp(
     if cmap is not None:
         return apply_rhs(cmap.problem, b)
     problem, report = preprocess(_assemble(*inputs, orbits, b))
-    _last_map = _ConstraintMap(key, orbits, _read_only(problem))
+    _maps[key] = _ConstraintMap(key, orbits, _read_only(problem))
     return problem, report
 
 

@@ -9,14 +9,25 @@ without --relax 1e-3; the two doubled problems of two_copy_detail (fig7-3o,
 fig7-proj); four copies of both Fig. 6 sources at their preset eta and at
 eta = 1; with --m5, five copies of both sources too. Names given on the
 command line keep only those builds. A build that raises prints the
-exception's type instead of a digest.
+exception's type instead of a digest. Each build is a cold one: the
+constraint maps that build_sdp keeps are emptied before it.
 
-    python tests/build_digests.py [--m5] [NAME ...]
+With --warm, the selected builds then run again, twice each, without
+emptying those maps, interleaved as A B A C B D C ...: the second run of
+a build follows the first run of the next one, so it reuses the map kept
+from its first run (unless the maps' byte budget dropped it), and each
+line gets the second run's digest beside the cold one. Both must be equal.
+
+The first line names the BLAS thread variables: the stacks' bits may
+differ between thread counts, so only runs at one thread count compare.
+
+    python tests/build_digests.py [--m5] [--warm] [NAME ...]
 
 Run it on two checkouts and diff the outputs.
 """
 import argparse
 import hashlib
+import os
 
 import numpy as np
 
@@ -25,6 +36,7 @@ from mdirand.sdp_solver import SolverOptions
 
 MODES = (mdi.MODE_ASYMPTOTIC, mdi.MODE_FINITE_Q)
 SOURCES = {"fig6-2s": "fig6-2s-m2", "fig6-4s": "fig6-4s-m2"}  # the two Fig. 6 sources
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _scenario(preset, eta=None, **spec):
@@ -80,22 +92,38 @@ def digest(named):
     return h.hexdigest()
 
 
+def build(make, relax):
+    """The digest of one build, or the type of the exception it raised."""
+    try:
+        scenario = make()
+        problem, _ = mdi.build_sdp(scenario, SolverOptions(relax=relax))
+        return digest(arrays(problem, mdi.face_bases(scenario)))
+    except Exception as exc:  # the same failure on both sides compares equal
+        return type(exc).__name__
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--m5", action="store_true", help="add the five-copy builds")
+    parser.add_argument("--warm", action="store_true",
+                        help="also print the digest of each build made with the kept maps")
     parser.add_argument("names", nargs="*", help="keep only these builds")
     args = parser.parse_args()
-    for name, make, relax in builds(args.m5):
-        if args.names and name not in args.names:
-            continue
-        mdi._last_map = None  # every build is a cold one
-        try:
-            scenario = make()
-            problem, _ = mdi.build_sdp(scenario, SolverOptions(relax=relax))
-            line = digest(arrays(problem, mdi.face_bases(scenario)))
-        except Exception as exc:  # the same failure on both sides compares equal
-            line = type(exc).__name__
-        print(f"{name} {line}", flush=True)
+    print("#", *(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREADS), flush=True)
+    selected = [(name, make, relax) for name, make, relax in builds(args.m5)
+                if not args.names or name in args.names]
+    cold = {}
+    for name, make, relax in selected:
+        mdi._maps.clear()  # every build is a cold one
+        cold[name] = build(make, relax)
+        if not args.warm:
+            print(name, cold[name], flush=True)
+    if args.warm and selected:  # a later run of a name overwrites its digest
+        order = [selected[0], *(x for pair in zip(selected[1:], selected) for x in pair),
+                 selected[-1]]
+        warm = {name: build(make, relax) for name, make, relax in order}
+        for name, line in cold.items():
+            print(name, line, warm[name])
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from mdirand.quantum import (
     bloch_to_density,
     double_ensemble,
     double_statistics,
+    extremal3,
     extremal4,
     honest_statistics,
     povm_from_bloch,
@@ -995,7 +996,7 @@ def test_strategy_validate_rejects_non_finite_operators(bad):
         EffectiveStrategy(ops).validate(scen)
 
 
-# --- the kept constraint map ---------------------------------------------
+# --- the kept constraint maps --------------------------------------------
 
 def _digest(x, h=None):
     """sha256 over every array and value of a problem, its row map and its
@@ -1017,8 +1018,8 @@ def _digest(x, h=None):
 
 
 def _cold(scen, opts=None):
-    """build_sdp of scen with no kept map: its problem's digest and its report."""
-    mdi._last_map = None
+    """build_sdp of scen with no kept maps: its problem's digest and its report."""
+    mdi._maps.clear()
     prob, rep = mdi.build_sdp(scen, opts)
     return _digest(prob), repr(rep)
 
@@ -1077,7 +1078,7 @@ def test_reused_map_checks_every_dropped_row(monkeypatch):
         mdi.build_sdp(bad)
     assert calls == []
     # and so does a cold build
-    mdi._last_map = None
+    mdi._maps.clear()
     with pytest.raises(InfeasibleProblemError, match="contradicts the rows it depends on"):
         mdi.build_sdp(bad)
     assert len(calls) == 1
@@ -1114,6 +1115,76 @@ def test_band_width_is_no_input_of_the_map(monkeypatch):
     prob, rep = mdi.build_sdp(scen, SolverOptions(relax=2e-3))
     assert calls == []
     assert (_digest(prob), repr(rep)) == _cold(scen, SolverOptions(relax=2e-3))
+
+
+def _fig7_3o():
+    return cli.realize(cli.load_scenario_spec("fig7-3o"))
+
+
+@pytest.mark.parametrize("make_a, make_b", [
+    pytest.param(lambda: _fig3_blue(eta=0.9), lambda: _fig3_blue(eta=1.0), id="faces"),
+    pytest.param(_fig7_3o, lambda: doubled_preset("fig7-3o"), id="two-copy"),
+])
+def test_interleaved_maps_are_each_built_once(make_a, make_b, monkeypatch):
+    # A B A B: both maps stay, so the second A and the second B build nothing
+    scens = [make_a(), make_b()] * 2
+    calls = _count_preprocess(monkeypatch)
+    warm = [(_digest(prob), repr(rep)) for prob, rep in map(mdi.build_sdp, scens)]
+    assert len(calls) == 2
+    assert warm == [_cold(scen) for scen in scens]
+
+
+def test_two_copy_study_builds_each_map_once(monkeypatch):
+    # the loop of acceptance test 6: the doubled and the single maps no
+    # longer evict each other, so its 20 builds need the 8 distinct maps
+    # (eta < 1 shares one single and one doubled map per device)
+    calls = _count_preprocess(monkeypatch)
+    for povm in (povm_from_bloch(extremal3()), sigma_z_povm()):
+        for eta in (0.80, 0.85, 0.90, 0.95, 1.00):
+            mdi.two_copy_detail(mdi.honest_scenario(tomographic_set(), povm, eta=eta))
+    assert len(calls) == 8
+    assert len(mdi._maps) == 8
+
+
+def _map_sequence():
+    """Scenarios of 8 distinct maps, some revisited, one twice in a row."""
+    grid = [_fig3_blue(eta=0.9), _fig3_blue(eta=1.0), _fig3_red(eta=0.9), _fig3_red(eta=1.0),
+            _finite_q(_fig3_blue(eta=0.9)), _fig5(0.3), _fig5(0.5), _fig7_3o()]
+    return [grid[i] for i in (0, 1, 2, 0, 3, 4, 4, 1, 5, 6, 7, 2, 0)]
+
+
+def test_zero_budget_keeps_only_the_newest_map(monkeypatch):
+    # as with one kept map: a different map is built on an empty store
+    monkeypatch.setattr(mdi, "MAP_BUDGET", 0)
+    held = []
+    real = mdi.preprocess
+    monkeypatch.setattr(mdi, "preprocess", lambda p: held.append(len(mdi._maps)) or real(p))
+    last = None
+    for scen in _map_sequence():
+        n = len(held)
+        mdi.build_sdp(scen)
+        (key,) = mdi._maps
+        assert len(held) - n == (key != last)
+        last = key
+    assert len(held) == 12 and set(held) == {0}
+
+
+@pytest.mark.parametrize("budget", [None, 20_000])
+def test_maps_behind_the_newest_stay_within_the_budget(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(mdi, "MAP_BUDGET", budget)
+    used = []  # keys, most recently used last
+    for scen in _map_sequence():
+        mdi.build_sdp(scen)
+        key = list(mdi._maps)[-1]
+        used = [k for k in used if k != key] + [key]
+        maps = list(mdi._maps.values())
+        assert sum(m.nbytes for m in maps[:-1]) <= mdi.MAP_BUDGET
+        # nbytes counts each key once: a hit keeps the map's own key
+        assert all(k is m.key for k, m in mdi._maps.items())
+        # the store holds the most recently used maps, in the order of use
+        assert list(mdi._maps) == used[-len(maps):]
+    assert (len(maps) == 8) is (budget is None)
 
 
 def test_unproven_infeasibility_is_named(monkeypatch):
