@@ -455,8 +455,11 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
 
 
 # the bytes that build_sdp's kept constraint maps, all but the most
-# recently used one, may hold together: every preset map fits, and both
-# four-copy maps of the Fig. 6 sources together
+# recently used one, may hold together: sized so that the four-copy maps of
+# both Fig. 6 sources (15 and 29 MiB, the doubled maps of their two-copy
+# study) fit together and no five-copy map fits. A process pays up to this
+# much also when it never reuses a map (alpha and q sweeps build a new map
+# at each point), and so does each sweep worker.
 MAP_BUDGET = 64 << 20
 # build_sdp's kept constraint maps by key, the most recently used last
 _maps: dict[tuple, _ConstraintMap] = {}
