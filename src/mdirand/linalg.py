@@ -124,20 +124,25 @@ def jacobi_eigvalsh(
 
 
 def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK eigh.
+    """Eigendecomposition of a Hermitian matrix or (n, s, s) stack by
+    LAPACK eigh, at most one call for the real matrices and one for the
+    complex ones.
 
     Returns ascending eigenvalues and orthonormal eigenvectors as complex
-    columns. If every imaginary entry is at most 1e-12 * max(1, ||h||_F),
-    i.e. rounding noise on a real operator, the real solver runs on h.real,
-    so the eigenvectors come out exactly real; the complex solver would
-    return them with arbitrary phases.
+    columns. If every imaginary entry of a matrix is at most
+    1e-12 * max(1, ||h||_F), i.e. rounding noise on a real operator, the
+    real solver runs on its real part, so its eigenvectors come out exactly
+    real; the complex solver would return them with arbitrary phases.
     """
     h = require_hermitian(h)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if np.max(np.abs(np.imag(h)), initial=0.0) <= 1e-12 * scale:
-        vals, vecs = np.linalg.eigh(np.real(h))
-        return vals, vecs.astype(complex)
-    return np.linalg.eigh(h)
+    stack = h.reshape(-1, *h.shape[-2:])
+    scale = np.maximum(1.0, np.sqrt((stack.conj() * stack).real.sum(axis=(1, 2))))
+    real = np.abs(stack.imag).max(axis=(1, 2), initial=0.0) <= 1e-12 * scale
+    vals, vecs = np.empty(stack.shape[:2]), np.empty(stack.shape, dtype=complex)
+    for part, mats in ((real, stack.real), (~real, stack)):
+        if part.any():
+            vals[part], vecs[part] = np.linalg.eigh(mats[part])
+    return vals.reshape(h.shape[:-1]), vecs.reshape(h.shape)
 
 
 def lowest_eigenvalues(h: np.ndarray) -> float | np.ndarray:
@@ -145,14 +150,14 @@ def lowest_eigenvalues(h: np.ndarray) -> float | np.ndarray:
     (a scalar for one matrix) from one eigvalsh call on the lower triangles.
     Unchecked: nan where an entry is not finite, everywhere on no convergence."""
     h = np.asarray(h)
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    if not finite.all():
+    finite = None if np.isfinite(h).all() else np.isfinite(h).all(axis=(-2, -1))
+    if finite is not None:  # eigvalsh would read a nan diagonal as finite
         h = np.where(finite[..., None, None], h, 0.0)
     try:
         lam = np.linalg.eigvalsh(h)[..., 0]
     except np.linalg.LinAlgError:  # no convergence
-        lam = np.nan
-    return np.where(finite, lam, np.nan)[()]
+        lam = np.full(h.shape[:-2], np.nan)
+    return (lam if finite is None else np.where(finite, lam, np.nan))[()]
 
 
 def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:

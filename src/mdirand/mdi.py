@@ -428,29 +428,29 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
         marginals = np.zeros((n_o, d, d, 2))
         marginals[:, l, k, comp], marginals[:, k, l, comp] = coef.T * lower, coef.T
         marginals = marginals.view(complex)[..., 0] + 0.0
+        vals, vecs = eigh_hermitian(marginals)
         for x in range(n_o):
             if resid[x] > 1e-9:
                 raise InfeasibleProblemError(
                     f"outcome {x}: statistics are inconsistent with any "
                     "input-independent measurement"
                 )
-            vals, vecs = eigh_hermitian(marginals[x])
-            if vals[0] < -1e-8:
+            if vals[x, 0] < -1e-8:
                 raise InfeasibleProblemError(
                     f"outcome {x}: statistics force a marginal with "
-                    f"eigenvalue {vals[0]:.3e}"
+                    f"eigenvalue {vals[x, 0]:.3e}"
                 )
-            cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
-            faces.append(vecs[:, vals > cut] if vals[0] <= cut else np.eye(d, dtype=complex))
+            cut = FACE_TOL_ZERO * max(1.0, float(vals[x, -1]))
+            faces.append(vecs[x][:, vals[x] > cut] if vals[x, 0] <= cut
+                         else np.eye(d, dtype=complex))
     else:
-        for x in range(n_o):
-            zeros = [a for a in range(n_s) if cond[a, x] <= 1e-14]
-            if not zeros:
-                faces.append(np.eye(d, dtype=complex))
-                continue
-            vals, vecs = eigh_hermitian(sum(rhos[a] for a in zeros))
-            cut = FACE_TOL_ZERO * max(1.0, float(vals[-1]))
-            faces.append(vecs[:, vals <= cut])
+        zeros = [[a for a in range(n_s) if cond[a, x] <= 1e-14] for x in range(n_o)]
+        cut_off = [x for x in range(n_o) if zeros[x]]
+        faces = [np.eye(d, dtype=complex) for _ in range(n_o)]
+        if cut_off:
+            vals, vecs = eigh_hermitian(np.stack([sum(rhos[a] for a in zeros[x]) for x in cut_off]))
+            for x, v, u in zip(cut_off, vals, vecs):
+                faces[x] = u[:, v <= FACE_TOL_ZERO * max(1.0, float(v[-1]))]
     return faces
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,10 @@ SCHUR_CHUNK = 2**15  # float64 elements of the real view per row-product tempora
 CONSISTENCY_TOL = 1e-8  # largest |b_dropped - reconstruction| preprocess accepts
 # kept rows from which preprocess keeps the arrow's diagonal blocks; a
 # smaller system is one border, solved by one dense LU, which then costs
-# less than the elimination's extra numpy calls: on the presets of 9 to 73
-# kept rows, one factor and two solves took 70 to 130 us against 12 to
-# 106 us for two dense LU solves (2-vCPU machine, numpy 2.4)
+# less than the elimination's extra numpy calls: one factor and two solves
+# took 59 to 149 us by elimination against 12 to 67 us all-border on the
+# presets of 3 to 60 kept rows, and 250 against 253 us on fig6-2s-m3's 133
+# (one BLAS thread, 2-vCPU machine, numpy 2.4)
 ARROW_MIN_ROWS = 100
 
 
@@ -124,8 +126,10 @@ class ArrowPlan:
         """Block elimination of the arrow s: with D the diagonal blocks, B
         their rows against the border and E the border's own block,
         W = D^-1 B by one batched LU solve per block size and the border
-        system C = E - B^T W. Raises LinAlgError when LU finds a D_e or C
-        exactly singular."""
+        system C = E - B^T W; with no blocks C is s itself, not a copy.
+        Raises LinAlgError when LU finds a D_e or C exactly singular."""
+        if not self.blocks:
+            return ArrowFactor(self, [], [], [], s)
         bd = self.border
         to_border = s[:, bd]  # every row against the border rows
         c = to_border[bd]
@@ -155,8 +159,10 @@ class ArrowFactor:
         y_b = C^-1 (r_b - W^T r_g) on the border, then
         y_g = D^-1 (r_g - B y_b) on the blocks, every product with D^-1 and
         C^-1 an LU solve. Raises LinAlgError as factor does."""
-        bd = self.plan.border
         r = rhs.reshape(rhs.shape[0], -1)
+        if not self.plan.blocks:  # all border: one LU solve with S
+            return np.linalg.solve(self.c, r).reshape(rhs.shape)
+        bd = self.plan.border
         y = np.empty_like(r)
         rb = r[bd]
         for rows, wk in zip(self.plan.blocks, self.w):
@@ -287,20 +293,25 @@ class SdpProblem:
                 out[k] = st[j]
         return out
 
+    @cached_property
+    def _flat_rows(self) -> np.ndarray:
+        """The group rows, flattened and concatenated, as apply_constraints
+        scatters by them."""
+        return np.concatenate([rows.reshape(-1) for rows in self.group_rows])
+
     def apply_constraints(self, xs: list[np.ndarray]) -> np.ndarray:
         """Evaluate the constraint map A(X) on group stacks."""
-        idx, vals = [], []
-        for rows, st, x in zip(self.group_rows, self.group_stacks, xs):
+        vals = []
+        for st, x in zip(self.group_stacks, xs):
             n, r, s, _ = st.shape
             ax = st.view(float).reshape(n, r, 2 * s * s) @ x.view(float).reshape(n, 2 * s * s, 1)
             vals.append(ax.reshape(-1))
-            idx.append(rows.reshape(-1))
         m = self.n_constraints
-        return np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=m + 1)[:m]
+        return np.bincount(self._flat_rows, np.concatenate(vals), minlength=m + 1)[:m]
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
         """Evaluate the adjoint map A*(y) as group stacks."""
-        ye = np.append(y, 0.0)
+        ye = np.concatenate((y, [0.0]))  # the dummy row m reads 0
         out = []
         for rows, st in zip(self.group_rows, self.group_stacks):
             n, r, s, _ = st.shape

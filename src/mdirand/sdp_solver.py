@@ -11,20 +11,23 @@ preprocessing also uses for its Gram matrix; its chunk budget SCHUR_CHUNK
 lives in sdp_core. S is an arrow over the problem's row groups (the
 guess-marginal rows of each guess, see SdpProblem.arrow): each Newton step
 factors it once by block elimination (ArrowPlan.factor: batched LAPACK LU
-solves with the diagonal blocks, then the border's Schur complement), and
-one Newton-direction routine applies that factor for the predictor and
-the corrector, every solve an LU solve (numpy.linalg.solve), which needs
-no positive definiteness: no jitter, no refinement. When LU finds a block
-or the border system exactly singular, as the rank-deficient faces of
-eta = 1 scenarios can make S near the optimum, the direction is the
-minimum-norm least-squares solution with the dense S (numpy.linalg.lstsq)
-and the iteration goes on; only if that fails too does it end with the
-best iterate so far. X and Z are Cholesky-factored once per iteration, and
-Z^-1 = L^-dag L^-1 comes from Z's factor L, so each step factors X once
-and Z once; step lengths use fraction-to-boundary STEP_FRACTION of the
-exact step to the PSD boundary, read off those factors, stacked
-[L_x^-1; L_z^-1] once per iteration, and one batched eigenvalue call per
-group for both steps of a direction. Each block's barrier term carries
+solves with the diagonal blocks, then the border's Schur complement; an
+all-border S is its own factor, not copied), and one Newton-direction
+routine applies that factor for the predictor and the corrector, every
+solve an LU solve (numpy.linalg.solve), which needs no positive
+definiteness: no jitter, no refinement. When LU finds a block or the
+border system exactly singular, as the rank-deficient faces of eta = 1
+scenarios can make S near the optimum, the direction is the minimum-norm
+least-squares solution with the dense S (numpy.linalg.lstsq) and the
+iteration goes on; only if that fails too does it end with the best
+iterate so far. Each iteration Cholesky-factors the stack [X; Z] of each
+group and inverts the factor, one call each; Z^-1 = L^-dag L^-1 comes
+from its lower half L_z^-1. Only when that fails is Z factored alone,
+to learn which of X and Z is not positive definite. Step lengths use
+fraction-to-boundary STEP_FRACTION of the exact step to the PSD
+boundary, read off [L_x^-1; L_z^-1] and its conjugate transpose, formed
+once per iteration, with one batched eigenvalue call per group for both
+steps of a direction. Each block's barrier term carries
 the problem's block weight (its multiplicity, one unless the problem was
 reduced by a symmetry; see solve).
 Deterministic for a fixed BLAS thread count: fixed initialization, fixed
@@ -137,30 +140,31 @@ class _Iterate:
     min_eig: float
 
 
-def _inverse_cholesky(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
-    """L^-1 for L = chol(X) of every group stack; None when a block is
-    not numerically positive definite."""
+def _inverse_cholesky(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """(L^-1, L^-dag) for L = chol(X) of every group stack; None when a
+    block is not numerically positive definite."""
     try:
-        return [np.linalg.inv(np.linalg.cholesky(st)) for st in stacks]
+        l_inv = [np.linalg.inv(np.linalg.cholesky(st)) for st in stacks]
     except np.linalg.LinAlgError:
         return None
+    return [(li, li.conj().transpose(0, 2, 1)) for li in l_inv]
 
 
-def _step_lengths(l_inv: list[np.ndarray], sides: list[list[np.ndarray]]) -> list[float]:
+def _step_lengths(l_inv: list[tuple[np.ndarray, np.ndarray]],
+                  sides: list[list[np.ndarray]]) -> list[float]:
     """min(1, STEP_FRACTION * alpha_max) for each side, alpha_max the
     largest step keeping every X + alpha_max * dX PSD, from one
     lowest_eigenvalues call per group for all sides.
 
     alpha_max = 1 / max(0, -lambda_min(L^-1 dX L^-dag)) for X = L L^dag.
-    sides lists the directions dX, each one stack per group; l_inv[g]
-    stacks the factors L^-1 (from _inverse_cholesky) of every side's group
-    g in the same order, as the solver stacks [L_x^-1; L_z^-1] once per
-    iteration. A side with a nan eigenvalue gets 0.0 and leaves the other
-    sides' steps as they are.
+    sides lists the directions dX, each one stack per group; l_inv[g] is
+    _inverse_cholesky's (L^-1, L^-dag) of every side's group g stacked in
+    the same order, as the solver factors [X; Z] once per iteration. A side with a nan eigenvalue gets 0.0 and
+    leaves the other sides' steps as they are.
     """
     lam = np.inf
-    for li, *ds in zip(l_inv, *sides):
-        prod = li @ np.concatenate(ds) @ li.conj().transpose(0, 2, 1)
+    for (li, lh), *ds in zip(l_inv, *sides):
+        prod = li @ np.concatenate(ds) @ lh
         lam = np.minimum(lam, lowest_eigenvalues(prod).reshape(len(sides), -1).min(axis=1))
     return [0.0 if math.isnan(v) else min(1.0, STEP_FRACTION / -v) if v < 0.0 else 1.0
             for v in lam.tolist()]
@@ -177,8 +181,9 @@ def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> float:
 
 
 def _max_norm(stacks: list[np.ndarray]) -> float:
-    """Largest Frobenius norm of any block."""
-    return max(float(np.linalg.norm(st, axis=(1, 2)).max()) for st in stacks)
+    """Largest Frobenius norm of any block, by the expression
+    numpy.linalg.norm evaluates for it, without the wrapper."""
+    return math.sqrt(max(float((st.conj() * st).real.sum(axis=(1, 2)).max()) for st in stacks))
 
 
 def _dual_slack(p: SdpProblem, y: np.ndarray) -> tuple[list[np.ndarray], float]:
@@ -292,7 +297,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         mu = compl / n_total
         denom = 1.0 + abs(pobj) + abs(dobj)
         rel_gap = max(compl, abs(dobj - pobj)) / denom
-        rp_inf = float(np.max(np.abs(rp)))
+        rp_inf = float(np.abs(rp).max())
         rd_norm = _max_norm(rd)
 
         if not (math.isfinite(pobj) and math.isfinite(dobj) and math.isfinite(compl)):
@@ -328,7 +333,7 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             step_primal=0.0,
             step_dual=0.0,
             x_norm=_max_norm(x),
-            y_norm=float(np.linalg.norm(y)),
+            y_norm=math.sqrt(y.dot(y)),  # numpy.linalg.norm(y)
             certified_bound=bound,
         ))
         if opts.verbose:
@@ -355,15 +360,16 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         if it == opts.max_iter or stall >= 12:
             break
 
-        # factor X and Z once; Z^-1 = L^-dag L^-1 from Z = L L^dag, then the
-        # Schur complement S_ij = Re tr(A_i X A_j Z^-1), factored once for
-        # both directions
-        lx, lz = _inverse_cholesky(x), _inverse_cholesky(z)
-        if lz is None:  # Z not numerically positive definite
+        # factor [X; Z] once per group. When that fails, X or Z is not
+        # numerically positive definite: Z alone tells which; if Z, there is
+        # no Newton step, if X, no primal step. Z^-1 = L^-dag L^-1 from
+        # Z = L L^dag, then the Schur complement S_ij = Re tr(A_i X A_j Z^-1),
+        # factored once for both directions
+        l_inv = _inverse_cholesky([np.concatenate(xz) for xz in zip(x, z)])
+        dual_only = l_inv is None
+        if dual_only and (l_inv := _inverse_cholesky(z)) is None:
             break
-        zinv = [_sym(li.conj().transpose(0, 2, 1) @ li) for li in lz]
-        # [L_x^-1; L_z^-1] per group: one eigenvalue call gives both steps
-        l_both = None if lx is None else [np.concatenate(pair) for pair in zip(lx, lz)]
+        zinv = [_sym(lh[-len(zg):] @ li[-len(zg):]) for (li, lh), zg in zip(l_inv, z)]
         schur = p.schur_matrix(x, zinv)
         try:
             schur_lu = p.arrow.factor(schur)
@@ -381,9 +387,9 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             dz = [ag - rg for ag, rg in zip(p.adjoint(dy), rd)]
             dx = [rg - _sym(xg @ dg @ zg) for rg, xg, dg, zg in zip(rc, x, dz, zinv)]
-            if l_both is None:  # X not numerically positive definite: no primal step
-                return dx, dy, dz, 0.0, _step_lengths(lz, [dz])[0]
-            return dx, dy, dz, *_step_lengths(l_both, [dx, dz])
+            if dual_only:
+                return dx, dy, dz, 0.0, _step_lengths(l_inv, [dz])[0]
+            return dx, dy, dz, *_step_lengths(l_inv, [dx, dz])
 
         # shared right-hand-side piece <A_i, X Rd Z^-1>
         hxrz = p.apply_constraints([xg @ rg @ zg for xg, rg, zg in zip(x, rd, zinv)])

@@ -18,20 +18,25 @@ a build follows the first run of the next one, so it reuses the map kept
 from its first run (unless the maps' byte budget dropped it), and each
 line gets the second run's digest beside the cold one. Both must be equal.
 
+With --solve, each cold build is then solved by sdp_solver.solve, and the
+digest of its SdpSolution follows the build's: its status, y, every x and
+slack block, its scalar fields and every field of every IterationRecord.
+
 The first line names the BLAS thread variables: the stacks' bits may
 differ between thread counts, so only runs at one thread count compare.
 
-    python tests/build_digests.py [--m5] [--warm] [NAME ...]
+    python tests/build_digests.py [--m5] [--warm] [--solve] [NAME ...]
 
 Run it on two checkouts and diff the outputs.
 """
 import argparse
+import dataclasses
 import hashlib
 import os
 
 import numpy as np
 
-from mdirand import cli, mdi, quantum
+from mdirand import cli, mdi, quantum, sdp_solver
 from mdirand.sdp_solver import SolverOptions
 
 MODES = (mdi.MODE_ASYMPTOTIC, mdi.MODE_FINITE_Q)
@@ -81,6 +86,17 @@ def arrays(p, faces):
     return named + [(f"face[{x}]", v) for x, v in enumerate(faces)]
 
 
+def solution_arrays(sol):
+    """(name, array) of every field of a solution, in a fixed order."""
+    blocks = ("x_blocks", "slack_blocks", "iterations")
+    named = [(f.name, np.array(getattr(sol, f.name))) for f in dataclasses.fields(sol)
+             if f.name not in blocks]
+    named += [(f"{field}[{k}]", a) for field in blocks[:2]
+              for k, a in enumerate(getattr(sol, field))]
+    return named + [(f"iterations[{i}]", np.array(dataclasses.astuple(rec), dtype=float))
+                    for i, rec in enumerate(sol.iterations)]
+
+
 def digest(named):
     h = hashlib.sha256()
     for name, a in named:
@@ -92,14 +108,22 @@ def digest(named):
     return h.hexdigest()
 
 
-def build(make, relax):
-    """The digest of one build, or the type of the exception it raised."""
+def build(make, relax, solve=False):
+    """The digest of one build, then with solve the digest of its solution,
+    or the type of the exception either raised."""
     try:
         scenario = make()
-        problem, _ = mdi.build_sdp(scenario, SolverOptions(relax=relax))
-        return digest(arrays(problem, mdi.face_bases(scenario)))
+        opts = SolverOptions(relax=relax)
+        problem, _ = mdi.build_sdp(scenario, opts)
+        out = digest(arrays(problem, mdi.face_bases(scenario)))
     except Exception as exc:  # the same failure on both sides compares equal
-        return type(exc).__name__
+        return type(exc).__name__ + " -" * solve
+    if not solve:
+        return out
+    try:
+        return f"{out} {digest(solution_arrays(sdp_solver.solve(problem, opts)))}"
+    except Exception as exc:
+        return f"{out} {type(exc).__name__}"
 
 
 def main():
@@ -107,6 +131,8 @@ def main():
     parser.add_argument("--m5", action="store_true", help="add the five-copy builds")
     parser.add_argument("--warm", action="store_true",
                         help="also print the digest of each build made with the kept maps")
+    parser.add_argument("--solve", action="store_true",
+                        help="also print the digest of each cold build's solution")
     parser.add_argument("names", nargs="*", help="keep only these builds")
     args = parser.parse_args()
     print("#", *(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREADS), flush=True)
@@ -115,7 +141,7 @@ def main():
     cold = {}
     for name, make, relax in selected:
         mdi._maps.clear()  # every build is a cold one
-        cold[name] = build(make, relax)
+        cold[name] = build(make, relax, args.solve)
         if not args.warm:
             print(name, cold[name], flush=True)
     if args.warm and selected:  # a later run of a name overwrites its digest

@@ -61,6 +61,31 @@ def test_eigh_hermitian_matches_lapack_oracle():
                 assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - s)) < 1e-12
 
 
+def test_stacked_eigh_hermitian_is_the_single_matrix_calls_byte_for_byte(monkeypatch):
+    # a stack mixing complex operators and real ones, exact or with
+    # rounding noise in the imaginary part: one LAPACK call for the real
+    # matrices and one for the complex ones, and matrix by matrix the
+    # bytes of the one-matrix calls, values and vectors
+    rng = np.random.default_rng(29)
+    kinds = ("complex", "real", "noisy", "complex", "real")
+    mats = []
+    for kind in kinds:
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = a + a.conj().T
+        b = rng.standard_normal((4, 4))
+        mats.append(h if kind == "complex" else h.real + 1e-16j * (kind == "noisy") * (b - b.T))
+    stack = np.stack(mats)
+    real_eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.dtype) or real_eigh(h))
+    vals, vecs = eigh_hermitian(stack)
+    assert calls == [np.dtype(float), np.dtype(complex)]
+    assert vals.shape == (5, 4) and vecs.shape == (5, 4, 4) and vecs.dtype == complex
+    for kind, h, v, u in zip(kinds, stack, vals, vecs):
+        one_vals, one_vecs = eigh_hermitian(h)
+        assert v.tobytes() == one_vals.tobytes() and u.tobytes() == one_vecs.tobytes()
+        assert (kind == "complex") != np.all(u.imag == 0.0)
+
+
 def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))

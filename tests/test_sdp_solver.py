@@ -462,16 +462,21 @@ def test_failed_cholesky_of_z_stops_with_the_post_loop_status(k, monkeypatch):
     # iteration k there is no Newton step: iterate k is the last logged
     p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
     n_groups, real, calls = len(p.size_groups), np.linalg.cholesky, []
+    # each iteration factors one [X; Z] stack per group; when one raises,
+    # Z's groups are factored alone: fail group 0's [X; Z] at iteration k,
+    # and then Z's own group 0
+    joint = n_groups * k + 1
+    fail = {joint, joint + 1}
 
     def cholesky_or_raise(a):
-        # X's groups are factored first, then Z's
         calls.append(None)
-        if len(calls) == 2 * n_groups * k + n_groups + 1:
+        if len(calls) in fail:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return real(a)
 
     monkeypatch.setattr(sdp_solver.np.linalg, "cholesky", cholesky_or_raise)
     sol = solve(p)
+    assert len(calls) == joint + 1  # [X; Z] of group 0, then Z's group 0
     assert sol.n_iterations == k + 1
     assert sol.iterations[-1].step_primal == sol.iterations[-1].step_dual == 0.0
     assert sol.status == _stopped_status(sol, SolverOptions())
@@ -481,17 +486,20 @@ def test_failed_cholesky_of_z_stops_with_the_post_loop_status(k, monkeypatch):
 def test_failed_cholesky_of_x_takes_only_a_dual_step(monkeypatch):
     # without X's factor the primal step length has no eigenvalue to come
     # from: that iteration takes no primal step, its dual step comes from
-    # Z's factor alone, and the run goes on; X at iteration 3 is the
-    # seventh factorization, X's and Z's alternating
+    # Z's factor alone, and the run goes on. Each iteration factors [X; Z]
+    # once; at iteration 3 (the fourth factorization) that fails, and Z
+    # alone (the fifth) does not, so X is the one not positive definite
     p, _ = mdi.build_sdp(cli.realize(cli.load_scenario_spec("fig7-3o")))
     real, calls = sdp_solver._inverse_cholesky, []
 
     def inverse_cholesky_or_none(stacks):
-        calls.append(None)
-        return None if len(calls) == 7 else real(stacks)
+        calls.append(len(stacks[0]))
+        return None if len(calls) == 4 else real(stacks)
 
     monkeypatch.setattr(sdp_solver, "_inverse_cholesky", inverse_cholesky_or_none)
     sol = solve(p)
+    n = len(p.size_groups[0])  # the blocks of group 0: Z's, and twice as many in [X; Z]
+    assert calls[2:6] == [2 * n, 2 * n, n, 2 * n]
     assert sol.iterations[3].step_primal == 0.0 and sol.iterations[3].step_dual > 0.0
     assert sol.status in (core.OPTIMAL, _stopped_status(sol, SolverOptions()))
     assert math.isfinite(sol.certified_upper_bound)
@@ -502,8 +510,8 @@ def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch
     # build_sdp's only factorization is preprocess's elimination of the
     # kept Gram block, applied once; each Newton step factors its Schur
     # matrix once and applies it twice (predictor and corrector), and
-    # Cholesky-factors X and Z once per size group and inverts the two
-    # factors, Z^-1 being formed from Z's
+    # Cholesky-factors the stack [X; Z] once per size group and inverts
+    # that factor, Z^-1 being formed from its lower half
     counts = {"factor": 0, "apply": 0, "cholesky": 0, "inv": 0}
 
     def counted(owner, attr, name):
@@ -525,7 +533,7 @@ def test_each_iterate_and_the_kept_gram_block_factored_once(doubled, monkeypatch
     assert sol.status == core.OPTIMAL
     steps = sol.n_iterations - 1
     assert counts["factor"] == 1 + steps and counts["apply"] == 1 + 2 * steps
-    assert counts["cholesky"] == counts["inv"] == 2 * len(p.size_groups) * steps
+    assert counts["cholesky"] == counts["inv"] == len(p.size_groups) * steps
 
 
 def _min_eig(blocks):
@@ -564,9 +572,9 @@ def test_step_length_matches_eigvalsh_oracle(seed):
 
 @pytest.mark.parametrize("bad", [None, "primal", "dual"])
 def test_merged_step_lengths_match_each_side_alone(bad):
-    # [L_x^-1; L_z^-1] and [dX; dZ] stacked per group give each side's
-    # step bit for bit as one side at a time; a non-finite direction on
-    # one side gets 0.0 and leaves the other side's step as it is
+    # the factors of [X; Z] and [dX; dZ] stacked per group give each
+    # side's step bit for bit as one side at a time; a non-finite direction
+    # on one side gets 0.0 and leaves the other side's step as it is
     rng = np.random.default_rng(310)
     groups = [[0, 3], [1, 4], [2]]
     dims = [3, 1, 4, 3, 1]
@@ -574,11 +582,12 @@ def test_merged_step_lengths_match_each_side_alone(bad):
     def stacked(blocks):
         return [np.stack([blocks[k] for k in g]).astype(complex) for g in groups]
 
-    lx, lz = (_inverse_cholesky(stacked([_random_pd(rng, s) for s in dims])) for _ in range(2))
+    x, z = (stacked([_random_pd(rng, s) for s in dims]) for _ in range(2))
+    lx, lz = _inverse_cholesky(x), _inverse_cholesky(z)
     dx, dz = (stacked([_sym(rng.standard_normal((s, s))) for s in dims]) for _ in range(2))
     if bad is not None:
         (dx if bad == "primal" else dz)[2][0, 1, 1] = np.nan
-    both = sdp_solver._step_lengths([np.concatenate(p) for p in zip(lx, lz)], [dx, dz])
+    both = _step_lengths(_inverse_cholesky([np.concatenate(p) for p in zip(x, z)]), [dx, dz])
     alone = [_step_lengths(lx, [dx])[0], _step_lengths(lz, [dz])[0]]
     assert both == alone
     assert (both[0] == 0.0) == (bad == "primal") and (both[1] == 0.0) == (bad == "dual")
