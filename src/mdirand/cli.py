@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -381,7 +382,7 @@ def _solver_options(args) -> SolverOptions:
     kwargs = {f: getattr(args, f) for f in ("gap_tol", "feas_tol", "max_iter", "relax")
               if getattr(args, f) is not None}
     try:
-        return SolverOptions(**kwargs, verbose=args.verbose)
+        return SolverOptions(**kwargs)
     except ValueError as exc:
         raise SchemaError(f"solver options: {exc}") from None
 
@@ -608,11 +609,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse printed its message: 2 for malformed flags, 0 for --help
         return EXIT_SCHEMA if exc.code == 2 else exc.code
+    # --verbose: the solver's DEBUG lines on stderr, for this call alone
+    log = logging.getLogger("mdirand")
+    handler, level = logging.StreamHandler(), log.level
+    if getattr(args, "verbose", False):
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

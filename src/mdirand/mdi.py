@@ -30,8 +30,7 @@ permutations leave unchanged, else the order-1 group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -461,33 +460,23 @@ def face_bases(scenario: Scenario) -> list[np.ndarray]:
 # much also when it never reuses a map (alpha and q sweeps build a new map
 # at each point), and so does each sweep worker.
 MAP_BUDGET = 64 << 20
-# build_sdp's kept constraint maps by key, the most recently used last
-_maps: dict[tuple, _ConstraintMap] = {}
+# build_sdp's kept constraint maps, the most recently used last: by the
+# exact form (_exact) of _assemble's inputs, their row orbits (_row_orbits),
+# the preprocessed problem and the bytes that _seal counts in these three
+_maps: dict[tuple, tuple[tuple[np.ndarray, ...], SdpProblem, int]] = {}
 
 
-@dataclass(frozen=True)
-class _ConstraintMap:
-    """The statistics-free part of build_sdp for the inputs of _assemble
-    whose exact form (_exact) is key: their row orbits (_row_orbits) and
-    the preprocessed problem, whose row map apply_rhs applies to the b of
-    each scenario. Every array is read-only. nbytes, what it costs to keep,
-    counts the bytes of the key, the orbits and every array of the problem
-    and of its row map."""
-
-    key: tuple
-    orbits: tuple[np.ndarray, np.ndarray, np.ndarray]
-    problem: SdpProblem
-
-    @cached_property
-    def nbytes(self) -> int:
-        return _nbytes((self.key, self.orbits, _arrays(self.problem)))
-
-
-def _nbytes(x) -> int:
-    """The bytes of every array and bytes object in x, also inside lists and tuples."""
-    if isinstance(x, (list, tuple)):
-        return sum(map(_nbytes, x))
-    return x.nbytes if isinstance(x, np.ndarray) else len(x) if isinstance(x, bytes) else 0
+def _seal(x) -> int:
+    """The bytes of every array and bytes object in x, also inside lists,
+    tuples and dataclass fields; every such array is made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+        return x.nbytes
+    if isinstance(x, bytes):
+        return len(x)
+    if is_dataclass(x):
+        x = [getattr(x, f.name) for f in fields(x)]
+    return sum(map(_seal, x)) if isinstance(x, (list, tuple)) else 0
 
 
 def _exact(x):
@@ -499,22 +488,6 @@ def _exact(x):
     if isinstance(x, (list, tuple)):
         return tuple(_exact(v) for v in x)
     return x
-
-
-def _arrays(p: SdpProblem) -> list:
-    """Every array of p's data and of its row map, None where there is none."""
-    rm = p.row_map
-    return [p.b, p.cert_vector, *p.group_rows, *p.group_stacks, *p.objective_stacks,
-            *p.group_weights, *p.arrow.blocks, p.arrow.border, rm.kept, rm.dropped,
-            rm.scales, rm.dependence, rm.cert_u]
-
-
-def _read_only(p: SdpProblem) -> SdpProblem:
-    """p, with every array of its data and of its row map made read-only."""
-    for a in _arrays(p):
-        if a is not None:
-            a.flags.writeable = False
-    return p
 
 
 def _assemble(rhos: np.ndarray, mode: str, source, band: bool, faces: list[np.ndarray],
@@ -659,12 +632,12 @@ def build_sdp(
     is one block or one row, of weight 1.
 
     The cap sdp_solver.MAX_CONSTRAINTS bounds the reduced rows, checked
-    twice before any face compression or any coefficient stack exists;
-    each refusal raises ValueError naming the count, the blocks (two slack
-    blocks per statistics-row orbit under a band) and the largest block
-    size. First, before any array over the raw rows, bounds
-    in closed form: only antisymmetric rows of ii and iii can vanish, and
-    an orbit holds at most |G| rows, so at least
+    twice when a map is built, before any face compression or any
+    coefficient stack exists; each refusal raises ValueError naming the
+    count, the blocks (two slack blocks per statistics-row orbit under a
+    band) and the largest block size. First, before any array over the raw
+    rows, bounds in closed form: only antisymmetric rows of ii and iii can
+    vanish, and an orbit holds at most |G| rows, so at least
     ceil((raw rows - antisymmetric rows) / |G|) rows and
     ceil(statistics rows / |G|) statistics-row orbits remain ("at least"
     in the message; under the order-1 group the raw counts, exact). Then
@@ -675,15 +648,17 @@ def build_sdp(
     probabilities (finite-q) or its generation index (asymptotic), whether
     there is a band, the faces, the copy group, the live outcomes and the
     block orbits. build_sdp keeps the maps it builds, read-only, keyed by
-    these inputs, bit for bit, the most recently used last. When a kept
-    map has this scenario's inputs, it skips the row orbits, the assembly
-    and preprocess, and applies this scenario's b to that map through
-    sdp_core.apply_rhs, with which preprocess ends too: every dropped row
-    is checked against its kept rows as on a new map. face_bases, both
-    caps and the dead-outcome check run for every scenario. The maps other
-    than the one just used hold at most MAP_BUDGET bytes, counted by
-    _ConstraintMap.nbytes: the oldest are dropped until they do, before a
-    new map is built, so a map above the budget is dropped before any
+    these inputs, bit for bit, the most recently used last, and looks the
+    key up as soon as the block orbits are known. A kept map fixes every
+    count and passed both caps when it was built, so a hit skips the caps,
+    the row orbits, the assembly and preprocess, and applies this
+    scenario's b to that map through sdp_core.apply_rhs, with which
+    preprocess ends too: every dropped row is checked against its kept
+    rows as on a new map. face_bases and the dead-outcome check run for
+    every scenario. The maps other than the one just used hold at most
+    MAP_BUDGET bytes, those of every array and bytes object of their keys,
+    row orbits and problems (_seal): right after the lookup the oldest are
+    dropped until they do, so a map above the budget is dropped before any
     other is built.
     """
     opts = opts or SolverOptions()
@@ -697,30 +672,31 @@ def build_sdp(
     # the blocks and rows to emit: one per orbit of the copy group
     sym, live, canon = _block_orbits(scenario, faces)
     n_l = len(live)
-    # the cap on the closed-form bounds, then on the counts (see above)
-    order, n_band = math.factorial(sym.copies), n_s * n_l * band
-    n_blocks, size = np.count_nonzero(canon == np.arange(canon.size)), max(v.shape[1] for v in faces)
-    anti = (n_fam * n_o + (n_fam - 1) * n_l) * (d * (d - 1) // 2) * (sym.copies > 1)
-    n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
-    sdp_solver.check_rows(-(-(n_raw - anti) // order), n_blocks + 2 * -(-n_band // order), size,
-                          sym.copies > 1)
     rhos = np.stack([s.mat for s in scenario.ensemble.states])
     inputs = (rhos, scenario.mode, scenario.ensemble.probs if finite_q
               else scenario.generation_index, band, faces, sym, live, canon)
     key = _exact(inputs)
-    cmap = _maps.pop(key, None)
+    hit = _maps.pop(key, None)
     # the maps that this one will follow: the oldest go until they fit the budget
-    while sum(m.nbytes for m in _maps.values()) > MAP_BUDGET:
+    while sum(n for _, _, n in _maps.values()) > MAP_BUDGET:
         del _maps[next(iter(_maps))]
-    if cmap is not None:
-        _maps[cmap.key] = cmap  # under its own key: one copy of the key's bytes
-        kept, red, wt = orbits = cmap.orbits
+    if hit is not None:
+        _maps[key] = hit
+        kept, red, wt = orbits = hit[0]
     else:
+        # the cap on the closed-form bounds, then on the counts (see above)
+        order, n_band = math.factorial(sym.copies), n_s * n_l * band
+        n_blocks = np.count_nonzero(canon == np.arange(canon.size))
+        size = max(v.shape[1] for v in faces)
+        anti = (n_fam * n_o + (n_fam - 1) * n_l) * (d * (d - 1) // 2) * (sym.copies > 1)
+        n_raw = _row_starts(n_fam, n_s, n_o, n_l, d * d, band)[-1]
+        sdp_solver.check_rows(-(-(n_raw - anti) // order), n_blocks + 2 * -(-n_band // order),
+                              size, sym.copies > 1)
         kept, red, wt = orbits = _row_orbits(sym, n_fam, live, band)
-    # under a band, the first band row j of each statistics-row orbit: the
-    # band rows are the last raw rows, and j - n_band is j's statistics row
-    slack = kept[np.searchsorted(kept, n_raw - n_band):]
-    sdp_solver.check_rows(kept.size, n_blocks + 2 * slack.size, size)
+        # under a band, the first band row j of each statistics-row orbit: the
+        # band rows are the last raw rows, and j - n_band is j's statistics row
+        slack = kept[np.searchsorted(kept, n_raw - n_band):]
+        sdp_solver.check_rows(kept.size, n_blocks + 2 * slack.size, size)
 
     cond = scenario.observed.conditionals
     weights = scenario.ensemble.probs if finite_q else np.ones(n_s)
@@ -736,10 +712,10 @@ def build_sdp(
     b[band_rows] = 2.0 * relax
     # orbit means; a left-out row (red -1, weight 0) falls into the dropped bin
     b = np.bincount(red + 1, wt * b, minlength=kept.size + 1)[1:]
-    if cmap is not None:
-        return apply_rhs(cmap.problem, b)
+    if hit is not None:
+        return apply_rhs(hit[1], b)
     problem, report = preprocess(_assemble(*inputs, orbits, b))
-    _maps[key] = _ConstraintMap(key, orbits, _read_only(problem))
+    _maps[key] = orbits, problem, _seal((key, orbits, problem))
     return problem, report
 
 

@@ -54,8 +54,8 @@ and a side of a step with one gets no step.
 """
 from __future__ import annotations
 
+import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +96,8 @@ STEP_FRACTION = 0.98  # fraction-to-boundary of every primal and dual step
 # most constraint rows of a problem (its dense Schur matrix is then 200 MB):
 # solve checks its kept rows, mdi.build_sdp its reduced rows before assembly
 MAX_CONSTRAINTS = 5000
+# solve logs one line per iteration here, at DEBUG (the CLI's --verbose)
+_log = logging.getLogger(__name__)
 
 
 def check_rows(rows: int, blocks: int, size: int, bound: bool = False) -> None:
@@ -116,7 +118,6 @@ class SolverOptions:
     feas_tol: float = 1e-8
     max_iter: int = 200
     relax: float = 0.0          # half-width of the statistics band, 0 = exact
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         for name in ("gap_tol", "feas_tol", "relax"):
@@ -336,13 +337,8 @@ def solve(p: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             y_norm=math.sqrt(y.dot(y)),  # numpy.linalg.norm(y)
             certified_bound=bound,
         ))
-        if opts.verbose:
-            print(
-                f"iter {it:3d}  mu {mu:9.2e}  gap {rel_gap:9.2e}  "
-                f"rp {rp_inf:9.2e}  rd {rd_norm:9.2e}  pobj {pobj:+.9e}  "
-                f"dobj {dobj:+.9e}  cert {bound:+.9e}",
-                file=sys.stderr,
-            )
+        _log.debug("iter %3d  mu %9.2e  gap %9.2e  rp %9.2e  rd %9.2e  pobj %+.9e  "
+                   "dobj %+.9e  cert %+.9e", it, mu, rel_gap, rp_inf, rd_norm, pobj, dobj, bound)
 
         if rel_gap < opts.gap_tol and rp_inf < opts.feas_tol and rd_norm < opts.feas_tol:
             status = OPTIMAL

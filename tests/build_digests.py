@@ -17,6 +17,9 @@ emptying those maps, interleaved as A B A C B D C ...: the second run of
 a build follows the first run of the next one, so it reuses the map kept
 from its first run (unless the maps' byte budget dropped it), and each
 line gets the second run's digest beside the cold one. Both must be equal.
+Then one line per map that build_sdp still keeps, in store order (the
+most recently used last), gives the bytes that the store recorded for it,
+so a change to what the store counts or drops shows in the same diff.
 
 With --solve, each cold build is then solved by sdp_solver.solve, and the
 digest of its SdpSolution follows the build's: its status, y, every x and
@@ -150,6 +153,8 @@ def main():
         warm = {name: build(make, relax) for name, make, relax in order}
         for name, line in cold.items():
             print(name, line, warm[name])
+        for i, (_, _, nbytes) in enumerate(mdi._maps.values()):
+            print(f"map {i} {nbytes} bytes")
 
 
 if __name__ == "__main__":

@@ -212,6 +212,20 @@ def test_rate_json_verbose_keeps_stdout_parseable(capsys):
     assert "iter" in captured.err
 
 
+def test_verbose_logs_each_iteration_for_its_own_call_alone(capsys):
+    # --verbose shows the log for one main call: called again, it writes
+    # the same lines, not each twice; without it, main writes none
+    errs = []
+    for flags in (["--verbose"], ["--verbose"], []):
+        assert cli.main(["rate", "fig3-green", "--json", *flags]) == 0
+        out, err = capsys.readouterr()
+        errs.append(err.splitlines())
+    assert errs[0] == errs[1]
+    assert len(errs[0]) == json.loads(out)["n_iterations"] > 0
+    assert all(line.startswith("iter ") for line in errs[0])
+    assert errs[2] == []
+
+
 def test_sweep_csv_shape_and_monotone_eta(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli.main([
@@ -556,11 +570,12 @@ def test_every_solver_option_is_a_command_line_flag():
     # the solver flags of rate and sweep, and reaches the options it builds
     parser = argparse.ArgumentParser()
     cli._add_solver_flags(parser)
+    # --verbose too, which sets no option: it shows the solver's log
     dests = {a.dest for a in parser._actions} - {"help"}
-    assert dests == {f.name for f in dataclasses.fields(SolverOptions)}
+    assert dests == {f.name for f in dataclasses.fields(SolverOptions)} | {"verbose"}
     args = parser.parse_args(["--gap-tol", "1e-7", "--feas-tol", "2e-7", "--max-iter", "5",
                               "--relax", "0.01", "--verbose"])
-    assert cli._solver_options(args) == SolverOptions(1e-7, 2e-7, 5, 0.01, True)
+    assert cli._solver_options(args) == SolverOptions(1e-7, 2e-7, 5, 0.01)
 
 
 def test_canonical_form_resolves_the_alias_and_fills_defaults():

@@ -1018,6 +1018,22 @@ def _digest(x, h=None):
     return h.hexdigest()
 
 
+def _leaves(x):
+    """Every array and bytes object in x, through every list, tuple and
+    dataclass field, as _digest walks it."""
+    if isinstance(x, (np.ndarray, bytes)):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return [a for v in x for a in _leaves(v)] if isinstance(x, (list, tuple)) else []
+
+
+def _held_bytes(entry):
+    """The bytes of every array and bytes object in a kept map's key, row
+    orbits and problem."""
+    return sum(a.nbytes if isinstance(a, np.ndarray) else len(a) for a in _leaves(entry))
+
+
 def _cold(scen, opts=None):
     """build_sdp of scen with no kept maps: its problem's digest and its report."""
     mdi._maps.clear()
@@ -1180,12 +1196,49 @@ def test_maps_behind_the_newest_stay_within_the_budget(budget, monkeypatch):
         key = list(mdi._maps)[-1]
         used = [k for k in used if k != key] + [key]
         maps = list(mdi._maps.values())
-        assert sum(m.nbytes for m in maps[:-1]) <= mdi.MAP_BUDGET
-        # nbytes counts each key once: a hit keeps the map's own key
-        assert all(k is m.key for k, m in mdi._maps.items())
+        assert sum(n for _, _, n in maps[:-1]) <= mdi.MAP_BUDGET
+        # the recorded bytes are those of the key the store holds, counted once
+        assert all(n == _held_bytes((k, orbits, prob))
+                   for k, (orbits, prob, n) in mdi._maps.items())
         # the store holds the most recently used maps, in the order of use
         assert list(mdi._maps) == used[-len(maps):]
     assert (len(maps) == 8) is (budget is None)
+
+
+def test_every_array_of_a_kept_map_is_read_only_and_counted():
+    # maps of the order-1 group and of S_2, full and cut faces, finite-q
+    # and a band: whatever array the key, the orbits, the problem, its
+    # arrow plan or its row map holds is read-only and in the recorded bytes
+    for scen, opts in [(s, None) for s in _map_sequence()[:10]] + [
+            (doubled_preset("fig7-3o"), None), (_fig3_blue(eta=0.9), SolverOptions(relax=1e-3))]:
+        mdi.build_sdp(scen, opts)
+    assert len(mdi._maps) == 9
+    for key, (orbits, prob, n) in mdi._maps.items():
+        leaves = _leaves((key, orbits, prob))
+        arrays = [a for a in leaves if isinstance(a, np.ndarray)]
+        assert len(arrays) > len(_leaves(prob.row_map)) > 0
+        assert not any(a.flags.writeable for a in arrays)
+        assert n == _held_bytes((key, orbits, prob))
+
+
+# the distinct constraint maps of the 12 presets in their own modes:
+# fig7-proj is fig6-4s-m1 with another name, so they share one
+PRESET_MAPS = 11
+
+
+def test_every_preset_built_again_takes_its_kept_map(monkeypatch):
+    # A B A C B D ...: the second build of each preset follows the first
+    # build of the next one, and takes its own kept map, bit for bit
+    scens = [cli.realize(cli.load_scenario_spec(name)) for name in cli.preset_names()]
+    cold = [_cold(scen) for scen in scens]
+    mdi._maps.clear()
+    order = [0, *(i for pair in zip(range(1, len(scens)), range(len(scens))) for i in pair),
+             len(scens) - 1]
+    calls = _count_preprocess(monkeypatch)
+    for i in order:
+        prob, rep = mdi.build_sdp(scens[i])
+        assert (_digest(prob), repr(rep)) == cold[i]
+    assert len(calls) == PRESET_MAPS
 
 
 def test_unproven_infeasibility_is_named(monkeypatch):
